@@ -317,5 +317,5 @@ class OracleRecord:
 def oracle_record(s: Spectrum) -> OracleRecord:
     verdict = theorem2_check(s)
     p3 = prop3_check(s)
-    t1 = verify_theorem1(s) if verdict.canonical else None
+    t1 = all(theorem1_report(s).values()) if verdict.canonical else None
     return OracleRecord(s, verdict, p3, t1)

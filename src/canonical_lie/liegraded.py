@@ -17,6 +17,12 @@ At the dimensions in scope (<= 28 per summand) exhaustive validation is a
 few hundred thousand integer operations: cheap insurance, since a corrupt
 table would silently invalidate every verdict computed from it.
 
+:func:`regrade` gives a validated table new grade labels.  The brackets,
+the form and the cached form rank are shared with the original, since
+checks 1, 4 and 5 do not involve the grades; only checks 2 and 3 run, with
+the same code :func:`build_table` uses.  So one algebra, validated once,
+carries many gradings cheaply.
+
 Everything downstream (subspace brackets, generated subalgebras, the
 descending series of a nilpotent subalgebra, form polars, direct sums) is
 generic over the table; no matrix realization is consulted here.
@@ -85,13 +91,14 @@ class LieTable:
 
     __slots__ = ("dim", "grade", "form", "_rows", "_sparse", "_form_rank")
 
-    def __init__(self, dim, grade, form, rows, sparse):
+    def __init__(self, dim, grade, form, rows, sparse, form_rank):
         self.dim = dim
         self.grade = grade
         self.form = form
         self._rows = rows
         self._sparse = sparse
-        self._form_rank = None
+        # one-element list, filled on first use and shared by regraded tables
+        self._form_rank = form_rank
 
     def bracket_row(self, i: int, j: int) -> tuple:
         """Coordinates of [e_i, e_j]."""
@@ -137,9 +144,7 @@ def build_table(
             fixed.append(row)
         rows.append(tuple(fixed))
     rows = tuple(rows)
-    grades = tuple(as_rational(g) for g in grade)
-    if len(grades) != dim:
-        raise ValueError(f"{len(grades)} grade labels for dim {dim}")
+    grades = _grade_labels(grade, dim)
     if not isinstance(form, RatMatrix):
         form = RatMatrix(form, cols=dim)
     if form.shape != (dim, dim):
@@ -156,23 +161,7 @@ def build_table(
             if any(rij[k] != -rji[k] for k in range(dim)):
                 raise AntisymmetryViolation(i, j)
 
-    for i in range(dim):
-        for j in range(i, dim):
-            target = grades[i] + grades[j]
-            for k, _ in sparse[i][j]:
-                if grades[k] != target:
-                    raise GradingViolation(
-                        f"[e_{i}, e_{j}] has grade {grades[i]}+{grades[j]} but hits "
-                        f"basis element {k} of grade {grades[k]}",
-                        (i, j, k),
-                    )
-
-    counts = Counter(grades)
-    for g, cnt in counts.items():
-        if counts.get(-g, 0) != cnt:
-            raise GradingViolation(
-                f"grade {g} has dimension {cnt} but grade {-g} has {counts.get(-g, 0)}"
-            )
+    _check_grading(sparse, grades)
 
     for i in range(dim):
         sp_i = sparse[i]
@@ -211,7 +200,53 @@ def build_table(
                         (i, j, k),
                     )
 
-    return LieTable(dim, grades, form, rows, sparse)
+    return LieTable(dim, grades, form, rows, sparse, [None])
+
+
+def regrade(t: LieTable, grade: Sequence) -> LieTable:
+    """The algebra of `t` under new grade labels, one per basis element.
+
+    Shares the validated brackets, form and form rank of `t`, and runs only
+    the grade-dependent checks of :func:`build_table`: raises
+    GradingViolation when a bracket leaves grade(i) + grade(j) or when the
+    grade multiset is not symmetric under negation.
+    """
+    grades = _grade_labels(grade, t.dim)
+    _check_grading(t._sparse, grades)
+    return LieTable(t.dim, grades, t.form, t._rows, t._sparse, t._form_rank)
+
+
+def _grade_labels(grade: Sequence, dim: int) -> tuple[Fraction, ...]:
+    grades = tuple(as_rational(g) for g in grade)
+    if len(grades) != dim:
+        raise ValueError(f"{len(grades)} grade labels for dim {dim}")
+    return grades
+
+
+def _check_grading(sparse, grades) -> None:
+    """Checks 2 and 3: bracket support on grade(i) + grade(j), and a grade
+    multiset symmetric under negation."""
+    dim = len(grades)
+    for i in range(dim):
+        for j in range(i, dim):
+            hits = sparse[i][j]
+            if not hits:
+                continue
+            target = grades[i] + grades[j]
+            for k, _ in hits:
+                if grades[k] != target:
+                    raise GradingViolation(
+                        f"[e_{i}, e_{j}] has grade {grades[i]}+{grades[j]} but hits "
+                        f"basis element {k} of grade {grades[k]}",
+                        (i, j, k),
+                    )
+
+    counts = Counter(grades)
+    for g, cnt in counts.items():
+        if counts.get(-g, 0) != cnt:
+            raise GradingViolation(
+                f"grade {g} has dimension {cnt} but grade {-g} has {counts.get(-g, 0)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -328,9 +363,10 @@ def polar(t: LieTable, a: Subspace) -> Subspace:
 
 
 def _form_rank(t: LieTable) -> int:
-    if t._form_rank is None:
-        t._form_rank = rref(t.form)[0]
-    return t._form_rank
+    cell = t._form_rank
+    if cell[0] is None:
+        cell[0] = rref(t.form)[0]
+    return cell[0]
 
 
 def direct_sum(a: LieTable, b: LieTable) -> LieTable:

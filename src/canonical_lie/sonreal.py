@@ -1,23 +1,30 @@
-"""The split-basis wedge model of so(n, C), with exact structure constants.
+"""The Witt-basis wedge model of so(n, C), with exact structure constants.
 
 A skew-symmetric element xi of so(n) is determined up to conjugacy by its
 eigenvalue magnitudes and their multiplicities (a :class:`Spectrum`).  To
 compute with the complexified algebra we model so(n, C) on the second
-exterior power of C^n: pick a basis of xi-eigenvectors u_1, ..., u_n and
-identify the wedge u_a ^ u_b with the skew map
+exterior power of C^n: pick a basis of xi-eigenvectors u_0, ..., u_{n-1}
+and identify the wedge u_a ^ u_b with the skew map
 
     (u_a ^ u_b)(c) = (u_a, c) u_b - (u_b, c) u_a,
 
 where ( , ) is the complex bilinear extension of the real inner product.
-In an eigenbasis that form pairs the +lambda and -lambda eigenspaces
-hyperbolically and is the identity on the 0-eigenspace, so its Gram matrix
-is a 0/1 permutation matrix and every structure constant of
+The basis is a Witt (hyperbolic) basis: it lists the +lambda eigenvectors
+by descending lambda, then the 0-eigenspace, then the -lambda eigenvectors
+mirrored, and (u_a, u_b) = 1 exactly when b = n - 1 - a.  The +lambda and
+-lambda eigenspaces are paired by the form anyway; over C the 0-eigenspace
+has a hyperbolic basis too (e_j +/- i e_k pairs, plus one self-paired
+vector when its dimension is odd).  So the Gram matrix is the anti-diagonal
+permutation matrix for every spectrum, and every structure constant of
 
     [a^b, c^d] = (a,c) b^d - (a,d) b^c - (b,c) a^d + (b,d) a^c
 
-is a small integer.  The grading derivation acts on u_a ^ u_b with grade
-lambda_a + lambda_b, so grades are bookkept combinatorially and no complex
-(or floating-point) arithmetic ever appears.
+is a small integer that depends on n alone.  The table of brackets and the
+form is therefore built and fully validated once per n; a spectrum only
+places its eigenvalue labels on the basis, and the grading derivation acts
+on u_a ^ u_b with grade lambda_a + lambda_b, so :func:`realize` relabels
+grades (see :func:`liegraded.regrade`).  No complex (or floating-point)
+arithmetic ever appears.
 
 The bilinear form installed on the algebra is the trace form tr(XY) of the
 matrix realization; for so(n) the Killing form is (n-2) times it, so polars
@@ -31,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactlin import RatMatrix, as_rational, kernel
-from .liegraded import LieTable, build_table
+from .liegraded import LieTable, build_table, regrade
 
 
 class InvalidSpectrum(ValueError):
@@ -138,13 +145,15 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class WedgeBasis:
-    """Ordered eigenbasis of C^n and the induced wedge basis of so(n, C).
+    """Ordered Witt eigenbasis of C^n and the induced wedge basis of so(n, C).
 
     `eigen_labels[a] = (lambda_a, p)` is the signed eigenvalue and the index
-    within its eigenspace; labels are sorted by descending lambda, then p.
-    `partners[a]` is the unique b with (u_a, u_b) = 1 (hyperbolic pairing;
-    a zero-eigenvalue vector is its own partner).  `pairs` lists the wedge
-    basis (a, b), a < b, in lexicographic order; `gram` is the form on C^n.
+    within its eigenspace: the positive labels by descending lambda, then p,
+    then the zeros, then the negatives mirrored, so that
+    lambda_{n-1-a} = -lambda_a.  `partners[a] = n - 1 - a` is the unique b
+    with (u_a, u_b) = 1, so `gram`, the form on C^n, is anti-diagonal.
+    `pairs` lists the wedge basis (a, b), a < b, in lexicographic order.
+    Only the labels depend on the spectrum; everything else depends on n.
     """
 
     eigen_labels: tuple[tuple[Fraction, int], ...]
@@ -162,60 +171,57 @@ class WedgeBasis:
 
     def pair_index(self, a: int, b: int) -> int:
         """Position of the wedge (a, b), a < b, in lexicographic order."""
-        n = self.n
-        return a * (2 * n - a - 1) // 2 + (b - a - 1)
+        return _pair_index(self.n, a, b)
+
+
+def _pair_index(n: int, a: int, b: int) -> int:
+    return a * (2 * n - a - 1) // 2 + (b - a - 1)
+
+
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((a, b) for a in range(n) for b in range(a + 1, n))
 
 
 @lru_cache(maxsize=256)
 def wedge_basis(s: Spectrum) -> WedgeBasis:
-    labels = []
-    for lam, mult in s.entries:
-        for p in range(mult):
-            labels.append((lam, p))
-            if lam != 0:
-                labels.append((-lam, p))
-    labels.sort(key=lambda t: (-t[0], t[1]))
-    position = {lab: i for i, lab in enumerate(labels)}
-    partners = tuple(position[(-lam, p)] for lam, p in labels)
+    positive = [(lam, p) for lam, mult in reversed(s.entries) if lam > 0 for p in range(mult)]
+    zeros = [(Fraction(0), p) for p in range(s.mult(0))]
+    labels = positive + zeros + [(-lam, p) for lam, p in reversed(positive)]
     n = s.n
-    gram = [[0] * n for _ in range(n)]
-    for a, b in enumerate(partners):
-        gram[a][b] = 1
-    pairs = tuple((a, b) for a in range(n) for b in range(a + 1, n))
-    return WedgeBasis(tuple(labels), partners, pairs, RatMatrix(gram, cols=n))
+    partners = tuple(range(n - 1, -1, -1))
+    gram = [[1 if b == n - 1 - a else 0 for b in range(n)] for a in range(n)]
+    return WedgeBasis(tuple(labels), partners, _pairs(n), RatMatrix(gram, cols=n))
 
 
-@lru_cache(maxsize=64)
-def realize(s: Spectrum) -> LieTable:
-    """Structure-constant table of so(n, C) graded by the given spectrum.
+@lru_cache(maxsize=16)
+def _so_table(n: int) -> LieTable:
+    """so(n, C) in the Witt wedge basis, built and validated once per n.
 
-    Basis element p = (a, b) is the wedge u_a ^ u_b with grade
-    lambda_a + lambda_b; the bracket follows the four-term wedge identity
-    and the form is tr(XY) of the matrix realization.  The returned table
-    passes the full eager validation in :func:`build_table`.
+    The bracket follows the four-term wedge identity with partner(a) =
+    n - 1 - a, and the form is tr(XY) of the matrix realization.  The table
+    carries the principal grading lambda_a = (n - 1)/2 - a, the grading of
+    the spectrum with magnitudes 0, 1, ... (n odd) or 1/2, 3/2, ... (n even),
+    each of multiplicity one, so validation checks the bracket against a
+    nontrivial grading as well.
     """
-    wb = wedge_basis(s)
-    n, dim = wb.n, wb.dim
-    lam = [ell for ell, _ in wb.eigen_labels]
-    part = wb.partners
-    pairs = wb.pairs
-    pindex = wb.pair_index
+    pairs = _pairs(n)
+    dim = len(pairs)
     zero_row = (0,) * dim
 
     def put(acc, x, y, coeff):
         if x == y:
             return
         if x < y:
-            k = pindex(x, y)
+            k = _pair_index(n, x, y)
             acc[k] = acc.get(k, 0) + coeff
         else:
-            k = pindex(y, x)
+            k = _pair_index(n, y, x)
             acc[k] = acc.get(k, 0) - coeff
 
     rows = [[zero_row] * dim for _ in range(dim)]
     for p in range(dim):
         a, b = pairs[p]
-        pa, pb = part[a], part[b]
+        pa, pb = n - 1 - a, n - 1 - b
         for q in range(p + 1, dim):
             c, d = pairs[q]
             acc: dict[int, int] = {}
@@ -234,12 +240,12 @@ def realize(s: Spectrum) -> LieTable:
                 rows[p][q] = tuple(row)
                 rows[q][p] = tuple(-v for v in row)
 
-    grades = tuple(lam[a] + lam[b] for a, b in pairs)
+    grades = tuple(n - 1 - a - b for a, b in pairs)
 
     mats = []
     for a, b in pairs:
-        entries = {(b, part[a]): 1}
-        key = (a, part[b])
+        entries = {(b, n - 1 - a): 1}
+        key = (a, n - 1 - b)
         entries[key] = entries.get(key, 0) - 1
         mats.append(entries)
     form = [
@@ -251,6 +257,20 @@ def realize(s: Spectrum) -> LieTable:
     ]
 
     return build_table(dim, rows, grades, RatMatrix(form, cols=dim))
+
+
+@lru_cache(maxsize=64)
+def realize(s: Spectrum) -> LieTable:
+    """Structure-constant table of so(n, C) graded by the given spectrum.
+
+    Basis element p = (a, b) is the wedge u_a ^ u_b of the Witt basis, with
+    grade lambda_a + lambda_b.  The brackets and the form are those of the
+    table validated once for n; this only relabels the grades, checking that
+    every bracket respects them and that they are symmetric under negation.
+    """
+    wb = wedge_basis(s)
+    lam = [ell for ell, _ in wb.eigen_labels]
+    return regrade(_so_table(s.n), tuple(lam[a] + lam[b] for a, b in wb.pairs))
 
 
 def matrix_of(s: Spectrum, basis_pair_index: int) -> RatMatrix:
@@ -307,9 +327,12 @@ def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
         lam = Fraction(j, 2)
         shifted = m2 + RatMatrix.identity(n).scaled(lam * lam)
         d = kernel(shifted).dim
+        if d % 2:
+            raise RuntimeError(
+                f"kernel of m^2 + {lam * lam} has odd dimension {d}; the +/- i*{lam} "
+                "eigenspaces of a real matrix match in size"
+            )
         if d:
-            # the +/- i*lambda eigenspaces of a real matrix match in size
-            assert d % 2 == 0
             entries.append((lam, d // 2))
         j += 1
 

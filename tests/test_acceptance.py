@@ -4,7 +4,7 @@ Eight exact (tolerance-free) criteria, one test each, every test printing a
 single PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 1. The generation-based decider and the closed-form spectral classifier
-   agree on every half-integral spectrum with n in 3..8, magnitudes <= 7/2.
+   agree on every half-integral spectrum with n in 3..9, magnitudes <= 7/2.
 2. In so(4), the half-odd spectrum with mult(1/2) = 1 is rejected with a
    generation-failure certificate while mult(1/2) = 2 is accepted.
 3. Generation by the grade +-1 pieces alone is strictly weaker: both the
@@ -48,7 +48,7 @@ SWEEP_BOUND = Fraction(7, 2)
 
 @lru_cache(maxsize=1)
 def sweep():
-    return tuple(s for n in range(3, 9) for s in half_integral_spectra(n, SWEEP_BOUND))
+    return tuple(s for n in range(3, 10) for s in half_integral_spectra(n, SWEEP_BOUND))
 
 
 def report(criterion: int, description: str, passed: bool) -> None:
@@ -64,7 +64,7 @@ def test_criterion_1_oracle_equivalence():
     report(
         1,
         f"generation test and spectral classifier agree on all {len(sweep())} "
-        f"spectra (n<=8, magnitudes<=7/2); disagreements: {len(disagreements)}",
+        f"spectra (n<=9, magnitudes<=7/2); disagreements: {len(disagreements)}",
         not disagreements,
     )
 

@@ -20,6 +20,7 @@ from canonical_lie import (
     grading_of,
     polar,
     realize,
+    regrade,
     span,
     subspace_sum,
 )
@@ -91,6 +92,32 @@ class TestBuildTable:
         # construction + validation agree for a spectrum-built table
         t = realize(spec(5, ("0", 3), ("1", 1)))
         assert t.dim == 10
+
+
+class TestRegrade:
+    def test_shares_validated_structure(self):
+        t = realize(spec(4, ("1/2", 2)))
+        flat = regrade(t, (0,) * t.dim)
+        assert flat.grade == (Fraction(0),) * t.dim
+        assert flat._rows is t._rows and flat._sparse is t._sparse
+        assert flat.form is t.form and flat._form_rank is t._form_rank
+        assert regrade(flat, t.grade) == t
+
+    def test_grading_support_violation(self):
+        # symmetric multiset, but [e_0, e_1] = e_2 leaves grade 1 + 0
+        with pytest.raises(GradingViolation) as err:
+            regrade(so3_table(), (1, 0, -1))
+        assert err.value.indices == (0, 1, 2)
+
+    def test_grade_symmetry_violation(self):
+        zero_rows = [[[0, 0] for _ in range(2)] for _ in range(2)]
+        t = build_table(2, zero_rows, (0, 0), RatMatrix.identity(2))
+        with pytest.raises(GradingViolation):
+            regrade(t, (0, 1))
+
+    def test_label_count_checked(self):
+        with pytest.raises(ValueError):
+            regrade(so3_table(), (0, 0))
 
 
 class TestGradingOf:

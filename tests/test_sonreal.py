@@ -1,6 +1,8 @@
 """Wedge model of so(n, C): realization, matrices, spectrum extraction."""
 
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,9 +13,12 @@ from canonical_lie import (
     Spectrum,
     TooSmall,
     grading_of,
+    half_integral_spectra,
+    kernel,
     matrix_of,
     normal_form,
     realize,
+    sonreal,
     spectrum_from_matrix,
     wedge_basis,
 )
@@ -70,15 +75,24 @@ class TestWedgeBasis:
 
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
     def test_labels_descending_and_gram_pairing(self, s):
+        # Witt basis: labels descend and mirror to their negatives, and the
+        # form pairs position a with position n-1-a only, zeros included
         wb = wedge_basis(s)
+        n = s.n
         lams = [lam for lam, _ in wb.eigen_labels]
         assert lams == sorted(lams, reverse=True)
-        for a in range(s.n):
-            for b in range(s.n):
-                lam_a, p = wb.eigen_labels[a]
-                lam_b, q = wb.eigen_labels[b]
-                expected = 1 if (lam_a + lam_b == 0 and p == q) else 0
-                assert wb.gram[a, b] == expected
+        expected = Counter({Fraction(0): s.mult(0)})
+        for lam, mult in s.entries:
+            if lam != 0:
+                expected[lam] += mult
+                expected[-lam] += mult
+        assert Counter(lams) == expected
+        assert len(set(wb.eigen_labels)) == n
+        for a in range(n):
+            assert lams[n - 1 - a] == -lams[a]
+            assert wb.partners[a] == n - 1 - a
+            for b in range(n):
+                assert wb.gram[a, b] == (1 if b == n - 1 - a else 0)
 
 
 class TestRealize:
@@ -96,6 +110,30 @@ class TestRealize:
     def test_so3_integer_grading(self):
         dims = grading_of(realize(spec(3, ("0", 1), ("1", 1)))).dims()
         assert dims == {Fraction(-1): 1, Fraction(0): 1, Fraction(1): 1}
+
+    def test_table_depends_on_n_alone(self):
+        a = realize(spec(6, ("1/2", 2), ("3/2", 1)))
+        b = realize(spec(6, ("0", 2), ("1", 2)))
+        assert a.grade != b.grade
+        assert a.form == b.form
+        for i in range(a.dim):
+            for j in range(a.dim):
+                assert a.bracket_row(i, j) == b.bracket_row(i, j)
+
+    def test_one_table_built_per_n(self, monkeypatch):
+        built = []
+        build_table = sonreal.build_table
+
+        def counting(dim, *rest):
+            built.append(dim)
+            return build_table(dim, *rest)
+
+        monkeypatch.setattr(sonreal, "build_table", counting)
+        sonreal._so_table.cache_clear()
+        realize.cache_clear()
+        spectra = half_integral_spectra(6, Fraction(7, 2))
+        assert len({realize(s).grade for s in spectra}) > 1
+        assert built == [15]
 
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
     def test_grading_dims_match_pair_counting(self, s):
@@ -137,10 +175,14 @@ class TestMatrixOf:
             assert x.transpose() @ g + g @ x == RatMatrix.zeros(s.n, s.n)
 
     def test_annihilates_orthogonal_vectors(self):
-        s = spec(3, ("0", 3))
-        x = matrix_of(s, 0)  # wedge of directions 0 and 1
-        e2 = RatMatrix([[0], [0], [1]])
-        assert x @ e2 == RatMatrix.zeros(3, 1)
+        # u_a ^ u_b kills every vector Gram-orthogonal to both u_a and u_b
+        for s in SAMPLED:
+            wb = wedge_basis(s)
+            for idx, (a, b) in enumerate(wb.pairs):
+                orth = kernel(RatMatrix([wb.gram.row(a), wb.gram.row(b)]))
+                assert orth.dim == s.n - 2
+                x = matrix_of(s, idx)
+                assert x @ orth.basis.transpose() == RatMatrix.zeros(s.n, orth.dim)
 
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
     def test_ad_diagonal_scales_by_grade(self, s):
@@ -211,6 +253,12 @@ class TestSpectrumFromMatrix:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             spectrum_from_matrix(RatMatrix.zeros(2, 2))
+
+    def test_odd_eigenspace_dimension_raises(self, monkeypatch):
+        # impossible for a real skew matrix; the check must survive python -O
+        monkeypatch.setattr(sonreal, "kernel", lambda m: SimpleNamespace(dim=1))
+        with pytest.raises(RuntimeError):
+            spectrum_from_matrix(normal_form(spec(3, ("0", 1), ("1", 1))))
 
     def test_large_magnitude_not_missed(self):
         # bound must not truncate below the top magnitude
