@@ -37,7 +37,7 @@ from .liegraded import (
     grading_of,
     polar,
 )
-from .sonreal import Spectrum, TooSmall, realize, spectrum_from_matrix, wedge_basis
+from .sonreal import Spectrum, TooSmall, realize, spectrum_from_matrix
 
 
 class NotCanonical(ValueError):
@@ -83,15 +83,18 @@ class ParabolicData:
 def condition1(s: Spectrum) -> bool:
     """True iff every grade lambda_a + lambda_b over basis pairs is an integer.
 
-    Equivalently: the signed magnitudes are all integers or all half-odd.
+    Equivalently: every 2 lambda is an integer and the magnitudes (0 among
+    them when present) are all integers or all half-odd.  Each eigendirection
+    lambda has a second one mu beside it (n >= 3), and lambda + mu and
+    lambda - mu are both grades, so integral grades put 2 lambda in Z and
+    lambda, mu in the same class mod 1; conversely every grade is then an
+    integer.  This reads the spectrum's entries only, never the n(n-1)/2
+    basis pairs.
     """
-    lams = [lam for lam, _ in wedge_basis(s).eigen_labels]
-    n = len(lams)
-    return all(
-        (lams[a] + lams[b]).denominator == 1
-        for a in range(n)
-        for b in range(a + 1, n)
-    )
+    doubled = [2 * lam for lam in s.magnitudes]
+    if any(d.denominator != 1 for d in doubled):
+        return False
+    return len({d.numerator % 2 for d in doubled}) == 1
 
 
 def theorem2_check(s: Spectrum) -> Verdict:

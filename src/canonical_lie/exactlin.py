@@ -292,6 +292,33 @@ def kernel(m: RatMatrix) -> Subspace:
     return span(basis, m.cols)
 
 
+def charpoly(a: Sequence[Sequence]) -> list:
+    """Coefficients of det(xI - a), highest degree first, by Berkowitz.
+
+    Division-free: only ring operations on the entries, so an integer matrix
+    gives an exact integer polynomial.  Each step borders the leading k x k
+    block with row and column k and multiplies the block's polynomial by the
+    Toeplitz matrix with first column 1, -a_kk, -R C, -R A C, ...,
+    -R A^(k-1) C (R, C the new row and column, A the block).
+    """
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    poly = [1]
+    for k in range(n):
+        row = a[k]
+        toeplitz = [1, -row[k]]
+        v = [a[i][k] for i in range(k)]
+        for _ in range(k):
+            toeplitz.append(-sum(r * x for r, x in zip(row, v)))
+            v = [sum(r * x for r, x in zip(a[i], v)) for i in range(k)]
+        poly = [
+            sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    return poly
+
+
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError(f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}")

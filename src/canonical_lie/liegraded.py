@@ -283,7 +283,11 @@ class GradingMap:
 
 
 def grading_of(t: LieTable) -> GradingMap:
-    """Group basis elements by their grade label into canonical subspaces."""
+    """Group basis elements by their grade label into canonical subspaces.
+
+    A grade's unit vectors, in ascending index order, are already a reduced
+    row-echelon basis, so each subspace is built from them directly.
+    """
     groups: dict[Fraction, list[int]] = {}
     for idx, g in enumerate(t.grade):
         groups.setdefault(g, []).append(idx)
@@ -294,7 +298,7 @@ def grading_of(t: LieTable) -> GradingMap:
             vec = [0] * t.dim
             vec[idx] = 1
             rows.append(vec)
-        entries.append((g, span(rows, t.dim)))
+        entries.append((g, Subspace(t.dim, RatMatrix(rows, cols=t.dim))))
     return GradingMap(t.dim, tuple(entries))
 
 

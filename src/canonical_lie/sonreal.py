@@ -33,11 +33,12 @@ agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactlin import RatMatrix, as_rational, kernel
+from .exactlin import RatMatrix, as_rational, charpoly, kernel
 from .liegraded import LieTable, build_table, regrade
 
 
@@ -296,12 +297,20 @@ def matrix_of(s: Spectrum, basis_pair_index: int) -> RatMatrix:
 def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
     """Exact eigenvalue extraction from a rational skew-symmetric matrix.
 
-    Tries every half-integral candidate magnitude lambda with
-    lambda^2 <= -tr(m^2)/2 (the sum of the squared magnitudes, so no valid
-    candidate can exceed the bound): the multiplicity of +/- i*lambda is
-    dim ker(m^2 + lambda^2) / 2, and mult(0) = dim ker m.  Returns None when
-    the multiplicities found do not account for all n dimensions, i.e. when
-    some magnitude is not a half-integer.
+    The eigenvalues of m are +/- i*lambda, so those of -m^2 are the squares
+    lambda^2 >= 0.  Clearing the denominators of m^2 (D is their lcm) gives
+    the integer matrix N = -4 D m^2 = 4 D m^T m with eigenvalues
+    4 D lambda^2, so a half-integral magnitude lambda = j/2 is a root
+    y = D j^2 of the integer characteristic polynomial of N (Berkowitz,
+    division-free).  A Sturm sequence of its square-free part counts roots
+    between grid points y = D j^2, and bisecting over 0 < j <= J isolates
+    every grid point that is a root, in about log2 J steps per distinct
+    root; J^2 <= -2 tr m^2, four times the sum of the squared magnitudes.
+    Only at those roots is the multiplicity of +/- i*lambda taken, as
+    dim ker(m^2 + lambda^2) / 2; mult(0) = dim ker m.  Returns None when the
+    multiplicities found do not account for all n dimensions, i.e. when some
+    magnitude is not a half-integer.  The cost grows with the bit length of
+    the entries, not with their size, and no float is involved.
 
     That outcome already settles the canonicality question.  A grading can
     only have integer grades if any two signed magnitudes have integral sum
@@ -320,10 +329,11 @@ def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
 
     m2 = m @ m
     mult0 = kernel(m).dim
-    limit = -2 * m2.trace()
+    scale = math.lcm(*(v.denominator for row in m2.entries for v in row))
+    gram = [[-4 * v.numerator * (scale // v.denominator) for v in row] for row in m2.entries]
+    top = math.isqrt(math.floor(-2 * m2.trace()))
     entries = []
-    j = 1
-    while Fraction(j * j) <= limit:
+    for j in _grid_roots(charpoly(gram), scale, top):
         lam = Fraction(j, 2)
         shifted = m2 + RatMatrix.identity(n).scaled(lam * lam)
         d = kernel(shifted).dim
@@ -334,7 +344,6 @@ def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
             )
         if d:
             entries.append((lam, d // 2))
-        j += 1
 
     accounted = mult0 + 2 * sum(mult for _, mult in entries)
     if accounted != n:
@@ -342,6 +351,102 @@ def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
     if mult0:
         entries.insert(0, (Fraction(0), mult0))
     return Spectrum(n, tuple(entries))
+
+
+# Integer polynomials below are coefficient lists, highest degree first.
+
+
+def _evaluate(p: list[int], y: int) -> int:
+    acc = 0
+    for c in p:
+        acc = acc * y + c
+    return acc
+
+
+def _derivative(p: list[int]) -> list[int]:
+    deg = len(p) - 1
+    return [c * (deg - i) for i, c in enumerate(p[:-1])]
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p without leading zeros, divided by its (positive) content; [] for 0."""
+    start = next((i for i, c in enumerate(p) if c), len(p))
+    p = p[start:]
+    content = math.gcd(*p)
+    return [c // content for c in p] if content > 1 else p
+
+
+def _remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of a mod b, made primitive.
+
+    Each step scales the dividend by |lead(b)| before cancelling its leading
+    term, so the result has the sign pattern of the true remainder, which is
+    all a Sturm sequence needs.
+    """
+    lead = b[0]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    r = list(a)
+    while len(r) >= len(b):
+        f = sign * r[0]
+        r = [scale * c for c in r]
+        for i, c in enumerate(b):
+            r[i] -= f * c
+        r = r[1:]
+    return _primitive(r)
+
+
+def _square_free(p: list[int]) -> list[int]:
+    """p / gcd(p, p'): the same roots, each simple (integral by Gauss's lemma)."""
+    a, b = _primitive(p), _primitive(_derivative(p))
+    while b:
+        a, b = b, _remainder(a, b)
+    quotient, r = [], list(p)
+    while len(r) >= len(a):
+        f = r[0] // a[0]
+        quotient.append(f)
+        for i, c in enumerate(a):
+            r[i] -= f * c
+        r = r[1:]
+    return quotient
+
+
+def _grid_roots(p: list[int], scale: int, top: int) -> list[int]:
+    """Every integer 0 < j <= top with p(scale * j^2) = 0, ascending.
+
+    Sturm's theorem on the square-free part q: with V(y) the sign variations
+    of q, q', -rem(q, q'), ... at y, V(y0) - V(y1) is the number of roots in
+    (y0, y1].  Only the points y = scale * j^2 are evaluated, so a bisection
+    over j ends at intervals (j - 1, j] that hold a root, which is on the
+    grid exactly when q(scale * j^2) = 0.
+    """
+    q = _square_free(p)
+    seq = [q, _primitive(_derivative(q))]
+    while True:
+        r = _remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in r])
+
+    def variations(j: int) -> int:
+        y = scale * j * j
+        signs = [v > 0 for v in (_evaluate(s, y) for s in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    found = []
+    stack = [(0, variations(0), top, variations(top))]
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if _evaluate(q, scale * hi * hi) == 0:
+                found.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = variations(mid)
+        stack.append((mid, v_mid, hi, v_hi))
+        stack.append((lo, v_lo, mid, v_mid))
+    return found
 
 
 def normal_form(s: Spectrum) -> RatMatrix:

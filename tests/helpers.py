@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from canonical_lie import Spectrum
+from canonical_lie import RatMatrix, Spectrum, normal_form, rref, wedge_basis
 
 
 def spec(n, *pairs):
@@ -45,3 +45,33 @@ def brute_force_spectra(n, max_half_steps):
             entries = ([(Fraction(0), m0)] if m0 else []) + sorted(counts.items())
             out.append(Spectrum(n, tuple(entries)))
     return out
+
+
+def condition1_pairwise(s):
+    """Integrality of grades by definition: every lambda_a + lambda_b, a < b,
+    over the signed eigenvalue labels of the wedge basis is an integer."""
+    lams = [lam for lam, _ in wedge_basis(s).eigen_labels]
+    n = len(lams)
+    return all(
+        (lams[a] + lams[b]).denominator == 1 for a in range(n) for b in range(a + 1, n)
+    )
+
+
+def cayley(a):
+    """Rational orthogonal Q = (I - A)(I + A)^-1 for a rational skew matrix A.
+
+    I + A is invertible because A's eigenvalues are imaginary; the inverse is
+    read off the reduced form of [I + A | I].
+    """
+    n = a.rows
+    eye = RatMatrix.identity(n)
+    plus = eye + a
+    _, reduced = rref(RatMatrix([plus.row(i) + eye.row(i) for i in range(n)]))
+    inverse = RatMatrix([row[n:] for row in reduced.entries], cols=n)
+    return (eye + a.scaled(-1)) @ inverse
+
+
+def conjugated_normal_form(s, a):
+    """Q N(s) Q^T for the Cayley Q of the skew matrix A: spectrum s, entries mixed."""
+    q = cayley(a)
+    return q @ normal_form(s) @ q.transpose()

@@ -26,7 +26,7 @@ from canonical_lie import (
     verify_theorem1,
 )
 from canonical_lie.sonreal import TooSmall
-from helpers import brute_force_spectra, spec
+from helpers import brute_force_spectra, condition1_pairwise, spec
 
 
 class TestCondition1:
@@ -42,6 +42,21 @@ class TestCondition1:
 
     def test_non_half_integral_fails(self):
         assert not condition1(spec(4, ("5/4", 2)))
+
+    def test_matches_pairwise_definition(self):
+        cases = [s for n in range(3, 10) for s in half_integral_spectra(n, Fraction(7, 2))]
+        assert len(cases) == 980
+        cases += [
+            spec(3, ("0", 1), ("1/3", 1)),
+            spec(3, ("0", 1), ("4/3", 1)),
+            spec(4, ("2/3", 2)),
+            spec(4, ("1/3", 1), ("2/3", 1)),
+            spec(5, ("0", 1), ("1", 1), ("7/3", 1)),
+            spec(6, ("1/2", 2), ("5/3", 1)),
+            spec(6, ("0", 2), ("5/6", 1), ("1/6", 1)),
+        ]
+        for s in cases:
+            assert condition1(s) == condition1_pairwise(s), s
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_literal_grade_scan(self, n):

@@ -6,11 +6,17 @@ import sys
 
 import pytest
 
-from canonical_lie import Spectrum
-from canonical_lie.cli import main
+from canonical_lie import RatMatrix, Spectrum, cli
+from canonical_lie.cli import MAX_N, main
+from helpers import conjugated_normal_form, spec
 
 GOOD_SO4 = '{"n":4,"entries":[{"lambda":"1/2","mult":2}]}'
 BAD_SO4 = '{"n":4,"entries":[{"lambda":"1/2","mult":1},{"lambda":"3/2","mult":1}]}'
+
+
+def write_matrix(path, m):
+    path.write_text(json.dumps([[str(v) for v in m.row(i)] for i in range(m.rows)]))
+    return str(path)
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +67,14 @@ class TestCheckSpectrum:
         code, _, err = run_cli(capsys, "check", "--spectrum", '{"n":4,')
         assert code == 2
         assert "line 1" in err and "column" in err
+
+    def test_oversized_spectrum_rejected(self, capsys):
+        n = MAX_N + 1
+        code, out, err = run_cli(
+            capsys, "check", "--spectrum", json.dumps(spec(n, ("0", n)).to_json())
+        )
+        assert (code, out) == (2, "")
+        assert f"at most {MAX_N}" in err
 
     def test_invalid_spectrum_is_input_error(self, capsys):
         code, _, err = run_cli(
@@ -114,6 +128,34 @@ class TestCheckMatrix:
         assert code == 2
         assert "float" in err
 
+    def test_huge_magnitude_fails_fast_at_grade_two(self, capsys, tmp_path):
+        s = spec(5, ("0", 1), ("2", 1), (10**9, 1))
+        a = RatMatrix(
+            [
+                [0, 1, 0, 2, 0],
+                [-1, 0, 1, 0, 0],
+                [0, -1, 0, 0, 3],
+                [-2, 0, 0, 0, 1],
+                [0, 0, -3, -1, 0],
+            ]
+        )
+        path = write_matrix(tmp_path / "m.json", conjugated_normal_form(s, a))
+        code, out, _ = run_cli(capsys, "check", "--matrix", path)
+        assert code == 1
+        assert "extracted spectrum {0:1, 2:1, 1000000000:1}" in out
+        assert "GenerationFails at grade 2" in out
+
+    def test_oversized_matrix_rejected_before_extraction(self, capsys, tmp_path, monkeypatch):
+        def unreachable(m):
+            raise AssertionError("extraction ran on an oversized matrix")
+
+        monkeypatch.setattr(cli, "spectrum_from_matrix", unreachable)
+        n = MAX_N + 1
+        path = write_matrix(tmp_path / "m.json", RatMatrix.zeros(n, n))
+        code, out, err = run_cli(capsys, "check", "--matrix", path)
+        assert (code, out) == (2, "")
+        assert f"at most {MAX_N}" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "--matrix", "/nonexistent/m.csv")
         assert code == 2
@@ -144,6 +186,12 @@ class TestEnumerate:
         assert code == 2
 
 
+    def test_n_too_large(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--n", str(MAX_N + 1))
+        assert (code, out) == (2, "")
+        assert f"at most {MAX_N}" in err
+
+
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max-n", "4", "--max-lambda", "3/2")
@@ -168,6 +216,11 @@ class TestVerify:
     def test_max_n_too_small(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--max-n", "2")
         assert code == 2
+
+    def test_max_n_too_large(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--max-n", str(MAX_N + 1))
+        assert (code, out) == (2, "")
+        assert f"at most {MAX_N}" in err
 
     def test_bad_max_lambda(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--max-n", "3", "--max-lambda", "1/3")

@@ -17,6 +17,7 @@ from canonical_lie import (
     subspace_intersect,
     subspace_sum,
 )
+from canonical_lie.exactlin import charpoly
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -87,6 +88,39 @@ class TestRref:
     def test_rref_is_idempotent(self, rows):
         _, red = rref(RatMatrix(rows))
         assert rref(red)[1] == red
+
+
+class TestCharpoly:
+    def test_two_by_two(self):
+        # x^2 - (a + d) x + (ad - bc)
+        assert charpoly([[1, 2], [3, 4]]) == [1, -5, -2]
+
+    def test_empty_and_non_square(self):
+        assert charpoly([]) == [1]
+        with pytest.raises(ValueError):
+            charpoly([[1, 2]])
+
+    def test_integer_matrix_gives_integer_coefficients(self):
+        poly = charpoly([[0, -7, 1], [7, 0, 3], [-1, -3, 0]])
+        assert all(type(c) is int for c in poly)
+        # skew: x^3 + (7^2 + 1^2 + 3^2) x
+        assert poly == [1, 0, 59, 0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(st.lists(fractions, min_size=n, max_size=n), min_size=n, max_size=n)
+        )
+    )
+    def test_cayley_hamilton(self, rows):
+        # p(A) = 0, the leading coefficient is 1 and the next is -trace
+        m = RatMatrix(rows)
+        poly = charpoly(rows)
+        assert poly[0] == 1 and poly[1] == -m.trace()
+        acc = RatMatrix.zeros(m.rows, m.rows)
+        for c in poly:
+            acc = acc @ m + RatMatrix.identity(m.rows).scaled(c)
+        assert acc == RatMatrix.zeros(m.rows, m.rows)
 
 
 class TestSpan:

@@ -5,6 +5,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canonical_lie import (
     InvalidSpectrum,
@@ -22,7 +24,57 @@ from canonical_lie import (
     spectrum_from_matrix,
     wedge_basis,
 )
-from helpers import grade_dims_by_counting, spec
+from helpers import conjugated_normal_form, grade_dims_by_counting, spec
+
+
+def skew_strategy(n):
+    """Random rational skew n x n matrices with small entries."""
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    size = n * (n - 1) // 2
+    return st.lists(entry, min_size=size, max_size=size).map(
+        lambda upper: _skew_from_upper(n, upper)
+    )
+
+
+def _skew_from_upper(n, upper):
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    it = iter(upper)
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i][j] = next(it)
+            mat[j][i] = -mat[i][j]
+    return RatMatrix(mat, cols=n)
+
+
+def _spectrum(n, positives):
+    """so(n) spectrum with the given positive magnitudes (repeats allowed), zeros filling n."""
+    m0 = n - 2 * len(positives)
+    zeros = [(Fraction(0), m0)] if m0 else []
+    return Spectrum(n, tuple(zeros + list(Counter(positives).items())))
+
+
+# 2*lambda: a few small values, so magnitudes repeat, or anything up to 2 * 10^9
+DOUBLED = st.one_of(st.integers(1, 6), st.integers(1, 2 * 10**9))
+
+
+@st.composite
+def half_integral_case(draw):
+    """(spectrum with magnitudes in (1/2)Z up to 10^9, skew matrix A)."""
+    n = draw(st.integers(3, 6))
+    doubled = draw(st.lists(DOUBLED, max_size=n // 2))
+    return _spectrum(n, [Fraction(j, 2) for j in doubled]), draw(skew_strategy(n))
+
+
+@st.composite
+def off_grid_case(draw):
+    """(spectrum with one magnitude of denominator 3..7, skew matrix A)."""
+    n = draw(st.integers(3, 6))
+    q = draw(st.integers(3, 7))
+    p = draw(st.integers(1, 10**9).filter(lambda p: Fraction(p, q).denominator > 2))
+    doubled = draw(st.lists(DOUBLED, max_size=n // 2 - 1))
+    positives = [Fraction(p, q)] + [Fraction(j, 2) for j in doubled]
+    return _spectrum(n, positives), draw(skew_strategy(n))
+
 
 SAMPLED = [
     spec(3, ("0", 3)),
@@ -259,6 +311,39 @@ class TestSpectrumFromMatrix:
         monkeypatch.setattr(sonreal, "kernel", lambda m: SimpleNamespace(dim=1))
         with pytest.raises(RuntimeError):
             spectrum_from_matrix(normal_form(spec(3, ("0", 1), ("1", 1))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(half_integral_case())
+    def test_cayley_conjugates_round_trip(self, case):
+        s, a = case
+        m = conjugated_normal_form(s, a)
+        assert spectrum_from_matrix(m) == s
+
+    @settings(max_examples=40, deadline=None)
+    @given(off_grid_case())
+    def test_off_grid_magnitude_returns_none(self, case):
+        s, a = case
+        assert spectrum_from_matrix(conjugated_normal_form(s, a)) is None
+
+    def test_huge_entry(self):
+        m = RatMatrix([[0, -(10**9), 0], [10**9, 0, 0], [0, 0, 0]])
+        assert spectrum_from_matrix(m) == spec(3, ("0", 1), (10**9, 1))
+
+    def test_kernels_only_at_actual_magnitudes(self, monkeypatch):
+        # one kernel for mult(0) and one per nonzero magnitude; trying every
+        # half-integer up to 260 would take more than 500
+        s = spec(7, ("0", 1), ("3/2", 2), ("260", 1))
+        a = _skew_from_upper(7, [Fraction(i + 1, j + 2) for i in range(7) for j in range(i + 1, 7)])
+        m = conjugated_normal_form(s, a)
+        calls = []
+
+        def counting_kernel(mat):
+            calls.append(mat)
+            return kernel(mat)
+
+        monkeypatch.setattr(sonreal, "kernel", counting_kernel)
+        assert spectrum_from_matrix(m) == s
+        assert len(calls) <= len(s.entries) + 1
 
     def test_large_magnitude_not_missed(self):
         # bound must not truncate below the top magnitude
