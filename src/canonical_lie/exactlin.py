@@ -6,8 +6,10 @@ Matrices are dense and immutable.  Subspaces are stored through a reduced
 row-echelon basis, which is a canonical representative: two subspaces are
 equal as sets exactly when their stored bases compare equal entry for entry.
 
-All ambient dimensions in this package are small (at most 28), so dense
-storage and textbook Gauss-Jordan elimination are the right tools.
+Ambient dimensions reach 276 (so(24), the largest algebra the command line
+accepts).  Matrices here are dense and eliminated by textbook Gauss-Jordan;
+the structure-constant layer keeps brackets and the invariant form as sparse
+rows, so only the subspaces the deciders build pass through elimination.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 def as_rational(value) -> Fraction:
     """Coerce an exact scalar to Fraction, rejecting floats outright."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"float coefficient {value!r} not allowed; use int or Fraction")
     return Fraction(value)

@@ -13,9 +13,16 @@ Gram matrix of an invariant symmetric bilinear form.  Construction through
   4. the Jacobi identity on all basis triples,
   5. symmetry and invariance of the bilinear form.
 
-At the dimensions in scope (<= 28 per summand) exhaustive validation is a
-few hundred thousand integer operations: cheap insurance, since a corrupt
-table would silently invalidate every verdict computed from it.
+Exhaustive validation is cheap insurance, since a corrupt table would
+silently invalidate every verdict computed from it.  Checks 2-5 run over
+nonzero entries only: each bracket [e_i, e_j] is kept as its nonzero
+(index, coefficient) pairs and the form as the nonzero (column, value)
+pairs of each row.  In the so(n, C) tables of :mod:`sonreal` (dimension up
+to 276 at n = 24) a bracket has at most two nonzero coordinates and a form
+row exactly one, so the grading and invariance checks take about dim^2
+steps and Jacobi visits the dim^3 / 6 basis triples through sparse rows.
+The antisymmetry check compares the dense rows the caller passes in, dim^3
+coefficients.
 
 :func:`regrade` gives a validated table new grade labels.  The brackets,
 the form and the cached form rank are shared with the original, since
@@ -89,14 +96,15 @@ def _exact(value):
 class LieTable:
     """Validated structure-constant table; build via :func:`build_table`."""
 
-    __slots__ = ("dim", "grade", "form", "_rows", "_sparse", "_form_rank")
+    __slots__ = ("dim", "grade", "form", "_rows", "_sparse", "_form_sparse", "_form_rank")
 
-    def __init__(self, dim, grade, form, rows, sparse, form_rank):
+    def __init__(self, dim, grade, form, rows, sparse, form_sparse, form_rank):
         self.dim = dim
         self.grade = grade
         self.form = form
         self._rows = rows
         self._sparse = sparse
+        self._form_sparse = form_sparse
         # one-element list, filled on first use and shared by regraded tables
         self._form_rank = form_rank
 
@@ -150,9 +158,10 @@ def build_table(
     if form.shape != (dim, dim):
         raise ValueError(f"form has shape {form.shape}, expected ({dim}, {dim})")
 
-    sparse = tuple(
-        tuple(tuple((k, v) for k, v in enumerate(row) if v != 0) for row in per_i)
-        for per_i in rows
+    sparse = tuple(tuple(_sparse_vec(row) for row in per_i) for per_i in rows)
+    form_sparse = tuple(
+        tuple((k, v.numerator if v.denominator == 1 else v) for k, v in _sparse_vec(row))
+        for row in form.entries
     )
 
     for i in range(dim):
@@ -187,33 +196,39 @@ def build_table(
         for j in range(i + 1, dim):
             if f[i][j] != f[j][i]:
                 raise FormNotInvariant(f"form is not symmetric at ({i}, {j})", (i, j))
+    # With the form symmetric, <[e_i, e_j], e_k> + <e_j, [e_i, e_k]> is
+    # u[j][k] + u[k][j] for u[j] = <[e_i, e_j], .>, so only the pairs (j, k)
+    # where u[j] or u[k] has a nonzero entry can fail.
     for i in range(dim):
-        sp_i = sparse[i]
-        for j in range(dim):
-            fj = f[j]
-            for k in range(j, dim):
-                total = sum(v * f[t][k] for t, v in sp_i[j])
-                total += sum(v * fj[t] for t, v in sp_i[k])
+        u = [_combine(sp, form_sparse) for sp in sparse[i]]
+        failing = []
+        for j, uj in enumerate(u):
+            for k in uj:
+                lo, hi = (j, k) if j <= k else (k, j)
+                total = u[lo].get(hi, 0) + u[hi].get(lo, 0)
                 if total != 0:
-                    raise FormNotInvariant(
-                        f"<[e_{i}, e_{j}], e_{k}> + <e_{j}, [e_{i}, e_{k}]> = {total} != 0",
-                        (i, j, k),
-                    )
+                    failing.append((lo, hi, total))
+        if failing:
+            j, k, total = min(failing)
+            raise FormNotInvariant(
+                f"<[e_{i}, e_{j}], e_{k}> + <e_{j}, [e_{i}, e_{k}]> = {total} != 0",
+                (i, j, k),
+            )
 
-    return LieTable(dim, grades, form, rows, sparse, [None])
+    return LieTable(dim, grades, form, rows, sparse, form_sparse, [None])
 
 
 def regrade(t: LieTable, grade: Sequence) -> LieTable:
     """The algebra of `t` under new grade labels, one per basis element.
 
-    Shares the validated brackets, form and form rank of `t`, and runs only
-    the grade-dependent checks of :func:`build_table`: raises
+    Shares the validated brackets, form (dense and sparse) and form rank of
+    `t`, and runs only the grade-dependent checks of :func:`build_table`: raises
     GradingViolation when a bracket leaves grade(i) + grade(j) or when the
     grade multiset is not symmetric under negation.
     """
     grades = _grade_labels(grade, t.dim)
     _check_grading(t._sparse, grades)
-    return LieTable(t.dim, grades, t.form, t._rows, t._sparse, t._form_rank)
+    return LieTable(t.dim, grades, t.form, t._rows, t._sparse, t._form_sparse, t._form_rank)
 
 
 def _grade_labels(grade: Sequence, dim: int) -> tuple[Fraction, ...]:
@@ -273,13 +288,16 @@ class GradingMap:
         return {g: sp.dim for g, sp in self.entries}
 
     def tail(self, r) -> Subspace:
-        """Sum of the eigenspaces with grade >= r."""
+        """Sum of the eigenspaces with grade >= r.
+
+        The grade spaces are spanned by distinct basis unit vectors (see
+        :func:`grading_of`), so their rows, ordered by pivot, are already a
+        reduced row-echelon basis of the sum; `Subspace` rejects them if not.
+        """
         r = as_rational(r)
-        out = Subspace.zero(self.ambient_dim)
-        for g, sp in self.entries:
-            if g >= r:
-                out = subspace_sum(out, sp)
-        return out
+        rows = [row for g, sp in self.entries if g >= r for row in sp.vectors()]
+        rows.sort(key=lambda row: next(k for k, v in enumerate(row) if v != 0))
+        return Subspace(self.ambient_dim, RatMatrix(rows, cols=self.ambient_dim))
 
 
 def grading_of(t: LieTable) -> GradingMap:
@@ -304,6 +322,16 @@ def grading_of(t: LieTable) -> GradingMap:
 
 def _sparse_vec(vec) -> tuple:
     return tuple((i, v) for i, v in enumerate(vec) if v != 0)
+
+
+def _combine(coeffs, rows) -> dict:
+    """sum of c * rows[t] over the (t, c) pairs, as a {column: value} dict;
+    `rows` are sparse (column, value) rows."""
+    acc: dict[int, object] = {}
+    for t, c in coeffs:
+        for k, v in rows[t]:
+            acc[k] = acc.get(k, 0) + c * v
+    return acc
 
 
 def bracket_spaces(t: LieTable, a: Subspace, b: Subspace) -> Subspace:
@@ -362,8 +390,11 @@ def polar(t: LieTable, a: Subspace) -> Subspace:
         raise ValueError("subspace ambient dimension does not match the algebra")
     if _form_rank(t) < t.dim:
         raise DegenerateForm("bilinear form is degenerate; polars are undefined")
-    constraints = a.basis @ t.form
-    return kernel(constraints)
+    constraints = []
+    for vec in a.vectors():
+        acc = _combine(_sparse_vec(vec), t._form_sparse)
+        constraints.append([acc.get(k, 0) for k in range(t.dim)])
+    return kernel(RatMatrix(constraints, cols=t.dim))
 
 
 def _form_rank(t: LieTable) -> int:

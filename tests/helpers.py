@@ -4,7 +4,15 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from canonical_lie import RatMatrix, Spectrum, normal_form, rref, wedge_basis
+from canonical_lie import (
+    RatMatrix,
+    Spectrum,
+    Subspace,
+    normal_form,
+    rref,
+    subspace_sum,
+    wedge_basis,
+)
 
 
 def spec(n, *pairs):
@@ -75,3 +83,40 @@ def conjugated_normal_form(s, a):
     """Q N(s) Q^T for the Cayley Q of the skew matrix A: spectrum s, entries mixed."""
     q = cayley(a)
     return q @ normal_form(s) @ q.transpose()
+
+
+def dense_invariance_failure(bracket_table, form):
+    """Dense oracle for form invariance: the first basis triple (i, j, k),
+    j <= k, in lexicographic order with <[e_i, e_j], e_k> + <e_j, [e_i, e_k]>
+    nonzero, as ((i, j, k), that sum), or None.
+
+    Every triple is summed against the full Gram matrix.  Like build_table's
+    check, it reads <e_j, x> from row j, so it expects a symmetric form.
+    """
+    dim = len(bracket_table)
+    f = form.entries
+    sparse = [
+        [tuple((k, v) for k, v in enumerate(row) if v != 0) for row in per_i]
+        for per_i in bracket_table
+    ]
+    for i in range(dim):
+        sp_i = sparse[i]
+        for j in range(dim):
+            fj = f[j]
+            for k in range(j, dim):
+                total = sum(v * f[t][k] for t, v in sp_i[j])
+                total += sum(v * fj[t] for t, v in sp_i[k])
+                if total != 0:
+                    return (i, j, k), total
+    return None
+
+
+def tails_by_sums(gm):
+    """Grading tails by definition, {g: sum of the grade spaces with grade
+    >= g} for every grade g of the map, as chained subspace sums."""
+    out = {}
+    acc = Subspace.zero(gm.ambient_dim)
+    for g, sp in reversed(gm.entries):
+        acc = subspace_sum(acc, sp)
+        out[g] = acc
+    return out

@@ -260,3 +260,8 @@ class TestContract:
         )
         assert proc.returncode == 0
         assert "2 classes" in proc.stdout
+
+    def test_process_pool_not_imported_at_load(self):
+        probe = "import sys, canonical_lie.cli; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "False\n")

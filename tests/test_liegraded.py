@@ -1,8 +1,12 @@
 """Structure-constant engine: validation, brackets, series, polars, sums."""
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canonical_lie import (
     AntisymmetryViolation,
@@ -10,6 +14,7 @@ from canonical_lie import (
     FormNotInvariant,
     GradingViolation,
     JacobiViolation,
+    LieTableError,
     RatMatrix,
     Subspace,
     bracket_spaces,
@@ -18,13 +23,18 @@ from canonical_lie import (
     direct_sum,
     generated_subalgebra,
     grading_of,
+    half_integral_spectra,
+    kernel,
     polar,
     realize,
     regrade,
     span,
     subspace_sum,
 )
-from helpers import spec
+from canonical_lie.sonreal import _so_table
+from helpers import dense_invariance_failure, spec, tails_by_sums
+
+SPECTRA_N7 = tuple(s for n in range(3, 8) for s in half_integral_spectra(n, Fraction(5, 2)))
 
 
 def cross_product_table():
@@ -94,6 +104,88 @@ class TestBuildTable:
         assert t.dim == 10
 
 
+def _corrupt(t, kind, rng):
+    """Raw inputs of table `t` with one seeded corruption of the given kind."""
+    dim = t.dim
+    rows = [[list(row) for row in per_i] for per_i in t._rows]
+    form = [list(row) for row in t.form.entries]
+    nonzero = [(p, q) for p in range(dim) for q in range(p, dim) if form[p][q] != 0]
+    p, q = rng.choice(nonzero)
+    factor = rng.choice([2, -1, Fraction(1, 3), Fraction(3, 2)])
+    if kind == "form scaled":
+        form[p][q] = form[q][p] = factor * form[p][q]
+    elif kind == "form moved":
+        p2, q2 = rng.choice([(a, b) for a in range(dim) for b in range(a, dim) if form[a][b] == 0])
+        value = form[p][q]
+        form[p][q] = form[q][p] = 0
+        form[p2][q2] = form[q2][p2] = value
+    elif kind == "bracket pair":
+        i, j = rng.sample(range(dim), 2)
+        k = rng.randrange(dim)
+        value = rows[i][j][k] + rng.choice([1, -1, Fraction(1, 2)])
+        rows[i][j][k], rows[j][i][k] = value, -value
+    else:
+        # e_p -> factor * e_p in the brackets only: still a Lie algebra with
+        # the same grading, so the failure, if any, is the form's
+        for i in range(dim):
+            for j in range(dim):
+                scale = (factor if i == p else 1) * (factor if j == p else 1)
+                row = [scale * v for v in rows[i][j]]
+                row[p] = Fraction(row[p]) / factor
+                rows[i][j] = row
+    return rows, RatMatrix(form, cols=dim)
+
+
+class TestSparseInvarianceCheck:
+    """build_table's invariance check against the dense triple loop."""
+
+    KINDS = ("form scaled", "form moved", "bracket pair", "basis rescaled")
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_corruptions_match_dense_oracle(self, n):
+        t = _so_table(n)
+        outcomes = set()
+        for seed in range(6):
+            for kind in self.KINDS:
+                rows, form = _corrupt(t, kind, random.Random(f"{n}-{seed}-{kind}"))
+                expected = dense_invariance_failure(rows, form)
+                try:
+                    build_table(t.dim, rows, t.grade, form)
+                except FormNotInvariant as err:
+                    assert expected is not None, (kind, seed)
+                    (i, j, k), total = expected
+                    assert err.indices == (i, j, k)
+                    assert str(err) == (
+                        f"<[e_{i}, e_{j}], e_{k}> + <e_{j}, [e_{i}, e_{k}]> = {total} != 0"
+                    )
+                    outcomes.add((kind, FormNotInvariant))
+                except LieTableError as err:
+                    # an earlier check, which never reads the form: the zero
+                    # form is invariant, and the same error must come back
+                    assert not kind.startswith("form")
+                    with pytest.raises(type(err)) as again:
+                        build_table(t.dim, rows, t.grade, RatMatrix.zeros(t.dim, t.dim))
+                    assert (again.value.indices, str(again.value)) == (err.indices, str(err))
+                    outcomes.add((kind, type(err)))
+                else:
+                    assert expected is None, (kind, seed)
+        for kind in ("form scaled", "form moved", "basis rescaled"):
+            assert (kind, FormNotInvariant) in outcomes
+
+    def test_diagonal_pair_can_fail_first(self):
+        # <[e_0, e_1], e_1> = <e_2, e_1> = 1, so (0, 1, 1) fails with 2 * 1
+        form = RatMatrix([[-2, 0, 0], [0, -2, 1], [0, 1, -2]])
+        assert dense_invariance_failure(cross_product_table(), form) == ((0, 1, 1), 2)
+        with pytest.raises(FormNotInvariant) as err:
+            so3_table(form=form)
+        assert err.value.indices == (0, 1, 1)
+        assert str(err.value) == "<[e_0, e_1], e_1> + <e_1, [e_0, e_1]> = 2 != 0"
+
+    def test_valid_tables_pass_dense_oracle(self):
+        for t in (so3_table(), _so_table(5), direct_sum(so3_table(), _so_table(4))):
+            assert dense_invariance_failure(t._rows, t.form) is None
+
+
 class TestRegrade:
     def test_shares_validated_structure(self):
         t = realize(spec(4, ("1/2", 2)))
@@ -138,6 +230,18 @@ class TestGradingOf:
     def test_absent_grade_is_zero_subspace(self):
         gm = grading_of(so3_table())
         assert gm.space_at(7) == Subspace.zero(3)
+
+    def test_tails_match_chained_sums(self):
+        for s in SPECTRA_N7:
+            gm = grading_of(realize(s))
+            expected = tails_by_sums(gm)
+            grades = gm.grades()
+            r = grades[0] - 1
+            while r <= grades[-1] + 1:
+                top = [g for g in grades if g >= r]
+                want = expected[top[0]] if top else Subspace.zero(gm.ambient_dim)
+                assert gm.tail(r) == want, (str(s), r)
+                r += Fraction(1, 2)
 
 
 class TestBracketSpaces:
@@ -221,6 +325,19 @@ class TestDescendingSeries:
             assert subspace_sum(back, term) == term
 
 
+COEFFS = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@lru_cache(maxsize=1)
+def _polar_tables():
+    return {
+        "so3": so3_table(),
+        "so3+so3": direct_sum(so3_table(), so3_table(form=RatMatrix.identity(3))),
+        "so3+so(4)": direct_sum(so3_table(), realize(spec(4, ("1/2", 2)))),
+        "so(5)": realize(spec(5, ("0", 1), ("1", 2))),
+    }
+
+
 class TestPolar:
     def test_extremes(self):
         t = so3_table()
@@ -246,6 +363,32 @@ class TestPolar:
         t = so3_table(form=RatMatrix.zeros(3, 3))  # zero form is invariant but degenerate
         with pytest.raises(DegenerateForm):
             polar(t, Subspace.zero(3))
+
+    def test_degenerate_form_rejected_before_any_product(self):
+        t = so3_table(form=RatMatrix.zeros(3, 3))
+        with pytest.raises(DegenerateForm):
+            polar(t, Subspace.full(3))
+
+    def test_parabolic_matches_dense_product(self):
+        # the form depends on n alone, so each distinct (n, q) is checked
+        # once: 23 of them for these 160 spectra
+        checked = set()
+        for s in SPECTRA_N7:
+            t = realize(s)
+            q = grading_of(t).tail(0)
+            if (s.n, q) not in checked:
+                assert polar(t, q) == kernel(q.basis @ t.form), str(s)
+                checked.add((s.n, q))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["so3", "so3+so3", "so3+so(4)", "so(5)"]),
+        st.lists(st.lists(COEFFS, min_size=10, max_size=10), max_size=5),
+    )
+    def test_random_spans_match_dense_product(self, name, vectors):
+        t = _polar_tables()[name]
+        a = span([v[: t.dim] for v in vectors], t.dim)
+        assert polar(t, a) == kernel(a.basis @ t.form)
 
 
 class TestDirectSum:
