@@ -19,6 +19,16 @@ the nilradical of q.  Two independent deciders live here:
 The package's headline property is that the two agree on every half-integral
 spectrum; the `verify` CLI command and the acceptance suite sweep that
 equivalence exhaustively at small n.
+
+Every space the generation test and the canonical-element properties touch
+(grade spaces, their tails, [g_1, g^k], the descending series of the
+nilradical, the polar of q) is spanned by basis elements of the Witt wedge
+basis: a bracket of two basis elements has two nonzero coordinates only when
+their grades sum to 0, and the trace form is monomial.  So these run on sets
+of basis indices (:func:`liegraded.bracket_indices`,
+:func:`liegraded.polar_indices`), which raise rather than answer if a bracket
+or form row they meet is not monomial.  `Subspace` certificates are built
+from the grading at the end.
 """
 
 from __future__ import annotations
@@ -26,16 +36,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 
 from .exactlin import RatMatrix, Subspace, as_rational, subspace_sum
 from .liegraded import (
     GradingMap,
-    bracket_spaces,
-    descending_series,
+    LieTable,
+    bracket_indices,
     generated_subalgebra,
     grading_of,
-    polar,
+    polar_indices,
 )
 from .sonreal import Spectrum, TooSmall, realize, spectrum_from_matrix
 
@@ -110,25 +120,41 @@ def theorem2_check(s: Spectrum) -> Verdict:
         return Verdict(False, VerdictReason.NON_INTEGRAL)
     table = realize(s)
     gm = grading_of(table)
-    positive = sorted(int(g) for g in gm.grades() if g > 0)
-    kmax = positive[-1] if positive else 0
-    g1 = gm.space_at(1)
-    current = g1
+    kmax = max((int(g) for g in gm.grades() if g > 0), default=0)
+    g1 = gm.indices_at(1)
     trace = []
-    for k in range(1, kmax + 1):
-        required = gm.space_at(k)
-        trace.append((k, current.dim, required.dim))
+    for k, current in zip(range(1, kmax + 1), _iterates(table, g1, g1)):
+        required = gm.indices_at(k)
+        trace.append((k, len(current), len(required)))
         if current != required:
             return Verdict(
                 False,
                 VerdictReason.GENERATION_FAILS,
-                failing=(k, current.dim, required.dim),
+                failing=trace[-1],
                 trace=tuple(trace),
                 witness=gm,
             )
-        if k < kmax:
-            current = bracket_spaces(table, g1, current)
     return Verdict(True, VerdictReason.CANONICAL, trace=tuple(trace), witness=gm)
+
+
+def _iterates(table: LieTable, a: frozenset[int], start: frozenset[int]):
+    """start, [a, start], [a, [a, start]], ... as basis-index sets, each
+    bracket taken only when the next term is asked for."""
+    term = start
+    while True:
+        yield term
+        term = bracket_indices(table, a, term)
+
+
+def _descending_series(table: LieTable, n: frozenset[int]) -> list[frozenset[int]]:
+    """Central descending series of span{e_i : i in n}, as index sets, ending
+    just before the first repetition (as :func:`liegraded.descending_series`)."""
+    series = []
+    for term in islice(_iterates(table, n, n), table.dim + 2):
+        if series and term == series[-1]:
+            return series
+        series.append(term)
+    raise ValueError("descending series did not stabilize; is n a subalgebra?")
 
 
 def prop3_check(s: Spectrum) -> bool:
@@ -172,15 +198,18 @@ def parabolic_of(s: Spectrum) -> ParabolicData:
         raise NotCanonical(f"spectrum {s} is not canonical: {verdict.reason.value}")
     table = realize(s)
     gm = grading_of(table)
-    q = gm.tail(0)
-    nilradical = gm.tail(1)
-    series = tuple(descending_series(table, nilradical))
+    series = _descending_series(table, gm.tail_indices(1))
     for r, term in enumerate(series, start=1):
-        if term != gm.tail(r):
+        if term != gm.tail_indices(r):
             raise RuntimeError(
                 f"descending series step {r} does not match the grading tail"
             )
-    return ParabolicData(q, nilradical, series, gm)
+    return ParabolicData(
+        gm.tail(0),
+        gm.tail(1),
+        tuple(gm.tail(r) for r in range(1, len(series) + 1)),
+        gm,
+    )
 
 
 def theorem1_report(s: Spectrum) -> dict[str, bool]:
@@ -194,9 +223,8 @@ def theorem1_report(s: Spectrum) -> dict[str, bool]:
     """
     table = realize(s)
     gm = grading_of(table)
-    q = gm.tail(0)
-    nilradical = gm.tail(1)
-    series = descending_series(table, nilradical)
+    nilradical = gm.tail_indices(1)
+    series = _descending_series(table, nilradical)
 
     integral = all(g.denominator == 1 for g in gm.grades())
     positive = [g for g in gm.grades() if g > 0]
@@ -206,15 +234,15 @@ def theorem1_report(s: Spectrum) -> dict[str, bool]:
     matches = True
     for r in range(1, steps + 1):
         term = series[r - 1] if r <= len(series) else series[-1]
-        if term != gm.tail(r):
+        if term != gm.tail_indices(r):
             matches = False
             break
 
     return {
         "integral_grades": integral,
         "series_matches_tails": matches,
-        "polar_is_nilradical": polar(table, q) == nilradical,
-        "series_reaches_zero": series[-1].dim == 0,
+        "polar_is_nilradical": polar_indices(table, gm.tail_indices(0)) == nilradical,
+        "series_reaches_zero": not series[-1],
     }
 
 

@@ -28,8 +28,7 @@ from .canonical import (
     theorem2_check,
 )
 from .exactlin import RatMatrix, parse_rational
-from .liegraded import grading_of
-from .sonreal import InvalidSpectrum, NotSkew, Spectrum, TooSmall, realize, spectrum_from_matrix
+from .sonreal import InvalidSpectrum, NotSkew, Spectrum, TooSmall, grade_dims, spectrum_from_matrix
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -135,8 +134,8 @@ def _load_matrix_file(path: str) -> RatMatrix:
 # shared rendering
 
 
-def _grading_cells(witness) -> list[dict]:
-    return [{"grade": str(g), "dim": sp.dim} for g, sp in witness.entries]
+def _grading_cells(dims: dict) -> list[dict]:
+    return [{"grade": str(g), "dim": d} for g, d in dims.items()]
 
 
 def _verdict_json(verdict: Verdict) -> dict:
@@ -155,7 +154,7 @@ def _verdict_json(verdict: Verdict) -> dict:
         if verdict.trace is None
         else [{"grade": k, "achieved": a, "required": r} for k, a, r in verdict.trace]
     )
-    out["grading"] = None if verdict.witness is None else _grading_cells(verdict.witness)
+    out["grading"] = None if verdict.witness is None else _grading_cells(verdict.witness.dims())
     return out
 
 
@@ -183,7 +182,7 @@ def _print_verdict_table(verdict: Verdict) -> None:
     if verdict.witness is not None:
         print("grading dimensions:")
         print("  grade  dim")
-        for cell in _grading_cells(verdict.witness):
+        for cell in _grading_cells(verdict.witness.dims()):
             print(f"  {cell['grade']:<5}  {cell['dim']}")
     if verdict.trace:
         print("generation trace (dim of [g_1, .] iterate vs dim g_k):")
@@ -347,8 +346,7 @@ def cmd_enumerate(args) -> int:
     classes = enumerate_canonical(args.n)
     payload = []
     for s in classes:
-        gm = grading_of(realize(s))
-        payload.append({"spectrum": s.to_json(), "grading": _grading_cells(gm)})
+        payload.append({"spectrum": s.to_json(), "grading": _grading_cells(grade_dims(s))})
     if args.fmt == "json":
         print(
             json.dumps(

@@ -30,9 +30,15 @@ checks 1, 4 and 5 do not involve the grades; only checks 2 and 3 run, with
 the same code :func:`build_table` uses.  So one algebra, validated once,
 carries many gradings cheaply.
 
-Everything downstream (subspace brackets, generated subalgebras, the
-descending series of a nilpotent subalgebra, form polars, direct sums) is
-generic over the table; no matrix realization is consulted here.
+The subspace operations (brackets of subspaces, generated subalgebras, the
+descending series of a nilpotent subalgebra, form polars, direct sums) are
+generic over the table; no matrix realization is consulted here.  Beside
+them, :func:`bracket_indices` and :func:`polar_indices` act on coordinate
+subspaces, given as sets of basis indices, with no elimination.  They are
+exact when every bracket they meet is a multiple of one basis element and
+the form is monomial, and raise :class:`NotMonomial` naming the offending
+pair or row otherwise.  The canonical deciders run on them; the generic
+operations are their reference and serve the strict generation test.
 """
 
 from __future__ import annotations
@@ -83,6 +89,15 @@ class FormNotInvariant(LieTableError):
 
 class DegenerateForm(LieTableError):
     """The bilinear form has a radical, so polars are undefined."""
+
+
+class NotMonomial(LieTableError):
+    """An index-set operation met a bracket or form row with more than one
+    nonzero coordinate, so its result is not spanned by basis elements."""
+
+    def __init__(self, message: str, indices: tuple):
+        super().__init__(message)
+        self.indices = indices
 
 
 def _exact(value):
@@ -266,58 +281,66 @@ def _check_grading(sparse, grades) -> None:
 
 @dataclass(frozen=True)
 class GradingMap:
-    """Eigenspace decomposition by grade label, sorted by grade ascending."""
+    """Basis elements grouped by grade label, sorted by grade ascending.
+
+    `blocks` holds, per grade, the ascending indices of the basis elements
+    with that label.  Dimensions come from their lengths; a grade space or a
+    tail is built as a `Subspace` (spanned by basis unit vectors) only when
+    asked for.
+    """
 
     ambient_dim: int
-    entries: tuple[tuple[Fraction, Subspace], ...]
+    blocks: tuple[tuple[Fraction, tuple[int, ...]], ...]
 
     def grades(self) -> tuple[Fraction, ...]:
-        return tuple(g for g, _ in self.entries)
+        return tuple(g for g, _ in self.blocks)
+
+    def indices_at(self, r) -> frozenset[int]:
+        r = as_rational(r)
+        for g, idx in self.blocks:
+            if g == r:
+                return frozenset(idx)
+        return frozenset()
+
+    def tail_indices(self, r) -> frozenset[int]:
+        """Indices of the basis elements with grade >= r."""
+        r = as_rational(r)
+        return frozenset(i for g, idx in self.blocks if g >= r for i in idx)
 
     def space_at(self, r) -> Subspace:
-        r = as_rational(r)
-        for g, sp in self.entries:
-            if g == r:
-                return sp
-        return Subspace.zero(self.ambient_dim)
+        return _coordinate_subspace(self.ambient_dim, self.indices_at(r))
 
     def dim_at(self, r) -> int:
-        return self.space_at(r).dim
+        return len(self.indices_at(r))
 
     def dims(self) -> dict[Fraction, int]:
-        return {g: sp.dim for g, sp in self.entries}
+        return {g: len(idx) for g, idx in self.blocks}
 
     def tail(self, r) -> Subspace:
-        """Sum of the eigenspaces with grade >= r.
+        """Sum of the eigenspaces with grade >= r."""
+        return _coordinate_subspace(self.ambient_dim, self.tail_indices(r))
 
-        The grade spaces are spanned by distinct basis unit vectors (see
-        :func:`grading_of`), so their rows, ordered by pivot, are already a
-        reduced row-echelon basis of the sum; `Subspace` rejects them if not.
-        """
-        r = as_rational(r)
-        rows = [row for g, sp in self.entries if g >= r for row in sp.vectors()]
-        rows.sort(key=lambda row: next(k for k, v in enumerate(row) if v != 0))
-        return Subspace(self.ambient_dim, RatMatrix(rows, cols=self.ambient_dim))
+
+def _coordinate_subspace(dim: int, indices) -> Subspace:
+    """Span of the basis unit vectors e_i, i in `indices`.
+
+    The unit rows in ascending index order are already a reduced row-echelon
+    basis, so no elimination runs; `Subspace` rejects them if not.
+    """
+    rows = []
+    for i in sorted(indices):
+        row = [0] * dim
+        row[i] = 1
+        rows.append(row)
+    return Subspace(dim, RatMatrix(rows, cols=dim))
 
 
 def grading_of(t: LieTable) -> GradingMap:
-    """Group basis elements by their grade label into canonical subspaces.
-
-    A grade's unit vectors, in ascending index order, are already a reduced
-    row-echelon basis, so each subspace is built from them directly.
-    """
+    """Group basis elements by their grade label."""
     groups: dict[Fraction, list[int]] = {}
     for idx, g in enumerate(t.grade):
         groups.setdefault(g, []).append(idx)
-    entries = []
-    for g in sorted(groups):
-        rows = []
-        for idx in groups[g]:
-            vec = [0] * t.dim
-            vec[idx] = 1
-            rows.append(vec)
-        entries.append((g, Subspace(t.dim, RatMatrix(rows, cols=t.dim))))
-    return GradingMap(t.dim, tuple(entries))
+    return GradingMap(t.dim, tuple((g, tuple(groups[g])) for g in sorted(groups)))
 
 
 def _sparse_vec(vec) -> tuple:
@@ -395,6 +418,53 @@ def polar(t: LieTable, a: Subspace) -> Subspace:
         acc = _combine(_sparse_vec(vec), t._form_sparse)
         constraints.append([acc.get(k, 0) for k in range(t.dim)])
     return kernel(RatMatrix(constraints, cols=t.dim))
+
+
+def bracket_indices(t: LieTable, a, b) -> frozenset[int]:
+    """[span{e_i : i in a}, span{e_j : j in b}] as a set of basis indices.
+
+    Exact when every bracket [e_i, e_j], i in a, j in b, is a multiple of one
+    basis element: the result is then spanned by those elements.  Raises
+    NotMonomial naming (i, j) for a bracket with two or more nonzero
+    coordinates.
+    """
+    out = set()
+    for i in a:
+        sp_i = t._sparse[i]
+        for j in b:
+            hit = sp_i[j]
+            if len(hit) > 1:
+                raise NotMonomial(
+                    f"[e_{i}, e_{j}] has {len(hit)} nonzero coordinates; "
+                    "an index-set bracket needs at most one",
+                    (i, j),
+                )
+            if hit:
+                out.add(hit[0][0])
+    return frozenset(out)
+
+
+def polar_indices(t: LieTable, a) -> frozenset[int]:
+    """The polar of span{e_i : i in a} as a set of basis indices.
+
+    With the symmetric form monomial (one nonzero entry per row, at column
+    p(i)), <x, e_i> is a nonzero multiple of x_{p(i)}, so the polar is
+    spanned by the e_k with k outside {p(i) : i in a}.  Raises DegenerateForm
+    as :func:`polar` does, then NotMonomial naming a row that is not monomial.
+    """
+    if _form_rank(t) < t.dim:
+        raise DegenerateForm("bilinear form is degenerate; polars are undefined")
+    hit = set()
+    for i in a:
+        row = t._form_sparse[i]
+        if len(row) != 1:
+            raise NotMonomial(
+                f"form row {i} has {len(row)} nonzero entries; "
+                "an index-set polar needs exactly one",
+                (i,),
+            )
+        hit.add(row[0][0])
+    return frozenset(range(t.dim)) - hit
 
 
 def _form_rank(t: LieTable) -> int:

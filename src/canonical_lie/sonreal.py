@@ -34,6 +34,7 @@ agree.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -269,9 +270,24 @@ def realize(s: Spectrum) -> LieTable:
     table validated once for n; this only relabels the grades, checking that
     every bracket respects them and that they are symmetric under negation.
     """
+    return regrade(_so_table(s.n), _pair_grades(s))
+
+
+def _pair_grades(s: Spectrum) -> tuple[Fraction, ...]:
+    """lambda_a + lambda_b for each wedge basis element (a, b)."""
     wb = wedge_basis(s)
     lam = [ell for ell, _ in wb.eigen_labels]
-    return regrade(_so_table(s.n), tuple(lam[a] + lam[b] for a, b in wb.pairs))
+    return tuple(lam[a] + lam[b] for a, b in wb.pairs)
+
+
+def grade_dims(s: Spectrum) -> dict[Fraction, int]:
+    """Dimension of each grade space of so(n, C) under s, by grade ascending.
+
+    Counts the wedge basis elements per grade label, the dimensions
+    `grading_of(realize(s)).dims()` reports, without a table.
+    """
+    counts = Counter(_pair_grades(s))
+    return {g: counts[g] for g in sorted(counts)}
 
 
 def matrix_of(s: Spectrum, basis_pair_index: int) -> RatMatrix:

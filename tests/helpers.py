@@ -1,5 +1,6 @@
 """Shared test helpers: terse spectrum construction and independent oracles."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -26,16 +27,16 @@ def grade_dims_by_counting(s):
     Counts wedge pairs (a, b), a < b, bucketed by the sum of their signed
     eigenvalues, without touching the structure constants.
     """
-    labels = []
+    den = math.lcm(*(lam.denominator for lam, _ in s.entries))
+    labels = []  # lambda * den, so that pair sums are int additions
     for lam, mult in s.entries:
-        labels.extend([lam] * mult)
+        labels.extend([int(lam * den)] * mult)
         if lam != 0:
-            labels.extend([-lam] * mult)
-    dims = Counter()
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            dims[labels[i] + labels[j]] += 1
-    return dict(dims)
+            labels.extend([-int(lam * den)] * mult)
+    dims = Counter(
+        labels[i] + labels[j] for i in range(len(labels)) for j in range(i + 1, len(labels))
+    )
+    return {Fraction(g, den): d for g, d in dims.items()}
 
 
 def brute_force_spectra(n, max_half_steps):
@@ -116,7 +117,14 @@ def tails_by_sums(gm):
     >= g} for every grade g of the map, as chained subspace sums."""
     out = {}
     acc = Subspace.zero(gm.ambient_dim)
-    for g, sp in reversed(gm.entries):
-        acc = subspace_sum(acc, sp)
+    for g in reversed(gm.grades()):
+        acc = subspace_sum(acc, gm.space_at(g))
         out[g] = acc
     return out
+
+
+def unit_span(dim, indices):
+    """span{e_i : i in indices} in Q^dim.  The unit rows in ascending order
+    are its reduced row-echelon basis, which the Subspace constructor checks."""
+    rows = [[1 if k == i else 0 for k in range(dim)] for i in sorted(indices)]
+    return Subspace(dim, RatMatrix(rows, cols=dim))

@@ -1,10 +1,11 @@
 """Acceptance checklist.
 
-Eight exact (tolerance-free) criteria, one test each, every test printing a
+Nine exact (tolerance-free) criteria, one test each, every test printing a
 single PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 1. The generation-based decider and the closed-form spectral classifier
-   agree on every half-integral spectrum with n in 3..9, magnitudes <= 7/2.
+   agree on every half-integral spectrum with n in 3..10 (SWEEP_MAX_N),
+   magnitudes <= 7/2.
 2. In so(4), the half-odd spectrum with mult(1/2) = 1 is rejected with a
    generation-failure certificate while mult(1/2) = 2 is accepted.
 3. Generation by the grade +-1 pieces alone is strictly weaker: both the
@@ -21,6 +22,9 @@ single PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`.
    independent brute-force filter.
 8. Spectrum extraction inverts the normal form for all enumerated canonical
    spectra n <= 8 and is invariant under exact orthogonal conjugation.
+9. For every n in 3..10 (SWEEP_MAX_N), the enumerated canonical spectra with
+   magnitudes <= 7/2 are exactly the sweep's spectra the generation-based
+   decider accepts.
 """
 
 from fractions import Fraction
@@ -44,11 +48,20 @@ from canonical_lie import VerdictReason
 from helpers import brute_force_spectra, grade_dims_by_counting, spec
 
 SWEEP_BOUND = Fraction(7, 2)
+SWEEP_MAX_N = 10
 
 
 @lru_cache(maxsize=1)
 def sweep():
-    return tuple(s for n in range(3, 10) for s in half_integral_spectra(n, SWEEP_BOUND))
+    return tuple(
+        s for n in range(3, SWEEP_MAX_N + 1) for s in half_integral_spectra(n, SWEEP_BOUND)
+    )
+
+
+@lru_cache(maxsize=1)
+def sweep_canonical():
+    """The sweep's spectra that theorem2_check accepts."""
+    return frozenset(s for s in sweep() if theorem2_check(s).canonical)
 
 
 def report(criterion: int, description: str, passed: bool) -> None:
@@ -57,14 +70,12 @@ def report(criterion: int, description: str, passed: bool) -> None:
 
 
 def test_criterion_1_oracle_equivalence():
-    disagreements = []
-    for s in sweep():
-        if theorem2_check(s).canonical != prop3_check(s):
-            disagreements.append(s)
+    canonical = sweep_canonical()
+    disagreements = [s for s in sweep() if (s in canonical) != prop3_check(s)]
     report(
         1,
         f"generation test and spectral classifier agree on all {len(sweep())} "
-        f"spectra (n<=9, magnitudes<=7/2); disagreements: {len(disagreements)}",
+        f"spectra (n<={SWEEP_MAX_N}, magnitudes<=7/2); disagreements: {len(disagreements)}",
         not disagreements,
     )
 
@@ -250,4 +261,20 @@ def test_criterion_8_spectrum_extraction_round_trip():
         f"and 3-4-5 rotation conjugation for all {total} canonical spectra "
         f"(n<=8); failures: {failures}",
         failures == 0,
+    )
+
+
+def test_criterion_9_enumeration_matches_filtered_sweep():
+    enumerated = {
+        s
+        for n in range(3, SWEEP_MAX_N + 1)
+        for s in enumerate_canonical(n)
+        if s.max_magnitude <= SWEEP_BOUND
+    }
+    canonical = sweep_canonical()
+    report(
+        9,
+        f"the {len(enumerated)} enumerated canonical spectra with n<={SWEEP_MAX_N} and "
+        f"magnitudes<=7/2 are the {len(canonical)} the generation test accepts in the sweep",
+        enumerated == canonical,
     )

@@ -1,6 +1,7 @@
 """Decision procedures: generation test, spectral test, constructions, enumeration."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -12,11 +13,14 @@ from canonical_lie import (
     bracket_spaces,
     check_matrix,
     condition1,
+    descending_series,
     enumerate_canonical,
     grading_of,
     half_integral_spectra,
     normal_form,
     parabolic_of,
+    polar,
+    polar_indices,
     prop3_check,
     realize,
     strict_generation_check,
@@ -25,8 +29,9 @@ from canonical_lie import (
     theorem2_check,
     verify_theorem1,
 )
+from canonical_lie.canonical import _descending_series, _iterates
 from canonical_lie.sonreal import TooSmall
-from helpers import brute_force_spectra, condition1_pairwise, spec
+from helpers import brute_force_spectra, condition1_pairwise, spec, unit_span
 
 
 class TestCondition1:
@@ -111,6 +116,50 @@ class TestTheorem2Check:
             )
             closure_generates = generated_subalgebra(table, seed).dim == table.dim
             assert theorem2_check(s).canonical == closure_generates
+
+
+class TestIndexPathMatchesSubspaceRoute:
+    """The index-set generation iterates, descending series and polar against
+    bracket_spaces, descending_series and polar, on every spectrum of
+    half_integral_spectra(n, 5/2), n <= 8, canonical or not.  The table
+    depends on n alone, so each check runs once per distinct input set."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_spectra(self, n):
+        seen = set()
+        for s in half_integral_spectra(n, Fraction(5, 2)):
+            t = realize(s)
+            gm = grading_of(t)
+            g1, nil, q = gm.indices_at(1), gm.tail_indices(1), gm.tail_indices(0)
+            assert gm.tail(0) == unit_span(t.dim, q)
+
+            if condition1(s):
+                trace = theorem2_check(s).trace
+                dims = [len(x) for x in islice(_iterates(t, g1, g1), len(trace))]
+                assert [a for _, a, _ in trace] == dims, str(s)
+
+            if ("generation", g1) not in seen:
+                seen.add(("generation", g1))
+                g1_space = unit_span(t.dim, g1)
+                previous = None
+                for term in _iterates(t, g1, g1):
+                    if previous is not None:
+                        expected = bracket_spaces(t, g1_space, unit_span(t.dim, previous))
+                        assert unit_span(t.dim, term) == expected, str(s)
+                    if not term:
+                        break
+                    previous = term
+
+            if ("series", nil) not in seen:
+                seen.add(("series", nil))
+                series = _descending_series(t, nil)
+                expected = descending_series(t, gm.tail(1))
+                assert [unit_span(t.dim, x) for x in series] == expected, str(s)
+
+            if ("polar", q) not in seen:
+                seen.add(("polar", q))
+                got = unit_span(t.dim, polar_indices(t, q))
+                assert got == polar(t, gm.tail(0)), str(s)
 
 
 class TestProp3Check:

@@ -15,8 +15,10 @@ from canonical_lie import (
     GradingViolation,
     JacobiViolation,
     LieTableError,
+    NotMonomial,
     RatMatrix,
     Subspace,
+    bracket_indices,
     bracket_spaces,
     build_table,
     descending_series,
@@ -26,6 +28,7 @@ from canonical_lie import (
     half_integral_spectra,
     kernel,
     polar,
+    polar_indices,
     realize,
     regrade,
     span,
@@ -325,6 +328,33 @@ class TestDescendingSeries:
             assert subspace_sum(back, term) == term
 
 
+class TestIndexSets:
+    def test_two_term_bracket_raises(self):
+        # in so(4) under {1/2:2}, e_0 has grade +1 and e_5 grade -1, and
+        # [e_0, e_5] has two nonzero coordinates, so it spans no basis element
+        t = realize(spec(4, ("1/2", 2)))
+        assert t._sparse[0][5] == ((2, -1), (3, -1))
+        assert (t.grade[0], t.grade[5]) == (1, -1)
+        with pytest.raises(NotMonomial) as info:
+            bracket_indices(t, {0}, {5})
+        assert isinstance(info.value, LieTableError)
+        assert info.value.indices == (0, 5)
+        assert "[e_0, e_5]" in str(info.value)
+
+    def test_non_monomial_form_row_raises(self):
+        # an abelian algebra makes every symmetric form invariant
+        t = build_table(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], (0, 0), [[1, 1], [1, 0]])
+        assert polar_indices(t, {1}) == {1}
+        with pytest.raises(NotMonomial) as info:
+            polar_indices(t, {0})
+        assert info.value.indices == (0,)
+
+    def test_degenerate_form_rejected_first(self):
+        t = build_table(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], (0, 0), [[1, 1], [1, 1]])
+        with pytest.raises(DegenerateForm):
+            polar_indices(t, {0})
+
+
 COEFFS = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
 
 
@@ -354,7 +384,8 @@ class TestPolar:
     def test_involution_and_dimension(self, s):
         t = realize(s)
         gm = grading_of(t)
-        for _, sp in gm.entries:
+        for g in gm.grades():
+            sp = gm.space_at(g)
             p = polar(t, sp)
             assert p.dim == t.dim - sp.dim
             assert polar(t, p) == sp

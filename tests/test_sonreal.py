@@ -14,6 +14,8 @@ from canonical_lie import (
     RatMatrix,
     Spectrum,
     TooSmall,
+    enumerate_canonical,
+    grade_dims,
     grading_of,
     half_integral_spectra,
     kernel,
@@ -215,6 +217,16 @@ class TestRealize:
             elif other in mult:
                 total += m * mult[other]
         assert grading_of(realize(s)).dim_at(1) == total
+
+
+class TestGradeDims:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_matches_regraded_table(self, n):
+        # the order matters too: the CLI prints the grades in this order
+        for s in enumerate_canonical(n):
+            expected = grading_of(realize(s)).dims()
+            assert list(grade_dims(s).items()) == list(expected.items()), str(s)
+            assert grade_dims(s) == grade_dims_by_counting(s), str(s)
 
 
 class TestMatrixOf:
