@@ -182,10 +182,6 @@ def strict_generation_report(s: Spectrum) -> tuple[bool, int, int]:
     return generated.dim == table.dim, generated.dim, table.dim
 
 
-def strict_generation_check(s: Spectrum) -> bool:
-    return strict_generation_report(s)[0]
-
-
 def parabolic_of(s: Spectrum) -> ParabolicData:
     """Parabolic subalgebra, nilradical and descending series of a canonical spectrum.
 
@@ -244,13 +240,6 @@ def theorem1_report(s: Spectrum) -> dict[str, bool]:
         "polar_is_nilradical": polar_indices(table, gm.tail_indices(0)) == nilradical,
         "series_reaches_zero": not series[-1],
     }
-
-
-def verify_theorem1(s: Spectrum) -> bool:
-    """All canonical-element properties hold for a canonical spectrum."""
-    if not theorem2_check(s).canonical:
-        raise NotCanonical(f"spectrum {s} is not canonical")
-    return all(theorem1_report(s).values())
 
 
 def check_matrix(m: RatMatrix) -> Verdict:

@@ -18,8 +18,6 @@ import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
@@ -101,12 +99,6 @@ class RatMatrix:
             cols=self.cols,
         )
 
-    def __sub__(self, other: RatMatrix) -> RatMatrix:
-        return self + (-other)
-
-    def __neg__(self) -> RatMatrix:
-        return RatMatrix([[-v for v in row] for row in self.entries], cols=self.cols)
-
     def scaled(self, c) -> RatMatrix:
         c = as_rational(c)
         return RatMatrix([[c * v for v in row] for row in self.entries], cols=self.cols)
@@ -119,9 +111,6 @@ class RatMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def tolists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.entries]
 
     def __eq__(self, other) -> bool:
         return (

@@ -24,11 +24,11 @@ steps and Jacobi visits the dim^3 / 6 basis triples through sparse rows.
 The antisymmetry check compares the dense rows the caller passes in, dim^3
 coefficients.
 
-:func:`regrade` gives a validated table new grade labels.  The brackets,
-the form and the cached form rank are shared with the original, since
-checks 1, 4 and 5 do not involve the grades; only checks 2 and 3 run, with
-the same code :func:`build_table` uses.  So one algebra, validated once,
-carries many gradings cheaply.
+Checks 1, 4 and 5 do not involve the grades, so one validated algebra can
+carry many gradings that share its brackets, form and cached form rank.
+:func:`sonreal.realize` relabels the so(n, C) table that way, in place of
+re-running checks 2 and 3 per grading: the table's bracket shape, checked
+once per n, and mirrored eigenvalue labels imply them.
 
 The subspace operations (brackets of subspaces, generated subalgebras, the
 descending series of a nilpotent subalgebra, form polars, direct sums) are
@@ -120,7 +120,7 @@ class LieTable:
         self._rows = rows
         self._sparse = sparse
         self._form_sparse = form_sparse
-        # one-element list, filled on first use and shared by regraded tables
+        # one-element list, filled on first use and shared by relabelled tables
         self._form_rank = form_rank
 
     def bracket_row(self, i: int, j: int) -> tuple:
@@ -231,19 +231,6 @@ def build_table(
             )
 
     return LieTable(dim, grades, form, rows, sparse, form_sparse, [None])
-
-
-def regrade(t: LieTable, grade: Sequence) -> LieTable:
-    """The algebra of `t` under new grade labels, one per basis element.
-
-    Shares the validated brackets, form (dense and sparse) and form rank of
-    `t`, and runs only the grade-dependent checks of :func:`build_table`: raises
-    GradingViolation when a bracket leaves grade(i) + grade(j) or when the
-    grade multiset is not symmetric under negation.
-    """
-    grades = _grade_labels(grade, t.dim)
-    _check_grading(t._sparse, grades)
-    return LieTable(t.dim, grades, t.form, t._rows, t._sparse, t._form_sparse, t._form_rank)
 
 
 def _grade_labels(grade: Sequence, dim: int) -> tuple[Fraction, ...]:

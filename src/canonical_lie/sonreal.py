@@ -22,9 +22,18 @@ permutation matrix for every spectrum, and every structure constant of
 is a small integer that depends on n alone.  The table of brackets and the
 form is therefore built and fully validated once per n; a spectrum only
 places its eigenvalue labels on the basis, and the grading derivation acts
-on u_a ^ u_b with grade lambda_a + lambda_b, so :func:`realize` relabels
-grades (see :func:`liegraded.regrade`).  No complex (or floating-point)
-arithmetic ever appears.
+on u_a ^ u_b with grade lambda_a + lambda_b.
+
+Those grades need no per-bracket check.  Every nonzero coordinate of
+[u_a ^ u_b, u_c ^ u_d] sits on the wedge of the two indices left after one
+partner pair {x, n - 1 - x} is removed from {a, b, c, d}; :func:`_so_table`
+checks this shape once per n.  With mirrored labels, lambda_{n-1-a} =
+-lambda_a, a partner pair contributes 0, so that target has grade exactly
+grade(a, b) + grade(c, d); and (a, b) -> (n - 1 - b, n - 1 - a) negates
+grades, so the grade multiset is symmetric.  Those are the two grading
+checks of :func:`liegraded.build_table`, so :func:`realize` only checks the
+n labels for the mirror and relabels in integer arithmetic.  No complex (or
+floating-point) arithmetic ever appears.
 
 The bilinear form installed on the algebra is the trace form tr(XY) of the
 matrix realization; for so(n) the Killing form is (n-2) times it, so polars
@@ -40,11 +49,23 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactlin import RatMatrix, as_rational, charpoly, kernel
-from .liegraded import LieTable, build_table, regrade
+from .liegraded import GradingViolation, LieTable, LieTableError, build_table
 
 
 class InvalidSpectrum(ValueError):
     """Eigenvalue data that no element of so(n), n >= 3, can have."""
+
+
+class BracketShapeViolation(LieTableError):
+    """A bracket of the so(n, C) table hits a wedge other than the two
+    indices left after removing one partner pair from its four."""
+
+    def __init__(self, p: int, q: int, k: int):
+        super().__init__(
+            f"[e_{p}, e_{q}] hits basis element {k}, which is not the wedge left "
+            "after removing a partner pair"
+        )
+        self.indices = (p, q, k)
 
 
 class NotSkew(ValueError):
@@ -180,8 +201,13 @@ def _pair_index(n: int, a: int, b: int) -> int:
     return a * (2 * n - a - 1) // 2 + (b - a - 1)
 
 
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((a, b) for a in range(n) for b in range(a + 1, n))
+@lru_cache(maxsize=32)
+def _witt_frame(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], RatMatrix]:
+    """The parts of the wedge basis that depend on n alone: partners, pairs, gram."""
+    partners = tuple(range(n - 1, -1, -1))
+    pairs = tuple((a, b) for a in range(n) for b in range(a + 1, n))
+    gram = [[1 if b == partners[a] else 0 for b in range(n)] for a in range(n)]
+    return partners, pairs, RatMatrix(gram, cols=n)
 
 
 @lru_cache(maxsize=256)
@@ -189,10 +215,7 @@ def wedge_basis(s: Spectrum) -> WedgeBasis:
     positive = [(lam, p) for lam, mult in reversed(s.entries) if lam > 0 for p in range(mult)]
     zeros = [(Fraction(0), p) for p in range(s.mult(0))]
     labels = positive + zeros + [(-lam, p) for lam, p in reversed(positive)]
-    n = s.n
-    partners = tuple(range(n - 1, -1, -1))
-    gram = [[1 if b == n - 1 - a else 0 for b in range(n)] for a in range(n)]
-    return WedgeBasis(tuple(labels), partners, _pairs(n), RatMatrix(gram, cols=n))
+    return WedgeBasis(tuple(labels), *_witt_frame(s.n))
 
 
 @lru_cache(maxsize=16)
@@ -204,9 +227,10 @@ def _so_table(n: int) -> LieTable:
     carries the principal grading lambda_a = (n - 1)/2 - a, the grading of
     the spectrum with magnitudes 0, 1, ... (n odd) or 1/2, 3/2, ... (n even),
     each of multiplicity one, so validation checks the bracket against a
-    nontrivial grading as well.
+    nontrivial grading as well.  After validation, the bracket shape that
+    lets :func:`realize` skip the grading checks is checked too.
     """
-    pairs = _pairs(n)
+    pairs = _witt_frame(n)[1]
     dim = len(pairs)
     zero_row = (0,) * dim
 
@@ -258,7 +282,27 @@ def _so_table(n: int) -> LieTable:
         for p in range(dim)
     ]
 
-    return build_table(dim, rows, grades, RatMatrix(form, cols=dim))
+    table = build_table(dim, rows, grades, RatMatrix(form, cols=dim))
+    _check_witt_shape(n, table._sparse)
+    return table
+
+
+def _check_witt_shape(n: int, sparse) -> None:
+    """Every nonzero coordinate k = (e, f) of [e_p, e_q], p = (a, b),
+    q = (c, d), must leave a partner pair {x, n - 1 - x} when {e, f} is taken
+    out of {a, b, c, d}.  Raises BracketShapeViolation naming the first
+    failing (p, q, k) in lexicographic order.  O(dim^2 + nonzero entries)."""
+    pairs = _witt_frame(n)[1]
+    for p, row in enumerate(sparse):
+        for q, hits in enumerate(row):
+            for k, _ in hits:
+                rest = [*pairs[p], *pairs[q]]
+                for x in pairs[k]:
+                    if x not in rest:
+                        raise BracketShapeViolation(p, q, k)
+                    rest.remove(x)
+                if rest[0] + rest[1] != n - 1:
+                    raise BracketShapeViolation(p, q, k)
 
 
 @lru_cache(maxsize=64)
@@ -266,18 +310,36 @@ def realize(s: Spectrum) -> LieTable:
     """Structure-constant table of so(n, C) graded by the given spectrum.
 
     Basis element p = (a, b) is the wedge u_a ^ u_b of the Witt basis, with
-    grade lambda_a + lambda_b.  The brackets and the form are those of the
-    table validated once for n; this only relabels the grades, checking that
-    every bracket respects them and that they are symmetric under negation.
+    grade lambda_a + lambda_b.  The brackets, the form and its cached rank
+    are those of the table validated once for n, shared, not copied.  Only
+    the n labels are checked, for the mirror lambda_{n-1-a} = -lambda_a:
+    with the bracket shape :func:`_so_table` checked, that makes every
+    bracket respect the grades and the grade multiset symmetric (see the
+    module docstring).  Raises GradingViolation naming an unmirrored label.
     """
-    return regrade(_so_table(s.n), _pair_grades(s))
+    t = _so_table(s.n)
+    sums, den = _scaled_pair_sums(s)
+    grade_of = {k: Fraction(k, den) for k in set(sums)}
+    grades = tuple(map(grade_of.__getitem__, sums))
+    return LieTable(t.dim, grades, t.form, t._rows, t._sparse, t._form_sparse, t._form_rank)
 
 
-def _pair_grades(s: Spectrum) -> tuple[Fraction, ...]:
-    """lambda_a + lambda_b for each wedge basis element (a, b)."""
-    wb = wedge_basis(s)
-    lam = [ell for ell, _ in wb.eigen_labels]
-    return tuple(lam[a] + lam[b] for a, b in wb.pairs)
+def _scaled_pair_sums(s: Spectrum) -> tuple[list[int], int]:
+    """(D * (lambda_a + lambda_b) for each wedge (a, b), D) with D the lcm of
+    the label denominators, so the sums are int additions.  Raises
+    GradingViolation naming (a, n - 1 - a) if the labels are not mirrored."""
+    labels = [lam for lam, _ in wedge_basis(s).eigen_labels]
+    n = len(labels)
+    for a in range((n + 1) // 2):
+        if labels[n - 1 - a] != -labels[a]:
+            raise GradingViolation(
+                f"eigenvalue labels are not mirrored: lambda_{a} = {labels[a]} but "
+                f"lambda_{n - 1 - a} = {labels[n - 1 - a]}",
+                (a, n - 1 - a),
+            )
+    den = math.lcm(*(lam.denominator for lam in labels))
+    scaled = [lam.numerator * (den // lam.denominator) for lam in labels]
+    return [scaled[a] + scaled[b] for a, b in _witt_frame(n)[1]], den
 
 
 def grade_dims(s: Spectrum) -> dict[Fraction, int]:
@@ -286,8 +348,9 @@ def grade_dims(s: Spectrum) -> dict[Fraction, int]:
     Counts the wedge basis elements per grade label, the dimensions
     `grading_of(realize(s)).dims()` reports, without a table.
     """
-    counts = Counter(_pair_grades(s))
-    return {g: counts[g] for g in sorted(counts)}
+    sums, den = _scaled_pair_sums(s)
+    counts = Counter(sums)
+    return {Fraction(k, den): counts[k] for k in sorted(counts)}
 
 
 def matrix_of(s: Spectrum, basis_pair_index: int) -> RatMatrix:

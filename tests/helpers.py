@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from canonical_lie import (
+    LieTable,
     RatMatrix,
     Spectrum,
     Subspace,
@@ -14,6 +15,7 @@ from canonical_lie import (
     subspace_sum,
     wedge_basis,
 )
+from canonical_lie.liegraded import _check_grading, _grade_labels
 
 
 def spec(n, *pairs):
@@ -128,3 +130,16 @@ def unit_span(dim, indices):
     are its reduced row-echelon basis, which the Subspace constructor checks."""
     rows = [[1 if k == i else 0 for k in range(dim)] for i in sorted(indices)]
     return Subspace(dim, RatMatrix(rows, cols=dim))
+
+
+def regrade(t, grade):
+    """Oracle for relabelling: the algebra of `t` under new grade labels, one
+    per basis element, after the full grade-dependent checks of build_table.
+
+    Shares the validated brackets, form (dense and sparse) and form rank of
+    `t`; raises GradingViolation when a bracket leaves grade(i) + grade(j) or
+    when the grade multiset is not symmetric under negation.
+    """
+    grades = _grade_labels(grade, t.dim)
+    _check_grading(t._sparse, grades)
+    return LieTable(t.dim, grades, t.form, t._rows, t._sparse, t._form_sparse, t._form_rank)

@@ -4,7 +4,7 @@ Nine exact (tolerance-free) criteria, one test each, every test printing a
 single PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 1. The generation-based decider and the closed-form spectral classifier
-   agree on every half-integral spectrum with n in 3..10 (SWEEP_MAX_N),
+   agree on every half-integral spectrum with n in 3..11 (SWEEP_MAX_N),
    magnitudes <= 7/2.
 2. In so(4), the half-odd spectrum with mult(1/2) = 1 is rejected with a
    generation-failure certificate while mult(1/2) = 2 is accepted.
@@ -22,7 +22,7 @@ single PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`.
    independent brute-force filter.
 8. Spectrum extraction inverts the normal form for all enumerated canonical
    spectra n <= 8 and is invariant under exact orthogonal conjugation.
-9. For every n in 3..10 (SWEEP_MAX_N), the enumerated canonical spectra with
+9. For every n in 3..11 (SWEEP_MAX_N), the enumerated canonical spectra with
    magnitudes <= 7/2 are exactly the sweep's spectra the generation-based
    decider accepts.
 """
@@ -39,16 +39,16 @@ from canonical_lie import (
     prop3_check,
     realize,
     spectrum_from_matrix,
-    strict_generation_check,
+    strict_generation_report,
     theorem2_check,
-    verify_theorem1,
+    theorem1_report,
     wedge_basis,
 )
 from canonical_lie import VerdictReason
 from helpers import brute_force_spectra, grade_dims_by_counting, spec
 
 SWEEP_BOUND = Fraction(7, 2)
-SWEEP_MAX_N = 10
+SWEEP_MAX_N = 11
 
 
 @lru_cache(maxsize=1)
@@ -103,8 +103,8 @@ def test_criterion_3_strict_generation_counterexamples():
     ok = (
         theorem2_check(zero).canonical
         and theorem2_check(half).canonical
-        and not strict_generation_check(zero)
-        and not strict_generation_check(half)
+        and not strict_generation_report(zero)[0]
+        and not strict_generation_report(half)[0]
     )
     report(
         3,
@@ -119,7 +119,7 @@ def test_criterion_4_canonical_element_properties():
     for n in range(3, 9):
         for s in enumerate_canonical(n):
             total += 1
-            if not verify_theorem1(s):
+            if not (theorem2_check(s).canonical and all(theorem1_report(s).values())):
                 failures.append(s)
     report(
         4,

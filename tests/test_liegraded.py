@@ -30,12 +30,11 @@ from canonical_lie import (
     polar,
     polar_indices,
     realize,
-    regrade,
     span,
     subspace_sum,
 )
 from canonical_lie.sonreal import _so_table
-from helpers import dense_invariance_failure, spec, tails_by_sums
+from helpers import dense_invariance_failure, regrade, spec, tails_by_sums
 
 SPECTRA_N7 = tuple(s for n in range(3, 8) for s in half_integral_spectra(n, Fraction(5, 2)))
 
@@ -190,6 +189,9 @@ class TestSparseInvarianceCheck:
 
 
 class TestRegrade:
+    """The tests' relabelling oracle, which keeps build_table's full grading
+    checks for generic tables."""
+
     def test_shares_validated_structure(self):
         t = realize(spec(4, ("1/2", 2)))
         flat = regrade(t, (0,) * t.dim)

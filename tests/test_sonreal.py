@@ -1,5 +1,6 @@
 """Wedge model of so(n, C): realization, matrices, spectrum extraction."""
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonical_lie import (
+    BracketShapeViolation,
+    GradingViolation,
     InvalidSpectrum,
     NotSkew,
     RatMatrix,
@@ -26,7 +29,9 @@ from canonical_lie import (
     spectrum_from_matrix,
     wedge_basis,
 )
-from helpers import conjugated_normal_form, grade_dims_by_counting, spec
+from canonical_lie.liegraded import LieTable
+from canonical_lie.sonreal import _check_witt_shape, _so_table
+from helpers import conjugated_normal_form, grade_dims_by_counting, regrade, spec
 
 
 def skew_strategy(n):
@@ -88,6 +93,23 @@ SAMPLED = [
     spec(6, ("1/2", 2), ("3/2", 1)),
     spec(6, ("0", 2), ("1/2", 1), ("1", 1)),  # mixed parity, still a valid algebra
 ]
+
+# Magnitudes with denominator 3 (not half-integral, so only `check --method
+# strict` realizes them); the last two mix denominators, with label lcm 6.
+DENOMINATOR_3 = [
+    spec(5, ("0", 1), ("1/3", 1), ("4/3", 1)),
+    spec(6, ("1/3", 1), ("2/3", 2)),
+    spec(7, ("0", 1), ("1/3", 2), ("5/3", 1)),
+    spec(6, ("1/3", 1), ("1/2", 1), ("2/3", 1)),
+    spec(8, ("2/3", 1), ("7/6", 2), ("5/2", 1)),
+]
+
+
+def pair_sums(s):
+    """lambda_a + lambda_b for each wedge (a, b), as Fraction sums."""
+    wb = wedge_basis(s)
+    lam = [ell for ell, _ in wb.eigen_labels]
+    return tuple(lam[a] + lam[b] for a, b in wb.pairs)
 
 
 class TestSpectrum:
@@ -219,6 +241,82 @@ class TestRealize:
         assert grading_of(realize(s)).dim_at(1) == total
 
 
+class TestRelabel:
+    """realize relabels the per-n table with integer label sums, checking only
+    the mirror; the regrade oracle re-runs build_table's grading checks."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_regrade_oracle(self, n):
+        extra = [s for s in DENOMINATOR_3 if s.n == n]
+        for s in half_integral_spectra(n, Fraction(7, 2)) + extra:
+            t = realize(s)
+            expected = regrade(_so_table(n), pair_sums(s))
+            assert t.grade == expected.grade, str(s)
+            assert grading_of(t).blocks == grading_of(expected).blocks, str(s)
+            assert t._sparse is expected._sparse and t.form is expected.form
+            assert t._form_rank is expected._form_rank
+
+    def test_unmirrored_labels_raise(self, monkeypatch):
+        s = spec(6, ("1/2", 1), ("3/2", 1), ("5/2", 1))
+        wb = wedge_basis(s)
+        labels = list(wb.eigen_labels)  # 5/2, 3/2, 1/2, -1/2, -3/2, -5/2
+        labels[0], labels[1] = labels[1], labels[0]
+        broken = dataclasses.replace(wb, eigen_labels=tuple(labels))
+        monkeypatch.setattr(sonreal, "wedge_basis", lambda _: broken)
+        with pytest.raises(GradingViolation) as err:
+            realize.__wrapped__(s)
+        assert err.value.indices == (0, 5)
+        with pytest.raises(GradingViolation):
+            grade_dims(s)
+
+
+class TestBracketShape:
+    # (n, terms, shift): move the first coordinate of the first bracket with
+    # `terms` nonzero coordinates to the wedge `shift` places away.  With one
+    # term the new wedge uses an index outside {a, b, c, d}; with two and
+    # shift -1, what is left of {a, b, c, d} is not a partner pair.  The last
+    # case moves [u_0 ^ u_1, u_4 ^ u_5] in so(6) onto u_0 ^ u_3: 3 is not
+    # among the four, though {1, 4}, left beside it, is a partner pair.
+    CASES = [(5, 1, 1), (6, 1, 1), (5, 2, -1), (6, 2, -1), (6, 2, -2)]
+
+    @staticmethod
+    def corrupt(n, terms, shift):
+        sparse = [list(row) for row in _so_table(n)._sparse]
+        p, q = next(
+            (p, q)
+            for p, row in enumerate(sparse)
+            for q, hits in enumerate(row)
+            if len(hits) == terms
+        )
+        (k, v), *rest = sparse[p][q]
+        sparse[p][q] = ((k + shift, v), *rest)
+        return sparse, (p, q, k + shift)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_tables_have_the_shape(self, n):
+        _check_witt_shape(n, _so_table(n)._sparse)
+
+    @pytest.mark.parametrize("n, terms, shift", CASES)
+    def test_moved_coordinate_is_caught(self, n, terms, shift):
+        sparse, indices = self.corrupt(n, terms, shift)
+        with pytest.raises(BracketShapeViolation) as err:
+            _check_witt_shape(n, sparse)
+        assert err.value.indices == indices
+
+    def test_so_table_runs_the_check(self, monkeypatch):
+        sparse, indices = self.corrupt(5, 1, 1)
+        build_table = sonreal.build_table
+
+        def corrupting(*args):
+            t = build_table(*args)
+            return LieTable(t.dim, t.grade, t.form, t._rows, sparse, t._form_sparse, [None])
+
+        monkeypatch.setattr(sonreal, "build_table", corrupting)
+        with pytest.raises(BracketShapeViolation) as err:
+            sonreal._so_table.__wrapped__(5)
+        assert err.value.indices == indices
+
+
 class TestGradeDims:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_matches_regraded_table(self, n):
@@ -260,7 +358,7 @@ class TestMatrixOf:
         t = realize(s)
         for idx in range(wb.dim):
             x = matrix_of(s, idx)
-            assert diag @ x - x @ diag == x.scaled(t.grade[idx])
+            assert diag @ x == x @ diag + x.scaled(t.grade[idx])
 
     @pytest.mark.parametrize("s", [spec(3, ("0", 1), ("1", 1)), spec(4, ("1/2", 2))], ids=str)
     def test_commutators_match_structure_constants(self, s):
@@ -268,12 +366,12 @@ class TestMatrixOf:
         mats = [matrix_of(s, i) for i in range(t.dim)]
         for i in range(t.dim):
             for j in range(t.dim):
-                comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-                expected = RatMatrix.zeros(s.n, s.n)
+                # [X_i, X_j] = sum of c_k X_k, with X_j X_i moved to the right
+                expected = mats[j] @ mats[i]
                 for k, c in enumerate(t.bracket_row(i, j)):
                     if c != 0:
                         expected = expected + mats[k].scaled(c)
-                assert comm == expected
+                assert mats[i] @ mats[j] == expected
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
