@@ -11,12 +11,10 @@ rationals; there is no floating point anywhere.
 from .exactlin import (
     RatMatrix,
     Subspace,
-    contains,
     kernel,
     parse_rational,
     rref,
     span,
-    subspace_intersect,
     subspace_sum,
 )
 from .liegraded import (
@@ -32,11 +30,8 @@ from .liegraded import (
     bracket_indices,
     bracket_spaces,
     build_table,
-    descending_series,
-    direct_sum,
     generated_subalgebra,
     grading_of,
-    polar,
     polar_indices,
 )
 from .sonreal import (
@@ -47,8 +42,6 @@ from .sonreal import (
     TooSmall,
     WedgeBasis,
     grade_dims,
-    matrix_of,
-    normal_form,
     realize,
     spectrum_from_matrix,
     wedge_basis,
@@ -59,13 +52,14 @@ from .canonical import (
     ParabolicData,
     Verdict,
     VerdictReason,
-    check_matrix,
     condition1,
     enumerate_canonical,
+    half_integral_count,
     half_integral_spectra,
     oracle_record,
     parabolic_of,
     prop3_check,
+    prop3_report,
     strict_generation_report,
     theorem1_report,
     theorem2_check,
@@ -99,31 +93,25 @@ __all__ = [
     "bracket_indices",
     "bracket_spaces",
     "build_table",
-    "check_matrix",
     "condition1",
-    "contains",
-    "descending_series",
-    "direct_sum",
     "enumerate_canonical",
     "generated_subalgebra",
     "grade_dims",
     "grading_of",
+    "half_integral_count",
     "half_integral_spectra",
     "kernel",
-    "matrix_of",
-    "normal_form",
     "oracle_record",
     "parabolic_of",
     "parse_rational",
-    "polar",
     "polar_indices",
     "prop3_check",
+    "prop3_report",
     "realize",
     "rref",
     "span",
     "spectrum_from_matrix",
     "strict_generation_report",
-    "subspace_intersect",
     "subspace_sum",
     "theorem1_report",
     "theorem2_check",

@@ -15,6 +15,7 @@ the nilradical of q.  Two independent deciders live here:
 * :func:`prop3_check` — the closed-form spectral test.  The magnitude set
   must be an unbroken ladder 0, 1, ..., k, or an unbroken half-odd ladder
   1/2, 3/2, ..., k + 1/2 with the 1/2 magnitude of multiplicity at least 2.
+  :func:`prop3_report` gives the same answer with the reason for it.
 
 The package's headline property is that the two agree on every half-integral
 spectrum; the `verify` CLI command and the acceptance suite sweep that
@@ -33,12 +34,13 @@ from the grading at the end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
 
-from .exactlin import RatMatrix, Subspace, as_rational, subspace_sum
+from .exactlin import Subspace, as_rational, subspace_sum
 from .liegraded import (
     GradingMap,
     LieTable,
@@ -47,7 +49,7 @@ from .liegraded import (
     grading_of,
     polar_indices,
 )
-from .sonreal import Spectrum, TooSmall, realize, spectrum_from_matrix
+from .sonreal import Spectrum, TooSmall, realize
 
 
 class NotCanonical(ValueError):
@@ -147,8 +149,9 @@ def _iterates(table: LieTable, a: frozenset[int], start: frozenset[int]):
 
 
 def _descending_series(table: LieTable, n: frozenset[int]) -> list[frozenset[int]]:
-    """Central descending series of span{e_i : i in n}, as index sets, ending
-    just before the first repetition (as :func:`liegraded.descending_series`)."""
+    """Central descending series [n, [n, n], [n, [n, n]], ...] of
+    span{e_i : i in n}, as index sets, ending just before the first
+    repetition, so a nilpotent n ends with the empty set."""
     series = []
     for term in islice(_iterates(table, n, n), table.dim + 2):
         if series and term == series[-1]:
@@ -157,15 +160,27 @@ def _descending_series(table: LieTable, n: frozenset[int]) -> list[frozenset[int
     raise ValueError("descending series did not stabilize; is n a subalgebra?")
 
 
-def prop3_check(s: Spectrum) -> bool:
-    """Closed-form canonicality test on the magnitude ladder."""
+def prop3_report(s: Spectrum) -> tuple[bool, str]:
+    """Closed-form canonicality test on the magnitude ladder, with the
+    sentence that says why."""
     mags = list(s.magnitudes)
     count = len(mags)
     if mags == [Fraction(i) for i in range(count)]:
-        return True
+        return True, f"magnitudes form the integer ladder 0..{count - 1}"
     if mags == [Fraction(2 * i + 1, 2) for i in range(count)]:
-        return s.mult(Fraction(1, 2)) >= 2
-    return False
+        m_half = s.mult(Fraction(1, 2))
+        if m_half >= 2:
+            return True, (
+                f"magnitudes form the half-odd ladder 1/2..{mags[-1]} "
+                f"with mult(1/2) = {m_half} >= 2"
+            )
+        return False, f"half-odd ladder, but mult(1/2) = {m_half} < 2"
+    return False, "magnitudes are not an unbroken ladder from 0 or 1/2"
+
+
+def prop3_check(s: Spectrum) -> bool:
+    """Closed-form canonicality test on the magnitude ladder."""
+    return prop3_report(s)[0]
 
 
 def strict_generation_report(s: Spectrum) -> tuple[bool, int, int]:
@@ -242,19 +257,6 @@ def theorem1_report(s: Spectrum) -> dict[str, bool]:
     }
 
 
-def check_matrix(m: RatMatrix) -> Verdict:
-    """Canonicality of a rational skew-symmetric matrix.
-
-    Extraction failing (magnitudes not all half-integral) already implies a
-    non-integral ad-spectrum, so that outcome maps straight to a negative
-    verdict; otherwise the spectrum is handed to :func:`theorem2_check`.
-    """
-    s = spectrum_from_matrix(m)
-    if s is None:
-        return Verdict(False, VerdictReason.NON_INTEGRAL)
-    return theorem2_check(s)
-
-
 def _positive_tuples(parts: int, total: int):
     """All tuples of `parts` positive integers with the given sum."""
     if parts == 0:
@@ -295,6 +297,13 @@ def enumerate_canonical(n: int) -> list[Spectrum]:
                 found.append(Spectrum(n, tuple(entries)))
     found.sort(key=lambda s: (s.max_magnitude, s.entries))
     return found
+
+
+def half_integral_count(n: int, max_lambda) -> int:
+    """len(half_integral_spectra(n, max_lambda)) without building them: one
+    spectrum per multiset of at most n // 2 of the 2 max_lambda positive
+    magnitudes."""
+    return math.comb(int(2 * as_rational(max_lambda)) + n // 2, n // 2)
 
 
 def half_integral_spectra(n: int, max_lambda) -> list[Spectrum]:

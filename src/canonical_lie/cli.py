@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -21,9 +20,10 @@ from .canonical import (
     Verdict,
     VerdictReason,
     enumerate_canonical,
+    half_integral_count,
     half_integral_spectra,
     oracle_record,
-    prop3_check,
+    prop3_report,
     strict_generation_report,
     theorem2_check,
 )
@@ -40,6 +40,14 @@ EXIT_ERROR = 2
 # 2-vCPU x86-64 host, most of it building and checking the table.
 MAX_N = 24
 
+# Caps on `verify`.  No spectrum with n <= MAX_N and a magnitude above
+# (MAX_N - 1) / 2 is canonical, so MAX_LAMBDA = MAX_N sweeps past every
+# canonical class.  MAX_SWEEP is the spectrum count of `verify --max-n 24` at
+# the default 7/2.  A sweep keeps every record, and theorem2 walks each grade
+# up to the largest magnitude, so the two caps bound its time and memory.
+MAX_LAMBDA = MAX_N
+MAX_SWEEP = 201_542
+
 
 class InputError(Exception):
     """Bad file, malformed JSON/CSV, or a value outside the schema."""
@@ -54,6 +62,17 @@ def _fail(message: str) -> int:
 # input loading
 
 
+def _parse_json(text: str, origin: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"{origin}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    except ValueError as exc:  # e.g. an integer literal over the digit limit
+        raise InputError(f"{origin}: {exc}") from None
+
+
 def _load_spectrum_arg(arg: str) -> Spectrum:
     text = arg.strip()
     origin = "inline spectrum"
@@ -64,12 +83,7 @@ def _load_spectrum_arg(arg: str) -> Spectrum:
                 text = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read {origin}: {exc}") from None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{origin}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+    obj = _parse_json(text, origin)
     try:
         return Spectrum.from_json(obj)
     except InvalidSpectrum as exc:
@@ -100,13 +114,7 @@ def _load_matrix_file(path: str) -> RatMatrix:
     stripped = text.lstrip()
     rows: list[list[Fraction]] = []
     if stripped.startswith("["):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(
-                f"matrix file {path}: JSON parse error at line {exc.lineno} "
-                f"column {exc.colno}: {exc.msg}"
-            ) from None
+        data = _parse_json(text, f"matrix file {path}")
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise InputError(f"matrix file {path}: expected an array of arrays")
         for i, raw in enumerate(data):
@@ -130,6 +138,30 @@ def _load_matrix_file(path: str) -> RatMatrix:
         raise InputError(f"matrix file {path}: {exc}") from None
 
 
+def _load_check_input(args) -> tuple[Spectrum | None, dict, str]:
+    """Read `check`'s --spectrum or --matrix: the spectrum to decide (None
+    when a matrix's magnitudes are not all half-integers), the JSON `input`
+    block and the table's input line."""
+    if args.spectrum is not None:
+        s = _load_spectrum_arg(args.spectrum)
+        if s.n > MAX_N:
+            raise InputError(f"spectrum has n = {s.n}; n must be at most {MAX_N}")
+        return s, {"spectrum": s.to_json()}, f"input: spectrum {s} (n={s.n})"
+    matrix = _load_matrix_file(args.matrix)
+    if matrix.rows > MAX_N:
+        raise InputError(
+            f"matrix {args.matrix} has {matrix.rows} rows; n must be at most {MAX_N}"
+        )
+    s = spectrum_from_matrix(matrix)
+    source = f"input: matrix {matrix.rows}x{matrix.cols} from {args.matrix}; "
+    if s is None:
+        line = source + "eigenvalue magnitudes are not all half-integers"
+    else:
+        line = source + f"extracted spectrum {s} (n={s.n})"
+    input_json = {"matrix": args.matrix, "extracted_spectrum": None if s is None else s.to_json()}
+    return s, input_json, line
+
+
 # ---------------------------------------------------------------------------
 # shared rendering
 
@@ -138,24 +170,26 @@ def _grading_cells(dims: dict) -> list[dict]:
     return [{"grade": str(g), "dim": d} for g, d in dims.items()]
 
 
+def _decision_json(verdict: Verdict) -> dict:
+    """The canonical / reason / failing block shared by `check` and `verify`."""
+    failing = verdict.failing
+    return {
+        "canonical": verdict.canonical,
+        "reason": verdict.reason.value,
+        "failing": None
+        if failing is None
+        else {"grade": failing[0], "achieved": failing[1], "required": failing[2]},
+    }
+
+
 def _verdict_json(verdict: Verdict) -> dict:
-    out: dict = {"canonical": verdict.canonical, "reason": verdict.reason.value}
-    out["failing"] = (
-        None
-        if verdict.failing is None
-        else {
-            "grade": verdict.failing[0],
-            "achieved": verdict.failing[1],
-            "required": verdict.failing[2],
-        }
-    )
-    out["generation_trace"] = (
-        None
+    return {
+        **_decision_json(verdict),
+        "generation_trace": None
         if verdict.trace is None
-        else [{"grade": k, "achieved": a, "required": r} for k, a, r in verdict.trace]
-    )
-    out["grading"] = None if verdict.witness is None else _grading_cells(verdict.witness.dims())
-    return out
+        else [{"grade": k, "achieved": a, "required": r} for k, a, r in verdict.trace],
+        "grading": None if verdict.witness is None else _grading_cells(verdict.witness.dims()),
+    }
 
 
 def _verdict_summary(verdict: Verdict) -> str:
@@ -166,172 +200,96 @@ def _verdict_summary(verdict: Verdict) -> str:
     return verdict.reason.value
 
 
-def _print_verdict_table(verdict: Verdict) -> None:
-    if verdict.canonical:
-        print("verdict: canonical")
-    else:
-        print("verdict: not canonical")
-        if verdict.reason is VerdictReason.GENERATION_FAILS:
-            k, achieved, required = verdict.failing
-            print(
-                f"reason: GenerationFails at grade {k} "
-                f"(achieved dim {achieved}, required dim {required})"
-            )
-        else:
-            print("reason: NonIntegralAdSpectrum (ad-eigenvalue grades are not all integers)")
+def _canonical_word(ok: bool) -> str:
+    return "canonical" if ok else "not canonical"
+
+
+def _verdict_lines(verdict: Verdict) -> list[str]:
+    lines = [f"verdict: {_canonical_word(verdict.canonical)}"]
+    if verdict.reason is VerdictReason.GENERATION_FAILS:
+        k, achieved, required = verdict.failing
+        lines.append(
+            f"reason: GenerationFails at grade {k} "
+            f"(achieved dim {achieved}, required dim {required})"
+        )
+    elif verdict.reason is VerdictReason.NON_INTEGRAL:
+        lines.append("reason: NonIntegralAdSpectrum (ad-eigenvalue grades are not all integers)")
     if verdict.witness is not None:
-        print("grading dimensions:")
-        print("  grade  dim")
-        for cell in _grading_cells(verdict.witness.dims()):
-            print(f"  {cell['grade']:<5}  {cell['dim']}")
+        lines += ["grading dimensions:", "  grade  dim"]
+        lines += [f"  {g!s:<5}  {d}" for g, d in verdict.witness.dims().items()]
     if verdict.trace:
-        print("generation trace (dim of [g_1, .] iterate vs dim g_k):")
-        print("  grade  achieved  required")
-        for k, achieved, required in verdict.trace:
-            print(f"  {k:<5}  {achieved:<8}  {required}")
-
-
-def _prop3_detail(s: Spectrum) -> str:
-    mags = list(s.magnitudes)
-    count = len(mags)
-    if mags == [Fraction(i) for i in range(count)]:
-        return f"magnitudes form the integer ladder 0..{count - 1}"
-    if mags == [Fraction(2 * i + 1, 2) for i in range(count)]:
-        m_half = s.mult(Fraction(1, 2))
-        if m_half >= 2:
-            return (
-                f"magnitudes form the half-odd ladder 1/2..{mags[-1]} "
-                f"with mult(1/2) = {m_half} >= 2"
-            )
-        return f"half-odd ladder, but mult(1/2) = {m_half} < 2"
-    return "magnitudes are not an unbroken ladder from 0 or 1/2"
+        lines += [
+            "generation trace (dim of [g_1, .] iterate vs dim g_k):",
+            "  grade  achieved  required",
+        ]
+        lines += [f"  {k:<5}  {a:<8}  {r}" for k, a, r in verdict.trace]
+    return lines
 
 
 # ---------------------------------------------------------------------------
 # check
 
 
-def cmd_check(args) -> int:
-    try:
-        if args.spectrum is not None:
-            s = _load_spectrum_arg(args.spectrum)
-            if s.n > MAX_N:
-                return _fail(f"spectrum has n = {s.n}; n must be at most {MAX_N}")
-            input_json: dict = {"spectrum": s.to_json()}
-            input_line = f"input: spectrum {s} (n={s.n})"
-        else:
-            matrix = _load_matrix_file(args.matrix)
-            if matrix.rows > MAX_N:
-                return _fail(
-                    f"matrix {args.matrix} has {matrix.rows} rows; n must be at most {MAX_N}"
-                )
-            s = spectrum_from_matrix(matrix)
-            input_json = {
-                "matrix": args.matrix,
-                "extracted_spectrum": None if s is None else s.to_json(),
-            }
-            if s is None:
-                input_line = (
-                    f"input: matrix {matrix.rows}x{matrix.cols} from {args.matrix}; "
-                    "eigenvalue magnitudes are not all half-integers"
-                )
-            else:
-                input_line = (
-                    f"input: matrix {matrix.rows}x{matrix.cols} from {args.matrix}; "
-                    f"extracted spectrum {s} (n={s.n})"
-                )
-    except InputError as exc:
-        return _fail(str(exc))
-    except (InvalidSpectrum, NotSkew, TooSmall) as exc:
-        return _fail(str(exc))
+def _decide(method: str, s: Spectrum | None) -> tuple[dict, list[str], int]:
+    """Run `method` on s: (JSON fields, table lines, exit code).
 
-    base = {"command": "check", "method": args.method, "input": input_json}
-
+    A matrix whose magnitudes are not all half-integers (s is None) has a
+    non-integral ad-spectrum, and every method reports that verdict.
+    """
     if s is None:
         verdict = Verdict(False, VerdictReason.NON_INTEGRAL)
-        if args.fmt == "json":
-            print(json.dumps({**base, **_verdict_json(verdict)}, indent=2))
-        else:
-            print(input_line)
-            print(f"method: {args.method}")
-            _print_verdict_table(verdict)
-        return EXIT_NEGATIVE
-
-    if args.method == "strict":
+    elif method == "strict":
         generated, got, full = strict_generation_report(s)
-        if args.fmt == "json":
-            print(
-                json.dumps(
-                    {
-                        **base,
-                        "strictly_generated": generated,
-                        "generated_dim": got,
-                        "algebra_dim": full,
-                    },
-                    indent=2,
-                )
-            )
-        else:
-            print(input_line)
-            print("method: strict")
-            answer = "yes" if generated else "no"
-            print(
-                f"generated by grade +1 and grade -1 pieces alone: {answer} "
-                f"(generated dim {got} of {full})"
-            )
-        return EXIT_OK if generated else EXIT_NEGATIVE
-
-    if args.method == "prop3":
-        ok = prop3_check(s)
-        detail = _prop3_detail(s)
-        if args.fmt == "json":
-            print(json.dumps({**base, "canonical": ok, "detail": detail}, indent=2))
-        else:
-            print(input_line)
-            print("method: prop3")
-            print(f"verdict: {'canonical' if ok else 'not canonical'}")
-            print(f"detail: {detail}")
-        return EXIT_OK if ok else EXIT_NEGATIVE
-
-    verdict = theorem2_check(s)
-
-    if args.method == "both":
-        p3 = prop3_check(s)
-        agree = verdict.canonical == p3
-        payload = {
-            **base,
-            "theorem2": _verdict_json(verdict),
-            "prop3": {"canonical": p3, "detail": _prop3_detail(s)},
-            "agree": agree,
-        }
-        if not agree:
-            if args.fmt == "json":
-                print(json.dumps(payload, indent=2))
-            else:
-                print(input_line)
-                print(
-                    f"DISCREPANCY: theorem2 says {_verdict_summary(verdict)} "
-                    f"but prop3 says {'canonical' if p3 else 'not canonical'}"
-                )
-            return EXIT_ERROR
-        if args.fmt == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            print(input_line)
-            print("method: both")
-            print(f"theorem2: {_verdict_summary(verdict)}")
-            print(f"prop3: {'canonical' if p3 else 'not canonical'} ({_prop3_detail(s)})")
-            print("agreement: yes")
-            _print_verdict_table(verdict)
-        return EXIT_OK if verdict.canonical else EXIT_NEGATIVE
-
-    if args.fmt == "json":
-        print(json.dumps({**base, **_verdict_json(verdict)}, indent=2))
+        fields = {"strictly_generated": generated, "generated_dim": got, "algebra_dim": full}
+        line = (
+            f"generated by grade +1 and grade -1 pieces alone: {'yes' if generated else 'no'} "
+            f"(generated dim {got} of {full})"
+        )
+        return fields, ["method: strict", line], EXIT_OK if generated else EXIT_NEGATIVE
+    elif method == "prop3":
+        ok, detail = prop3_report(s)
+        lines = ["method: prop3", f"verdict: {_canonical_word(ok)}", f"detail: {detail}"]
+        return {"canonical": ok, "detail": detail}, lines, EXIT_OK if ok else EXIT_NEGATIVE
     else:
-        print(input_line)
-        print("method: theorem2")
-        _print_verdict_table(verdict)
-    return EXIT_OK if verdict.canonical else EXIT_NEGATIVE
+        verdict = theorem2_check(s)
+    code = EXIT_OK if verdict.canonical else EXIT_NEGATIVE
+    if s is None or method == "theorem2":
+        return _verdict_json(verdict), [f"method: {method}", *_verdict_lines(verdict)], code
+    p3, detail = prop3_report(s)
+    agree = verdict.canonical == p3
+    fields = {
+        "theorem2": _verdict_json(verdict),
+        "prop3": {"canonical": p3, "detail": detail},
+        "agree": agree,
+    }
+    if not agree:
+        line = (
+            f"DISCREPANCY: theorem2 says {_verdict_summary(verdict)} "
+            f"but prop3 says {_canonical_word(p3)}"
+        )
+        return fields, [line], EXIT_ERROR
+    lines = [
+        "method: both",
+        f"theorem2: {_verdict_summary(verdict)}",
+        f"prop3: {_canonical_word(p3)} ({detail})",
+        "agreement: yes",
+        *_verdict_lines(verdict),
+    ]
+    return fields, lines, code
+
+
+def cmd_check(args) -> int:
+    try:
+        s, input_json, input_line = _load_check_input(args)
+    except (InputError, InvalidSpectrum, NotSkew, TooSmall) as exc:
+        return _fail(str(exc))
+    fields, lines, code = _decide(args.method, s)
+    if args.fmt == "json":
+        payload = {"command": "check", "method": args.method, "input": input_json, **fields}
+        print(json.dumps(payload, indent=2))
+    else:
+        print("\n".join([input_line, *lines]))
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +302,10 @@ def cmd_enumerate(args) -> int:
     if args.n > MAX_N:
         return _fail(f"--n must be at most {MAX_N}, got {args.n}")
     classes = enumerate_canonical(args.n)
-    payload = []
-    for s in classes:
-        payload.append({"spectrum": s.to_json(), "grading": _grading_cells(grade_dims(s))})
+    payload = [{"spectrum": s.to_json(), "grading": _grading_cells(grade_dims(s))} for s in classes]
     if args.fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "command": "enumerate",
-                    "n": args.n,
-                    "count": len(classes),
-                    "classes": payload,
-                },
-                indent=2,
-            )
-        )
+        doc = {"command": "enumerate", "n": args.n, "count": len(classes), "classes": payload}
+        print(json.dumps(doc, indent=2))
     else:
         print(f"canonical spectra for so({args.n}): {len(classes)} classes")
         for idx, (s, cells) in enumerate(zip(classes, payload), start=1):
@@ -376,34 +323,11 @@ def _record_json(rec: OracleRecord) -> dict:
     return {
         "n": rec.spectrum.n,
         "spectrum": rec.spectrum.to_json(),
-        "theorem2": {
-            "canonical": rec.verdict.canonical,
-            "reason": rec.verdict.reason.value,
-            "failing": None
-            if rec.verdict.failing is None
-            else {
-                "grade": rec.verdict.failing[0],
-                "achieved": rec.verdict.failing[1],
-                "required": rec.verdict.failing[2],
-            },
-        },
+        "theorem2": _decision_json(rec.verdict),
         "prop3": rec.prop3,
         "theorem1": rec.theorem1_ok,
         "agree": rec.agree,
     }
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("CANONICAL_LIE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise InputError(f"CANONICAL_LIE_THREADS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise InputError(f"CANONICAL_LIE_THREADS must be >= 1, got {workers}")
-    return workers
 
 
 def cmd_verify(args) -> int:
@@ -417,23 +341,18 @@ def cmd_verify(args) -> int:
         return _fail(str(exc))
     if bound <= 0 or (2 * bound).denominator != 1:
         return _fail(f"--max-lambda must be a positive half-integer, got {args.max_lambda}")
-    try:
-        workers = _workers_from_env()
-    except InputError as exc:
-        return _fail(str(exc))
+    if bound > MAX_LAMBDA:
+        return _fail(f"--max-lambda must be at most {MAX_LAMBDA}, got {args.max_lambda}")
+    ns = range(3, args.max_n + 1)
+    count = sum(half_integral_count(n, bound) for n in ns)
+    if count > MAX_SWEEP:
+        return _fail(
+            f"--max-n {args.max_n} --max-lambda {args.max_lambda} sweeps {count} spectra; "
+            f"at most {MAX_SWEEP} are allowed"
+        )
 
-    spectra = []
-    for n in range(3, args.max_n + 1):
-        spectra.extend(half_integral_spectra(n, bound))
-
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(oracle_record, spectra, chunksize=8))
-    else:
-        records = [oracle_record(s) for s in spectra]
-    records.sort(key=lambda r: r.spectrum.sort_key())
+    # half_integral_spectra lists each n in sort_key order, so the records are too
+    records = [oracle_record(s) for n in ns for s in half_integral_spectra(n, bound)]
 
     bad = [r for r in records if not r.ok]
     canonical_count = sum(1 for r in records if r.verdict.canonical)
@@ -457,23 +376,19 @@ def cmd_verify(args) -> int:
         )
     else:
         print(f"oracle sweep: n = 3..{args.max_n}, magnitudes <= {bound}")
-        rows = []
-        for rec in records:
-            rows.append(
-                (
-                    str(rec.spectrum.n),
-                    str(rec.spectrum),
-                    _verdict_summary(rec.verdict),
-                    "yes" if rec.prop3 else "no",
-                    "-" if rec.theorem1_ok is None else ("ok" if rec.theorem1_ok else "FAIL"),
-                    "yes" if rec.agree else "NO",
-                )
+        rows = [
+            (
+                str(rec.spectrum.n),
+                str(rec.spectrum),
+                _verdict_summary(rec.verdict),
+                "yes" if rec.prop3 else "no",
+                "-" if rec.theorem1_ok is None else ("ok" if rec.theorem1_ok else "FAIL"),
+                "yes" if rec.agree else "NO",
             )
-        headers = ("n", "spectrum", "theorem2", "prop3", "theorem1", "agree")
-        widths = [
-            max(len(headers[c]), max((len(r[c]) for r in rows), default=0))
-            for c in range(len(headers))
+            for rec in records
         ]
+        headers = ("n", "spectrum", "theorem2", "prop3", "theorem1", "agree")
+        widths = [max(map(len, column)) for column in zip(headers, *rows)]
         print("  " + "  ".join(h.ljust(w) for h, w in zip(headers, widths)))
         for r in rows:
             print("  " + "  ".join(v.ljust(w) for v, w in zip(r, widths)))
@@ -514,19 +429,18 @@ def _build_parser() -> argparse.ArgumentParser:
         default="theorem2",
         help="decision procedure (default: theorem2)",
     )
-    p_check.add_argument("--format", dest="fmt", choices=["table", "json"], default="table")
 
     p_enum = sub.add_parser("enumerate", help="list all canonical spectra for so(n)")
     p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--format", dest="fmt", choices=["table", "json"], default="table")
 
     p_verify = sub.add_parser(
         "verify", help="exhaustively cross-check theorem2 against prop3 within bounds"
     )
     p_verify.add_argument("--max-n", dest="max_n", type=int, required=True)
     p_verify.add_argument("--max-lambda", dest="max_lambda", default="7/2", metavar="P/Q")
-    p_verify.add_argument("--format", dest="fmt", choices=["table", "json"], default="table")
 
+    for command in (p_check, p_enum, p_verify):
+        command.add_argument("--format", dest="fmt", choices=["table", "json"], default="table")
     return parser
 
 

@@ -228,42 +228,9 @@ def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_same_ambient(a, b)
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError(f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}")
     return span(a.vectors() + b.vectors(), a.ambient_dim)
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus block trick.
-
-    Reduce [U|U; V|0]: rows whose left half vanished carry an intersection
-    basis in their right half.
-    """
-    _check_same_ambient(a, b)
-    n = a.ambient_dim
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(n)
-    zero = (Fraction(0),) * n
-    block = [u + u for u in a.vectors()] + [v + zero for v in b.vectors()]
-    _, reduced = rref(RatMatrix(block, cols=2 * n))
-    inter = [
-        row[n:]
-        for row in reduced.entries
-        if all(v == 0 for v in row[:n]) and any(v != 0 for v in row[n:])
-    ]
-    return span(inter, n)
-
-
-def contains(a: Subspace, v: Sequence) -> bool:
-    """Membership test by reducing v against the pivot rows of a."""
-    vec = [as_rational(x) for x in v]
-    if len(vec) != a.ambient_dim:
-        raise ValueError(f"vector of length {len(vec)} in ambient dim {a.ambient_dim}")
-    for row in a.vectors():
-        pivot = next(j for j, x in enumerate(row) if x != 0)
-        f = vec[pivot]
-        if f != 0:
-            vec = [x - f * y for x, y in zip(vec, row)]
-    return all(x == 0 for x in vec)
 
 
 def kernel(m: RatMatrix) -> Subspace:
@@ -310,8 +277,3 @@ def charpoly(a: Sequence[Sequence]) -> list:
             for i in range(k + 2)
         ]
     return poly
-
-
-def _check_same_ambient(a: Subspace, b: Subspace) -> None:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError(f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}")

@@ -30,15 +30,14 @@ carry many gradings that share its brackets, form and cached form rank.
 re-running checks 2 and 3 per grading: the table's bracket shape, checked
 once per n, and mirrored eigenvalue labels imply them.
 
-The subspace operations (brackets of subspaces, generated subalgebras, the
-descending series of a nilpotent subalgebra, form polars, direct sums) are
-generic over the table; no matrix realization is consulted here.  Beside
-them, :func:`bracket_indices` and :func:`polar_indices` act on coordinate
-subspaces, given as sets of basis indices, with no elimination.  They are
-exact when every bracket they meet is a multiple of one basis element and
-the form is monomial, and raise :class:`NotMonomial` naming the offending
-pair or row otherwise.  The canonical deciders run on them; the generic
-operations are their reference and serve the strict generation test.
+The subspace operations (brackets of subspaces, generated subalgebras) are
+generic over the table; no matrix realization is consulted here.  They
+serve the strict generation test.  :func:`bracket_indices` and
+:func:`polar_indices` act on coordinate subspaces, given as sets of basis
+indices, with no elimination.  They are exact when every bracket they meet
+is a multiple of one basis element and the form is monomial, and raise
+:class:`NotMonomial` naming the offending pair or row otherwise.  The
+canonical deciders run on them.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .exactlin import (
     RatMatrix,
     Subspace,
     as_rational,
-    kernel,
     rref,
     span,
     subspace_sum,
@@ -297,9 +295,6 @@ class GradingMap:
     def space_at(self, r) -> Subspace:
         return _coordinate_subspace(self.ambient_dim, self.indices_at(r))
 
-    def dim_at(self, r) -> int:
-        return len(self.indices_at(r))
-
     def dims(self) -> dict[Fraction, int]:
         return {g: len(idx) for g, idx in self.blocks}
 
@@ -379,34 +374,6 @@ def generated_subalgebra(t: LieTable, seed: Subspace) -> Subspace:
         current = bigger
 
 
-def descending_series(t: LieTable, n: Subspace) -> list[Subspace]:
-    """Central descending series of the subalgebra n.
-
-    Returns [n, [n, n], [n, [n, n]], ...] and stops just before the first
-    repetition, so a nilpotent n yields a chain ending in the zero subspace.
-    """
-    series = [n]
-    for _ in range(t.dim + 1):
-        nxt = bracket_spaces(t, n, series[-1])
-        if nxt == series[-1]:
-            return series
-        series.append(nxt)
-    raise ValueError("descending series did not stabilize; is n a subalgebra?")
-
-
-def polar(t: LieTable, a: Subspace) -> Subspace:
-    """{x : <x, a> = 0} with respect to the table's bilinear form."""
-    if a.ambient_dim != t.dim:
-        raise ValueError("subspace ambient dimension does not match the algebra")
-    if _form_rank(t) < t.dim:
-        raise DegenerateForm("bilinear form is degenerate; polars are undefined")
-    constraints = []
-    for vec in a.vectors():
-        acc = _combine(_sparse_vec(vec), t._form_sparse)
-        constraints.append([acc.get(k, 0) for k in range(t.dim)])
-    return kernel(RatMatrix(constraints, cols=t.dim))
-
-
 def bracket_indices(t: LieTable, a, b) -> frozenset[int]:
     """[span{e_i : i in a}, span{e_j : j in b}] as a set of basis indices.
 
@@ -437,7 +404,7 @@ def polar_indices(t: LieTable, a) -> frozenset[int]:
     With the symmetric form monomial (one nonzero entry per row, at column
     p(i)), <x, e_i> is a nonzero multiple of x_{p(i)}, so the polar is
     spanned by the e_k with k outside {p(i) : i in a}.  Raises DegenerateForm
-    as :func:`polar` does, then NotMonomial naming a row that is not monomial.
+    for a degenerate form, then NotMonomial naming a row that is not monomial.
     """
     if _form_rank(t) < t.dim:
         raise DegenerateForm("bilinear form is degenerate; polars are undefined")
@@ -459,37 +426,3 @@ def _form_rank(t: LieTable) -> int:
     if cell[0] is None:
         cell[0] = rref(t.form)[0]
     return cell[0]
-
-
-def direct_sum(a: LieTable, b: LieTable) -> LieTable:
-    """Block-diagonal sum: brackets and form act blockwise, grades concatenate."""
-    dim = a.dim + b.dim
-    zero = (0,) * dim
-
-    def pad_left(row):
-        return tuple(row) + (0,) * b.dim
-
-    def pad_right(row):
-        return (0,) * a.dim + tuple(row)
-
-    table = []
-    for i in range(dim):
-        per_i = []
-        for j in range(dim):
-            if i < a.dim and j < a.dim:
-                per_i.append(pad_left(a.bracket_row(i, j)))
-            elif i >= a.dim and j >= a.dim:
-                per_i.append(pad_right(b.bracket_row(i - a.dim, j - a.dim)))
-            else:
-                per_i.append(zero)
-        table.append(per_i)
-
-    form = [[0] * dim for _ in range(dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            form[i][j] = a.form[i, j]
-    for i in range(b.dim):
-        for j in range(b.dim):
-            form[a.dim + i][a.dim + j] = b.form[i, j]
-
-    return build_table(dim, table, a.grade + b.grade, RatMatrix(form, cols=dim))

@@ -353,26 +353,6 @@ def grade_dims(s: Spectrum) -> dict[Fraction, int]:
     return {Fraction(k, den): counts[k] for k in sorted(counts)}
 
 
-def matrix_of(s: Spectrum, basis_pair_index: int) -> RatMatrix:
-    """The n x n matrix of a wedge basis element acting on eigen-coordinates.
-
-    Column c of u_a ^ u_b is (u_a, u_c) e_b - (u_b, u_c) e_a, so the matrix
-    has at most two nonzero entries and satisfies X^T G + G X = 0 for the
-    Gram matrix G of the wedge basis.
-    """
-    wb = wedge_basis(s)
-    if not 0 <= basis_pair_index < wb.dim:
-        raise IndexError(
-            f"basis pair index {basis_pair_index} out of range 0..{wb.dim - 1}"
-        )
-    a, b = wb.pairs[basis_pair_index]
-    n = wb.n
-    mat = [[0] * n for _ in range(n)]
-    mat[b][wb.partners[a]] += 1
-    mat[a][wb.partners[b]] -= 1
-    return RatMatrix(mat, cols=n)
-
-
 def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
     """Exact eigenvalue extraction from a rational skew-symmetric matrix.
 
@@ -526,19 +506,3 @@ def _grid_roots(p: list[int], scale: int, top: int) -> list[int]:
         stack.append((mid, v_mid, hi, v_hi))
         stack.append((lo, v_lo, mid, v_mid))
     return found
-
-
-def normal_form(s: Spectrum) -> RatMatrix:
-    """Real block normal form: one 2x2 rotation generator [[0, -l], [l, 0]]
-    per positive magnitude instance (ascending), then the zero block."""
-    n = s.n
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    pos = 0
-    for lam, mult in s.entries:
-        if lam == 0:
-            continue
-        for _ in range(mult):
-            mat[pos][pos + 1] = -lam
-            mat[pos + 1][pos] = lam
-            pos += 2
-    return RatMatrix(mat, cols=n)

@@ -1,4 +1,5 @@
-"""Shared test helpers: terse spectrum construction and independent oracles."""
+"""Shared test helpers: terse spectrum construction, matrix and table fixtures,
+and independent oracles."""
 
 import math
 from collections import Counter
@@ -6,16 +7,25 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from canonical_lie import (
+    DegenerateForm,
     LieTable,
     RatMatrix,
     Spectrum,
     Subspace,
-    normal_form,
+    bracket_spaces,
+    build_table,
+    kernel,
     rref,
     subspace_sum,
     wedge_basis,
 )
-from canonical_lie.liegraded import _check_grading, _grade_labels
+from canonical_lie.liegraded import (
+    _check_grading,
+    _combine,
+    _form_rank,
+    _grade_labels,
+    _sparse_vec,
+)
 
 
 def spec(n, *pairs):
@@ -66,6 +76,42 @@ def condition1_pairwise(s):
     return all(
         (lams[a] + lams[b]).denominator == 1 for a in range(n) for b in range(a + 1, n)
     )
+
+
+def matrix_of(s: Spectrum, basis_pair_index: int) -> RatMatrix:
+    """The n x n matrix of a wedge basis element acting on eigen-coordinates.
+
+    Column c of u_a ^ u_b is (u_a, u_c) e_b - (u_b, u_c) e_a, so the matrix
+    has at most two nonzero entries and satisfies X^T G + G X = 0 for the
+    Gram matrix G of the wedge basis.
+    """
+    wb = wedge_basis(s)
+    if not 0 <= basis_pair_index < wb.dim:
+        raise IndexError(
+            f"basis pair index {basis_pair_index} out of range 0..{wb.dim - 1}"
+        )
+    a, b = wb.pairs[basis_pair_index]
+    n = wb.n
+    mat = [[0] * n for _ in range(n)]
+    mat[b][wb.partners[a]] += 1
+    mat[a][wb.partners[b]] -= 1
+    return RatMatrix(mat, cols=n)
+
+
+def normal_form(s: Spectrum) -> RatMatrix:
+    """Real block normal form: one 2x2 rotation generator [[0, -l], [l, 0]]
+    per positive magnitude instance (ascending), then the zero block."""
+    n = s.n
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    pos = 0
+    for lam, mult in s.entries:
+        if lam == 0:
+            continue
+        for _ in range(mult):
+            mat[pos][pos + 1] = -lam
+            mat[pos + 1][pos] = lam
+            pos += 2
+    return RatMatrix(mat, cols=n)
 
 
 def cayley(a):
@@ -143,3 +189,65 @@ def regrade(t, grade):
     grades = _grade_labels(grade, t.dim)
     _check_grading(t._sparse, grades)
     return LieTable(t.dim, grades, t.form, t._rows, t._sparse, t._form_sparse, t._form_rank)
+
+
+def descending_series(t: LieTable, n: Subspace) -> list[Subspace]:
+    """Central descending series of the subalgebra n.
+
+    Returns [n, [n, n], [n, [n, n]], ...] and stops just before the first
+    repetition, so a nilpotent n yields a chain ending in the zero subspace.
+    """
+    series = [n]
+    for _ in range(t.dim + 1):
+        nxt = bracket_spaces(t, n, series[-1])
+        if nxt == series[-1]:
+            return series
+        series.append(nxt)
+    raise ValueError("descending series did not stabilize; is n a subalgebra?")
+
+
+def polar(t: LieTable, a: Subspace) -> Subspace:
+    """{x : <x, a> = 0} with respect to the table's bilinear form."""
+    if a.ambient_dim != t.dim:
+        raise ValueError("subspace ambient dimension does not match the algebra")
+    if _form_rank(t) < t.dim:
+        raise DegenerateForm("bilinear form is degenerate; polars are undefined")
+    constraints = []
+    for vec in a.vectors():
+        acc = _combine(_sparse_vec(vec), t._form_sparse)
+        constraints.append([acc.get(k, 0) for k in range(t.dim)])
+    return kernel(RatMatrix(constraints, cols=t.dim))
+
+
+def direct_sum(a: LieTable, b: LieTable) -> LieTable:
+    """Block-diagonal sum: brackets and form act blockwise, grades concatenate."""
+    dim = a.dim + b.dim
+    zero = (0,) * dim
+
+    def pad_left(row):
+        return tuple(row) + (0,) * b.dim
+
+    def pad_right(row):
+        return (0,) * a.dim + tuple(row)
+
+    table = []
+    for i in range(dim):
+        per_i = []
+        for j in range(dim):
+            if i < a.dim and j < a.dim:
+                per_i.append(pad_left(a.bracket_row(i, j)))
+            elif i >= a.dim and j >= a.dim:
+                per_i.append(pad_right(b.bracket_row(i - a.dim, j - a.dim)))
+            else:
+                per_i.append(zero)
+        table.append(per_i)
+
+    form = [[0] * dim for _ in range(dim)]
+    for i in range(a.dim):
+        for j in range(a.dim):
+            form[i][j] = a.form[i, j]
+    for i in range(b.dim):
+        for j in range(b.dim):
+            form[a.dim + i][a.dim + j] = b.form[i, j]
+
+    return build_table(dim, table, a.grade + b.grade, RatMatrix(form, cols=dim))

@@ -34,8 +34,6 @@ from canonical_lie import (
     RatMatrix,
     enumerate_canonical,
     half_integral_spectra,
-    matrix_of,
-    normal_form,
     prop3_check,
     realize,
     spectrum_from_matrix,
@@ -45,7 +43,7 @@ from canonical_lie import (
     wedge_basis,
 )
 from canonical_lie import VerdictReason
-from helpers import brute_force_spectra, grade_dims_by_counting, spec
+from helpers import brute_force_spectra, grade_dims_by_counting, matrix_of, normal_form, spec
 
 SWEEP_BOUND = Fraction(7, 2)
 SWEEP_MAX_N = 11

@@ -11,25 +11,31 @@ from canonical_lie import (
     Subspace,
     VerdictReason,
     bracket_spaces,
-    check_matrix,
     condition1,
-    descending_series,
     enumerate_canonical,
     grading_of,
+    half_integral_count,
     half_integral_spectra,
-    normal_form,
     parabolic_of,
-    polar,
     polar_indices,
     prop3_check,
     realize,
+    spectrum_from_matrix,
     strict_generation_report,
     theorem1_report,
     theorem2_check,
 )
 from canonical_lie.canonical import _descending_series, _iterates
 from canonical_lie.sonreal import TooSmall
-from helpers import brute_force_spectra, condition1_pairwise, spec, unit_span
+from helpers import (
+    brute_force_spectra,
+    condition1_pairwise,
+    descending_series,
+    normal_form,
+    polar,
+    spec,
+    unit_span,
+)
 
 
 class TestCondition1:
@@ -290,26 +296,28 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_generator_agreement(self, n):
         bound = Fraction(5, 2)
-        assert set(half_integral_spectra(n, bound)) == set(
-            brute_force_spectra(n, int(2 * bound))
-        )
+        brute = brute_force_spectra(n, int(2 * bound))
+        assert set(half_integral_spectra(n, bound)) == set(brute)
+        assert half_integral_count(n, bound) == len(brute)
 
 
 class TestCheckMatrix:
+    """Extraction feeding theorem2, as `check --matrix` runs them; the CLI
+    maps a failed extraction to NonIntegralAdSpectrum (see the golden
+    entries for golden/third.csv)."""
+
     def test_zero_matrix_is_canonical(self):
-        v = check_matrix(RatMatrix.zeros(3, 3))
+        v = theorem2_check(spectrum_from_matrix(RatMatrix.zeros(3, 3)))
         assert v.canonical
 
     def test_normal_form_of_rejected_spectrum(self):
-        v = check_matrix(normal_form(spec(4, ("1/2", 1), ("3/2", 1))))
+        v = theorem2_check(spectrum_from_matrix(normal_form(spec(4, ("1/2", 1), ("3/2", 1)))))
         assert not v.canonical
         assert v.reason is VerdictReason.GENERATION_FAILS
 
     def test_non_half_integral_matrix(self):
         m = RatMatrix([[0, Fraction(-1, 3), 0], [Fraction(1, 3), 0, 0], [0, 0, 0]])
-        v = check_matrix(m)
-        assert not v.canonical
-        assert v.reason is VerdictReason.NON_INTEGRAL
+        assert spectrum_from_matrix(m) is None
 
 
 class TestSpectralProperties:

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
-from canonical_lie import RatMatrix, Spectrum, cli
-from canonical_lie.cli import MAX_N, main
+from fractions import Fraction
+
+from canonical_lie import RatMatrix, Spectrum, cli, half_integral_count
+from canonical_lie.cli import MAX_LAMBDA, MAX_N, MAX_SWEEP, main
 from helpers import conjugated_normal_form, spec
 
 GOOD_SO4 = '{"n":4,"entries":[{"lambda":"1/2","mult":2}]}'
@@ -31,6 +33,21 @@ class TestCheckSpectrum:
         assert code == 0
         assert "agreement: yes" in out
         assert "verdict: canonical" in out
+
+    def test_disagreement_is_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "prop3_report", lambda s: (False, "forced"))
+        code, out, _ = run_cli(capsys, "check", "--spectrum", GOOD_SO4, "--method", "both")
+        assert (code, out) == (
+            2,
+            "input: spectrum {1/2:2} (n=4)\n"
+            "DISCREPANCY: theorem2 says canonical but prop3 says not canonical\n",
+        )
+        code, out, _ = run_cli(
+            capsys, "check", "--spectrum", GOOD_SO4, "--method", "both", "--format", "json"
+        )
+        doc = json.loads(out)
+        assert (code, doc["agree"], doc["theorem2"]["canonical"]) == (2, False, True)
+        assert doc["prop3"] == {"canonical": False, "detail": "forced"}
 
     def test_default_method_reports_generation_failure(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--spectrum", BAD_SO4)
@@ -75,6 +92,13 @@ class TestCheckSpectrum:
         )
         assert (code, out) == (2, "")
         assert f"at most {MAX_N}" in err
+
+    def test_integer_over_digit_limit_is_input_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check", "--spectrum", '{"n": ' + "1" * 5000 + ', "entries": []}'
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: inline spectrum: ")
 
     def test_invalid_spectrum_is_input_error(self, capsys):
         code, _, err = run_cli(
@@ -156,6 +180,13 @@ class TestCheckMatrix:
         assert (code, out) == (2, "")
         assert f"at most {MAX_N}" in err
 
+    def test_integer_over_digit_limit_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[[0, " + "1" * 5000 + "], [0, 0]]")
+        code, out, err = run_cli(capsys, "check", "--matrix", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: matrix file {path}: ")
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "--matrix", "/nonexistent/m.csv")
         assert code == 2
@@ -227,17 +258,31 @@ class TestVerify:
         assert code == 2
         assert "half-integer" in err
 
-    def test_worker_env_gives_identical_output(self, capsys, monkeypatch):
-        code1, out1, _ = run_cli(capsys, "verify", "--max-n", "3", "--max-lambda", "3/2")
-        monkeypatch.setenv("CANONICAL_LIE_THREADS", "2")
-        code2, out2, _ = run_cli(capsys, "verify", "--max-n", "3", "--max-lambda", "3/2")
-        assert (code1, out1) == (code2, out2)
+    def test_largest_max_lambda_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--max-n", "3", "--max-lambda", str(MAX_LAMBDA))
+        assert code == 0
+        assert f"tested: {2 * MAX_LAMBDA + 1} " in out
 
-    def test_bad_worker_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CANONICAL_LIE_THREADS", "zero")
-        code, _, err = run_cli(capsys, "verify", "--max-n", "3")
-        assert code == 2
-        assert "CANONICAL_LIE_THREADS" in err
+    @pytest.mark.parametrize("bound", [f"{2 * MAX_LAMBDA + 1}/2", "9" * 4000])
+    def test_max_lambda_cap(self, capsys, bound):
+        code, out, err = run_cli(capsys, "verify", "--max-n", "3", "--max-lambda", bound)
+        assert (code, out) == (2, "")
+        assert err == f"error: --max-lambda must be at most {MAX_LAMBDA}, got {bound}\n"
+
+    def test_sweep_cap_is_the_default_sweep_at_max_n(self):
+        default = Fraction(7, 2)
+        assert sum(half_integral_count(n, default) for n in range(3, MAX_N + 1)) == MAX_SWEEP
+
+    @pytest.mark.parametrize("max_n,bound", [(str(MAX_N), "4"), ("4", "20000")])
+    def test_sweep_cap_rejects_before_building_spectra(self, capsys, monkeypatch, max_n, bound):
+        def unreachable(n, max_lambda):
+            raise AssertionError("spectra built for an oversized sweep")
+
+        monkeypatch.setattr(cli, "half_integral_spectra", unreachable)
+        monkeypatch.setattr(cli, "MAX_LAMBDA", 20000)
+        code, out, err = run_cli(capsys, "verify", "--max-n", max_n, "--max-lambda", bound)
+        assert (code, out) == (2, "")
+        assert f"at most {MAX_SWEEP} are allowed" in err
 
 
 class TestContract:

@@ -21,20 +21,25 @@ from canonical_lie import (
     bracket_indices,
     bracket_spaces,
     build_table,
-    descending_series,
-    direct_sum,
     generated_subalgebra,
     grading_of,
     half_integral_spectra,
     kernel,
-    polar,
     polar_indices,
     realize,
     span,
     subspace_sum,
 )
 from canonical_lie.sonreal import _so_table
-from helpers import dense_invariance_failure, regrade, spec, tails_by_sums
+from helpers import (
+    dense_invariance_failure,
+    descending_series,
+    direct_sum,
+    polar,
+    regrade,
+    spec,
+    tails_by_sums,
+)
 
 SPECTRA_N7 = tuple(s for n in range(3, 8) for s in half_integral_spectra(n, Fraction(5, 2)))
 
