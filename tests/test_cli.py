@@ -3,10 +3,9 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
-
-from fractions import Fraction
 
 from canonical_lie import RatMatrix, Spectrum, cli, half_integral_count
 from canonical_lie.cli import MAX_LAMBDA, MAX_N, MAX_SWEEP, main
