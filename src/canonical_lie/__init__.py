@@ -15,7 +15,6 @@ from .exactlin import (
     parse_rational,
     rref,
     span,
-    subspace_sum,
 )
 from .liegraded import (
     AntisymmetryViolation,
@@ -28,9 +27,7 @@ from .liegraded import (
     LieTableError,
     NotMonomial,
     bracket_indices,
-    bracket_spaces,
     build_table,
-    generated_subalgebra,
     grading_of,
     polar_indices,
 )
@@ -91,11 +88,9 @@ __all__ = [
     "VerdictReason",
     "WedgeBasis",
     "bracket_indices",
-    "bracket_spaces",
     "build_table",
     "condition1",
     "enumerate_canonical",
-    "generated_subalgebra",
     "grade_dims",
     "grading_of",
     "half_integral_count",
@@ -112,7 +107,6 @@ __all__ = [
     "span",
     "spectrum_from_matrix",
     "strict_generation_report",
-    "subspace_sum",
     "theorem1_report",
     "theorem2_check",
     "wedge_basis",

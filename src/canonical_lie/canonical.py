@@ -29,7 +29,9 @@ their grades sum to 0, and the trace form is monomial.  So these run on sets
 of basis indices (:func:`liegraded.bracket_indices`,
 :func:`liegraded.polar_indices`), which raise rather than answer if a bracket
 or form row they meet is not monomial.  `Subspace` certificates are built
-from the grading at the end.
+from the grading at the end.  Strict generation by g_1 + g_{-1}, whose
+brackets can have two nonzero coordinates, closes an index set too and
+eliminates only over the n // 2 diagonal wedges.
 """
 
 from __future__ import annotations
@@ -40,16 +42,16 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
 
-from .exactlin import Subspace, as_rational, subspace_sum
+from .exactlin import RatMatrix, Subspace, as_rational, rref
 from .liegraded import (
     GradingMap,
     LieTable,
+    NotMonomial,
     bracket_indices,
-    generated_subalgebra,
     grading_of,
     polar_indices,
 )
-from .sonreal import Spectrum, TooSmall, realize
+from .sonreal import Spectrum, TooSmall, realize, wedge_basis
 
 
 class NotCanonical(ValueError):
@@ -189,12 +191,45 @@ def strict_generation_report(s: Spectrum) -> tuple[bool, int, int]:
     This stricter condition fails for some canonical spectra (xi = 0 has
     empty grade +-1 pieces, and so(4) splits as two commuting su(2)s), which
     is why it is not the canonicality criterion.
+
+    It runs on basis-index sets.  Call u_a ^ u_{n-1-a} the n // 2 diagonal
+    wedges and every other wedge a root wedge.  A bracket of two root
+    wedges is a multiple of one root wedge or lies in the span of the
+    diagonal wedges (a root wedge with its partner, or through the middle
+    index at odd n); the diagonal wedges commute with each other and only
+    rescale root wedges.  So the subalgebra generated by root wedges is
+    spanned by the closure R of their indices under single-term brackets
+    onto root wedges, plus the diagonal parts of the brackets within R, and
+    its dimension is |R| plus the rank of those parts, an elimination over
+    at most n // 2 columns.  The diagonal wedges have grade 0, so the seed
+    is the index set g_1 + g_{-1}.  Raises NotMonomial naming a bracket of
+    root wedges with two nonzero coordinates on root wedges.
     """
     table = realize(s)
     gm = grading_of(table)
-    seed = subspace_sum(gm.space_at(1), gm.space_at(-1))
-    generated = generated_subalgebra(table, seed)
-    return generated.dim == table.dim, generated.dim, table.dim
+    wb = wedge_basis(s)
+    diagonal = [wb.pair_index(a, s.n - 1 - a) for a in range(s.n // 2)]
+    todo = sorted(gm.indices_at(1) | gm.indices_at(-1))
+    roots, done, parts = set(todo), [], set()
+    while todo:
+        x = todo.pop()
+        for y in done:
+            hits = table._sparse[x][y]
+            if all(k in diagonal for k, _ in hits):
+                if hits:
+                    parts.add(tuple(dict(hits).get(k, 0) for k in diagonal))
+            elif len(hits) > 1:
+                raise NotMonomial(
+                    f"[e_{x}, e_{y}] has {len(hits)} nonzero coordinates, not all on "
+                    "diagonal wedges",
+                    (x, y),
+                )
+            elif hits[0][0] not in roots:
+                roots.add(hits[0][0])
+                todo.append(hits[0][0])
+        done.append(x)
+    generated = len(roots) + rref(RatMatrix(parts, cols=len(diagonal)))[0]
+    return generated == table.dim, generated, table.dim
 
 
 def parabolic_of(s: Spectrum) -> ParabolicData:

@@ -36,7 +36,7 @@ EXIT_ERROR = 2
 
 # Largest n any command accepts.  Building and validating the so(n, C) table
 # grows about as n^6 (Jacobi over dim^3 / 6 basis triples, dim = n(n-1)/2):
-# `check --spectrum` takes about 1.1 s at n = 20 and 3.4 s at n = 24 on a
+# `check --spectrum` takes about 0.4 s at n = 20 and 1.0 s at n = 24 on a
 # 2-vCPU x86-64 host, most of it building and checking the table.
 MAX_N = 24
 
@@ -76,7 +76,7 @@ def _parse_json(text: str, origin: str):
 def _load_spectrum_arg(arg: str) -> Spectrum:
     text = arg.strip()
     origin = "inline spectrum"
-    if not text.startswith("{"):
+    if not text.startswith(("{", "[")):
         origin = f"spectrum file {arg}"
         try:
             with open(arg, encoding="utf-8") as fh:

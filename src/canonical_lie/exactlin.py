@@ -6,10 +6,13 @@ Matrices are dense and immutable.  Subspaces are stored through a reduced
 row-echelon basis, which is a canonical representative: two subspaces are
 equal as sets exactly when their stored bases compare equal entry for entry.
 
-Ambient dimensions reach 276 (so(24), the largest algebra the command line
-accepts).  Matrices here are dense and eliminated by textbook Gauss-Jordan;
-the structure-constant layer keeps brackets and the invariant form as sparse
-rows, so only the subspaces the deciders build pass through elimination.
+Matrices here are dense and eliminated by textbook Gauss-Jordan.  The
+structure-constant layer keeps brackets and the invariant form as sparse
+rows and the deciders work on sets of basis indices, so elimination runs
+only where no basis index set will do: the kernels of spectrum extraction,
+the rank of the invariant form (dimension up to 276, at so(24), the largest
+algebra the command line accepts, once per n) and the rank of the diagonal
+parts in strict generation, at most n // 2 columns.
 """
 
 from __future__ import annotations
@@ -225,12 +228,6 @@ def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
         return Subspace.zero(ambient_dim)
     rank, reduced = rref(RatMatrix(rows, cols=ambient_dim))
     return Subspace(ambient_dim, RatMatrix(reduced.entries[:rank], cols=ambient_dim))
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError(f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}")
-    return span(a.vectors() + b.vectors(), a.ambient_dim)
 
 
 def kernel(m: RatMatrix) -> Subspace:

@@ -14,15 +14,15 @@ Gram matrix of an invariant symmetric bilinear form.  Construction through
   5. symmetry and invariance of the bilinear form.
 
 Exhaustive validation is cheap insurance, since a corrupt table would
-silently invalidate every verdict computed from it.  Checks 2-5 run over
-nonzero entries only: each bracket [e_i, e_j] is kept as its nonzero
-(index, coefficient) pairs and the form as the nonzero (column, value)
-pairs of each row.  In the so(n, C) tables of :mod:`sonreal` (dimension up
-to 276 at n = 24) a bracket has at most two nonzero coordinates and a form
-row exactly one, so the grading and invariance checks take about dim^2
-steps and Jacobi visits the dim^3 / 6 basis triples through sparse rows.
-The antisymmetry check compares the dense rows the caller passes in, dim^3
-coefficients.
+silently invalidate every verdict computed from it.  Brackets come in and
+are kept as sparse rows: [e_i, e_j] is its nonzero (index, coefficient)
+pairs in ascending index order, and the form is kept beside its dense Gram
+matrix as the nonzero (column, value) pairs of each row.  Every check runs
+over nonzero entries only.  In the so(n, C) tables of :mod:`sonreal`
+(dimension up to 276 at n = 24) a bracket has at most two nonzero
+coordinates and a form row exactly one, so the antisymmetry, grading and
+invariance checks take about dim^2 steps and Jacobi visits the dim^3 / 6
+basis triples through sparse rows.
 
 Checks 1, 4 and 5 do not involve the grades, so one validated algebra can
 carry many gradings that share its brackets, form and cached form rank.
@@ -30,14 +30,12 @@ carry many gradings that share its brackets, form and cached form rank.
 re-running checks 2 and 3 per grading: the table's bracket shape, checked
 once per n, and mirrored eigenvalue labels imply them.
 
-The subspace operations (brackets of subspaces, generated subalgebras) are
-generic over the table; no matrix realization is consulted here.  They
-serve the strict generation test.  :func:`bracket_indices` and
-:func:`polar_indices` act on coordinate subspaces, given as sets of basis
-indices, with no elimination.  They are exact when every bracket they meet
-is a multiple of one basis element and the form is monomial, and raise
-:class:`NotMonomial` naming the offending pair or row otherwise.  The
-canonical deciders run on them.
+:func:`bracket_indices` and :func:`polar_indices` act on coordinate
+subspaces, given as sets of basis indices, with no elimination.  They are
+exact when every bracket they meet is a multiple of one basis element and
+the form is monomial, and raise :class:`NotMonomial` naming the offending
+pair or row otherwise.  The canonical deciders run on them; no matrix
+realization is consulted here.
 """
 
 from __future__ import annotations
@@ -47,14 +45,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import (
-    RatMatrix,
-    Subspace,
-    as_rational,
-    rref,
-    span,
-    subspace_sum,
-)
+from .exactlin import RatMatrix, Subspace, as_rational, rref
 
 
 class LieTableError(ValueError):
@@ -98,41 +89,19 @@ class NotMonomial(LieTableError):
         self.indices = indices
 
 
-def _exact(value):
-    # ints are kept as ints: structure constants are usually integral and
-    # native int arithmetic keeps the eager validation loops fast.
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return value
-    return as_rational(value)
-
-
 class LieTable:
     """Validated structure-constant table; build via :func:`build_table`."""
 
-    __slots__ = ("dim", "grade", "form", "_rows", "_sparse", "_form_sparse", "_form_rank")
+    __slots__ = ("dim", "grade", "form", "_sparse", "_form_sparse", "_form_rank")
 
-    def __init__(self, dim, grade, form, rows, sparse, form_sparse, form_rank):
+    def __init__(self, dim, grade, form, sparse, form_sparse, form_rank):
         self.dim = dim
         self.grade = grade
         self.form = form
-        self._rows = rows
         self._sparse = sparse
         self._form_sparse = form_sparse
         # one-element list, filled on first use and shared by relabelled tables
         self._form_rank = form_rank
-
-    def bracket_row(self, i: int, j: int) -> tuple:
-        """Coordinates of [e_i, e_j]."""
-        return self._rows[i][j]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LieTable)
-            and self.dim == other.dim
-            and self.grade == other.grade
-            and self.form == other.form
-            and self._rows == other._rows
-        )
 
     def __repr__(self) -> str:
         return f"LieTable(dim {self.dim}, grades {sorted(set(self.grade))})"
@@ -140,47 +109,40 @@ class LieTable:
 
 def build_table(
     dim: int,
-    bracket_table: Sequence[Sequence[Sequence]],
+    brackets: Sequence[Sequence[Sequence[tuple]]],
     grade: Sequence,
     form: RatMatrix | Sequence[Sequence],
 ) -> LieTable:
     """Validate and assemble a LieTable.
 
-    `bracket_table[i][j]` is the coordinate row of [e_i, e_j]; `grade` is one
-    rational label per basis element; `form` is the dim x dim Gram matrix.
-    Raises AntisymmetryViolation / GradingViolation / JacobiViolation /
-    FormNotInvariant naming the offending basis indices.
+    `brackets[i][j]` lists [e_i, e_j] as (index, coefficient) pairs, each
+    index in [0, dim) at most once, in any order; zero coefficients are
+    dropped.  `grade` is one rational label per basis element; `form` is the
+    dim x dim Gram matrix.  Raises AntisymmetryViolation / GradingViolation /
+    JacobiViolation / FormNotInvariant naming the offending basis indices.
     """
-    if len(bracket_table) != dim:
-        raise ValueError(f"bracket table has {len(bracket_table)} rows, expected {dim}")
-    rows = []
-    for i, per_i in enumerate(bracket_table):
+    if len(brackets) != dim:
+        raise ValueError(f"bracket table has {len(brackets)} rows, expected {dim}")
+    sparse = []
+    for i, per_i in enumerate(brackets):
         if len(per_i) != dim:
             raise ValueError(f"bracket table row {i} has {len(per_i)} entries, expected {dim}")
-        fixed = []
-        for j, row in enumerate(per_i):
-            row = tuple(_exact(v) for v in row)
-            if len(row) != dim:
-                raise ValueError(f"bracket [e_{i}, e_{j}] has {len(row)} coordinates")
-            fixed.append(row)
-        rows.append(tuple(fixed))
-    rows = tuple(rows)
+        sparse.append(tuple(_sparse_row(i, j, pairs, dim) for j, pairs in enumerate(per_i)))
+    sparse = tuple(sparse)
     grades = _grade_labels(grade, dim)
     if not isinstance(form, RatMatrix):
         form = RatMatrix(form, cols=dim)
     if form.shape != (dim, dim):
         raise ValueError(f"form has shape {form.shape}, expected ({dim}, {dim})")
 
-    sparse = tuple(tuple(_sparse_vec(row) for row in per_i) for per_i in rows)
     form_sparse = tuple(
-        tuple((k, v.numerator if v.denominator == 1 else v) for k, v in _sparse_vec(row))
+        tuple((k, v.numerator if v.denominator == 1 else v) for k, v in enumerate(row) if v != 0)
         for row in form.entries
     )
 
     for i in range(dim):
         for j in range(i, dim):
-            rij, rji = rows[i][j], rows[j][i]
-            if any(rij[k] != -rji[k] for k in range(dim)):
+            if sparse[i][j] != tuple((k, -v) for k, v in sparse[j][i]):
                 raise AntisymmetryViolation(i, j)
 
     _check_grading(sparse, grades)
@@ -228,7 +190,26 @@ def build_table(
                 (i, j, k),
             )
 
-    return LieTable(dim, grades, form, rows, sparse, form_sparse, [None])
+    return LieTable(dim, grades, form, sparse, form_sparse, [None])
+
+
+def _sparse_row(i: int, j: int, pairs, dim: int) -> tuple:
+    """[e_i, e_j] as its nonzero (index, coefficient) pairs, ascending.
+
+    Coefficients stay ints when they are ints: structure constants are
+    usually integral and native int arithmetic keeps the validation loops
+    fast.  Raises ValueError for an index outside [0, dim) or a repeated one,
+    TypeError for a float coefficient.
+    """
+    coords = {}
+    for k, v in pairs:
+        if not (isinstance(k, int) and 0 <= k < dim):
+            raise ValueError(f"bracket [e_{i}, e_{j}] has basis index {k!r} outside [0, {dim})")
+        if k in coords:
+            raise ValueError(f"bracket [e_{i}, e_{j}] repeats basis index {k}")
+        exact = isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+        coords[k] = v if exact else as_rational(v)
+    return tuple((k, coords[k]) for k in sorted(coords) if coords[k] != 0)
 
 
 def _grade_labels(grade: Sequence, dim: int) -> tuple[Fraction, ...]:
@@ -269,9 +250,8 @@ class GradingMap:
     """Basis elements grouped by grade label, sorted by grade ascending.
 
     `blocks` holds, per grade, the ascending indices of the basis elements
-    with that label.  Dimensions come from their lengths; a grade space or a
-    tail is built as a `Subspace` (spanned by basis unit vectors) only when
-    asked for.
+    with that label.  Dimensions come from their lengths; a tail is built as
+    a `Subspace` (spanned by basis unit vectors) only when asked for.
     """
 
     ambient_dim: int
@@ -291,9 +271,6 @@ class GradingMap:
         """Indices of the basis elements with grade >= r."""
         r = as_rational(r)
         return frozenset(i for g, idx in self.blocks if g >= r for i in idx)
-
-    def space_at(self, r) -> Subspace:
-        return _coordinate_subspace(self.ambient_dim, self.indices_at(r))
 
     def dims(self) -> dict[Fraction, int]:
         return {g: len(idx) for g, idx in self.blocks}
@@ -325,10 +302,6 @@ def grading_of(t: LieTable) -> GradingMap:
     return GradingMap(t.dim, tuple((g, tuple(groups[g])) for g in sorted(groups)))
 
 
-def _sparse_vec(vec) -> tuple:
-    return tuple((i, v) for i, v in enumerate(vec) if v != 0)
-
-
 def _combine(coeffs, rows) -> dict:
     """sum of c * rows[t] over the (t, c) pairs, as a {column: value} dict;
     `rows` are sparse (column, value) rows."""
@@ -337,41 +310,6 @@ def _combine(coeffs, rows) -> dict:
         for k, v in rows[t]:
             acc[k] = acc.get(k, 0) + c * v
     return acc
-
-
-def bracket_spaces(t: LieTable, a: Subspace, b: Subspace) -> Subspace:
-    """Span of [x, y] over x in a basis of `a`, y in a basis of `b`."""
-    if a.ambient_dim != t.dim or b.ambient_dim != t.dim:
-        raise ValueError("subspace ambient dimension does not match the algebra")
-    out_rows = []
-    a_items = [_sparse_vec(v) for v in a.vectors()]
-    b_items = [_sparse_vec(v) for v in b.vectors()]
-    for x in a_items:
-        for y in b_items:
-            acc: dict[int, object] = {}
-            for i, xa in x:
-                sp_i = t._sparse[i]
-                for j, yb in y:
-                    coeff = xa * yb
-                    for k, c in sp_i[j]:
-                        acc[k] = acc.get(k, 0) + coeff * c
-            if any(v != 0 for v in acc.values()):
-                out_rows.append(tuple(acc.get(k, 0) for k in range(t.dim)))
-    return span(out_rows, t.dim)
-
-
-def generated_subalgebra(t: LieTable, seed: Subspace) -> Subspace:
-    """Smallest bracket-closed subspace containing `seed`.
-
-    Iterates s <- s + [s, s]; dimensions strictly increase until the
-    fixpoint, so this needs at most dim steps.
-    """
-    current = seed
-    while True:
-        bigger = subspace_sum(current, bracket_spaces(t, current, current))
-        if bigger.dim == current.dim:
-            return current
-        current = bigger
 
 
 def bracket_indices(t: LieTable, a, b) -> frozenset[int]:

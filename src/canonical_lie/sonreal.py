@@ -232,7 +232,6 @@ def _so_table(n: int) -> LieTable:
     """
     pairs = _witt_frame(n)[1]
     dim = len(pairs)
-    zero_row = (0,) * dim
 
     def put(acc, x, y, coeff):
         if x == y:
@@ -244,7 +243,7 @@ def _so_table(n: int) -> LieTable:
             k = _pair_index(n, y, x)
             acc[k] = acc.get(k, 0) - coeff
 
-    rows = [[zero_row] * dim for _ in range(dim)]
+    rows = [[()] * dim for _ in range(dim)]
     for p in range(dim):
         a, b = pairs[p]
         pa, pb = n - 1 - a, n - 1 - b
@@ -259,12 +258,9 @@ def _so_table(n: int) -> LieTable:
                 put(acc, a, d, -1)
             if pb == d:
                 put(acc, a, c, 1)
-            if any(v != 0 for v in acc.values()):
-                row = [0] * dim
-                for k, v in acc.items():
-                    row[k] = v
-                rows[p][q] = tuple(row)
-                rows[q][p] = tuple(-v for v in row)
+            if acc:
+                rows[p][q] = tuple(acc.items())
+                rows[q][p] = tuple((k, -v) for k, v in acc.items())
 
     grades = tuple(n - 1 - a - b for a, b in pairs)
 
@@ -321,7 +317,7 @@ def realize(s: Spectrum) -> LieTable:
     sums, den = _scaled_pair_sums(s)
     grade_of = {k: Fraction(k, den) for k in set(sums)}
     grades = tuple(map(grade_of.__getitem__, sums))
-    return LieTable(t.dim, grades, t.form, t._rows, t._sparse, t._form_sparse, t._form_rank)
+    return LieTable(t.dim, grades, t.form, t._sparse, t._form_sparse, t._form_rank)
 
 
 def _scaled_pair_sums(s: Spectrum) -> tuple[list[int], int]:

@@ -12,11 +12,10 @@ from canonical_lie import (
     RatMatrix,
     Spectrum,
     Subspace,
-    bracket_spaces,
     build_table,
     kernel,
     rref,
-    subspace_sum,
+    span,
     wedge_basis,
 )
 from canonical_lie.liegraded import (
@@ -24,7 +23,6 @@ from canonical_lie.liegraded import (
     _combine,
     _form_rank,
     _grade_labels,
-    _sparse_vec,
 )
 
 
@@ -160,15 +158,52 @@ def dense_invariance_failure(bracket_table, form):
     return None
 
 
-def tails_by_sums(gm):
-    """Grading tails by definition, {g: sum of the grade spaces with grade
-    >= g} for every grade g of the map, as chained subspace sums."""
-    out = {}
-    acc = Subspace.zero(gm.ambient_dim)
-    for g in reversed(gm.grades()):
-        acc = subspace_sum(acc, gm.space_at(g))
-        out[g] = acc
-    return out
+def sparse_rows(dense):
+    """A dense bracket table, dense[i][j] the coordinate row of [e_i, e_j],
+    as the (index, coefficient) pairs build_table takes; zeros are left out."""
+    return [
+        [tuple((k, v) for k, v in enumerate(row) if v != 0) for row in per_i]
+        for per_i in dense
+    ]
+
+
+def dense_rows(t):
+    """The bracket table of `t` as dense coordinate rows, a tuple per [e_i, e_j]."""
+    out = []
+    for per_i in t._sparse:
+        rows = []
+        for hits in per_i:
+            row = [0] * t.dim
+            for k, v in hits:
+                row[k] = v
+            rows.append(tuple(row))
+        out.append(tuple(rows))
+    return tuple(out)
+
+
+def table_key(t):
+    """What two tables must share to be the same graded algebra with form:
+    dimension, grades, Gram matrix and every bracket."""
+    return t.dim, t.grade, t.form, dense_rows(t)
+
+
+def dense_antisymmetry_failure(bracket_table):
+    """Dense oracle for antisymmetry: the first basis pair (i, j), i <= j, in
+    lexicographic order with a coordinate of [e_i, e_j] + [e_j, e_i] nonzero,
+    or None."""
+    dim = len(bracket_table)
+    for i in range(dim):
+        for j in range(i, dim):
+            rij, rji = bracket_table[i][j], bracket_table[j][i]
+            if any(rij[k] != -rji[k] for k in range(dim)):
+                return i, j
+    return None
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError(f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}")
+    return span(a.vectors() + b.vectors(), a.ambient_dim)
 
 
 def unit_span(dim, indices):
@@ -176,6 +211,61 @@ def unit_span(dim, indices):
     are its reduced row-echelon basis, which the Subspace constructor checks."""
     rows = [[1 if k == i else 0 for k in range(dim)] for i in sorted(indices)]
     return Subspace(dim, RatMatrix(rows, cols=dim))
+
+
+def space_at(gm, r) -> Subspace:
+    """The grade-r space of the grading map, spanned by basis unit vectors."""
+    return unit_span(gm.ambient_dim, gm.indices_at(r))
+
+
+def tails_by_sums(gm):
+    """Grading tails by definition, {g: sum of the grade spaces with grade
+    >= g} for every grade g of the map, as chained subspace sums."""
+    out = {}
+    acc = Subspace.zero(gm.ambient_dim)
+    for g in reversed(gm.grades()):
+        acc = subspace_sum(acc, space_at(gm, g))
+        out[g] = acc
+    return out
+
+
+def _sparse_vec(vec) -> tuple:
+    return tuple((i, v) for i, v in enumerate(vec) if v != 0)
+
+
+def bracket_spaces(t: LieTable, a: Subspace, b: Subspace) -> Subspace:
+    """Span of [x, y] over x in a basis of `a`, y in a basis of `b`."""
+    if a.ambient_dim != t.dim or b.ambient_dim != t.dim:
+        raise ValueError("subspace ambient dimension does not match the algebra")
+    out_rows = []
+    a_items = [_sparse_vec(v) for v in a.vectors()]
+    b_items = [_sparse_vec(v) for v in b.vectors()]
+    for x in a_items:
+        for y in b_items:
+            acc: dict = {}
+            for i, xa in x:
+                sp_i = t._sparse[i]
+                for j, yb in y:
+                    coeff = xa * yb
+                    for k, c in sp_i[j]:
+                        acc[k] = acc.get(k, 0) + coeff * c
+            if any(v != 0 for v in acc.values()):
+                out_rows.append(tuple(acc.get(k, 0) for k in range(t.dim)))
+    return span(out_rows, t.dim)
+
+
+def generated_subalgebra(t: LieTable, seed: Subspace) -> Subspace:
+    """Smallest bracket-closed subspace containing `seed`.
+
+    Iterates s <- s + [s, s]; dimensions strictly increase until the
+    fixpoint, so this needs at most dim steps.
+    """
+    current = seed
+    while True:
+        bigger = subspace_sum(current, bracket_spaces(t, current, current))
+        if bigger.dim == current.dim:
+            return current
+        current = bigger
 
 
 def regrade(t, grade):
@@ -188,7 +278,7 @@ def regrade(t, grade):
     """
     grades = _grade_labels(grade, t.dim)
     _check_grading(t._sparse, grades)
-    return LieTable(t.dim, grades, t.form, t._rows, t._sparse, t._form_sparse, t._form_rank)
+    return LieTable(t.dim, grades, t.form, t._sparse, t._form_sparse, t._form_rank)
 
 
 def descending_series(t: LieTable, n: Subspace) -> list[Subspace]:
@@ -222,25 +312,13 @@ def polar(t: LieTable, a: Subspace) -> Subspace:
 def direct_sum(a: LieTable, b: LieTable) -> LieTable:
     """Block-diagonal sum: brackets and form act blockwise, grades concatenate."""
     dim = a.dim + b.dim
-    zero = (0,) * dim
-
-    def pad_left(row):
-        return tuple(row) + (0,) * b.dim
-
-    def pad_right(row):
-        return (0,) * a.dim + tuple(row)
-
-    table = []
-    for i in range(dim):
-        per_i = []
-        for j in range(dim):
-            if i < a.dim and j < a.dim:
-                per_i.append(pad_left(a.bracket_row(i, j)))
-            elif i >= a.dim and j >= a.dim:
-                per_i.append(pad_right(b.bracket_row(i - a.dim, j - a.dim)))
-            else:
-                per_i.append(zero)
-        table.append(per_i)
+    rows = [[()] * dim for _ in range(dim)]
+    for i in range(a.dim):
+        for j in range(a.dim):
+            rows[i][j] = a._sparse[i][j]
+    for i in range(b.dim):
+        for j in range(b.dim):
+            rows[a.dim + i][a.dim + j] = tuple((a.dim + k, v) for k, v in b._sparse[i][j])
 
     form = [[0] * dim for _ in range(dim)]
     for i in range(a.dim):
@@ -250,4 +328,4 @@ def direct_sum(a: LieTable, b: LieTable) -> LieTable:
         for j in range(b.dim):
             form[a.dim + i][a.dim + j] = b.form[i, j]
 
-    return build_table(dim, table, a.grade + b.grade, RatMatrix(form, cols=dim))
+    return build_table(dim, rows, a.grade + b.grade, RatMatrix(form, cols=dim))

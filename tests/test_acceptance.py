@@ -43,7 +43,14 @@ from canonical_lie import (
     wedge_basis,
 )
 from canonical_lie import VerdictReason
-from helpers import brute_force_spectra, grade_dims_by_counting, matrix_of, normal_form, spec
+from helpers import (
+    brute_force_spectra,
+    dense_rows,
+    grade_dims_by_counting,
+    matrix_of,
+    normal_form,
+    spec,
+)
 
 SWEEP_BOUND = Fraction(7, 2)
 SWEEP_MAX_N = 11
@@ -144,6 +151,7 @@ def test_criterion_5_bracket_matches_matrix_commutator():
             continue
         tables += 1
         table = realize(s)
+        brackets = dense_rows(table)
         mats = [_sparse(matrix_of(s, i)) for i in range(table.dim)]
         for i in range(table.dim):
             a = mats[i]
@@ -159,7 +167,7 @@ def test_criterion_5_bracket_matches_matrix_commutator():
                         if c == r2:
                             comm[(r, c2)] = comm.get((r, c2), 0) - v * w
                 expected: dict = {}
-                for k, coeff in enumerate(table.bracket_row(i, j)):
+                for k, coeff in enumerate(brackets[i][j]):
                     if coeff != 0:
                         for pos, v in mats[k].items():
                             expected[pos] = expected.get(pos, 0) + coeff * v

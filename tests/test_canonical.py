@@ -6,11 +6,12 @@ from itertools import islice
 import pytest
 
 from canonical_lie import (
+    LieTable,
     NotCanonical,
+    NotMonomial,
     RatMatrix,
     Subspace,
     VerdictReason,
-    bracket_spaces,
     condition1,
     enumerate_canonical,
     grading_of,
@@ -24,16 +25,22 @@ from canonical_lie import (
     strict_generation_report,
     theorem1_report,
     theorem2_check,
+    wedge_basis,
 )
+from canonical_lie import canonical
 from canonical_lie.canonical import _descending_series, _iterates
 from canonical_lie.sonreal import TooSmall
 from helpers import (
+    bracket_spaces,
     brute_force_spectra,
     condition1_pairwise,
     descending_series,
+    generated_subalgebra,
     normal_form,
     polar,
+    space_at,
     spec,
+    subspace_sum,
     unit_span,
 )
 
@@ -106,8 +113,6 @@ class TestTheorem2Check:
         assert v.reason is VerdictReason.GENERATION_FAILS
 
     def test_grade_by_grade_equals_one_shot_closure(self):
-        from canonical_lie import generated_subalgebra, subspace_sum
-
         for s in half_integral_spectra(5, Fraction(3, 2)) + half_integral_spectra(
             4, Fraction(3, 2)
         ):
@@ -116,7 +121,7 @@ class TestTheorem2Check:
             table = realize(s)
             gm = grading_of(table)
             seed = subspace_sum(
-                subspace_sum(gm.space_at(1), gm.space_at(-1)), gm.space_at(0)
+                subspace_sum(space_at(gm, 1), space_at(gm, -1)), space_at(gm, 0)
             )
             closure_generates = generated_subalgebra(table, seed).dim == table.dim
             assert theorem2_check(s).canonical == closure_generates
@@ -202,6 +207,41 @@ class TestStrictGeneration:
         # the outer grades alone generate
         assert strict_generation_report(spec(6, ("1/2", 3)))[0]
 
+    def test_middle_index_bracket_lands_on_a_diagonal_wedge(self):
+        # so(3) under {0:1, 1:1}: the wedges (0, 1), (0, 2), (1, 2) have grades
+        # 1, 0, -1; [u_0^u_1, u_1^u_2] goes through the middle index 1 and is
+        # a multiple of the diagonal wedge u_0^u_2 alone
+        s = spec(3, ("0", 1), ("1", 1))
+        t = realize(s)
+        assert [k for k, _ in t._sparse[0][2]] == [1]
+        assert wedge_basis(s).pairs[1] == (0, 2)
+        assert strict_generation_report(s) == (True, 3, 3)
+
+    def test_two_root_coordinates_raise(self, monkeypatch):
+        s = spec(3, ("0", 1), ("1", 1))
+        t = realize(s)
+        rows = [list(per_i) for per_i in t._sparse]
+        rows[0][2], rows[2][0] = ((0, 1), (2, 1)), ((0, -1), (2, -1))
+        bent = LieTable(t.dim, t.grade, t.form, rows, t._form_sparse, t._form_rank)
+        monkeypatch.setattr(canonical, "realize", lambda _: bent)
+        with pytest.raises(NotMonomial) as info:
+            strict_generation_report(s)
+        assert info.value.indices == (0, 2)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_index_sets_match_generated_subalgebra(self, n):
+        """On every half-integral spectrum with magnitudes <= 5/2, odd n and
+        even n, the index-set report equals the Subspace closure of
+        g_1 + g_{-1}: answer, generated dimension and algebra dimension."""
+        spectra = half_integral_spectra(n, Fraction(5, 2))
+        assert len(spectra) == half_integral_count(n, Fraction(5, 2))
+        for s in spectra:
+            t = realize(s)
+            gm = grading_of(t)
+            seed = subspace_sum(space_at(gm, 1), space_at(gm, -1))
+            got = generated_subalgebra(t, seed).dim
+            assert strict_generation_report(s) == (got == t.dim, got, t.dim), str(s)
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_strict_implies_canonical_never_converse(self, n):
         converse_gap = False
@@ -263,8 +303,8 @@ class TestTheorem1:
             gm = grading_of(table)
             kmax = max((int(g) for g in gm.grades() if g > 0), default=0)
             for k in range(1, kmax + 1):
-                out = bracket_spaces(table, gm.space_at(1), gm.space_at(k))
-                assert out == gm.space_at(k + 1)
+                out = bracket_spaces(table, space_at(gm, 1), space_at(gm, k))
+                assert out == space_at(gm, k + 1)
 
 
 class TestEnumeration:

@@ -13,9 +13,9 @@ from canonical_lie import (
     parse_rational,
     rref,
     span,
-    subspace_sum,
 )
 from canonical_lie.exactlin import charpoly
+from helpers import subspace_sum
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 

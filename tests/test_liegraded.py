@@ -19,25 +19,30 @@ from canonical_lie import (
     RatMatrix,
     Subspace,
     bracket_indices,
-    bracket_spaces,
     build_table,
-    generated_subalgebra,
     grading_of,
     half_integral_spectra,
     kernel,
     polar_indices,
     realize,
     span,
-    subspace_sum,
 )
 from canonical_lie.sonreal import _so_table
 from helpers import (
+    bracket_spaces,
+    dense_antisymmetry_failure,
     dense_invariance_failure,
+    dense_rows,
     descending_series,
     direct_sum,
+    generated_subalgebra,
     polar,
     regrade,
+    space_at,
+    sparse_rows,
     spec,
+    subspace_sum,
+    table_key,
     tails_by_sums,
 )
 
@@ -61,20 +66,20 @@ def cross_product_table():
 def so3_table(form=None, grades=(0, 0, 0)):
     if form is None:
         form = RatMatrix([[-2, 0, 0], [0, -2, 0], [0, 0, -2]])
-    return build_table(3, cross_product_table(), grades, form)
+    return build_table(3, sparse_rows(cross_product_table()), grades, form)
 
 
 class TestBuildTable:
     def test_cross_product_algebra_is_valid(self):
         t = so3_table()
         assert t.dim == 3
-        assert t.bracket_row(0, 1) == (0, 0, 1)
+        assert dense_rows(t)[0][1] == (0, 0, 1)
 
     def test_antisymmetry_violation(self):
         rows = cross_product_table()
         rows[1][0] = [0, 0, 1]  # same sign as rows[0][1]
         with pytest.raises(AntisymmetryViolation) as err:
-            build_table(3, rows, (0, 0, 0), RatMatrix.identity(3).scaled(-2))
+            build_table(3, sparse_rows(rows), (0, 0, 0), RatMatrix.identity(3).scaled(-2))
         assert err.value.indices == (0, 1)
 
     def test_jacobi_violation(self):
@@ -84,7 +89,7 @@ class TestBuildTable:
         rows[0][2] = [1, 0, 0]
         rows[2][0] = [-1, 0, 0]
         with pytest.raises(JacobiViolation) as err:
-            build_table(3, rows, (0, 0, 0), RatMatrix.zeros(3, 3))
+            build_table(3, sparse_rows(rows), (0, 0, 0), RatMatrix.zeros(3, 3))
         assert err.value.indices == (0, 1, 2)
 
     def test_grading_support_violation(self):
@@ -94,7 +99,7 @@ class TestBuildTable:
     def test_grade_symmetry_violation(self):
         zero_rows = [[[0, 0] for _ in range(2)] for _ in range(2)]
         with pytest.raises(GradingViolation):
-            build_table(2, zero_rows, (0, 1), RatMatrix.identity(2))
+            build_table(2, sparse_rows(zero_rows), (0, 1), RatMatrix.identity(2))
 
     def test_form_not_invariant(self):
         with pytest.raises(FormNotInvariant):
@@ -111,10 +116,73 @@ class TestBuildTable:
         assert t.dim == 10
 
 
+class TestSparseInput:
+    """build_table reads [e_i, e_j] as (index, coefficient) pairs."""
+
+    FORM = RatMatrix.identity(3).scaled(-2)
+
+    def _with(self, i, j, pairs):
+        rows = sparse_rows(cross_product_table())
+        rows[i][j] = pairs
+        return rows
+
+    @pytest.mark.parametrize("index", [3, -1, Fraction(1), "0"])
+    def test_index_outside_the_basis(self, index):
+        with pytest.raises(ValueError, match=r"\[e_0, e_1\] has basis index"):
+            build_table(3, self._with(0, 1, ((index, 1),)), (0, 0, 0), self.FORM)
+
+    def test_repeated_index(self):
+        with pytest.raises(ValueError, match=r"\[e_0, e_1\] repeats basis index 2"):
+            build_table(3, self._with(0, 1, ((2, 1), (2, 0))), (0, 0, 0), self.FORM)
+
+    def test_float_coefficient(self):
+        with pytest.raises(TypeError, match="float"):
+            build_table(3, self._with(0, 1, ((2, 1.0),)), (0, 0, 0), self.FORM)
+
+    def test_explicit_zeros_and_order_do_not_matter(self):
+        t = so3_table()
+        # every coordinate given, zeros included, in descending index order
+        padded = [
+            [tuple(reversed(list(enumerate(row)))) for row in per_i]
+            for per_i in cross_product_table()
+        ]
+        padded[0][0] = ((1, Fraction(0)),)
+        u = build_table(3, padded, (0, 0, 0), self.FORM)
+        assert u._sparse == t._sparse
+        assert table_key(u) == table_key(t)
+        assert u._sparse[0][1] == ((2, 1),) and u._sparse[0][0] == ()
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_antisymmetry_corruptions_match_dense_oracle(self, n):
+        t = _so_table(n)
+        raised = 0
+        for seed in range(12):
+            rng = random.Random(f"antisymmetry-{n}-{seed}")
+            rows = [[list(row) for row in per_i] for per_i in dense_rows(t)]
+            for _ in range(rng.randint(1, 3)):
+                i, j, k = (rng.randrange(t.dim) for _ in range(3))
+                delta = rng.choice([1, -1, Fraction(1, 2)])
+                rows[i][j][k] += delta
+                if i != j and rng.random() < 0.5:
+                    rows[j][i][k] -= delta  # still antisymmetric
+            expected = dense_antisymmetry_failure(rows)
+            try:
+                build_table(t.dim, sparse_rows(rows), t.grade, t.form)
+            except AntisymmetryViolation as err:
+                assert err.indices == expected, seed
+                assert str(err).endswith(f"at basis pair {expected}")
+                raised += 1
+            except LieTableError:
+                assert expected is None, seed
+            else:
+                assert expected is None, seed
+        assert raised >= 4
+
+
 def _corrupt(t, kind, rng):
     """Raw inputs of table `t` with one seeded corruption of the given kind."""
     dim = t.dim
-    rows = [[list(row) for row in per_i] for per_i in t._rows]
+    rows = [[list(row) for row in per_i] for per_i in dense_rows(t)]
     form = [list(row) for row in t.form.entries]
     nonzero = [(p, q) for p in range(dim) for q in range(p, dim) if form[p][q] != 0]
     p, q = rng.choice(nonzero)
@@ -157,7 +225,7 @@ class TestSparseInvarianceCheck:
                 rows, form = _corrupt(t, kind, random.Random(f"{n}-{seed}-{kind}"))
                 expected = dense_invariance_failure(rows, form)
                 try:
-                    build_table(t.dim, rows, t.grade, form)
+                    build_table(t.dim, sparse_rows(rows), t.grade, form)
                 except FormNotInvariant as err:
                     assert expected is not None, (kind, seed)
                     (i, j, k), total = expected
@@ -171,7 +239,9 @@ class TestSparseInvarianceCheck:
                     # form is invariant, and the same error must come back
                     assert not kind.startswith("form")
                     with pytest.raises(type(err)) as again:
-                        build_table(t.dim, rows, t.grade, RatMatrix.zeros(t.dim, t.dim))
+                        build_table(
+                            t.dim, sparse_rows(rows), t.grade, RatMatrix.zeros(t.dim, t.dim)
+                        )
                     assert (again.value.indices, str(again.value)) == (err.indices, str(err))
                     outcomes.add((kind, type(err)))
                 else:
@@ -190,7 +260,7 @@ class TestSparseInvarianceCheck:
 
     def test_valid_tables_pass_dense_oracle(self):
         for t in (so3_table(), _so_table(5), direct_sum(so3_table(), _so_table(4))):
-            assert dense_invariance_failure(t._rows, t.form) is None
+            assert dense_invariance_failure(dense_rows(t), t.form) is None
 
 
 class TestRegrade:
@@ -201,9 +271,9 @@ class TestRegrade:
         t = realize(spec(4, ("1/2", 2)))
         flat = regrade(t, (0,) * t.dim)
         assert flat.grade == (Fraction(0),) * t.dim
-        assert flat._rows is t._rows and flat._sparse is t._sparse
+        assert flat._sparse is t._sparse
         assert flat.form is t.form and flat._form_rank is t._form_rank
-        assert regrade(flat, t.grade) == t
+        assert table_key(regrade(flat, t.grade)) == table_key(t)
 
     def test_grading_support_violation(self):
         # symmetric multiset, but [e_0, e_1] = e_2 leaves grade 1 + 0
@@ -213,7 +283,7 @@ class TestRegrade:
 
     def test_grade_symmetry_violation(self):
         zero_rows = [[[0, 0] for _ in range(2)] for _ in range(2)]
-        t = build_table(2, zero_rows, (0, 0), RatMatrix.identity(2))
+        t = build_table(2, sparse_rows(zero_rows), (0, 0), RatMatrix.identity(2))
         with pytest.raises(GradingViolation):
             regrade(t, (0, 1))
 
@@ -226,7 +296,7 @@ class TestGradingOf:
     def test_trivial_grading(self):
         gm = grading_of(so3_table())
         assert gm.grades() == (Fraction(0),)
-        assert gm.space_at(0) == Subspace.full(3)
+        assert space_at(gm, 0) == Subspace.full(3)
 
     def test_so4_half_spectrum_dims(self):
         # pair counting: only the wedge of the two +1/2 directions has grade 1
@@ -239,7 +309,7 @@ class TestGradingOf:
 
     def test_absent_grade_is_zero_subspace(self):
         gm = grading_of(so3_table())
-        assert gm.space_at(7) == Subspace.zero(3)
+        assert space_at(gm, 7) == Subspace.zero(3)
 
     def test_tails_match_chained_sums(self):
         for s in SPECTRA_N7:
@@ -262,14 +332,14 @@ class TestBracketSpaces:
     def test_so4_top_and_bottom_grade_bracket(self):
         t = realize(spec(4, ("1/2", 2)))
         gm = grading_of(t)
-        out = bracket_spaces(t, gm.space_at(1), gm.space_at(-1))
+        out = bracket_spaces(t, space_at(gm, 1), space_at(gm, -1))
         assert out.dim == 1
-        assert subspace_sum(out, gm.space_at(0)) == gm.space_at(0)
+        assert subspace_sum(out, space_at(gm, 0)) == space_at(gm, 0)
 
     def test_so3_bracket_fills_grade_zero(self):
         t = realize(spec(3, ("0", 1), ("1", 1)))
         gm = grading_of(t)
-        assert bracket_spaces(t, gm.space_at(1), gm.space_at(-1)) == gm.space_at(0)
+        assert bracket_spaces(t, space_at(gm, 1), space_at(gm, -1)) == space_at(gm, 0)
 
 
 class TestGeneratedSubalgebra:
@@ -280,13 +350,13 @@ class TestGeneratedSubalgebra:
     def test_so4_outer_grades_generate_proper_subalgebra(self):
         t = realize(spec(4, ("1/2", 2)))
         gm = grading_of(t)
-        seed = subspace_sum(gm.space_at(1), gm.space_at(-1))
+        seed = subspace_sum(space_at(gm, 1), space_at(gm, -1))
         assert generated_subalgebra(t, seed).dim == 3
 
     def test_so4_with_grade_zero_generates_everything(self):
         t = realize(spec(4, ("1/2", 2)))
         gm = grading_of(t)
-        seed = subspace_sum(subspace_sum(gm.space_at(1), gm.space_at(-1)), gm.space_at(0))
+        seed = subspace_sum(subspace_sum(space_at(gm, 1), space_at(gm, -1)), space_at(gm, 0))
         assert generated_subalgebra(t, seed).dim == 6
 
     @pytest.mark.parametrize(
@@ -297,7 +367,7 @@ class TestGeneratedSubalgebra:
     def test_monotone_idempotent_closed(self, s):
         t = realize(s)
         gm = grading_of(t)
-        seed = gm.space_at(1)
+        seed = space_at(gm, 1)
         result = generated_subalgebra(t, seed)
         assert subspace_sum(seed, result) == result  # monotone
         assert generated_subalgebra(t, result) == result  # idempotent
@@ -313,7 +383,7 @@ class TestDescendingSeries:
     def test_so3_one_dim_nilradical(self):
         t = realize(spec(3, ("0", 1), ("1", 1)))
         gm = grading_of(t)
-        series = descending_series(t, gm.space_at(1))
+        series = descending_series(t, space_at(gm, 1))
         assert [x.dim for x in series] == [1, 0]
 
     def test_so5_series_strictly_decreases_to_zero(self):
@@ -350,14 +420,14 @@ class TestIndexSets:
 
     def test_non_monomial_form_row_raises(self):
         # an abelian algebra makes every symmetric form invariant
-        t = build_table(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], (0, 0), [[1, 1], [1, 0]])
+        t = build_table(2, [[(), ()], [(), ()]], (0, 0), [[1, 1], [1, 0]])
         assert polar_indices(t, {1}) == {1}
         with pytest.raises(NotMonomial) as info:
             polar_indices(t, {0})
         assert info.value.indices == (0,)
 
     def test_degenerate_form_rejected_first(self):
-        t = build_table(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], (0, 0), [[1, 1], [1, 1]])
+        t = build_table(2, [[(), ()], [(), ()]], (0, 0), [[1, 1], [1, 1]])
         with pytest.raises(DegenerateForm):
             polar_indices(t, {0})
 
@@ -385,14 +455,14 @@ class TestPolar:
         t = realize(spec(4, ("1/2", 2)))
         gm = grading_of(t)
         q = gm.tail(0)
-        assert polar(t, q) == gm.space_at(1)
+        assert polar(t, q) == space_at(gm, 1)
 
     @pytest.mark.parametrize("s", [spec(4, ("1/2", 2)), spec(5, ("0", 3), ("1", 1))], ids=str)
     def test_involution_and_dimension(self, s):
         t = realize(s)
         gm = grading_of(t)
         for g in gm.grades():
-            sp = gm.space_at(g)
+            sp = space_at(gm, g)
             p = polar(t, sp)
             assert p.dim == t.dim - sp.dim
             assert polar(t, p) == sp
@@ -433,8 +503,8 @@ class TestDirectSum:
     def test_two_cross_product_algebras(self):
         t = direct_sum(so3_table(), so3_table())
         assert t.dim == 6
-        assert t.bracket_row(0, 3) == (0,) * 6
-        assert t.bracket_row(3, 4) == (0, 0, 0, 0, 0, 1)
+        assert dense_rows(t)[0][3] == (0,) * 6
+        assert dense_rows(t)[3][4] == (0, 0, 0, 0, 0, 1)
 
     def test_grading_dims_add(self):
         a = realize(spec(3, ("0", 1), ("1", 1)))
@@ -447,7 +517,7 @@ class TestDirectSum:
     def test_zero_dim_identity(self):
         t = so3_table()
         empty = build_table(0, [], [], RatMatrix((), cols=0))
-        assert direct_sum(t, empty) == t
+        assert table_key(direct_sum(t, empty)) == table_key(t)
 
     def test_grade_symmetry_holds_for_all_built_tables(self):
         for s in [spec(4, ("1/2", 2)), spec(6, ("1/2", 1), ("3/2", 2)), spec(5, ("0", 5))]:
