@@ -36,7 +36,7 @@ EXIT_ERROR = 2
 
 # Largest n any command accepts.  Building and validating the so(n, C) table
 # grows about as n^6 (Jacobi over dim^3 / 6 basis triples, dim = n(n-1)/2):
-# `check --spectrum` takes about 0.4 s at n = 20 and 1.0 s at n = 24 on a
+# `check --spectrum` takes about 0.35 s at n = 20 and 0.9 s at n = 24 on a
 # 2-vCPU x86-64 host, most of it building and checking the table.
 MAX_N = 24
 

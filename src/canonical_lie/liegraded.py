@@ -3,8 +3,9 @@
 A :class:`LieTable` packages an ordered basis, the rational coordinates of
 every bracket [e_i, e_j], a rational grade label per basis element (the
 element sits in the (I*grade)-eigenspace of the grading derivation) and the
-Gram matrix of an invariant symmetric bilinear form.  Construction through
-:func:`build_table` validates the whole package eagerly, in this order:
+rows of the Gram matrix of an invariant symmetric bilinear form.
+Construction through :func:`build_table` validates the whole package
+eagerly, in this order:
 
   1. antisymmetry of the bracket table,
   2. grading: [e_i, e_j] supported on grade(i) + grade(j) only,
@@ -14,14 +15,14 @@ Gram matrix of an invariant symmetric bilinear form.  Construction through
   5. symmetry and invariance of the bilinear form.
 
 Exhaustive validation is cheap insurance, since a corrupt table would
-silently invalidate every verdict computed from it.  Brackets come in and
-are kept as sparse rows: [e_i, e_j] is its nonzero (index, coefficient)
-pairs in ascending index order, and the form is kept beside its dense Gram
-matrix as the nonzero (column, value) pairs of each row.  Every check runs
-over nonzero entries only.  In the so(n, C) tables of :mod:`sonreal`
-(dimension up to 276 at n = 24) a bracket has at most two nonzero
-coordinates and a form row exactly one, so the antisymmetry, grading and
-invariance checks take about dim^2 steps and Jacobi visits the dim^3 / 6
+silently invalidate every verdict computed from it.  Brackets and the form
+come in and are kept in one sparse format: [e_i, e_j], and row i of the
+form, are their nonzero (index, coefficient) pairs in ascending index
+order.  No dense matrix is kept, and every check runs over nonzero entries
+only.  In the so(n, C) tables of :mod:`sonreal` (dimension up to 276 at
+n = 24) a bracket has at most two nonzero coordinates and a form row
+exactly one, so the antisymmetry, grading and invariance checks take about
+dim^2 steps, the symmetry check about dim, and Jacobi visits the dim^3 / 6
 basis triples through sparse rows.
 
 Checks 1, 4 and 5 do not involve the grades, so one validated algebra can
@@ -92,14 +93,13 @@ class NotMonomial(LieTableError):
 class LieTable:
     """Validated structure-constant table; build via :func:`build_table`."""
 
-    __slots__ = ("dim", "grade", "form", "_sparse", "_form_sparse", "_form_rank")
+    __slots__ = ("dim", "grade", "form", "_sparse", "_form_rank")
 
-    def __init__(self, dim, grade, form, sparse, form_sparse, form_rank):
+    def __init__(self, dim, grade, form, sparse, form_rank):
         self.dim = dim
         self.grade = grade
         self.form = form
         self._sparse = sparse
-        self._form_sparse = form_sparse
         # one-element list, filled on first use and shared by relabelled tables
         self._form_rank = form_rank
 
@@ -111,14 +111,15 @@ def build_table(
     dim: int,
     brackets: Sequence[Sequence[Sequence[tuple]]],
     grade: Sequence,
-    form: RatMatrix | Sequence[Sequence],
+    form: Sequence[Sequence[tuple]],
 ) -> LieTable:
     """Validate and assemble a LieTable.
 
     `brackets[i][j]` lists [e_i, e_j] as (index, coefficient) pairs, each
     index in [0, dim) at most once, in any order; zero coefficients are
-    dropped.  `grade` is one rational label per basis element; `form` is the
-    dim x dim Gram matrix.  Raises AntisymmetryViolation / GradingViolation /
+    dropped.  `grade` is one rational label per basis element; `form[i]`
+    lists row i of the Gram matrix as (column, value) pairs in the same
+    format.  Raises AntisymmetryViolation / GradingViolation /
     JacobiViolation / FormNotInvariant naming the offending basis indices.
     """
     if len(brackets) != dim:
@@ -127,18 +128,14 @@ def build_table(
     for i, per_i in enumerate(brackets):
         if len(per_i) != dim:
             raise ValueError(f"bracket table row {i} has {len(per_i)} entries, expected {dim}")
-        sparse.append(tuple(_sparse_row(i, j, pairs, dim) for j, pairs in enumerate(per_i)))
+        sparse.append(
+            tuple(_sparse_row(f"bracket [e_{i}, e_{j}]", row, dim) for j, row in enumerate(per_i))
+        )
     sparse = tuple(sparse)
     grades = _grade_labels(grade, dim)
-    if not isinstance(form, RatMatrix):
-        form = RatMatrix(form, cols=dim)
-    if form.shape != (dim, dim):
-        raise ValueError(f"form has shape {form.shape}, expected ({dim}, {dim})")
-
-    form_sparse = tuple(
-        tuple((k, v.numerator if v.denominator == 1 else v) for k, v in enumerate(row) if v != 0)
-        for row in form.entries
-    )
+    if len(form) != dim:
+        raise ValueError(f"form has {len(form)} rows, expected {dim}")
+    form = tuple(_sparse_row(f"form row {i}", pairs, dim) for i, pairs in enumerate(form))
 
     for i in range(dim):
         for j in range(i, dim):
@@ -166,16 +163,16 @@ def build_table(
                 if any(v != 0 for v in acc.values()):
                     raise JacobiViolation(i, j, k)
 
-    f = form.entries
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if f[i][j] != f[j][i]:
-                raise FormNotInvariant(f"form is not symmetric at ({i}, {j})", (i, j))
+    entries = {(i, k): v for i, row in enumerate(form) for k, v in row}
+    asymmetric = [(min(p), max(p)) for p, v in entries.items() if entries.get(p[::-1], 0) != v]
+    if asymmetric:
+        i, j = min(asymmetric)
+        raise FormNotInvariant(f"form is not symmetric at ({i}, {j})", (i, j))
     # With the form symmetric, <[e_i, e_j], e_k> + <e_j, [e_i, e_k]> is
     # u[j][k] + u[k][j] for u[j] = <[e_i, e_j], .>, so only the pairs (j, k)
     # where u[j] or u[k] has a nonzero entry can fail.
     for i in range(dim):
-        u = [_combine(sp, form_sparse) for sp in sparse[i]]
+        u = [_combine(sp, form) for sp in sparse[i]]
         failing = []
         for j, uj in enumerate(u):
             for k in uj:
@@ -190,25 +187,27 @@ def build_table(
                 (i, j, k),
             )
 
-    return LieTable(dim, grades, form, sparse, form_sparse, [None])
+    return LieTable(dim, grades, form, sparse, [None])
 
 
-def _sparse_row(i: int, j: int, pairs, dim: int) -> tuple:
-    """[e_i, e_j] as its nonzero (index, coefficient) pairs, ascending.
+def _sparse_row(name: str, pairs, dim: int) -> tuple:
+    """A bracket or form row, called `name` in errors, as its nonzero
+    (index, coefficient) pairs, ascending.
 
     Coefficients stay ints when they are ints: structure constants are
     usually integral and native int arithmetic keeps the validation loops
-    fast.  Raises ValueError for an index outside [0, dim) or a repeated one,
-    TypeError for a float coefficient.
+    fast.  Raises ValueError for an index that is not an int in [0, dim) or a
+    repeated one, TypeError for a bool or float coefficient.
     """
     coords = {}
     for k, v in pairs:
-        if not (isinstance(k, int) and 0 <= k < dim):
-            raise ValueError(f"bracket [e_{i}, e_{j}] has basis index {k!r} outside [0, {dim})")
+        if type(k) is not int or not 0 <= k < dim:
+            raise ValueError(f"{name} has basis index {k!r} outside [0, {dim})")
         if k in coords:
-            raise ValueError(f"bracket [e_{i}, e_{j}] repeats basis index {k}")
-        exact = isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-        coords[k] = v if exact else as_rational(v)
+            raise ValueError(f"{name} repeats basis index {k}")
+        if isinstance(v, (bool, float)):
+            raise TypeError(f"{name} has {type(v).__name__} coefficient {v!r}; use int or Fraction")
+        coords[k] = v if isinstance(v, (int, Fraction)) else as_rational(v)
     return tuple((k, coords[k]) for k in sorted(coords) if coords[k] != 0)
 
 
@@ -348,7 +347,7 @@ def polar_indices(t: LieTable, a) -> frozenset[int]:
         raise DegenerateForm("bilinear form is degenerate; polars are undefined")
     hit = set()
     for i in a:
-        row = t._form_sparse[i]
+        row = t.form[i]
         if len(row) != 1:
             raise NotMonomial(
                 f"form row {i} has {len(row)} nonzero entries; "
@@ -362,5 +361,7 @@ def polar_indices(t: LieTable, a) -> frozenset[int]:
 def _form_rank(t: LieTable) -> int:
     cell = t._form_rank
     if cell[0] is None:
-        cell[0] = rref(t.form)[0]
+        zero = Fraction(0)  # one object for every zero entry; RatMatrix keeps Fractions as given
+        rows = [dict(row) for row in t.form]
+        cell[0] = rref(RatMatrix([[r.get(k, zero) for k in range(t.dim)] for r in rows]))[0]
     return cell[0]

@@ -89,7 +89,10 @@ class Spectrum:
     entries: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
-        ents = tuple(sorted((as_rational(lam), int(mult)) for lam, mult in self.entries))
+        for x in (self.n, *(mult for _, mult in self.entries)):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise InvalidSpectrum(f"n and multiplicities must be integers, got {x!r}")
+        ents = tuple(sorted((as_rational(lam), mult) for lam, mult in self.entries))
         object.__setattr__(self, "entries", ents)
         if self.n < 3:
             raise InvalidSpectrum(f"n must be at least 3, got {self.n}")
@@ -173,16 +176,13 @@ class WedgeBasis:
     `eigen_labels[a] = (lambda_a, p)` is the signed eigenvalue and the index
     within its eigenspace: the positive labels by descending lambda, then p,
     then the zeros, then the negatives mirrored, so that
-    lambda_{n-1-a} = -lambda_a.  `partners[a] = n - 1 - a` is the unique b
-    with (u_a, u_b) = 1, so `gram`, the form on C^n, is anti-diagonal.
+    lambda_{n-1-a} = -lambda_a; (u_a, u_b) = 1 exactly when b = n - 1 - a.
     `pairs` lists the wedge basis (a, b), a < b, in lexicographic order.
-    Only the labels depend on the spectrum; everything else depends on n.
+    Only the labels depend on the spectrum; the pairs depend on n alone.
     """
 
     eigen_labels: tuple[tuple[Fraction, int], ...]
-    partners: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
-    gram: RatMatrix
 
     @property
     def n(self) -> int:
@@ -202,12 +202,9 @@ def _pair_index(n: int, a: int, b: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def _witt_frame(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], RatMatrix]:
-    """The parts of the wedge basis that depend on n alone: partners, pairs, gram."""
-    partners = tuple(range(n - 1, -1, -1))
-    pairs = tuple((a, b) for a in range(n) for b in range(a + 1, n))
-    gram = [[1 if b == partners[a] else 0 for b in range(n)] for a in range(n)]
-    return partners, pairs, RatMatrix(gram, cols=n)
+def _witt_frame(n: int) -> tuple[tuple[int, int], ...]:
+    """The wedge pairs (a, b), a < b, in lexicographic order."""
+    return tuple((a, b) for a in range(n) for b in range(a + 1, n))
 
 
 @lru_cache(maxsize=256)
@@ -215,7 +212,7 @@ def wedge_basis(s: Spectrum) -> WedgeBasis:
     positive = [(lam, p) for lam, mult in reversed(s.entries) if lam > 0 for p in range(mult)]
     zeros = [(Fraction(0), p) for p in range(s.mult(0))]
     labels = positive + zeros + [(-lam, p) for lam, p in reversed(positive)]
-    return WedgeBasis(tuple(labels), *_witt_frame(s.n))
+    return WedgeBasis(tuple(labels), _witt_frame(s.n))
 
 
 @lru_cache(maxsize=16)
@@ -223,14 +220,23 @@ def _so_table(n: int) -> LieTable:
     """so(n, C) in the Witt wedge basis, built and validated once per n.
 
     The bracket follows the four-term wedge identity with partner(a) =
-    n - 1 - a, and the form is tr(XY) of the matrix realization.  The table
+    n - 1 - a.  The form is tr(XY) of the matrix realization, in closed
+    form.  The map x -> (u, x) v has trace (u, v), so composing
+    (a ^ b)(x) = (a, x) b - (b, x) a with c ^ d gives
+
+        tr((a ^ b)(c ^ d)) = 2 ((a, d)(b, c) - (a, c)(b, d)).
+
+    For wedges u_a ^ u_b and u_c ^ u_d, a < b and c < d, (a, d)(b, c) is 1
+    when (c, d) = (n - 1 - b, n - 1 - a) and 0 otherwise, and (a, c)(b, d)
+    is 0, as it would need c = n - 1 - a > n - 1 - b = d.  So u_a ^ u_b
+    pairs with u_(n-1-b) ^ u_(n-1-a) alone, with value 2.  The table
     carries the principal grading lambda_a = (n - 1)/2 - a, the grading of
     the spectrum with magnitudes 0, 1, ... (n odd) or 1/2, 3/2, ... (n even),
     each of multiplicity one, so validation checks the bracket against a
     nontrivial grading as well.  After validation, the bracket shape that
     lets :func:`realize` skip the grading checks is checked too.
     """
-    pairs = _witt_frame(n)[1]
+    pairs = _witt_frame(n)
     dim = len(pairs)
 
     def put(acc, x, y, coeff):
@@ -263,22 +269,9 @@ def _so_table(n: int) -> LieTable:
                 rows[q][p] = tuple((k, -v) for k, v in acc.items())
 
     grades = tuple(n - 1 - a - b for a, b in pairs)
+    form = [((_pair_index(n, n - 1 - b, n - 1 - a), 2),) for a, b in pairs]
 
-    mats = []
-    for a, b in pairs:
-        entries = {(b, n - 1 - a): 1}
-        key = (a, n - 1 - b)
-        entries[key] = entries.get(key, 0) - 1
-        mats.append(entries)
-    form = [
-        [
-            sum(v * mats[q].get((c, r), 0) for (r, c), v in mats[p].items())
-            for q in range(dim)
-        ]
-        for p in range(dim)
-    ]
-
-    table = build_table(dim, rows, grades, RatMatrix(form, cols=dim))
+    table = build_table(dim, rows, grades, form)
     _check_witt_shape(n, table._sparse)
     return table
 
@@ -288,7 +281,7 @@ def _check_witt_shape(n: int, sparse) -> None:
     q = (c, d), must leave a partner pair {x, n - 1 - x} when {e, f} is taken
     out of {a, b, c, d}.  Raises BracketShapeViolation naming the first
     failing (p, q, k) in lexicographic order.  O(dim^2 + nonzero entries)."""
-    pairs = _witt_frame(n)[1]
+    pairs = _witt_frame(n)
     for p, row in enumerate(sparse):
         for q, hits in enumerate(row):
             for k, _ in hits:
@@ -317,7 +310,7 @@ def realize(s: Spectrum) -> LieTable:
     sums, den = _scaled_pair_sums(s)
     grade_of = {k: Fraction(k, den) for k in set(sums)}
     grades = tuple(map(grade_of.__getitem__, sums))
-    return LieTable(t.dim, grades, t.form, t._sparse, t._form_sparse, t._form_rank)
+    return LieTable(t.dim, grades, t.form, t._sparse, t._form_rank)
 
 
 def _scaled_pair_sums(s: Spectrum) -> tuple[list[int], int]:
@@ -335,7 +328,7 @@ def _scaled_pair_sums(s: Spectrum) -> tuple[list[int], int]:
             )
     den = math.lcm(*(lam.denominator for lam in labels))
     scaled = [lam.numerator * (den // lam.denominator) for lam in labels]
-    return [scaled[a] + scaled[b] for a, b in _witt_frame(n)[1]], den
+    return [scaled[a] + scaled[b] for a, b in _witt_frame(n)], den
 
 
 def grade_dims(s: Spectrum) -> dict[Fraction, int]:

@@ -91,8 +91,8 @@ def matrix_of(s: Spectrum, basis_pair_index: int) -> RatMatrix:
     a, b = wb.pairs[basis_pair_index]
     n = wb.n
     mat = [[0] * n for _ in range(n)]
-    mat[b][wb.partners[a]] += 1
-    mat[a][wb.partners[b]] -= 1
+    mat[b][n - 1 - a] += 1
+    mat[a][n - 1 - b] -= 1
     return RatMatrix(mat, cols=n)
 
 
@@ -158,6 +158,16 @@ def dense_invariance_failure(bracket_table, form):
     return None
 
 
+def dense_symmetry_failure(form):
+    """Dense oracle for form symmetry: the first pair (i, j), i < j, in
+    lexicographic order with form[i, j] != form[j, i], or None."""
+    for i in range(form.rows):
+        for j in range(i + 1, form.rows):
+            if form[i, j] != form[j, i]:
+                return i, j
+    return None
+
+
 def sparse_rows(dense):
     """A dense bracket table, dense[i][j] the coordinate row of [e_i, e_j],
     as the (index, coefficient) pairs build_table takes; zeros are left out."""
@@ -165,6 +175,21 @@ def sparse_rows(dense):
         [tuple((k, v) for k, v in enumerate(row) if v != 0) for row in per_i]
         for per_i in dense
     ]
+
+
+def sparse_form(gram):
+    """A Gram matrix (RatMatrix) as the (column, value) rows build_table
+    takes; zeros are left out."""
+    return [tuple((k, v) for k, v in enumerate(row) if v != 0) for row in gram.entries]
+
+
+def dense_form(t):
+    """The Gram matrix of the form of `t`, as a RatMatrix."""
+    gram = [[0] * t.dim for _ in range(t.dim)]
+    for i, row in enumerate(t.form):
+        for k, v in row:
+            gram[i][k] = v
+    return RatMatrix(gram, cols=t.dim)
 
 
 def dense_rows(t):
@@ -183,7 +208,7 @@ def dense_rows(t):
 
 def table_key(t):
     """What two tables must share to be the same graded algebra with form:
-    dimension, grades, Gram matrix and every bracket."""
+    dimension, grades, form rows and every bracket."""
     return t.dim, t.grade, t.form, dense_rows(t)
 
 
@@ -272,13 +297,13 @@ def regrade(t, grade):
     """Oracle for relabelling: the algebra of `t` under new grade labels, one
     per basis element, after the full grade-dependent checks of build_table.
 
-    Shares the validated brackets, form (dense and sparse) and form rank of
-    `t`; raises GradingViolation when a bracket leaves grade(i) + grade(j) or
-    when the grade multiset is not symmetric under negation.
+    Shares the validated brackets, form and form rank of `t`; raises
+    GradingViolation when a bracket leaves grade(i) + grade(j) or when the
+    grade multiset is not symmetric under negation.
     """
     grades = _grade_labels(grade, t.dim)
     _check_grading(t._sparse, grades)
-    return LieTable(t.dim, grades, t.form, t._sparse, t._form_sparse, t._form_rank)
+    return LieTable(t.dim, grades, t.form, t._sparse, t._form_rank)
 
 
 def descending_series(t: LieTable, n: Subspace) -> list[Subspace]:
@@ -304,7 +329,7 @@ def polar(t: LieTable, a: Subspace) -> Subspace:
         raise DegenerateForm("bilinear form is degenerate; polars are undefined")
     constraints = []
     for vec in a.vectors():
-        acc = _combine(_sparse_vec(vec), t._form_sparse)
+        acc = _combine(_sparse_vec(vec), t.form)
         constraints.append([acc.get(k, 0) for k in range(t.dim)])
     return kernel(RatMatrix(constraints, cols=t.dim))
 
@@ -320,12 +345,5 @@ def direct_sum(a: LieTable, b: LieTable) -> LieTable:
         for j in range(b.dim):
             rows[a.dim + i][a.dim + j] = tuple((a.dim + k, v) for k, v in b._sparse[i][j])
 
-    form = [[0] * dim for _ in range(dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            form[i][j] = a.form[i, j]
-    for i in range(b.dim):
-        for j in range(b.dim):
-            form[a.dim + i][a.dim + j] = b.form[i, j]
-
-    return build_table(dim, rows, a.grade + b.grade, RatMatrix(form, cols=dim))
+    form = [*a.form, *(tuple((a.dim + k, v) for k, v in row) for row in b.form)]
+    return build_table(dim, rows, a.grade + b.grade, form)

@@ -222,7 +222,7 @@ class TestStrictGeneration:
         t = realize(s)
         rows = [list(per_i) for per_i in t._sparse]
         rows[0][2], rows[2][0] = ((0, 1), (2, 1)), ((0, -1), (2, -1))
-        bent = LieTable(t.dim, t.grade, t.form, rows, t._form_sparse, t._form_rank)
+        bent = LieTable(t.dim, t.grade, t.form, rows, t._form_rank)
         monkeypatch.setattr(canonical, "realize", lambda _: bent)
         with pytest.raises(NotMonomial) as info:
             strict_generation_report(s)

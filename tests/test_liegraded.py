@@ -31,14 +31,17 @@ from canonical_lie.sonreal import _so_table
 from helpers import (
     bracket_spaces,
     dense_antisymmetry_failure,
+    dense_form,
     dense_invariance_failure,
     dense_rows,
+    dense_symmetry_failure,
     descending_series,
     direct_sum,
     generated_subalgebra,
     polar,
     regrade,
     space_at,
+    sparse_form,
     sparse_rows,
     spec,
     subspace_sum,
@@ -66,7 +69,7 @@ def cross_product_table():
 def so3_table(form=None, grades=(0, 0, 0)):
     if form is None:
         form = RatMatrix([[-2, 0, 0], [0, -2, 0], [0, 0, -2]])
-    return build_table(3, sparse_rows(cross_product_table()), grades, form)
+    return build_table(3, sparse_rows(cross_product_table()), grades, sparse_form(form))
 
 
 class TestBuildTable:
@@ -79,7 +82,7 @@ class TestBuildTable:
         rows = cross_product_table()
         rows[1][0] = [0, 0, 1]  # same sign as rows[0][1]
         with pytest.raises(AntisymmetryViolation) as err:
-            build_table(3, sparse_rows(rows), (0, 0, 0), RatMatrix.identity(3).scaled(-2))
+            build_table(3, sparse_rows(rows), (0, 0, 0), [((i, -2),) for i in range(3)])
         assert err.value.indices == (0, 1)
 
     def test_jacobi_violation(self):
@@ -89,7 +92,7 @@ class TestBuildTable:
         rows[0][2] = [1, 0, 0]
         rows[2][0] = [-1, 0, 0]
         with pytest.raises(JacobiViolation) as err:
-            build_table(3, sparse_rows(rows), (0, 0, 0), RatMatrix.zeros(3, 3))
+            build_table(3, sparse_rows(rows), (0, 0, 0), [()] * 3)
         assert err.value.indices == (0, 1, 2)
 
     def test_grading_support_violation(self):
@@ -99,7 +102,7 @@ class TestBuildTable:
     def test_grade_symmetry_violation(self):
         zero_rows = [[[0, 0] for _ in range(2)] for _ in range(2)]
         with pytest.raises(GradingViolation):
-            build_table(2, sparse_rows(zero_rows), (0, 1), RatMatrix.identity(2))
+            build_table(2, sparse_rows(zero_rows), (0, 1), sparse_form(RatMatrix.identity(2)))
 
     def test_form_not_invariant(self):
         with pytest.raises(FormNotInvariant):
@@ -117,16 +120,17 @@ class TestBuildTable:
 
 
 class TestSparseInput:
-    """build_table reads [e_i, e_j] as (index, coefficient) pairs."""
+    """build_table reads [e_i, e_j], and each form row, as (index,
+    coefficient) pairs."""
 
-    FORM = RatMatrix.identity(3).scaled(-2)
+    FORM = sparse_form(RatMatrix.identity(3).scaled(-2))
 
     def _with(self, i, j, pairs):
         rows = sparse_rows(cross_product_table())
         rows[i][j] = pairs
         return rows
 
-    @pytest.mark.parametrize("index", [3, -1, Fraction(1), "0"])
+    @pytest.mark.parametrize("index", [3, -1, Fraction(1), "0", True])
     def test_index_outside_the_basis(self, index):
         with pytest.raises(ValueError, match=r"\[e_0, e_1\] has basis index"):
             build_table(3, self._with(0, 1, ((index, 1),)), (0, 0, 0), self.FORM)
@@ -138,6 +142,31 @@ class TestSparseInput:
     def test_float_coefficient(self):
         with pytest.raises(TypeError, match="float"):
             build_table(3, self._with(0, 1, ((2, 1.0),)), (0, 0, 0), self.FORM)
+
+    def test_bool_coefficient(self):
+        with pytest.raises(TypeError, match=r"^bracket \[e_0, e_1\] has bool coefficient True"):
+            build_table(3, self._with(0, 1, ((2, True),)), (0, 0, 0), self.FORM)
+
+    @pytest.mark.parametrize(
+        "pairs, error, message",
+        [
+            (((3, -2),), ValueError, "has basis index 3 outside"),
+            (((True, -2),), ValueError, "has basis index True outside"),
+            (((1, -2), (1, 0)), ValueError, "repeats basis index 1"),
+            (((1, -2.0),), TypeError, "has float coefficient -2.0"),
+            (((1, True),), TypeError, "has bool coefficient True"),
+        ],
+        ids=["outside", "bool index", "repeated", "float", "bool coefficient"],
+    )
+    def test_form_row_errors(self, pairs, error, message):
+        form = list(self.FORM)
+        form[1] = pairs
+        with pytest.raises(error, match=f"^form row 1 {message}"):
+            build_table(3, sparse_rows(cross_product_table()), (0, 0, 0), form)
+
+    def test_form_row_count(self):
+        with pytest.raises(ValueError, match="form has 2 rows, expected 3"):
+            build_table(3, sparse_rows(cross_product_table()), (0, 0, 0), self.FORM[:2])
 
     def test_explicit_zeros_and_order_do_not_matter(self):
         t = so3_table()
@@ -178,12 +207,40 @@ class TestSparseInput:
                 assert expected is None, seed
         assert raised >= 4
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_symmetry_corruptions_match_dense_oracle(self, n):
+        t = _so_table(n)
+        raised = 0
+        for seed in range(12):
+            rng = random.Random(f"symmetry-{n}-{seed}")
+            form = [dict(row) for row in t.form]
+            for _ in range(rng.randint(1, 3)):
+                i, k = rng.randrange(t.dim), rng.randrange(t.dim)
+                delta = rng.choice([1, -1, Fraction(1, 2)])
+                form[i][k] = form[i].get(k, 0) + delta
+                if rng.random() < 0.5:
+                    form[k][i] = form[k].get(i, 0) + delta  # still symmetric
+            gram = RatMatrix([[row.get(k, 0) for k in range(t.dim)] for row in form])
+            expected = dense_symmetry_failure(gram)
+            try:
+                build_table(t.dim, t._sparse, t.grade, [tuple(row.items()) for row in form])
+            except FormNotInvariant as err:
+                if expected is None:
+                    assert len(err.indices) == 3, seed  # symmetric, not invariant
+                else:
+                    assert err.indices == expected, seed
+                    assert str(err) == f"form is not symmetric at {expected}"
+                    raised += 1
+            else:
+                assert expected is None, seed
+        assert raised >= 4
+
 
 def _corrupt(t, kind, rng):
     """Raw inputs of table `t` with one seeded corruption of the given kind."""
     dim = t.dim
     rows = [[list(row) for row in per_i] for per_i in dense_rows(t)]
-    form = [list(row) for row in t.form.entries]
+    form = [list(row) for row in dense_form(t).entries]
     nonzero = [(p, q) for p in range(dim) for q in range(p, dim) if form[p][q] != 0]
     p, q = rng.choice(nonzero)
     factor = rng.choice([2, -1, Fraction(1, 3), Fraction(3, 2)])
@@ -225,7 +282,7 @@ class TestSparseInvarianceCheck:
                 rows, form = _corrupt(t, kind, random.Random(f"{n}-{seed}-{kind}"))
                 expected = dense_invariance_failure(rows, form)
                 try:
-                    build_table(t.dim, sparse_rows(rows), t.grade, form)
+                    build_table(t.dim, sparse_rows(rows), t.grade, sparse_form(form))
                 except FormNotInvariant as err:
                     assert expected is not None, (kind, seed)
                     (i, j, k), total = expected
@@ -239,9 +296,7 @@ class TestSparseInvarianceCheck:
                     # form is invariant, and the same error must come back
                     assert not kind.startswith("form")
                     with pytest.raises(type(err)) as again:
-                        build_table(
-                            t.dim, sparse_rows(rows), t.grade, RatMatrix.zeros(t.dim, t.dim)
-                        )
+                        build_table(t.dim, sparse_rows(rows), t.grade, [()] * t.dim)
                     assert (again.value.indices, str(again.value)) == (err.indices, str(err))
                     outcomes.add((kind, type(err)))
                 else:
@@ -260,7 +315,7 @@ class TestSparseInvarianceCheck:
 
     def test_valid_tables_pass_dense_oracle(self):
         for t in (so3_table(), _so_table(5), direct_sum(so3_table(), _so_table(4))):
-            assert dense_invariance_failure(dense_rows(t), t.form) is None
+            assert dense_invariance_failure(dense_rows(t), dense_form(t)) is None
 
 
 class TestRegrade:
@@ -283,7 +338,7 @@ class TestRegrade:
 
     def test_grade_symmetry_violation(self):
         zero_rows = [[[0, 0] for _ in range(2)] for _ in range(2)]
-        t = build_table(2, sparse_rows(zero_rows), (0, 0), RatMatrix.identity(2))
+        t = build_table(2, sparse_rows(zero_rows), (0, 0), sparse_form(RatMatrix.identity(2)))
         with pytest.raises(GradingViolation):
             regrade(t, (0, 1))
 
@@ -420,14 +475,14 @@ class TestIndexSets:
 
     def test_non_monomial_form_row_raises(self):
         # an abelian algebra makes every symmetric form invariant
-        t = build_table(2, [[(), ()], [(), ()]], (0, 0), [[1, 1], [1, 0]])
+        t = build_table(2, [[(), ()], [(), ()]], (0, 0), [((0, 1), (1, 1)), ((0, 1),)])
         assert polar_indices(t, {1}) == {1}
         with pytest.raises(NotMonomial) as info:
             polar_indices(t, {0})
         assert info.value.indices == (0,)
 
     def test_degenerate_form_rejected_first(self):
-        t = build_table(2, [[(), ()], [(), ()]], (0, 0), [[1, 1], [1, 1]])
+        t = build_table(2, [[(), ()], [(), ()]], (0, 0), [((0, 1), (1, 1))] * 2)
         with pytest.raises(DegenerateForm):
             polar_indices(t, {0})
 
@@ -485,7 +540,7 @@ class TestPolar:
             t = realize(s)
             q = grading_of(t).tail(0)
             if (s.n, q) not in checked:
-                assert polar(t, q) == kernel(q.basis @ t.form), str(s)
+                assert polar(t, q) == kernel(q.basis @ dense_form(t)), str(s)
                 checked.add((s.n, q))
 
     @settings(max_examples=40, deadline=None)
@@ -496,7 +551,7 @@ class TestPolar:
     def test_random_spans_match_dense_product(self, name, vectors):
         t = _polar_tables()[name]
         a = span([v[: t.dim] for v in vectors], t.dim)
-        assert polar(t, a) == kernel(a.basis @ t.form)
+        assert polar(t, a) == kernel(a.basis @ dense_form(t))
 
 
 class TestDirectSum:
@@ -516,7 +571,7 @@ class TestDirectSum:
 
     def test_zero_dim_identity(self):
         t = so3_table()
-        empty = build_table(0, [], [], RatMatrix((), cols=0))
+        empty = build_table(0, [], [], [])
         assert table_key(direct_sum(t, empty)) == table_key(t)
 
     def test_grade_symmetry_holds_for_all_built_tables(self):

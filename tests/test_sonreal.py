@@ -111,6 +111,12 @@ DENOMINATOR_3 = [
 ]
 
 
+def witt_gram(n):
+    """The form on C^n in the Witt basis: (u_a, u_b) = 1 exactly when
+    b = n - 1 - a, the anti-diagonal permutation matrix."""
+    return RatMatrix([[1 if a + b == n - 1 else 0 for b in range(n)] for a in range(n)], cols=n)
+
+
 def pair_sums(s):
     """lambda_a + lambda_b for each wedge (a, b), as Fraction sums."""
     wb = wedge_basis(s)
@@ -128,6 +134,25 @@ class TestSpectrum:
             spec(4, ("-1/2", 2))
         with pytest.raises(InvalidSpectrum):
             Spectrum(4, ((Fraction(1, 2), 1), (Fraction(1, 2), 1)))
+
+    @pytest.mark.parametrize("bad", [True, 5.0, 4.5, Fraction(5)], ids=repr)
+    def test_n_must_be_an_int(self, bad):
+        with pytest.raises(InvalidSpectrum, match="n and multiplicities must be integers"):
+            Spectrum(bad, ((Fraction(0), 3), (Fraction(1), 1)))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            ((0, 3.7), (1, 1.2)),  # int() would truncate to {0:3, 1:1}
+            ((0, 3.0), (1, 1)),
+            ((0, True), (1, 2)),  # a bool would read as 1
+            ((0, Fraction(3)), (1, 1)),
+        ],
+        ids=repr,
+    )
+    def test_multiplicities_must_be_ints(self, entries):
+        with pytest.raises(InvalidSpectrum, match="n and multiplicities must be integers, got "):
+            Spectrum(5, tuple((Fraction(lam), m) for lam, m in entries))
 
     def test_entries_sorted_ascending(self):
         s = Spectrum(5, ((Fraction(1), 1), (Fraction(0), 3)))
@@ -157,8 +182,8 @@ class TestWedgeBasis:
 
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
     def test_labels_descending_and_gram_pairing(self, s):
-        # Witt basis: labels descend and mirror to their negatives, and the
-        # form pairs position a with position n-1-a only, zeros included
+        # Witt basis: labels descend, and the form on C^n pairs position a
+        # with position n-1-a only, zeros included, so paired labels mirror
         wb = wedge_basis(s)
         n = s.n
         lams = [lam for lam, _ in wb.eigen_labels]
@@ -172,9 +197,6 @@ class TestWedgeBasis:
         assert len(set(wb.eigen_labels)) == n
         for a in range(n):
             assert lams[n - 1 - a] == -lams[a]
-            assert wb.partners[a] == n - 1 - a
-            for b in range(n):
-                assert wb.gram[a, b] == (1 if b == n - 1 - a else 0)
 
 
 class TestRealize:
@@ -192,6 +214,15 @@ class TestRealize:
     def test_so3_integer_grading(self):
         dims = grading_of(realize(spec(3, ("0", 1), ("1", 1)))).dims()
         assert dims == {Fraction(-1): 1, Fraction(0): 1, Fraction(1): 1}
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_form_is_the_trace_form(self, n):
+        # invariance alone would accept any multiple of tr(XY)
+        s = spec(n, ("0", n))
+        mats = [matrix_of(s, p) for p in range(n * (n - 1) // 2)]
+        traces = [[(x @ y).trace() for y in mats] for x in mats]
+        expected = tuple(tuple((q, v) for q, v in enumerate(row) if v != 0) for row in traces)
+        assert _so_table(n).form == expected
 
     def test_table_depends_on_n_alone(self):
         a = realize(spec(6, ("1/2", 2), ("3/2", 1)))
@@ -313,7 +344,7 @@ class TestBracketShape:
 
         def corrupting(*args):
             t = build_table(*args)
-            return LieTable(t.dim, t.grade, t.form, sparse, t._form_sparse, [None])
+            return LieTable(t.dim, t.grade, t.form, sparse, [None])
 
         monkeypatch.setattr(sonreal, "build_table", corrupting)
         with pytest.raises(BracketShapeViolation) as err:
@@ -335,7 +366,7 @@ class TestMatrixOf:
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
     def test_skew_for_gram(self, s):
         wb = wedge_basis(s)
-        g = wb.gram
+        g = witt_gram(s.n)
         for idx in range(wb.dim):
             x = matrix_of(s, idx)
             assert x.transpose() @ g + g @ x == RatMatrix.zeros(s.n, s.n)
@@ -344,8 +375,9 @@ class TestMatrixOf:
         # u_a ^ u_b kills every vector Gram-orthogonal to both u_a and u_b
         for s in SAMPLED:
             wb = wedge_basis(s)
+            g = witt_gram(s.n)
             for idx, (a, b) in enumerate(wb.pairs):
-                orth = kernel(RatMatrix([wb.gram.row(a), wb.gram.row(b)]))
+                orth = kernel(RatMatrix([g.row(a), g.row(b)]))
                 assert orth.dim == s.n - 2
                 x = matrix_of(s, idx)
                 assert x @ orth.basis.transpose() == RatMatrix.zeros(s.n, orth.dim)
