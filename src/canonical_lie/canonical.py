@@ -37,14 +37,13 @@ eliminates only over the n // 2 diagonal wedges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
 
-from .exactlin import RatMatrix, Subspace, as_rational, rref
+from .exactlin import RatMatrix, as_rational, rref
 from .liegraded import (
-    GradingMap,
     LieTable,
     NotMonomial,
     bracket_indices,
@@ -64,8 +63,7 @@ class VerdictReason(str, Enum):
     GENERATION_FAILS = "GenerationFails"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "canonical reason failing trace witness")):
     """Decision plus certificate.
 
     `failing` is (grade, achieved dim, required dim) for a generation
@@ -73,25 +71,23 @@ class Verdict:
     grade visited; `witness` is the grading when the algebra was realized.
     """
 
-    canonical: bool
-    reason: VerdictReason
-    failing: tuple[int, int, int] | None = None
-    trace: tuple[tuple[int, int, int], ...] | None = None
-    witness: GradingMap | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.reason is VerdictReason.CANONICAL) != self.canonical:
+    def __new__(cls, canonical, reason, failing=None, trace=None, witness=None):
+        if (reason is VerdictReason.CANONICAL) != canonical:
             raise ValueError("verdict reason inconsistent with the boolean answer")
+        return super().__new__(cls, canonical, reason, failing, trace, witness)
+
+    @classmethod
+    def _make(cls, iterable) -> Verdict:
+        return cls(*iterable)  # `_replace` builds through here, so it validates too
 
 
-@dataclass(frozen=True)
-class ParabolicData:
-    """The parabolic built from a canonical spectrum, with its certificates."""
+class ParabolicData(namedtuple("ParabolicData", "q nilradical series grading")):
+    """The parabolic built from a canonical spectrum, with its certificates:
+    q, its nilradical and descending series as `Subspace`s, and the grading."""
 
-    q: Subspace
-    nilradical: Subspace
-    series: tuple[Subspace, ...]
-    grading: GradingMap
+    __slots__ = ()
 
 
 def condition1(s: Spectrum) -> bool:
@@ -360,14 +356,11 @@ def half_integral_spectra(n: int, max_lambda) -> list[Spectrum]:
     return out
 
 
-@dataclass(frozen=True)
-class OracleRecord:
-    """One spectrum's results under both deciders, for the equivalence sweep."""
+class OracleRecord(namedtuple("OracleRecord", "spectrum verdict prop3 theorem1_ok")):
+    """One spectrum's results under both deciders, for the equivalence sweep;
+    `theorem1_ok` is None unless theorem2 found the spectrum canonical."""
 
-    spectrum: Spectrum
-    verdict: Verdict
-    prop3: bool
-    theorem1_ok: bool | None
+    __slots__ = ()
 
     @property
     def agree(self) -> bool:

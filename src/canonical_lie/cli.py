@@ -9,7 +9,6 @@ invocation; rationals are always rendered as exact "p/q" strings.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -122,6 +121,8 @@ def _load_matrix_file(path: str) -> RatMatrix:
                 [_parse_matrix_cell(v, f"{path} row {i} column {j}") for j, v in enumerate(raw)]
             )
     else:
+        import csv  # only CSV input pays for the module
+
         reader = csv.reader(io.StringIO(text))
         for i, raw in enumerate(reader):
             cells = [c.strip() for c in raw if c.strip() != ""]

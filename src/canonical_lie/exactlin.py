@@ -26,11 +26,13 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def as_rational(value) -> Fraction:
-    """Coerce an exact scalar to Fraction, rejecting floats outright."""
+    """Coerce an exact scalar to Fraction, rejecting floats and bools outright."""
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise TypeError(f"float coefficient {value!r} not allowed; use int or Fraction")
+    if isinstance(value, (bool, float)):
+        raise TypeError(
+            f"{type(value).__name__} coefficient {value!r} not allowed; use int or Fraction"
+        )
     return Fraction(value)
 
 

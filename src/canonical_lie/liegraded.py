@@ -41,9 +41,8 @@ realization is consulted here.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import RatMatrix, Subspace, as_rational, rref
@@ -244,8 +243,7 @@ def _check_grading(sparse, grades) -> None:
             )
 
 
-@dataclass(frozen=True)
-class GradingMap:
+class GradingMap(namedtuple("GradingMap", "ambient_dim blocks")):
     """Basis elements grouped by grade label, sorted by grade ascending.
 
     `blocks` holds, per grade, the ascending indices of the basis elements
@@ -253,8 +251,7 @@ class GradingMap:
     a `Subspace` (spanned by basis unit vectors) only when asked for.
     """
 
-    ambient_dim: int
-    blocks: tuple[tuple[Fraction, tuple[int, ...]], ...]
+    __slots__ = ()
 
     def grades(self) -> tuple[Fraction, ...]:
         return tuple(g for g, _ in self.blocks)

@@ -43,8 +43,7 @@ agree.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -76,26 +75,27 @@ class TooSmall(ValueError):
     """n < 3: so(1) is zero and so(2) is abelian, both out of scope."""
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(namedtuple("Spectrum", "n entries")):
     """Conjugacy-class data of xi in so(n): magnitudes with multiplicities.
 
     `entries` lists (lambda, mult) with lambda >= 0 strictly increasing.
     The eigenvalues of xi on C^n are +/- i*lambda, so the multiplicities
     satisfy mult(0) + 2 * sum of the positive multiplicities = n.
+    Immutable, equal and hashed by (n, entries), so it can key caches.
     """
 
-    n: int
-    entries: tuple[tuple[Fraction, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for x in (self.n, *(mult for _, mult in self.entries)):
+    def __new__(cls, n: int, entries: tuple[tuple[Fraction, int], ...]):
+        for x in (n, *(mult for _, mult in entries)):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise InvalidSpectrum(f"n and multiplicities must be integers, got {x!r}")
-        ents = tuple(sorted((as_rational(lam), mult) for lam, mult in self.entries))
-        object.__setattr__(self, "entries", ents)
-        if self.n < 3:
-            raise InvalidSpectrum(f"n must be at least 3, got {self.n}")
+        for lam, _ in entries:
+            if isinstance(lam, bool):
+                raise InvalidSpectrum(f"magnitudes must be rationals, got {lam!r}")
+        ents = tuple(sorted((as_rational(lam), mult) for lam, mult in entries))
+        if n < 3:
+            raise InvalidSpectrum(f"n must be at least 3, got {n}")
         lambdas = [lam for lam, _ in ents]
         if any(lam < 0 for lam in lambdas):
             raise InvalidSpectrum("magnitudes must be non-negative")
@@ -104,10 +104,13 @@ class Spectrum:
         if any(mult < 1 for _, mult in ents):
             raise InvalidSpectrum("multiplicities must be at least 1")
         total = sum(mult if lam == 0 else 2 * mult for lam, mult in ents)
-        if total != self.n:
-            raise InvalidSpectrum(
-                f"multiplicities account for {total} of {self.n} dimensions"
-            )
+        if total != n:
+            raise InvalidSpectrum(f"multiplicities account for {total} of {n} dimensions")
+        return super().__new__(cls, n, ents)
+
+    @classmethod
+    def _make(cls, iterable) -> Spectrum:
+        return cls(*iterable)  # `_replace` builds through here, so it validates too
 
     def mult(self, lam) -> int:
         lam = as_rational(lam)
@@ -169,8 +172,7 @@ class Spectrum:
         return cls(n, tuple(entries))
 
 
-@dataclass(frozen=True)
-class WedgeBasis:
+class WedgeBasis(namedtuple("WedgeBasis", "eigen_labels pairs")):
     """Ordered Witt eigenbasis of C^n and the induced wedge basis of so(n, C).
 
     `eigen_labels[a] = (lambda_a, p)` is the signed eigenvalue and the index
@@ -181,8 +183,7 @@ class WedgeBasis:
     Only the labels depend on the spectrum; the pairs depend on n alone.
     """
 
-    eigen_labels: tuple[tuple[Fraction, int], ...]
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def n(self) -> int:

@@ -11,6 +11,7 @@ from canonical_lie import (
     NotMonomial,
     RatMatrix,
     Subspace,
+    Verdict,
     VerdictReason,
     condition1,
     enumerate_canonical,
@@ -106,6 +107,23 @@ class TestTheorem2Check:
         assert not v.canonical
         assert v.reason is VerdictReason.NON_INTEGRAL
         assert v.witness is None
+
+    def test_verdict_is_an_immutable_validated_record(self):
+        v = theorem2_check(spec(4, ("1/2", 1), ("3/2", 1)))
+        assert v == theorem2_check(spec(4, ("1/2", 1), ("3/2", 1)))
+        assert hash(v) == hash((v.canonical, v.reason, v.failing, v.trace, v.witness))
+        assert Verdict(False, VerdictReason.NON_INTEGRAL) == Verdict(
+            False, VerdictReason.NON_INTEGRAL, failing=None, trace=None, witness=None
+        )
+        with pytest.raises(ValueError, match="inconsistent"):
+            Verdict(True, VerdictReason.GENERATION_FAILS)
+        with pytest.raises(ValueError, match="inconsistent"):
+            Verdict(False, reason=VerdictReason.CANONICAL)
+        with pytest.raises(AttributeError):
+            v.canonical = True
+        assert v._replace(trace=None) == Verdict(v.canonical, v.reason, v.failing, None, v.witness)
+        with pytest.raises(ValueError, match="inconsistent"):
+            v._replace(canonical=not v.canonical)
 
     def test_gap_obstruction(self):
         v = theorem2_check(spec(3, ("0", 1), ("2", 1)))

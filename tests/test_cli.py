@@ -1,12 +1,15 @@
 """CLI contract: subcommands, exit codes, formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import canonical_lie
 from canonical_lie import RatMatrix, Spectrum, cli, half_integral_count
 from canonical_lie.cli import MAX_LAMBDA, MAX_N, MAX_SWEEP, main
 from helpers import conjugated_normal_form, spec
@@ -309,3 +312,49 @@ class TestContract:
         probe = "import sys, canonical_lie.cli; print('concurrent.futures.process' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+class TestImportBudget:
+    """Start-up every request pays: `dataclasses` pulls in `inspect`, `ast`,
+    `dis` and `tokenize`, and `csv` serves CSV input alone."""
+
+    HEAVY = {"dataclasses", "inspect", "csv"}
+
+    @staticmethod
+    def request(*argv):
+        """Run `python -m canonical_lie ARGV` and return (process, the names of
+        the modules it imported).  `-X importtime` lists every module on
+        stderr; `-S` keeps site-packages start-up hooks out of the list."""
+        src = str(Path(canonical_lie.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-m", "canonical_lie", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+        return proc, {line.rsplit("|", 1)[1].strip() for line in lines}
+
+    def test_help(self):
+        proc, modules = self.request("--help")
+        assert proc.returncode == 0 and "canonical_lie.cli" in modules
+        assert modules & self.HEAVY == set()
+
+    def test_json_matrix_check(self, tmp_path):
+        s = spec(3, ("0", 1), ("1", 1))
+        a = RatMatrix([[0, 1, 2], [-1, 0, 1], [-2, -1, 0]])
+        path = write_matrix(tmp_path / "m.json", conjugated_normal_form(s, a))
+        proc, modules = self.request("check", "--matrix", path, "--format", "json")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["input"]["extracted_spectrum"] == s.to_json()
+        assert "canonical_lie.sonreal" in modules
+        assert modules & self.HEAVY == set()
+
+    def test_csv_matrix_check_imports_csv(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,-1,0\n1,0,0\n0,0,0\n")
+        proc, modules = self.request("check", "--matrix", str(path))
+        assert proc.returncode == 0
+        assert "extracted spectrum {0:1, 1:1}" in proc.stdout
+        assert modules & self.HEAVY == {"csv"}

@@ -147,6 +147,12 @@ class TestSparseInput:
         with pytest.raises(TypeError, match=r"^bracket \[e_0, e_1\] has bool coefficient True"):
             build_table(3, self._with(0, 1, ((2, True),)), (0, 0, 0), self.FORM)
 
+    @pytest.mark.parametrize("label", [True, False])
+    def test_bool_grade_label(self, label):
+        # as_rational would read True as grade 1 and False as grade 0
+        with pytest.raises(TypeError, match=f"^bool coefficient {label} not allowed"):
+            build_table(3, sparse_rows(cross_product_table()), (0, label, 0), self.FORM)
+
     @pytest.mark.parametrize(
         "pairs, error, message",
         [

@@ -1,6 +1,7 @@
 """Wedge model of so(n, C): realization, matrices, spectrum extraction."""
 
-import dataclasses
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ from canonical_lie import (
     RatMatrix,
     Spectrum,
     TooSmall,
+    WedgeBasis,
     enumerate_canonical,
     grade_dims,
     grading_of,
@@ -153,6 +155,29 @@ class TestSpectrum:
     def test_multiplicities_must_be_ints(self, entries):
         with pytest.raises(InvalidSpectrum, match="n and multiplicities must be integers, got "):
             Spectrum(5, tuple((Fraction(lam), m) for lam, m in entries))
+
+    @pytest.mark.parametrize("entries", [((True, 1), (False, 1)), ((False, 1), (1, 1))], ids=repr)
+    def test_magnitudes_must_not_be_bools(self, entries):
+        # as_rational would read {True:1, False:1} as the so(3) spectrum {0:1, 1:1}
+        with pytest.raises(InvalidSpectrum, match="magnitudes must be rationals, got (True|False)"):
+            Spectrum(3, entries)
+
+    def test_immutable_equal_and_hashed_by_value(self):
+        s = spec(5, ("0", 3), ("1", 1))
+        same = Spectrum(5, ((Fraction(1), 1), (0, 3)))
+        assert s == same and s is not same and s != spec(5, ("0", 1), ("1", 2))
+        assert hash(s) == hash(same) == hash((5, s.entries))
+        assert {s: "hit"}[same] == "hit"
+        assert repr(s) == "Spectrum(n=5, entries=((Fraction(0, 1), 3), (Fraction(1, 1), 1)))"
+        assert copy.copy(s) == s and pickle.loads(pickle.dumps(s)) == s
+        with pytest.raises(AttributeError):
+            s.n = 6
+        with pytest.raises(AttributeError):
+            del s.entries
+        assert (s.n, s.entries) == (5, same.entries)
+        assert s._replace(entries=((1, 1), (0, 3))) == same
+        with pytest.raises(InvalidSpectrum, match="account for 7 of 5"):
+            s._replace(entries=((0, 3), (1, 2)))
 
     def test_entries_sorted_ascending(self):
         s = Spectrum(5, ((Fraction(1), 1), (Fraction(0), 3)))
@@ -296,7 +321,7 @@ class TestRelabel:
         wb = wedge_basis(s)
         labels = list(wb.eigen_labels)  # 5/2, 3/2, 1/2, -1/2, -3/2, -5/2
         labels[0], labels[1] = labels[1], labels[0]
-        broken = dataclasses.replace(wb, eigen_labels=tuple(labels))
+        broken = WedgeBasis(tuple(labels), wb.pairs)
         monkeypatch.setattr(sonreal, "wedge_basis", lambda _: broken)
         with pytest.raises(GradingViolation) as err:
             realize.__wrapped__(s)
