@@ -37,7 +37,7 @@ eliminates only over the n // 2 diagonal wedges.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
@@ -338,27 +338,27 @@ def half_integral_count(n: int, max_lambda) -> int:
 
 
 def half_integral_spectra(n: int, max_lambda) -> list[Spectrum]:
-    """All valid spectra for so(n) with magnitudes in (1/2)Z up to max_lambda."""
+    """All valid spectra for so(n) with magnitudes in (1/2)Z up to max_lambda,
+    sorted by largest magnitude, then entries.  The sort runs on the ints
+    (2 max lambda, ((2 lambda, mult), ...)), as lambda -> 2 lambda is monotone."""
     if n < 3:
         raise TooSmall(f"need n >= 3, got n = {n}")
-    bound = as_rational(max_lambda)
-    positives = [Fraction(j, 2) for j in range(1, int(2 * bound) + 1)]
-    out = []
+    top = int(2 * as_rational(max_lambda))
+    keyed = []
     for size in range(0, n // 2 + 1):
-        for combo in combinations_with_replacement(positives, size):
-            m0 = n - 2 * size
-            counts: dict[Fraction, int] = {}
-            for lam in combo:
-                counts[lam] = counts.get(lam, 0) + 1
-            entries = ([(Fraction(0), m0)] if m0 else []) + sorted(counts.items())
-            out.append(Spectrum(n, tuple(entries)))
-    out.sort(key=Spectrum.sort_key)
-    return out
+        m0 = n - 2 * size
+        for combo in combinations_with_replacement(range(1, top + 1), size):
+            doubled = ([(0, m0)] if m0 else []) + sorted(Counter(combo).items())
+            keyed.append((doubled[-1][0], doubled))
+    keyed.sort()
+    halves = [Fraction(d, 2) for d in range(top + 1)]
+    return [Spectrum(n, tuple((halves[d], m) for d, m in doubled)) for _, doubled in keyed]
 
 
 class OracleRecord(namedtuple("OracleRecord", "spectrum verdict prop3 theorem1_ok")):
     """One spectrum's results under both deciders, for the equivalence sweep;
-    `theorem1_ok` is None unless theorem2 found the spectrum canonical."""
+    `theorem1_ok` is None unless theorem2 found the spectrum canonical.
+    `verdict` keeps no trace or grading witness, so a sweep's records stay small."""
 
     __slots__ = ()
 
@@ -375,4 +375,4 @@ def oracle_record(s: Spectrum) -> OracleRecord:
     verdict = theorem2_check(s)
     p3 = prop3_check(s)
     t1 = all(theorem1_report(s).values()) if verdict.canonical else None
-    return OracleRecord(s, verdict, p3, t1)
+    return OracleRecord(s, Verdict(verdict.canonical, verdict.reason, verdict.failing), p3, t1)

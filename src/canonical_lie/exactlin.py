@@ -68,22 +68,12 @@ class RatMatrix:
     def identity(cls, n: int) -> RatMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> RatMatrix:
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         return self.entries[i][j]
-
-    def transpose(self) -> RatMatrix:
-        return RatMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
 
     def __matmul__(self, other: RatMatrix) -> RatMatrix:
         if self.cols != other.rows:
@@ -166,8 +156,8 @@ class Subspace:
     """A subspace of Q^n held as a reduced row-echelon basis.
 
     The RREF basis is canonical, so `==` on Subspaces decides set equality.
-    Build instances through :func:`span` (or the `zero`/`full` helpers);
-    the constructor insists on an already-reduced basis.
+    Build instances through :func:`span` (or `zero`); the constructor
+    insists on an already-reduced basis.
     """
 
     __slots__ = ("ambient_dim", "basis")
@@ -194,16 +184,9 @@ class Subspace:
     def zero(cls, ambient_dim: int) -> Subspace:
         return cls(ambient_dim, RatMatrix((), cols=ambient_dim))
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, RatMatrix.identity(ambient_dim))
-
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self.basis.entries
 
     def __eq__(self, other) -> bool:
         return (

@@ -127,9 +127,6 @@ class Spectrum(namedtuple("Spectrum", "n entries")):
     def max_magnitude(self) -> Fraction:
         return self.entries[-1][0]
 
-    def sort_key(self):
-        return (self.n, self.max_magnitude, self.entries)
-
     def __str__(self) -> str:
         return "{" + ", ".join(f"{lam}:{m}" for lam, m in self.entries) + "}"
 

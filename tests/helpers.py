@@ -1,6 +1,7 @@
 """Shared test helpers: terse spectrum construction, matrix and table fixtures,
 and independent oracles."""
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -13,11 +14,14 @@ from canonical_lie import (
     Spectrum,
     Subspace,
     build_table,
+    half_integral_spectra,
     kernel,
+    oracle_record,
     rref,
     span,
     wedge_basis,
 )
+from canonical_lie.cli import _verdict_summary
 from canonical_lie.liegraded import (
     _check_grading,
     _combine,
@@ -29,6 +33,19 @@ from canonical_lie.liegraded import (
 def spec(n, *pairs):
     """spec(4, ("1/2", 2)) -> Spectrum; magnitudes given as 'p/q' strings or ints."""
     return Spectrum(n, tuple((Fraction(lam), mult) for lam, mult in pairs))
+
+
+def zeros(rows, cols) -> RatMatrix:
+    return RatMatrix([[0] * cols for _ in range(rows)], cols=cols)
+
+
+def transpose(m: RatMatrix) -> RatMatrix:
+    return RatMatrix([[m[i, j] for i in range(m.rows)] for j in range(m.cols)], cols=m.rows)
+
+
+def full_space(dim) -> Subspace:
+    """Q^dim as a Subspace: the identity rows are its reduced basis."""
+    return Subspace(dim, RatMatrix.identity(dim))
 
 
 def grade_dims_by_counting(s):
@@ -64,6 +81,14 @@ def brute_force_spectra(n, max_half_steps):
             entries = ([(Fraction(0), m0)] if m0 else []) + sorted(counts.items())
             out.append(Spectrum(n, tuple(entries)))
     return out
+
+
+def spectra_in_fraction_order(n, max_half_steps):
+    """Oracle for half_integral_spectra: brute_force_spectra sorted on the
+    Fraction key (largest magnitude, then entries)."""
+    return sorted(
+        brute_force_spectra(n, max_half_steps), key=lambda s: (s.max_magnitude, s.entries)
+    )
 
 
 def condition1_pairwise(s):
@@ -129,7 +154,7 @@ def cayley(a):
 def conjugated_normal_form(s, a):
     """Q N(s) Q^T for the Cayley Q of the skew matrix A: spectrum s, entries mixed."""
     q = cayley(a)
-    return q @ normal_form(s) @ q.transpose()
+    return q @ normal_form(s) @ transpose(q)
 
 
 def dense_invariance_failure(bracket_table, form):
@@ -228,7 +253,7 @@ def dense_antisymmetry_failure(bracket_table):
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError(f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}")
-    return span(a.vectors() + b.vectors(), a.ambient_dim)
+    return span(a.basis.entries + b.basis.entries, a.ambient_dim)
 
 
 def unit_span(dim, indices):
@@ -263,8 +288,8 @@ def bracket_spaces(t: LieTable, a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != t.dim or b.ambient_dim != t.dim:
         raise ValueError("subspace ambient dimension does not match the algebra")
     out_rows = []
-    a_items = [_sparse_vec(v) for v in a.vectors()]
-    b_items = [_sparse_vec(v) for v in b.vectors()]
+    a_items = [_sparse_vec(v) for v in a.basis.entries]
+    b_items = [_sparse_vec(v) for v in b.basis.entries]
     for x in a_items:
         for y in b_items:
             acc: dict = {}
@@ -328,7 +353,7 @@ def polar(t: LieTable, a: Subspace) -> Subspace:
     if _form_rank(t) < t.dim:
         raise DegenerateForm("bilinear form is degenerate; polars are undefined")
     constraints = []
-    for vec in a.vectors():
+    for vec in a.basis.entries:
         acc = _combine(_sparse_vec(vec), t.form)
         constraints.append([acc.get(k, 0) for k in range(t.dim)])
     return kernel(RatMatrix(constraints, cols=t.dim))
@@ -347,3 +372,74 @@ def direct_sum(a: LieTable, b: LieTable) -> LieTable:
 
     form = [*a.form, *(tuple((a.dim + k, v) for k, v in row) for row in b.form)]
     return build_table(dim, rows, a.grade + b.grade, form)
+
+
+def _record_json(rec):
+    """One `verify` record as the dict that json.dumps renders."""
+    return {
+        "n": rec.spectrum.n,
+        "spectrum": rec.spectrum.to_json(),
+        "theorem2": {
+            "canonical": rec.verdict.canonical,
+            "reason": rec.verdict.reason.value,
+            "failing": None
+            if rec.verdict.failing is None
+            else dict(zip(("grade", "achieved", "required"), rec.verdict.failing)),
+        },
+        "prop3": rec.prop3,
+        "theorem1": rec.theorem1_ok,
+        "agree": rec.agree,
+    }
+
+
+def verify_by_dumps(max_n, max_lambda, fmt):
+    """Oracle for `verify`: (exit code, stdout) rendered from the full list of
+    records, JSON as one json.dumps(indent=2) of the document and the table
+    from a list of every row."""
+    bound = Fraction(max_lambda)
+    records = [
+        oracle_record(s) for n in range(3, max_n + 1) for s in half_integral_spectra(n, bound)
+    ]
+    bad = [r for r in records if not r.ok]
+    canonical_count = sum(1 for r in records if r.verdict.canonical)
+    agreements = sum(1 for r in records if r.agree)
+    code = 1 if bad else 0
+    if fmt == "json":
+        doc = {
+            "command": "verify",
+            "max_n": max_n,
+            "max_lambda": str(bound),
+            "tested": len(records),
+            "agreements": agreements,
+            "canonical": canonical_count,
+            "discrepancies": [_record_json(r) for r in bad],
+            "results": [_record_json(r) for r in records],
+        }
+        return code, json.dumps(doc, indent=2) + "\n"
+    lines = [f"oracle sweep: n = 3..{max_n}, magnitudes <= {bound}"]
+    rows = [
+        (
+            str(rec.spectrum.n),
+            str(rec.spectrum),
+            _verdict_summary(rec.verdict),
+            "yes" if rec.prop3 else "no",
+            "-" if rec.theorem1_ok is None else ("ok" if rec.theorem1_ok else "FAIL"),
+            "yes" if rec.agree else "NO",
+        )
+        for rec in records
+    ]
+    headers = ("n", "spectrum", "theorem2", "prop3", "theorem1", "agree")
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    for r in (headers, *rows):
+        lines.append("  " + "  ".join(v.ljust(w) for v, w in zip(r, widths)))
+    lines.append(
+        f"tested: {len(records)}   agreements: {agreements}   "
+        f"canonical: {canonical_count}   discrepancies: {len(bad)}"
+    )
+    for rec in bad:
+        lines.append(
+            f"  DISCREPANCY so({rec.spectrum.n}) {rec.spectrum}: "
+            f"theorem2={_verdict_summary(rec.verdict)} prop3={rec.prop3} "
+            f"theorem1={rec.theorem1_ok}"
+        )
+    return code, "\n".join(lines) + "\n"

@@ -36,13 +36,16 @@ from helpers import (
     brute_force_spectra,
     condition1_pairwise,
     descending_series,
+    full_space,
     generated_subalgebra,
     normal_form,
     polar,
     space_at,
     spec,
+    spectra_in_fraction_order,
     subspace_sum,
     unit_span,
+    zeros,
 )
 
 
@@ -274,7 +277,7 @@ class TestStrictGeneration:
 class TestParabolicOf:
     def test_zero_spectrum(self):
         pd = parabolic_of(spec(4, ("0", 4)))
-        assert pd.q == Subspace.full(6)
+        assert pd.q == full_space(6)
         assert pd.nilradical == Subspace.zero(6)
         assert [x.dim for x in pd.series] == [0]
 
@@ -358,6 +361,13 @@ class TestEnumeration:
         assert set(half_integral_spectra(n, bound)) == set(brute)
         assert half_integral_count(n, bound) == len(brute)
 
+    @pytest.mark.parametrize(
+        "n,bound",
+        [(n, Fraction(7, 2)) for n in range(3, 13)] + [(n, Fraction(25, 2)) for n in range(3, 7)],
+    )
+    def test_order_matches_fraction_keys(self, n, bound):
+        assert half_integral_spectra(n, bound) == spectra_in_fraction_order(n, int(2 * bound))
+
 
 class TestCheckMatrix:
     """Extraction feeding theorem2, as `check --matrix` runs them; the CLI
@@ -365,7 +375,7 @@ class TestCheckMatrix:
     entries for golden/third.csv)."""
 
     def test_zero_matrix_is_canonical(self):
-        v = theorem2_check(spectrum_from_matrix(RatMatrix.zeros(3, 3)))
+        v = theorem2_check(spectrum_from_matrix(zeros(3, 3)))
         assert v.canonical
 
     def test_normal_form_of_rejected_spectrum(self):

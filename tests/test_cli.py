@@ -4,15 +4,25 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import canonical_lie
-from canonical_lie import RatMatrix, Spectrum, cli, half_integral_count
+from canonical_lie import (
+    RatMatrix,
+    Spectrum,
+    VerdictReason,
+    canonical,
+    cli,
+    half_integral_count,
+    half_integral_spectra,
+    oracle_record,
+)
 from canonical_lie.cli import MAX_LAMBDA, MAX_N, MAX_SWEEP, main
-from helpers import conjugated_normal_form, spec
+from helpers import _record_json, conjugated_normal_form, spec, verify_by_dumps, zeros
 
 GOOD_SO4 = '{"n":4,"entries":[{"lambda":"1/2","mult":2}]}'
 BAD_SO4 = '{"n":4,"entries":[{"lambda":"1/2","mult":1},{"lambda":"3/2","mult":1}]}'
@@ -177,7 +187,7 @@ class TestCheckMatrix:
 
         monkeypatch.setattr(cli, "spectrum_from_matrix", unreachable)
         n = MAX_N + 1
-        path = write_matrix(tmp_path / "m.json", RatMatrix.zeros(n, n))
+        path = write_matrix(tmp_path / "m.json", zeros(n, n))
         code, out, err = run_cli(capsys, "check", "--matrix", path)
         assert (code, out) == (2, "")
         assert f"at most {MAX_N}" in err
@@ -245,6 +255,43 @@ class TestVerify:
         assert all(r["agree"] for r in doc["results"])
         for r in doc["results"]:
             assert Spectrum.from_json(r["spectrum"]).n == r["n"]
+
+    def test_record_template_is_json_dumps_at_depth_two(self):
+        records = [oracle_record(s) for n in range(3, 9) for s in half_integral_spectra(n, "7/2")]
+        # every reason, a failing block, and theorem1 both true and null
+        assert {r.verdict.reason for r in records} == set(VerdictReason)
+        assert any(r.verdict.failing for r in records)
+        assert {r.theorem1_ok for r in records} == {True, None}
+        for rec in records:
+            want = textwrap.indent(json.dumps(_record_json(rec), indent=2), "    ")
+            assert cli._record_text(rec) == want
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("max_n,bound", [(3, "1/2"), (6, "5/2"), (8, "7/2")])
+    def test_streamed_output_matches_json_dumps(self, capsys, fmt, max_n, bound):
+        code, out, err = run_cli(
+            capsys, "verify", "--max-n", str(max_n), "--max-lambda", bound, "--format", fmt
+        )
+        assert (code, out, err) == (*verify_by_dumps(max_n, bound, fmt), "")
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize(
+        "name,forced",
+        [
+            ("prop3_report", lambda s: (False, "forced")),
+            ("theorem1_report", lambda s: {"forced": False}),
+        ],
+    )
+    def test_discrepancies_match_json_dumps(self, capsys, monkeypatch, fmt, name, forced):
+        monkeypatch.setattr(canonical, name, forced)
+        code, out, err = run_cli(
+            capsys, "verify", "--max-n", "5", "--max-lambda", "2", "--format", fmt
+        )
+        assert code == 1
+        assert (code, out, err) == (*verify_by_dumps(5, "2", fmt), "")
+        if fmt == "json":
+            bad = json.loads(out)["discrepancies"]
+            assert bad and all(r["theorem2"]["canonical"] for r in bad)
 
     def test_max_n_too_small(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--max-n", "2")

@@ -37,6 +37,7 @@ from helpers import (
     dense_symmetry_failure,
     descending_series,
     direct_sum,
+    full_space,
     generated_subalgebra,
     polar,
     regrade,
@@ -47,6 +48,7 @@ from helpers import (
     subspace_sum,
     table_key,
     tails_by_sums,
+    zeros,
 )
 
 SPECTRA_N7 = tuple(s for n in range(3, 8) for s in half_integral_spectra(n, Fraction(5, 2)))
@@ -357,7 +359,7 @@ class TestGradingOf:
     def test_trivial_grading(self):
         gm = grading_of(so3_table())
         assert gm.grades() == (Fraction(0),)
-        assert space_at(gm, 0) == Subspace.full(3)
+        assert space_at(gm, 0) == full_space(3)
 
     def test_so4_half_spectrum_dims(self):
         # pair counting: only the wedge of the two +1/2 directions has grade 1
@@ -388,7 +390,7 @@ class TestGradingOf:
 class TestBracketSpaces:
     def test_zero_argument(self):
         t = so3_table()
-        assert bracket_spaces(t, Subspace.zero(3), Subspace.full(3)) == Subspace.zero(3)
+        assert bracket_spaces(t, Subspace.zero(3), full_space(3)) == Subspace.zero(3)
 
     def test_so4_top_and_bottom_grade_bracket(self):
         t = realize(spec(4, ("1/2", 2)))
@@ -406,7 +408,7 @@ class TestBracketSpaces:
 class TestGeneratedSubalgebra:
     def test_full_seed(self):
         t = so3_table()
-        assert generated_subalgebra(t, Subspace.full(3)) == Subspace.full(3)
+        assert generated_subalgebra(t, full_space(3)) == full_space(3)
 
     def test_so4_outer_grades_generate_proper_subalgebra(self):
         t = realize(spec(4, ("1/2", 2)))
@@ -509,8 +511,8 @@ def _polar_tables():
 class TestPolar:
     def test_extremes(self):
         t = so3_table()
-        assert polar(t, Subspace.full(3)) == Subspace.zero(3)
-        assert polar(t, Subspace.zero(3)) == Subspace.full(3)
+        assert polar(t, full_space(3)) == Subspace.zero(3)
+        assert polar(t, Subspace.zero(3)) == full_space(3)
 
     def test_so4_polar_of_parabolic_is_nilradical(self):
         t = realize(spec(4, ("1/2", 2)))
@@ -529,14 +531,14 @@ class TestPolar:
             assert polar(t, p) == sp
 
     def test_degenerate_form_rejected(self):
-        t = so3_table(form=RatMatrix.zeros(3, 3))  # zero form is invariant but degenerate
+        t = so3_table(form=zeros(3, 3))  # zero form is invariant but degenerate
         with pytest.raises(DegenerateForm):
             polar(t, Subspace.zero(3))
 
     def test_degenerate_form_rejected_before_any_product(self):
-        t = so3_table(form=RatMatrix.zeros(3, 3))
+        t = so3_table(form=zeros(3, 3))
         with pytest.raises(DegenerateForm):
-            polar(t, Subspace.full(3))
+            polar(t, full_space(3))
 
     def test_parabolic_matches_dense_product(self):
         # the form depends on n alone, so each distinct (n, q) is checked

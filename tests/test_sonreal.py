@@ -39,6 +39,8 @@ from helpers import (
     normal_form,
     regrade,
     spec,
+    transpose,
+    zeros,
 )
 
 
@@ -394,7 +396,7 @@ class TestMatrixOf:
         g = witt_gram(s.n)
         for idx in range(wb.dim):
             x = matrix_of(s, idx)
-            assert x.transpose() @ g + g @ x == RatMatrix.zeros(s.n, s.n)
+            assert transpose(x) @ g + g @ x == zeros(s.n, s.n)
 
     def test_annihilates_orthogonal_vectors(self):
         # u_a ^ u_b kills every vector Gram-orthogonal to both u_a and u_b
@@ -405,7 +407,7 @@ class TestMatrixOf:
                 orth = kernel(RatMatrix([g.row(a), g.row(b)]))
                 assert orth.dim == s.n - 2
                 x = matrix_of(s, idx)
-                assert x @ orth.basis.transpose() == RatMatrix.zeros(s.n, orth.dim)
+                assert x @ transpose(orth.basis) == zeros(s.n, orth.dim)
 
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
     def test_ad_diagonal_scales_by_grade(self, s):
@@ -442,7 +444,7 @@ class TestMatrixOf:
 
 class TestSpectrumFromMatrix:
     def test_zero_matrix(self):
-        assert spectrum_from_matrix(RatMatrix.zeros(3, 3)) == spec(3, ("0", 3))
+        assert spectrum_from_matrix(zeros(3, 3)) == spec(3, ("0", 3))
 
     def test_single_rotation_block(self):
         m = RatMatrix([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
@@ -454,8 +456,8 @@ class TestSpectrumFromMatrix:
         g = RatMatrix(
             [[1, 0, 0], [0, Fraction(3, 5), Fraction(-4, 5)], [0, Fraction(4, 5), Fraction(3, 5)]]
         )
-        assert g @ g.transpose() == RatMatrix.identity(3)
-        conjugated = g @ m @ g.transpose()
+        assert g @ transpose(g) == RatMatrix.identity(3)
+        conjugated = g @ m @ transpose(g)
         assert conjugated != m
         assert spectrum_from_matrix(conjugated) == spec(3, ("0", 1), ("1", 1))
 
@@ -472,11 +474,11 @@ class TestSpectrumFromMatrix:
         with pytest.raises(NotSkew):
             spectrum_from_matrix(RatMatrix.identity(3))
         with pytest.raises(NotSkew):
-            spectrum_from_matrix(RatMatrix.zeros(2, 3))
+            spectrum_from_matrix(zeros(2, 3))
 
     def test_too_small(self):
         with pytest.raises(TooSmall):
-            spectrum_from_matrix(RatMatrix.zeros(2, 2))
+            spectrum_from_matrix(zeros(2, 2))
 
     def test_odd_eigenspace_dimension_raises(self, monkeypatch):
         # impossible for a real skew matrix; the check must survive python -O
@@ -525,7 +527,7 @@ class TestSpectrumFromMatrix:
 
 class TestNormalForm:
     def test_zero_spectrum(self):
-        assert normal_form(spec(4, ("0", 4))) == RatMatrix.zeros(4, 4)
+        assert normal_form(spec(4, ("0", 4))) == zeros(4, 4)
 
     def test_block_layout(self):
         m = normal_form(spec(3, ("0", 1), ("1", 1)))
