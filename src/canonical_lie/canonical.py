@@ -93,18 +93,16 @@ class ParabolicData(namedtuple("ParabolicData", "q nilradical series grading")):
 def condition1(s: Spectrum) -> bool:
     """True iff every grade lambda_a + lambda_b over basis pairs is an integer.
 
-    Equivalently: every 2 lambda is an integer and the magnitudes (0 among
-    them when present) are all integers or all half-odd.  Each eigendirection
-    lambda has a second one mu beside it (n >= 3), and lambda + mu and
-    lambda - mu are both grades, so integral grades put 2 lambda in Z and
-    lambda, mu in the same class mod 1; conversely every grade is then an
-    integer.  This reads the spectrum's entries only, never the n(n-1)/2
-    basis pairs.
+    Equivalently: the magnitudes' denominators are all 1 or all 2, that is,
+    every 2 lambda is an integer and the magnitudes (0 among them when
+    present) are all integers or all half-odd.  Each eigendirection lambda
+    has a second one mu beside it (n >= 3), and lambda + mu and lambda - mu
+    are both grades, so integral grades put 2 lambda in Z and lambda, mu in
+    the same class mod 1; conversely every grade is then an integer.  This
+    reads the spectrum's entries only, never the n(n-1)/2 basis pairs.
     """
-    doubled = [2 * lam for lam in s.magnitudes]
-    if any(d.denominator != 1 for d in doubled):
-        return False
-    return len({d.numerator % 2 for d in doubled}) == 1
+    dens = {lam.denominator for lam, _ in s.entries}
+    return dens == {1} or dens == {2}
 
 
 def theorem2_check(s: Spectrum) -> Verdict:
@@ -120,11 +118,12 @@ def theorem2_check(s: Spectrum) -> Verdict:
         return Verdict(False, VerdictReason.NON_INTEGRAL)
     table = realize(s)
     gm = grading_of(table)
-    kmax = max((int(g) for g in gm.grades() if g > 0), default=0)
-    g1 = gm.indices_at(1)
+    spaces = {g: frozenset(idx) for g, idx in gm.blocks if g > 0}  # condition1: int grades
+    kmax = max(spaces, default=0)
+    g1 = spaces.get(1, frozenset())
     trace = []
     for k, current in zip(range(1, kmax + 1), _iterates(table, g1, g1)):
-        required = gm.indices_at(k)
+        required = spaces.get(k, frozenset())
         trace.append((k, len(current), len(required)))
         if current != required:
             return Verdict(
@@ -161,15 +160,16 @@ def _descending_series(table: LieTable, n: frozenset[int]) -> list[frozenset[int
 def prop3_report(s: Spectrum) -> tuple[bool, str]:
     """Closed-form canonicality test on the magnitude ladder, with the
     sentence that says why."""
-    mags = list(s.magnitudes)
-    count = len(mags)
-    if mags == [Fraction(i) for i in range(count)]:
+    count = len(s.entries)
+    nums = [lam.numerator for lam, _ in s.entries]
+    dens = {lam.denominator for lam, _ in s.entries}
+    if dens == {1} and nums == list(range(count)):
         return True, f"magnitudes form the integer ladder 0..{count - 1}"
-    if mags == [Fraction(2 * i + 1, 2) for i in range(count)]:
-        m_half = s.mult(Fraction(1, 2))
+    if dens == {2} and nums == list(range(1, 2 * count, 2)):
+        m_half = s.entries[0][1]
         if m_half >= 2:
             return True, (
-                f"magnitudes form the half-odd ladder 1/2..{mags[-1]} "
+                f"magnitudes form the half-odd ladder 1/2..{s.max_magnitude} "
                 f"with mult(1/2) = {m_half} >= 2"
             )
         return False, f"half-odd ladder, but mult(1/2) = {m_half} < 2"
@@ -265,25 +265,21 @@ def theorem1_report(s: Spectrum) -> dict[str, bool]:
     """
     table = realize(s)
     gm = grading_of(table)
-    nilradical = gm.tail_indices(1)
+    grades = gm.grades()
+    deepest = max([int(g) for g in grades if g > 0 and g.denominator == 1], default=0)
+    nilradical = frozenset(i for g, idx in gm.blocks if g >= 1 for i in idx)
     series = _descending_series(table, nilradical)
-
-    integral = all(g.denominator == 1 for g in gm.grades())
-    positive = [g for g in gm.grades() if g > 0]
-    deepest = max([int(g) for g in positive if g.denominator == 1], default=0)
-
     steps = max(len(series), deepest + 1)
-    matches = True
-    for r in range(1, steps + 1):
-        term = series[r - 1] if r <= len(series) else series[-1]
-        if term != gm.tail_indices(r):
-            matches = False
-            break
-
+    tails, acc, blocks = [], set(), list(gm.blocks)  # tails[r]: indices of grade >= r
+    for r in range(steps, -1, -1):
+        while blocks and blocks[-1][0] >= r:
+            acc.update(blocks.pop()[1])
+        tails.insert(0, frozenset(acc))
+    matches = all(series[min(r, len(series)) - 1] == tails[r] for r in range(1, steps + 1))
     return {
-        "integral_grades": integral,
+        "integral_grades": all(g.denominator == 1 for g in grades),
         "series_matches_tails": matches,
-        "polar_is_nilradical": polar_indices(table, gm.tail_indices(0)) == nilradical,
+        "polar_is_nilradical": polar_indices(table, tails[0]) == nilradical,
         "series_reaches_zero": not series[-1],
     }
 

@@ -45,7 +45,7 @@ MAX_N = 24
 # the default 7/2.  A sweep keeps one compact record per spectrum, and
 # theorem2 walks each grade up to the largest magnitude, so the two caps bound
 # its time and memory: `--max-n 10 --max-lambda 25/2` (197,288 spectra) takes
-# about 7 s and 167 MB on a 2-vCPU x86-64 host.
+# about 5 s and 168 MB on a 2-vCPU x86-64 host.
 MAX_LAMBDA = MAX_N
 MAX_SWEEP = 201_542
 

@@ -8,12 +8,12 @@ equal as sets exactly when their stored bases compare equal entry for entry.
 
 Matrices here are dense and eliminated by textbook Gauss-Jordan.  The
 structure-constant layer keeps brackets and the invariant form as sparse
-rows and the deciders work on sets of basis indices, so elimination runs
-only where no basis index set will do: the kernels of spectrum extraction,
-the rank of the invariant form, laid out densely from its sparse rows for
-this alone (dimension up to 276, at so(24), the largest algebra the command
-line accepts, once per n) and the rank of the diagonal parts in strict
-generation, at most n // 2 columns.
+rows and the deciders work on sets of basis indices, so dense elimination
+runs only where no basis index set will do: the kernels of spectrum
+extraction and the rank of the diagonal parts in strict generation, at most
+n // 2 columns.  The rank of the invariant form is eliminated on its sparse
+rows (:func:`liegraded._form_rank`), one step per row of the monomial
+so(n, C) form.
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ from collections import Counter, namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .exactlin import RatMatrix, Subspace, as_rational, rref
+from .exactlin import RatMatrix, Subspace, as_rational
 
 
 class LieTableError(ValueError):
@@ -356,9 +356,20 @@ def polar_indices(t: LieTable, a) -> frozenset[int]:
 
 
 def _form_rank(t: LieTable) -> int:
+    """Rank of the form by elimination on its sparse rows: each row is reduced
+    by the kept row at its leading column until that column is new, and is kept
+    there.  A monomial form with distinct columns, as in so(n, C), takes one
+    step per row."""
     cell = t._form_rank
     if cell[0] is None:
-        zero = Fraction(0)  # one object for every zero entry; RatMatrix keeps Fractions as given
-        rows = [dict(row) for row in t.form]
-        cell[0] = rref(RatMatrix([[r.get(k, zero) for k in range(t.dim)] for r in rows]))[0]
+        pivots: dict[int, dict] = {}  # leading column -> reduced row
+        for row in t.form:
+            r = dict(row)
+            while r and (lead := min(r)) in pivots:
+                p = pivots[lead]
+                f = Fraction(r[lead], p[lead])
+                r = {k: w for k in r.keys() | p.keys() if (w := r.get(k, 0) - f * p.get(k, 0))}
+            if r:
+                pivots[lead] = r
+        cell[0] = len(pivots)
     return cell[0]

@@ -93,20 +93,22 @@ class Spectrum(namedtuple("Spectrum", "n entries")):
         for lam, _ in entries:
             if isinstance(lam, bool):
                 raise InvalidSpectrum(f"magnitudes must be rationals, got {lam!r}")
-        ents = tuple(sorted((as_rational(lam), mult) for lam, mult in entries))
+        lams = [as_rational(lam) for lam, _ in entries]
         if n < 3:
             raise InvalidSpectrum(f"n must be at least 3, got {n}")
-        lambdas = [lam for lam, _ in ents]
-        if any(lam < 0 for lam in lambdas):
+        den = math.lcm(*(lam.denominator for lam in lams))  # sorted and compared as D * lambda
+        scaled = [lam.numerator * (den // lam.denominator) for lam in lams]
+        ents = sorted(zip(scaled, (mult for _, mult in entries), lams))
+        if ents and ents[0][0] < 0:
             raise InvalidSpectrum("magnitudes must be non-negative")
-        if len(set(lambdas)) != len(lambdas):
+        if any(a[0] == b[0] for a, b in zip(ents, ents[1:])):
             raise InvalidSpectrum("magnitudes must be distinct")
-        if any(mult < 1 for _, mult in ents):
+        if any(mult < 1 for _, mult, _ in ents):
             raise InvalidSpectrum("multiplicities must be at least 1")
-        total = sum(mult if lam == 0 else 2 * mult for lam, mult in ents)
+        total = sum(mult if x == 0 else 2 * mult for x, mult, _ in ents)
         if total != n:
             raise InvalidSpectrum(f"multiplicities account for {total} of {n} dimensions")
-        return super().__new__(cls, n, ents)
+        return super().__new__(cls, n, tuple((lam, mult) for _, mult, lam in ents))
 
     @classmethod
     def _make(cls, iterable) -> Spectrum:
@@ -303,10 +305,11 @@ def realize(s: Spectrum) -> LieTable:
     with the bracket shape :func:`_so_table` checked, that makes every
     bracket respect the grades and the grade multiset symmetric (see the
     module docstring).  Raises GradingViolation naming an unmirrored label.
+    Integral grades are ints, equal, hash-equal and printed alike to Fractions.
     """
     t = _so_table(s.n)
     sums, den = _scaled_pair_sums(s)
-    grade_of = {k: Fraction(k, den) for k in set(sums)}
+    grade_of = {k: Fraction(k, den) if k % den else k // den for k in set(sums)}
     grades = tuple(map(grade_of.__getitem__, sums))
     return LieTable(t.dim, grades, t.form, t._sparse, t._form_rank)
 

@@ -5,10 +5,12 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from canonical_lie import (
     DegenerateForm,
+    InvalidSpectrum,
     LieTable,
     RatMatrix,
     Spectrum,
@@ -22,6 +24,7 @@ from canonical_lie import (
     wedge_basis,
 )
 from canonical_lie.cli import _verdict_summary
+from canonical_lie.exactlin import as_rational
 from canonical_lie.liegraded import (
     _check_grading,
     _combine,
@@ -72,15 +75,31 @@ def brute_force_spectra(n, max_half_steps):
     Written independently of the production generator so the two can be
     checked against each other.
     """
-    positives = [Fraction(j, 2) for j in range(1, max_half_steps + 1)]
+    return spectra_over(n, [Fraction(j, 2) for j in range(1, max_half_steps + 1)])
+
+
+def spectra_over(n, magnitudes):
+    """Every valid so(n) spectrum whose positive magnitudes come from
+    `magnitudes`, with 0 for the rest: the multisets of at most n // 2 of them."""
     out = []
-    for size in range(0, n // 2 + 1):
-        for combo in combinations_with_replacement(positives, size):
+    for size in range(n // 2 + 1):
+        for combo in combinations_with_replacement(sorted(magnitudes), size):
             m0 = n - 2 * size
-            counts = Counter(combo)
-            entries = ([(Fraction(0), m0)] if m0 else []) + sorted(counts.items())
+            entries = ([(Fraction(0), m0)] if m0 else []) + sorted(Counter(combo).items())
             out.append(Spectrum(n, tuple(entries)))
     return out
+
+
+@lru_cache(maxsize=1)
+def integer_path_spectra():
+    """The spectra the integer deciders are checked on against their Fraction
+    oracles: every half-integral spectrum with n <= 12 at 7/2 and n <= 6 at
+    25/2, then, for n <= 8, magnitudes in thirds and quarters mixed with
+    integers and half-odd ones."""
+    out = [s for n in range(3, 13) for s in half_integral_spectra(n, Fraction(7, 2))]
+    out += [s for n in range(3, 7) for s in half_integral_spectra(n, Fraction(25, 2))]
+    odd = [Fraction(p, q) for p, q in ((1, 3), (2, 3), (3, 4), (5, 4), (1, 2), (1, 1), (3, 2))]
+    return tuple(out + [s for n in range(3, 9) for s in spectra_over(n, odd)])
 
 
 def spectra_in_fraction_order(n, max_half_steps):
@@ -99,6 +118,59 @@ def condition1_pairwise(s):
     return all(
         (lams[a] + lams[b]).denominator == 1 for a in range(n) for b in range(a + 1, n)
     )
+
+
+def spectrum_entries_by_fractions(n, entries):
+    """Oracle for Spectrum validation: the entries sorted as (Fraction, mult)
+    pairs, or the InvalidSpectrum (or coercion error) raised, with the checks
+    made on the magnitudes as Fractions in the order Spectrum makes them."""
+    for x in (n, *(mult for _, mult in entries)):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise InvalidSpectrum(f"n and multiplicities must be integers, got {x!r}")
+    for lam, _ in entries:
+        if isinstance(lam, bool):
+            raise InvalidSpectrum(f"magnitudes must be rationals, got {lam!r}")
+    ents = tuple(sorted((as_rational(lam), mult) for lam, mult in entries))
+    if n < 3:
+        raise InvalidSpectrum(f"n must be at least 3, got {n}")
+    lambdas = [lam for lam, _ in ents]
+    if any(lam < 0 for lam in lambdas):
+        raise InvalidSpectrum("magnitudes must be non-negative")
+    if len(set(lambdas)) != len(lambdas):
+        raise InvalidSpectrum("magnitudes must be distinct")
+    if any(mult < 1 for _, mult in ents):
+        raise InvalidSpectrum("multiplicities must be at least 1")
+    total = sum(mult if lam == 0 else 2 * mult for lam, mult in ents)
+    if total != n:
+        raise InvalidSpectrum(f"multiplicities account for {total} of {n} dimensions")
+    return ents
+
+
+def condition1_by_fractions(s):
+    """Oracle for condition1: every 2 lambda is an integer, and all of them
+    have one parity."""
+    doubled = [2 * lam for lam in s.magnitudes]
+    if any(d.denominator != 1 for d in doubled):
+        return False
+    return len({d.numerator % 2 for d in doubled}) == 1
+
+
+def prop3_report_by_fractions(s):
+    """Oracle for prop3_report: the magnitudes compared, as Fractions, with
+    the integer ladder and the half-odd ladder."""
+    mags = list(s.magnitudes)
+    count = len(mags)
+    if mags == [Fraction(i) for i in range(count)]:
+        return True, f"magnitudes form the integer ladder 0..{count - 1}"
+    if mags == [Fraction(2 * i + 1, 2) for i in range(count)]:
+        m_half = s.mult(Fraction(1, 2))
+        if m_half >= 2:
+            return True, (
+                f"magnitudes form the half-odd ladder 1/2..{mags[-1]} "
+                f"with mult(1/2) = {m_half} >= 2"
+            )
+        return False, f"half-odd ladder, but mult(1/2) = {m_half} < 2"
+    return False, "magnitudes are not an unbroken ladder from 0 or 1/2"
 
 
 def matrix_of(s: Spectrum, basis_pair_index: int) -> RatMatrix:

@@ -21,6 +21,7 @@ from canonical_lie import (
     parabolic_of,
     polar_indices,
     prop3_check,
+    prop3_report,
     realize,
     spectrum_from_matrix,
     strict_generation_report,
@@ -34,12 +35,15 @@ from canonical_lie.sonreal import TooSmall
 from helpers import (
     bracket_spaces,
     brute_force_spectra,
+    condition1_by_fractions,
     condition1_pairwise,
     descending_series,
     full_space,
     generated_subalgebra,
+    integer_path_spectra,
     normal_form,
     polar,
+    prop3_report_by_fractions,
     space_at,
     spec,
     spectra_in_fraction_order,
@@ -77,6 +81,10 @@ class TestCondition1:
         ]
         for s in cases:
             assert condition1(s) == condition1_pairwise(s), s
+
+    def test_matches_fraction_oracle(self):
+        for s in integer_path_spectra():
+            assert condition1(s) == condition1_by_fractions(s), str(s)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_literal_grade_scan(self, n):
@@ -209,6 +217,10 @@ class TestProp3Check:
 
     def test_mixed_parity(self):
         assert not prop3_check(spec(5, ("0", 1), ("1/2", 1), ("1", 1)))
+
+    def test_report_matches_fraction_oracle(self):
+        for s in integer_path_spectra():
+            assert prop3_report(s) == prop3_report_by_fractions(s), str(s)
 
 
 class TestStrictGeneration:

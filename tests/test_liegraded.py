@@ -14,6 +14,7 @@ from canonical_lie import (
     FormNotInvariant,
     GradingViolation,
     JacobiViolation,
+    LieTable,
     LieTableError,
     NotMonomial,
     RatMatrix,
@@ -25,8 +26,10 @@ from canonical_lie import (
     kernel,
     polar_indices,
     realize,
+    rref,
     span,
 )
+from canonical_lie.liegraded import _form_rank
 from canonical_lie.sonreal import _so_table
 from helpers import (
     bracket_spaces,
@@ -560,6 +563,60 @@ class TestPolar:
         t = _polar_tables()[name]
         a = span([v[: t.dim] for v in vectors], t.dim)
         assert polar(t, a) == kernel(a.basis @ dense_form(t))
+
+
+RANK_COEFFS = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+
+
+@st.composite
+def sparse_form_rows(draw):
+    """dim sparse rows, int and Fraction coefficients: some drawn, the rest
+    combinations of those, so the form is degenerate when rows repeat a span."""
+    dim = draw(st.integers(1, 7))
+    drawn = draw(
+        st.lists(st.dictionaries(st.integers(0, dim - 1), RANK_COEFFS, max_size=dim), max_size=dim)
+    )
+    rows = list(drawn)
+    while len(rows) < dim:
+        coeffs = draw(st.lists(st.sampled_from([0, 1, -1, 2, Fraction(1, 2)]), max_size=len(rows)))
+        combo = {}
+        for c, row in zip(coeffs, rows):
+            for k, v in row.items():
+                combo[k] = combo.get(k, 0) + c * v
+        rows.append(combo)
+    rows = draw(st.permutations(rows))
+    return dim, [tuple((k, v) for k, v in sorted(row.items()) if v != 0) for row in rows]
+
+
+def _fresh_rank(dim, form):
+    """_form_rank on a table holding `form`, with no rank cached yet."""
+    return _form_rank(LieTable(dim, (0,) * dim, tuple(form), None, [None]))
+
+
+class TestFormRank:
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_form_rows())
+    def test_matches_dense_rref(self, drawn):
+        dim, form = drawn
+        dense = [[dict(row).get(k, 0) for k in range(dim)] for row in form]
+        assert _fresh_rank(dim, form) == rref(RatMatrix(dense, cols=dim))[0]
+
+    @pytest.mark.parametrize(
+        "form, rank",
+        [
+            ([(), (), ()], 0),
+            ([((0, 1), (2, 2)), ((0, Fraction(1, 2)), (2, 1)), ((1, 3),)], 2),
+            ([((0, 1), (1, 1)), ((1, 1), (2, 1)), ((0, 1), (2, -1))], 2),
+            ([((0, 2),), ((0, 1), (1, 1)), ((1, Fraction(-1, 3)), (2, 5))], 3),
+        ],
+    )
+    def test_small_forms(self, form, rank):
+        assert _fresh_rank(3, form) == rank
+
+    @pytest.mark.parametrize("n", range(3, 25))
+    def test_so_n_form_is_nondegenerate(self, n):
+        t = _so_table(n)
+        assert _fresh_rank(t.dim, t.form) == t.dim
 
 
 class TestDirectSum:

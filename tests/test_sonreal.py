@@ -7,7 +7,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canonical_lie import (
@@ -34,11 +34,13 @@ from canonical_lie.sonreal import _check_witt_shape, _so_table
 from helpers import (
     conjugated_normal_form,
     grade_dims_by_counting,
+    integer_path_spectra,
     matrix_of,
     dense_rows,
     normal_form,
     regrade,
     spec,
+    spectrum_entries_by_fractions,
     transpose,
     zeros,
 )
@@ -128,6 +130,26 @@ def pair_sums(s):
     return tuple(lam[a] + lam[b] for a, b in wb.pairs)
 
 
+# Spectrum arguments, valid or not: negative magnitudes, 1 written as 1 and
+# as Fraction(2, 2), multiplicity 0, bools and floats, and n either drawn or
+# the total the entries account for.  Bad types are drawn rarely enough that
+# the value checks after them run too.
+MAGNITUDE_DRAWS = st.one_of(
+    st.integers(-1, 3),
+    st.fractions(min_value=-1, max_value=3, max_denominator=4),
+    st.sampled_from([Fraction(2, 2), Fraction(1, 2), 1, 0, True, 0.5]),
+)
+MULT_DRAWS = st.one_of(st.integers(0, 3), st.integers(1, 2), st.sampled_from([-1, True, 1.0]))
+
+
+@st.composite
+def spectrum_args(draw):
+    entries = draw(st.lists(st.tuples(MAGNITUDE_DRAWS, MULT_DRAWS), max_size=4))
+    total = sum(m if lam == 0 else 2 * m for lam, m in entries)
+    n = draw(st.sampled_from([total, total, total, 0, 2, 3, 4, 5, True, 4.0]))
+    return n, entries
+
+
 class TestSpectrum:
     def test_validation(self):
         with pytest.raises(InvalidSpectrum):
@@ -163,6 +185,35 @@ class TestSpectrum:
         # as_rational would read {True:1, False:1} as the so(3) spectrum {0:1, 1:1}
         with pytest.raises(InvalidSpectrum, match="magnitudes must be rationals, got (True|False)"):
             Spectrum(3, entries)
+
+    def test_validation_matches_fraction_oracle(self):
+        for s in integer_path_spectra():
+            shuffled = s.entries[::-1]
+            got = Spectrum(s.n, shuffled).entries
+            assert got == spectrum_entries_by_fractions(s.n, shuffled), str(s)
+            assert all(type(lam) is Fraction for lam, _ in got), str(s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spectrum_args())
+    @example((4, [(1, 1), (Fraction(2, 2), 1)]))  # one magnitude written twice
+    @example((4, [(Fraction(1, 2), 2), (1, 0)]))  # multiplicity 0
+    @example((4, [(-1, 1), (1, 1)]))
+    @example((5, [(0, 1), (1, 1)]))  # a wrong total
+    @example((3, [(0, True), (1, 1)]))
+    @example((3, [(True, 1), (1, 1)]))
+    @example((3, [(0.0, 1), (1, 1)]))
+    @example((3, [(0, 1), (1, 1.0)]))
+    def test_malformed_entries_match_fraction_oracle(self, args):
+        n, entries = args
+
+        def outcome(build):
+            try:
+                return build()
+            except (InvalidSpectrum, TypeError, ValueError) as exc:
+                return type(exc), str(exc)
+
+        got = outcome(lambda: Spectrum(n, tuple(entries)).entries)
+        assert got == outcome(lambda: spectrum_entries_by_fractions(n, tuple(entries)))
 
     def test_immutable_equal_and_hashed_by_value(self):
         s = spec(5, ("0", 3), ("1", 1))
@@ -317,6 +368,22 @@ class TestRelabel:
             assert grading_of(t).blocks == grading_of(expected).blocks, str(s)
             assert t._sparse is expected._sparse and t.form is expected.form
             assert t._form_rank is expected._form_rank
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_grade_labels_stand_in_for_fractions(self, n):
+        # integral grades are ints; each must behave as the Fraction label it replaces
+        kinds, mixed = set(), 0
+        for s in half_integral_spectra(n, Fraction(7, 2)):
+            got, want = realize(s).grade, pair_sums(s)
+            assert got == want and list(map(str, got)) == list(map(str, want)), str(s)
+            assert list(map(hash, got)) == list(map(hash, want)), str(s)
+            order = sorted(range(len(got)), key=got.__getitem__)
+            assert order == sorted(range(len(want)), key=want.__getitem__), str(s)
+            dims = grading_of(realize(s)).dims()
+            assert list(dims.items()) == list(grade_dims(s).items()), str(s)
+            kinds.update(map(type, got))
+            mixed += {int, Fraction} <= set(map(type, got))
+        assert kinds == {int, Fraction} and mixed
 
     def test_unmirrored_labels_raise(self, monkeypatch):
         s = spec(6, ("1/2", 1), ("3/2", 1), ("5/2", 1))
