@@ -8,14 +8,7 @@ closed-form spectral classification.  Every computation is exact over the
 rationals; there is no floating point anywhere.
 """
 
-from .exactlin import (
-    RatMatrix,
-    Subspace,
-    kernel,
-    parse_rational,
-    rref,
-    span,
-)
+from .exactlin import RatMatrix, parse_rational, rref
 from .liegraded import (
     AntisymmetryViolation,
     DegenerateForm,
@@ -82,7 +75,6 @@ __all__ = [
     "ParabolicData",
     "RatMatrix",
     "Spectrum",
-    "Subspace",
     "TooSmall",
     "Verdict",
     "VerdictReason",
@@ -95,7 +87,6 @@ __all__ = [
     "grading_of",
     "half_integral_count",
     "half_integral_spectra",
-    "kernel",
     "oracle_record",
     "parabolic_of",
     "parse_rational",
@@ -104,7 +95,6 @@ __all__ = [
     "prop3_report",
     "realize",
     "rref",
-    "span",
     "spectrum_from_matrix",
     "strict_generation_report",
     "theorem1_report",

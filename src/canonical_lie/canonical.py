@@ -28,10 +28,11 @@ basis: a bracket of two basis elements has two nonzero coordinates only when
 their grades sum to 0, and the trace form is monomial.  So these run on sets
 of basis indices (:func:`liegraded.bracket_indices`,
 :func:`liegraded.polar_indices`), which raise rather than answer if a bracket
-or form row they meet is not monomial.  `Subspace` certificates are built
-from the grading at the end.  Strict generation by g_1 + g_{-1}, whose
-brackets can have two nonzero coordinates, closes an index set too and
-eliminates only over the n // 2 diagonal wedges.
+or form row they meet is not monomial.  The certificates of
+:func:`parabolic_of` (q, its nilradical and descending series) are those
+index sets too.  Strict generation by g_1 + g_{-1}, whose brackets can have
+two nonzero coordinates, closes an index set too and eliminates only over
+the n // 2 diagonal wedges.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ class Verdict(namedtuple("Verdict", "canonical reason failing trace witness")):
 
 class ParabolicData(namedtuple("ParabolicData", "q nilradical series grading")):
     """The parabolic built from a canonical spectrum, with its certificates:
-    q, its nilradical and descending series as `Subspace`s, and the grading."""
+    q, its nilradical and each term of its descending series as the frozenset
+    of the Witt wedge basis indices that spans it, and the grading."""
 
     __slots__ = ()
 
@@ -232,26 +234,23 @@ def parabolic_of(s: Spectrum) -> ParabolicData:
     """Parabolic subalgebra, nilradical and descending series of a canonical spectrum.
 
     q is the sum of the non-negative grade spaces and the nilradical the sum
-    of the positive ones; the series is recomputed by bracketing and checked
-    against the grading tails rather than assumed.
+    of the positive ones, each given by the basis indices that span it; the
+    series is recomputed by bracketing and checked against the grading tails
+    rather than assumed.
     """
     verdict = theorem2_check(s)
     if not verdict.canonical:
         raise NotCanonical(f"spectrum {s} is not canonical: {verdict.reason.value}")
     table = realize(s)
     gm = grading_of(table)
-    series = _descending_series(table, gm.tail_indices(1))
+    nilradical = gm.tail_indices(1)
+    series = _descending_series(table, nilradical)
     for r, term in enumerate(series, start=1):
         if term != gm.tail_indices(r):
             raise RuntimeError(
                 f"descending series step {r} does not match the grading tail"
             )
-    return ParabolicData(
-        gm.tail(0),
-        gm.tail(1),
-        tuple(gm.tail(r) for r in range(1, len(series) + 1)),
-        gm,
-    )
+    return ParabolicData(gm.tail_indices(0), nilradical, tuple(series), gm)
 
 
 def theorem1_report(s: Spectrum) -> dict[str, bool]:

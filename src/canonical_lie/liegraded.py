@@ -31,11 +31,13 @@ carry many gradings that share its brackets, form and cached form rank.
 re-running checks 2 and 3 per grading: the table's bracket shape, checked
 once per n, and mirrored eigenvalue labels imply them.
 
-:func:`bracket_indices` and :func:`polar_indices` act on coordinate
-subspaces, given as sets of basis indices, with no elimination.  They are
-exact when every bracket they meet is a multiple of one basis element and
-the form is monomial, and raise :class:`NotMonomial` naming the offending
-pair or row otherwise.  The canonical deciders run on them; no matrix
+Every subspace here is a coordinate subspace, given as the set of basis
+indices that spans it: the grade spaces and tails of a :class:`GradingMap`,
+and the arguments and results of :func:`bracket_indices` and
+:func:`polar_indices`, which run with no elimination.  Those two are exact
+when every bracket they meet is a multiple of one basis element and the form
+is monomial, and raise :class:`NotMonomial` naming the offending pair or row
+otherwise.  The canonical deciders and certificates run on them; no matrix
 realization is consulted here.
 """
 
@@ -45,7 +47,7 @@ from collections import Counter, namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .exactlin import RatMatrix, Subspace, as_rational
+from .exactlin import as_rational
 
 
 class LieTableError(ValueError):
@@ -247,8 +249,9 @@ class GradingMap(namedtuple("GradingMap", "ambient_dim blocks")):
     """Basis elements grouped by grade label, sorted by grade ascending.
 
     `blocks` holds, per grade, the ascending indices of the basis elements
-    with that label.  Dimensions come from their lengths; a tail is built as
-    a `Subspace` (spanned by basis unit vectors) only when asked for.
+    with that label.  Dimensions come from their lengths, and a grade space
+    or a tail (the sum of the grade spaces from some grade up) is the set of
+    basis indices that spans it.
     """
 
     __slots__ = ()
@@ -270,24 +273,6 @@ class GradingMap(namedtuple("GradingMap", "ambient_dim blocks")):
 
     def dims(self) -> dict[Fraction, int]:
         return {g: len(idx) for g, idx in self.blocks}
-
-    def tail(self, r) -> Subspace:
-        """Sum of the eigenspaces with grade >= r."""
-        return _coordinate_subspace(self.ambient_dim, self.tail_indices(r))
-
-
-def _coordinate_subspace(dim: int, indices) -> Subspace:
-    """Span of the basis unit vectors e_i, i in `indices`.
-
-    The unit rows in ascending index order are already a reduced row-echelon
-    basis, so no elimination runs; `Subspace` rejects them if not.
-    """
-    rows = []
-    for i in sorted(indices):
-        row = [0] * dim
-        row[i] = 1
-        rows.append(row)
-    return Subspace(dim, RatMatrix(rows, cols=dim))
 
 
 def grading_of(t: LieTable) -> GradingMap:

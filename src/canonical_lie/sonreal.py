@@ -47,7 +47,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactlin import RatMatrix, as_rational, charpoly, kernel
+from .exactlin import RatMatrix, as_rational, charpoly, rref
 from .liegraded import GradingViolation, LieTable, LieTableError, build_table
 
 
@@ -91,7 +91,7 @@ class Spectrum(namedtuple("Spectrum", "n entries")):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise InvalidSpectrum(f"n and multiplicities must be integers, got {x!r}")
         for lam, _ in entries:
-            if isinstance(lam, bool):
+            if isinstance(lam, (bool, float)):
                 raise InvalidSpectrum(f"magnitudes must be rationals, got {lam!r}")
         lams = [as_rational(lam) for lam, _ in entries]
         if n < 3:
@@ -347,19 +347,21 @@ def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
     """Exact eigenvalue extraction from a rational skew-symmetric matrix.
 
     The eigenvalues of m are +/- i*lambda, so those of -m^2 are the squares
-    lambda^2 >= 0.  Clearing the denominators of m^2 (D is their lcm) gives
-    the integer matrix N = -4 D m^2 = 4 D m^T m with eigenvalues
-    4 D lambda^2, so a half-integral magnitude lambda = j/2 is a root
-    y = D j^2 of the integer characteristic polynomial of N (Berkowitz,
+    lambda^2 >= 0.  With L the lcm of the denominators of m, A = L m is an
+    integer matrix and so is its square; dividing -4 A^2 by
+    g = gcd(content of A^2, L^2) gives the integer matrix N = -4 D m^2,
+    D = L^2 / g, the least D that clears the denominators of m^2.  N has
+    eigenvalues 4 D lambda^2, so a half-integral magnitude lambda = j/2 is a
+    root y = D j^2 of the integer characteristic polynomial of N (Berkowitz,
     division-free).  A Sturm sequence of its square-free part counts roots
     between grid points y = D j^2, and bisecting over 0 < j <= J isolates
     every grid point that is a root, in about log2 J steps per distinct
     root; J^2 <= -2 tr m^2, four times the sum of the squared magnitudes.
-    Only at those roots is the multiplicity of +/- i*lambda taken, as
-    dim ker(m^2 + lambda^2) / 2; mult(0) = dim ker m.  Returns None when the
-    multiplicities found do not account for all n dimensions, i.e. when some
-    magnitude is not a half-integer.  The cost grows with the bit length of
-    the entries, not with their size, and no float is involved.
+    Only at those roots is a rank taken: the multiplicity of +/- i*lambda is
+    (n - rank(N - D j^2 I)) / 2, and mult(0) = n - rank m.  Returns None when
+    the multiplicities found do not account for all n dimensions, i.e. when
+    some magnitude is not a half-integer.  The cost grows with the bit length
+    of the entries, not with their size, and no float is involved.
 
     That outcome already settles the canonicality question.  A grading can
     only have integer grades if any two signed magnitudes have integral sum
@@ -376,16 +378,22 @@ def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
             if m[i, j] != -m[j, i]:
                 raise NotSkew(f"entry ({i}, {j}) is not the negative of ({j}, {i})")
 
-    m2 = m @ m
-    mult0 = kernel(m).dim
-    scale = math.lcm(*(v.denominator for row in m2.entries for v in row))
-    gram = [[-4 * v.numerator * (scale // v.denominator) for v in row] for row in m2.entries]
-    top = math.isqrt(math.floor(-2 * m2.trace()))
+    lcd = math.lcm(*(v.denominator for row in m.entries for v in row))
+    a = [[v.numerator * (lcd // v.denominator) for v in row] for row in m.entries]
+    cols = list(zip(*a))
+    a2 = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    g = math.gcd(*(v for row in a2 for v in row), lcd * lcd)
+    scale = lcd * lcd // g
+    gram = [[-4 * (v // g) for v in row] for row in a2]
+    top = math.isqrt(-2 * sum(a2[i][i] for i in range(n)) // (lcd * lcd))
+    mult0 = n - rref(m)[0]
     entries = []
     for j in _grid_roots(charpoly(gram), scale, top):
+        shifted = [list(row) for row in gram]
+        for i in range(n):
+            shifted[i][i] -= scale * j * j
+        d = n - rref(RatMatrix(shifted, cols=n))[0]
         lam = Fraction(j, 2)
-        shifted = m2 + RatMatrix.identity(n).scaled(lam * lam)
-        d = kernel(shifted).dim
         if d % 2:
             raise RuntimeError(
                 f"kernel of m^2 + {lam * lam} has odd dimension {d}; the +/- i*{lam} "

@@ -14,23 +14,21 @@ from canonical_lie import (
     LieTable,
     RatMatrix,
     Spectrum,
-    Subspace,
     build_table,
     half_integral_spectra,
-    kernel,
     oracle_record,
     rref,
-    span,
     wedge_basis,
 )
 from canonical_lie.cli import _verdict_summary
-from canonical_lie.exactlin import as_rational
+from canonical_lie.exactlin import as_rational, charpoly
 from canonical_lie.liegraded import (
     _check_grading,
     _combine,
     _form_rank,
     _grade_labels,
 )
+from canonical_lie.sonreal import _grid_roots
 
 
 def spec(n, *pairs):
@@ -46,9 +44,159 @@ def transpose(m: RatMatrix) -> RatMatrix:
     return RatMatrix([[m[i, j] for i in range(m.rows)] for j in range(m.cols)], cols=m.rows)
 
 
+def identity(n) -> RatMatrix:
+    return RatMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+
+
+def matmul(*factors: RatMatrix) -> RatMatrix:
+    """The product of the factors, left to right."""
+    out = factors[0]
+    for other in factors[1:]:
+        if out.cols != other.rows:
+            raise ValueError(
+                f"shape mismatch: {(out.rows, out.cols)} @ {(other.rows, other.cols)}"
+            )
+        cols = [[r[j] for r in other.entries] for j in range(other.cols)]
+        out = RatMatrix(
+            [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols]
+             for row in out.entries],
+            cols=other.cols,
+        )
+    return out
+
+
+def mat_add(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError(f"shape mismatch: {(a.rows, a.cols)} + {(b.rows, b.cols)}")
+    return RatMatrix(
+        [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a.entries, b.entries)], cols=a.cols
+    )
+
+
+def scaled(m: RatMatrix, c) -> RatMatrix:
+    c = as_rational(c)
+    return RatMatrix([[c * v for v in row] for row in m.entries], cols=m.cols)
+
+
+def trace(m: RatMatrix) -> Fraction:
+    if m.rows != m.cols:
+        raise ValueError("trace of a non-square matrix")
+    return sum((m.entries[i][i] for i in range(m.rows)), Fraction(0))
+
+
+class Subspace:
+    """A subspace of Q^n held as a reduced row-echelon basis.
+
+    The RREF basis is canonical, so `==` on Subspaces decides set equality.
+    Build instances through :func:`span` (or `zero`); the constructor
+    insists on an already-reduced basis.
+    """
+
+    __slots__ = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, basis: RatMatrix):
+        if basis.cols != ambient_dim:
+            raise ValueError(f"basis width {basis.cols} != ambient dim {ambient_dim}")
+        last_pivot = -1
+        for row in basis.entries:
+            pivot = next((j for j, v in enumerate(row) if v != 0), None)
+            if pivot is None:
+                raise ValueError("basis contains a zero row")
+            if pivot <= last_pivot or row[pivot] != 1:
+                raise ValueError("basis is not in reduced row-echelon form")
+            last_pivot = pivot
+        for r, row in enumerate(basis.entries):
+            pivot = next(j for j, v in enumerate(row) if v != 0)
+            if any(other[pivot] != 0 for i, other in enumerate(basis.entries) if i != r):
+                raise ValueError("basis is not in reduced row-echelon form")
+        self.ambient_dim = ambient_dim
+        self.basis = basis
+
+    @classmethod
+    def zero(cls, ambient_dim: int):
+        return cls(ambient_dim, RatMatrix((), cols=ambient_dim))
+
+    @property
+    def dim(self) -> int:
+        return self.basis.rows
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Subspace)
+            and self.ambient_dim == other.ambient_dim
+            and self.basis == other.basis
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.basis))
+
+    def __repr__(self) -> str:
+        return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
+
+
+def span(vectors, ambient_dim) -> Subspace:
+    """Canonical subspace spanned by the given coordinate rows."""
+    rows = []
+    for vec in vectors:
+        row = tuple(as_rational(v) for v in vec)
+        if len(row) != ambient_dim:
+            raise ValueError(f"vector of length {len(row)} in ambient dim {ambient_dim}")
+        rows.append(row)
+    if not rows:
+        return Subspace.zero(ambient_dim)
+    rank, reduced = rref(RatMatrix(rows, cols=ambient_dim))
+    return Subspace(ambient_dim, RatMatrix(reduced.entries[:rank], cols=ambient_dim))
+
+
+def kernel(m: RatMatrix) -> Subspace:
+    """Null space of m as a canonical Subspace; dim(kernel) = cols - rank."""
+    rank, reduced = rref(m)
+    pivots = []
+    for r in range(rank):
+        pivots.append(next(j for j, v in enumerate(reduced.entries[r]) if v != 0))
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(m.cols):
+        if free in pivot_set:
+            continue
+        vec = [Fraction(0)] * m.cols
+        vec[free] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -reduced.entries[r][free]
+        basis.append(vec)
+    return span(basis, m.cols)
+
+
 def full_space(dim) -> Subspace:
     """Q^dim as a Subspace: the identity rows are its reduced basis."""
-    return Subspace(dim, RatMatrix.identity(dim))
+    return Subspace(dim, identity(dim))
+
+
+def spectrum_from_matrix_by_kernels(m: RatMatrix):
+    """Oracle for spectrum_from_matrix: the same grid search on the
+    characteristic polynomial of N = -4 D m^2, D the lcm of the denominators
+    of m^2 as Fractions, with each multiplicity read off a canonical kernel:
+    mult(0) = dim ker m and mult(j/2) = dim ker(m^2 + (j/2)^2 I) / 2.
+    `m` must be skew-symmetric with n >= 3; nothing here checks it."""
+    n = m.rows
+    m2 = matmul(m, m)
+    mult0 = kernel(m).dim
+    scale = math.lcm(*(v.denominator for row in m2.entries for v in row))
+    gram = [[-4 * v.numerator * (scale // v.denominator) for v in row] for row in m2.entries]
+    top = math.isqrt(math.floor(-2 * trace(m2)))
+    entries = []
+    for j in _grid_roots(charpoly(gram), scale, top):
+        lam = Fraction(j, 2)
+        d = kernel(mat_add(m2, scaled(identity(n), lam * lam))).dim
+        if d % 2:
+            raise RuntimeError(f"kernel of m^2 + {lam * lam} has odd dimension {d}")
+        if d:
+            entries.append((lam, d // 2))
+    if mult0 + 2 * sum(mult for _, mult in entries) != n:
+        return None
+    if mult0:
+        entries.insert(0, (Fraction(0), mult0))
+    return Spectrum(n, tuple(entries))
 
 
 def grade_dims_by_counting(s):
@@ -128,7 +276,7 @@ def spectrum_entries_by_fractions(n, entries):
         if isinstance(x, bool) or not isinstance(x, int):
             raise InvalidSpectrum(f"n and multiplicities must be integers, got {x!r}")
     for lam, _ in entries:
-        if isinstance(lam, bool):
+        if isinstance(lam, (bool, float)):
             raise InvalidSpectrum(f"magnitudes must be rationals, got {lam!r}")
     ents = tuple(sorted((as_rational(lam), mult) for lam, mult in entries))
     if n < 3:
@@ -216,17 +364,17 @@ def cayley(a):
     read off the reduced form of [I + A | I].
     """
     n = a.rows
-    eye = RatMatrix.identity(n)
-    plus = eye + a
-    _, reduced = rref(RatMatrix([plus.row(i) + eye.row(i) for i in range(n)]))
+    eye = identity(n)
+    plus = mat_add(eye, a)
+    _, reduced = rref(RatMatrix([plus.entries[i] + eye.entries[i] for i in range(n)]))
     inverse = RatMatrix([row[n:] for row in reduced.entries], cols=n)
-    return (eye + a.scaled(-1)) @ inverse
+    return matmul(mat_add(eye, scaled(a, -1)), inverse)
 
 
 def conjugated_normal_form(s, a):
     """Q N(s) Q^T for the Cayley Q of the skew matrix A: spectrum s, entries mixed."""
     q = cayley(a)
-    return q @ normal_form(s) @ transpose(q)
+    return matmul(q, normal_form(s), transpose(q))
 
 
 def dense_invariance_failure(bracket_table, form):
@@ -338,6 +486,11 @@ def unit_span(dim, indices):
 def space_at(gm, r) -> Subspace:
     """The grade-r space of the grading map, spanned by basis unit vectors."""
     return unit_span(gm.ambient_dim, gm.indices_at(r))
+
+
+def tail_space(gm, r) -> Subspace:
+    """The sum of the grade spaces with grade >= r, spanned by basis unit vectors."""
+    return unit_span(gm.ambient_dim, gm.tail_indices(r))
 
 
 def tails_by_sums(gm):

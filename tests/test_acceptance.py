@@ -47,6 +47,8 @@ from helpers import (
     brute_force_spectra,
     dense_rows,
     grade_dims_by_counting,
+    identity,
+    matmul,
     matrix_of,
     normal_form,
     spec,
@@ -249,18 +251,18 @@ def test_criterion_8_spectrum_extraction_round_trip():
     for n in range(3, 9):
         perm = _signed_permutation(n)
         giv = _givens(n)
-        assert perm @ transpose(perm) == RatMatrix.identity(n)
-        assert giv @ transpose(giv) == RatMatrix.identity(n)
+        assert matmul(perm, transpose(perm)) == identity(n)
+        assert matmul(giv, transpose(giv)) == identity(n)
         for s in enumerate_canonical(n):
             total += 1
             m = normal_form(s)
             if spectrum_from_matrix(m) != s:
                 failures += 1
                 continue
-            if spectrum_from_matrix(perm @ m @ transpose(perm)) != s:
+            if spectrum_from_matrix(matmul(perm, m, transpose(perm))) != s:
                 failures += 1
                 continue
-            if spectrum_from_matrix(giv @ m @ transpose(giv)) != s:
+            if spectrum_from_matrix(matmul(giv, m, transpose(giv))) != s:
                 failures += 1
     report(
         8,

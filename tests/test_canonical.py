@@ -10,7 +10,6 @@ from canonical_lie import (
     NotCanonical,
     NotMonomial,
     RatMatrix,
-    Subspace,
     Verdict,
     VerdictReason,
     condition1,
@@ -33,12 +32,12 @@ from canonical_lie import canonical
 from canonical_lie.canonical import _descending_series, _iterates
 from canonical_lie.sonreal import TooSmall
 from helpers import (
+    Subspace,
     bracket_spaces,
     brute_force_spectra,
     condition1_by_fractions,
     condition1_pairwise,
     descending_series,
-    full_space,
     generated_subalgebra,
     integer_path_spectra,
     normal_form,
@@ -48,6 +47,7 @@ from helpers import (
     spec,
     spectra_in_fraction_order,
     subspace_sum,
+    tails_by_sums,
     unit_span,
     zeros,
 )
@@ -160,7 +160,9 @@ class TestIndexPathMatchesSubspaceRoute:
     """The index-set generation iterates, descending series and polar against
     bracket_spaces, descending_series and polar, on every spectrum of
     half_integral_spectra(n, 5/2), n <= 8, canonical or not.  The table
-    depends on n alone, so each check runs once per distinct input set."""
+    depends on n alone, so each check runs once per distinct input set.
+    Then the certificates of parabolic_of, on every canonical spectrum with
+    n <= 8, against the same Subspace oracles and chained grade-space sums."""
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_spectra(self, n):
@@ -169,7 +171,7 @@ class TestIndexPathMatchesSubspaceRoute:
             t = realize(s)
             gm = grading_of(t)
             g1, nil, q = gm.indices_at(1), gm.tail_indices(1), gm.tail_indices(0)
-            assert gm.tail(0) == unit_span(t.dim, q)
+            assert unit_span(t.dim, q) == tails_by_sums(gm)[0], str(s)
 
             if condition1(s):
                 trace = theorem2_check(s).trace
@@ -191,13 +193,29 @@ class TestIndexPathMatchesSubspaceRoute:
             if ("series", nil) not in seen:
                 seen.add(("series", nil))
                 series = _descending_series(t, nil)
-                expected = descending_series(t, gm.tail(1))
+                expected = descending_series(t, unit_span(t.dim, nil))
                 assert [unit_span(t.dim, x) for x in series] == expected, str(s)
 
             if ("polar", q) not in seen:
                 seen.add(("polar", q))
                 got = unit_span(t.dim, polar_indices(t, q))
-                assert got == polar(t, gm.tail(0)), str(s)
+                assert got == polar(t, unit_span(t.dim, q)), str(s)
+
+        for s in enumerate_canonical(n):
+            pd = parabolic_of(s)
+            t = realize(s)
+            tails = tails_by_sums(pd.grading)
+
+            def tail(r):
+                top = [g for g in tails if g >= r]
+                return tails[min(top)] if top else Subspace.zero(t.dim)
+
+            q, nilradical = unit_span(t.dim, pd.q), unit_span(t.dim, pd.nilradical)
+            series = [unit_span(t.dim, x) for x in pd.series]
+            assert q == tail(0) and nilradical == tail(1), str(s)
+            assert series == [tail(r) for r in range(1, len(series) + 1)], str(s)
+            assert series == descending_series(t, tail(1)), str(s)
+            assert polar(t, q) == nilradical, str(s)
 
 
 class TestProp3Check:
@@ -289,23 +307,23 @@ class TestStrictGeneration:
 class TestParabolicOf:
     def test_zero_spectrum(self):
         pd = parabolic_of(spec(4, ("0", 4)))
-        assert pd.q == full_space(6)
-        assert pd.nilradical == Subspace.zero(6)
-        assert [x.dim for x in pd.series] == [0]
+        assert pd.q == frozenset(range(6))
+        assert pd.nilradical == frozenset()
+        assert [len(x) for x in pd.series] == [0]
 
     def test_so3(self):
         pd = parabolic_of(spec(3, ("0", 1), ("1", 1)))
-        assert pd.q.dim == 2
-        assert pd.nilradical.dim == 1
-        assert [x.dim for x in pd.series] == [1, 0]
+        assert len(pd.q) == 2
+        assert len(pd.nilradical) == 1
+        assert [len(x) for x in pd.series] == [1, 0]
 
     def test_so5_series_matches_tails(self):
         s = spec(5, ("0", 3), ("1", 1))
         pd = parabolic_of(s)
         gm = pd.grading
         for r, term in enumerate(pd.series, start=1):
-            assert term == gm.tail(r)
-        dims = [x.dim for x in pd.series]
+            assert term == gm.tail_indices(r)
+        dims = [len(x) for x in pd.series]
         assert all(a > b for a, b in zip(dims, dims[1:]))
 
     def test_rejects_non_canonical(self):

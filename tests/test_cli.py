@@ -29,7 +29,7 @@ BAD_SO4 = '{"n":4,"entries":[{"lambda":"1/2","mult":1},{"lambda":"3/2","mult":1}
 
 
 def write_matrix(path, m):
-    path.write_text(json.dumps([[str(v) for v in m.row(i)] for i in range(m.rows)]))
+    path.write_text(json.dumps([[str(v) for v in row] for row in m.entries]))
     return str(path)
 
 

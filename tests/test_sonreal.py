@@ -4,7 +4,6 @@ import copy
 import pickle
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,8 +22,8 @@ from canonical_lie import (
     grade_dims,
     grading_of,
     half_integral_spectra,
-    kernel,
     realize,
+    rref,
     sonreal,
     spectrum_from_matrix,
     wedge_basis,
@@ -34,13 +33,20 @@ from canonical_lie.sonreal import _check_witt_shape, _so_table
 from helpers import (
     conjugated_normal_form,
     grade_dims_by_counting,
+    identity,
     integer_path_spectra,
+    kernel,
+    mat_add,
+    matmul,
     matrix_of,
     dense_rows,
     normal_form,
     regrade,
+    scaled,
     spec,
     spectrum_entries_by_fractions,
+    spectrum_from_matrix_by_kernels,
+    trace,
     transpose,
     zeros,
 )
@@ -93,6 +99,31 @@ def off_grid_case(draw):
     doubled = draw(st.lists(DOUBLED, max_size=n // 2 - 1))
     positives = [Fraction(p, q)] + [Fraction(j, 2) for j in doubled]
     return _spectrum(n, positives), draw(skew_strategy(n))
+
+
+@st.composite
+def extraction_case(draw):
+    """A rational skew matrix for extraction: a random one (mostly irrational
+    magnitudes), a low-rank one (a sum of at most two wedges u v^T - v u^T)
+    or the Cayley conjugate of a half-integral normal form with at most two
+    positive magnitudes.  Entries have denominators up to 4, or far more after
+    conjugation."""
+    n = draw(st.integers(3, 6))
+    kind = draw(st.sampled_from(["random", "low rank", "conjugated"]))
+    if kind == "random":
+        return draw(skew_strategy(n))
+    if kind == "conjugated":
+        doubled = draw(st.lists(st.integers(1, 6), max_size=min(2, n // 2)))
+        s = _spectrum(n, [Fraction(j, 2) for j in doubled])
+        return conjugated_normal_form(s, draw(skew_strategy(n)))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    vector = st.lists(entry, min_size=n, max_size=n)
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for u, v in draw(st.lists(st.tuples(vector, vector), max_size=2)):
+        for i in range(n):
+            for j in range(n):
+                mat[i][j] += u[i] * v[j] - v[i] * u[j]
+    return RatMatrix(mat, cols=n)
 
 
 SAMPLED = [
@@ -185,6 +216,11 @@ class TestSpectrum:
         # as_rational would read {True:1, False:1} as the so(3) spectrum {0:1, 1:1}
         with pytest.raises(InvalidSpectrum, match="magnitudes must be rationals, got (True|False)"):
             Spectrum(3, entries)
+
+    def test_magnitudes_must_not_be_floats(self):
+        # as_rational would raise a TypeError about a "float coefficient"
+        with pytest.raises(InvalidSpectrum, match=r"^magnitudes must be rationals, got 0\.5$"):
+            Spectrum(3, ((0, 1), (0.5, 1)))
 
     def test_validation_matches_fraction_oracle(self):
         for s in integer_path_spectra():
@@ -298,7 +334,7 @@ class TestRealize:
         # invariance alone would accept any multiple of tr(XY)
         s = spec(n, ("0", n))
         mats = [matrix_of(s, p) for p in range(n * (n - 1) // 2)]
-        traces = [[(x @ y).trace() for y in mats] for x in mats]
+        traces = [[trace(matmul(x, y)) for y in mats] for x in mats]
         expected = tuple(tuple((q, v) for q, v in enumerate(row) if v != 0) for row in traces)
         assert _so_table(n).form == expected
 
@@ -463,7 +499,7 @@ class TestMatrixOf:
         g = witt_gram(s.n)
         for idx in range(wb.dim):
             x = matrix_of(s, idx)
-            assert transpose(x) @ g + g @ x == zeros(s.n, s.n)
+            assert mat_add(matmul(transpose(x), g), matmul(g, x)) == zeros(s.n, s.n)
 
     def test_annihilates_orthogonal_vectors(self):
         # u_a ^ u_b kills every vector Gram-orthogonal to both u_a and u_b
@@ -471,10 +507,10 @@ class TestMatrixOf:
             wb = wedge_basis(s)
             g = witt_gram(s.n)
             for idx, (a, b) in enumerate(wb.pairs):
-                orth = kernel(RatMatrix([g.row(a), g.row(b)]))
+                orth = kernel(RatMatrix([g.entries[a], g.entries[b]]))
                 assert orth.dim == s.n - 2
                 x = matrix_of(s, idx)
-                assert x @ transpose(orth.basis) == zeros(s.n, orth.dim)
+                assert matmul(x, transpose(orth.basis)) == zeros(s.n, orth.dim)
 
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
     def test_ad_diagonal_scales_by_grade(self, s):
@@ -488,7 +524,7 @@ class TestMatrixOf:
         t = realize(s)
         for idx in range(wb.dim):
             x = matrix_of(s, idx)
-            assert diag @ x == x @ diag + x.scaled(t.grade[idx])
+            assert matmul(diag, x) == mat_add(matmul(x, diag), scaled(x, t.grade[idx]))
 
     @pytest.mark.parametrize("s", [spec(3, ("0", 1), ("1", 1)), spec(4, ("1/2", 2))], ids=str)
     def test_commutators_match_structure_constants(self, s):
@@ -498,11 +534,11 @@ class TestMatrixOf:
         for i in range(t.dim):
             for j in range(t.dim):
                 # [X_i, X_j] = sum of c_k X_k, with X_j X_i moved to the right
-                expected = mats[j] @ mats[i]
+                expected = matmul(mats[j], mats[i])
                 for k, c in enumerate(brackets[i][j]):
                     if c != 0:
-                        expected = expected + mats[k].scaled(c)
-                assert mats[i] @ mats[j] == expected
+                        expected = mat_add(expected, scaled(mats[k], c))
+                assert matmul(mats[i], mats[j]) == expected
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -523,8 +559,8 @@ class TestSpectrumFromMatrix:
         g = RatMatrix(
             [[1, 0, 0], [0, Fraction(3, 5), Fraction(-4, 5)], [0, Fraction(4, 5), Fraction(3, 5)]]
         )
-        assert g @ transpose(g) == RatMatrix.identity(3)
-        conjugated = g @ m @ transpose(g)
+        assert matmul(g, transpose(g)) == identity(3)
+        conjugated = matmul(g, m, transpose(g))
         assert conjugated != m
         assert spectrum_from_matrix(conjugated) == spec(3, ("0", 1), ("1", 1))
 
@@ -533,13 +569,13 @@ class TestSpectrumFromMatrix:
         assert spectrum_from_matrix(m) is None
 
     def test_irrational_magnitudes_return_none(self):
-        # eigenvalues 0, +/- i*sqrt(3): every half-integral kernel probe misses
+        # eigenvalues 0, +/- i*sqrt(3): no half-integral magnitude is a root
         m = RatMatrix([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
         assert spectrum_from_matrix(m) is None
 
     def test_not_skew(self):
         with pytest.raises(NotSkew):
-            spectrum_from_matrix(RatMatrix.identity(3))
+            spectrum_from_matrix(identity(3))
         with pytest.raises(NotSkew):
             spectrum_from_matrix(zeros(2, 3))
 
@@ -549,7 +585,7 @@ class TestSpectrumFromMatrix:
 
     def test_odd_eigenspace_dimension_raises(self, monkeypatch):
         # impossible for a real skew matrix; the check must survive python -O
-        monkeypatch.setattr(sonreal, "kernel", lambda m: SimpleNamespace(dim=1))
+        monkeypatch.setattr(sonreal, "rref", lambda m: (m.rows - 1, m))
         with pytest.raises(RuntimeError):
             spectrum_from_matrix(normal_form(spec(3, ("0", 1), ("1", 1))))
 
@@ -571,20 +607,51 @@ class TestSpectrumFromMatrix:
         assert spectrum_from_matrix(m) == spec(3, ("0", 1), (10**9, 1))
 
     def test_kernels_only_at_actual_magnitudes(self, monkeypatch):
-        # one kernel for mult(0) and one per nonzero magnitude; trying every
+        # one rank for mult(0) and one per nonzero magnitude; trying every
         # half-integer up to 260 would take more than 500
         s = spec(7, ("0", 1), ("3/2", 2), ("260", 1))
         a = _skew_from_upper(7, [Fraction(i + 1, j + 2) for i in range(7) for j in range(i + 1, 7)])
         m = conjugated_normal_form(s, a)
         calls = []
 
-        def counting_kernel(mat):
+        def counting_rref(mat):
             calls.append(mat)
-            return kernel(mat)
+            return rref(mat)
 
-        monkeypatch.setattr(sonreal, "kernel", counting_kernel)
+        monkeypatch.setattr(sonreal, "rref", counting_rref)
         assert spectrum_from_matrix(m) == s
         assert len(calls) <= len(s.entries) + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(extraction_case())
+    def test_matches_kernel_oracle(self, m):
+        assert spectrum_from_matrix(m) == spectrum_from_matrix_by_kernels(m)
+
+    def test_content_not_dividing_the_squared_denominator(self):
+        # A^2 = diag(-4, -4, 0) has content 4 but L^2 = 1: dividing by the
+        # content alone would scale N and D wrongly
+        m = RatMatrix([[0, 2, 0], [-2, 0, 0], [0, 0, 0]])
+        assert spectrum_from_matrix(m) == spec(3, ("0", 1), ("2", 1))
+        assert spectrum_from_matrix_by_kernels(m) == spec(3, ("0", 1), ("2", 1))
+        m = RatMatrix([[0, Fraction(3, 2), 0], [Fraction(-3, 2), 0, 0], [0, 0, 0]])
+        assert spectrum_from_matrix(m) == spec(3, ("0", 1), ("3/2", 1))
+
+    def test_mixed_denominators(self):
+        # {1/2:1, 3/2:1} with the (1, 2) plane turned by a Pythagorean rotation:
+        # entries with denominators 5 and 10 side by side, so L = 10
+        s = spec(4, ("1/2", 1), ("3/2", 1))
+        g = RatMatrix(
+            [
+                [1, 0, 0, 0],
+                [0, Fraction(3, 5), Fraction(-4, 5), 0],
+                [0, Fraction(4, 5), Fraction(3, 5), 0],
+                [0, 0, 0, 1],
+            ]
+        )
+        m = matmul(g, normal_form(s), transpose(g))
+        dens = {v.denominator for row in m.entries for v in row}
+        assert dens == {1, 5, 10}
+        assert spectrum_from_matrix(m) == s == spectrum_from_matrix_by_kernels(m)
 
     def test_large_magnitude_not_missed(self):
         # bound must not truncate below the top magnitude
