@@ -6,8 +6,9 @@ lowest terms with positive denominator); nothing here ever touches a float.
 `check --matrix` input is validated into; it offers indexing and value
 equality, no arithmetic.
 
-:func:`rref` is the one dense elimination of the package, textbook
-Gauss-Jordan.  The structure-constant layer keeps brackets and the invariant
+:func:`rref` is the one dense elimination of the package, Gauss-Jordan
+that eliminates on integer rows (fraction-free) and forms Fractions only for
+its result.  The structure-constant layer keeps brackets and the invariant
 form as sparse rows and the deciders, like the parabolic certificates, work
 on sets of basis indices, so dense elimination runs only where no basis index
 set will do: the ranks of spectrum extraction and the rank of the diagonal
@@ -20,6 +21,7 @@ matrix and gets an integer polynomial.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -86,32 +88,38 @@ class RatMatrix:
 
 
 def rref(m: RatMatrix) -> tuple[int, RatMatrix]:
-    """Reduced row-echelon form by Gauss-Jordan elimination.
+    """Reduced row-echelon form by fraction-free Gauss-Jordan elimination.
 
     Returns (rank, reduced).  `reduced` has the shape of `m`, its nonzero
     rows on top with unit pivots in strictly increasing columns, and zeros
-    above and below every pivot; it is the unique RREF of `m`.
+    above and below every pivot; it is the unique RREF of `m`.  Each row is
+    scaled to integers by the lcm of its denominators and stays integral:
+    pivot p takes row r to p * r - r[col] * (pivot row), divided by the gcd
+    of its entries.  Pivot rows are divided by their pivots at the end.
     """
-    work = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row == nrows:
-            break
-        hit = next((r for r in range(pivot_row, nrows) if work[r][col] != 0), None)
+    work = []
+    for row in m.entries:
+        den = math.lcm(*(v.denominator for v in row))
+        work.append([v.numerator * (den // v.denominator) for v in row])
+    pivots = []
+    for col in range(m.cols):
+        rank = len(pivots)
+        hit = next((r for r in range(rank, m.rows) if work[r][col]), None)
         if hit is None:
             continue
-        work[pivot_row], work[hit] = work[hit], work[pivot_row]
-        lead = work[pivot_row][col]
-        if lead != 1:
-            work[pivot_row] = [v / lead for v in work[pivot_row]]
-        piv = work[pivot_row]
-        for r in range(nrows):
-            f = work[r][col]
-            if r != pivot_row and f != 0:
-                work[r] = [a - f * b for a, b in zip(work[r], piv)]
-        pivot_row += 1
-    return pivot_row, RatMatrix(work, cols=ncols)
+        work[rank], work[hit] = work[hit], work[rank]
+        piv = work[rank]
+        for r, row in enumerate(work):
+            f = row[col]
+            if r != rank and f:
+                row = [piv[col] * a - f * b for a, b in zip(row, piv)]
+                g = math.gcd(*row)  # 0 when the row eliminates to all zeros
+                work[r] = [a // g for a in row] if g > 1 else row
+        pivots.append(col)
+    zero = Fraction(0)
+    reduced = [[Fraction(a, r[c]) if a else zero for a in r] for r, c in zip(work, pivots)]
+    reduced += [[zero] * m.cols] * (m.rows - len(pivots))
+    return len(pivots), RatMatrix(reduced, cols=m.cols)
 
 
 def charpoly(a: Sequence[Sequence]) -> list:

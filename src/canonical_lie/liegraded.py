@@ -11,7 +11,8 @@ eagerly, in this order:
   2. grading: [e_i, e_j] supported on grade(i) + grade(j) only,
   3. grade symmetry: the multiset of grades is stable under negation
      (the real-form conjugation swaps the +r and -r eigenspaces),
-  4. the Jacobi identity on all basis triples,
+  4. the Jacobi identity on all basis triples (summed where a bracket
+     chain is nonzero; the other triples vanish term by term),
   5. symmetry and invariance of the bilinear form.
 
 Exhaustive validation is cheap insurance, since a corrupt table would
@@ -22,8 +23,9 @@ order.  No dense matrix is kept, and every check runs over nonzero entries
 only.  In the so(n, C) tables of :mod:`sonreal` (dimension up to 276 at
 n = 24) a bracket has at most two nonzero coordinates and a form row
 exactly one, so the antisymmetry, grading and invariance checks take about
-dim^2 steps, the symmetry check about dim, and Jacobi visits the dim^3 / 6
-basis triples through sparse rows.
+dim^2 steps, the symmetry check about dim, and Jacobi sums only the triples
+that close a nonzero bracket chain: at n = 24 about 130,000 of the 3.5
+million basis triples, the rest vanishing term by term.
 
 Checks 1, 4 and 5 do not involve the grades, so one validated algebra can
 carry many gradings that share its brackets, form and cached form rank.
@@ -43,6 +45,7 @@ realization is consulted here.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
@@ -145,24 +148,40 @@ def build_table(
 
     _check_grading(sparse, grades)
 
+    # Jacobi on i < j < k: a term [e_x, [e_y, e_z]] is nonzero only through a
+    # chain, a coordinate c of [e_y, e_z] with [e_x, e_c] != 0.  outer[c] lists
+    # those x (by antisymmetry, the support of row c) and hits[c], ascending,
+    # the pairs y < z with a coordinate at c, as y * dim + z.  A triple with
+    # no chain vanishes term by term, so only chained triples are summed, in
+    # lexicographic order per i.
+    outer = [[x for x, hit in enumerate(row) if hit] for row in sparse]
+    hits = [[] for _ in range(dim)]
+    for y, row in enumerate(sparse):
+        for z in outer[y]:
+            if z > y:
+                for c, _ in row[z]:
+                    hits[c].append(y * dim + z)
     for i in range(dim):
-        sp_i = sparse[i]
-        for j in range(i + 1, dim):
-            sp_j = sparse[j]
-            row_ij = sp_i[j]
-            for k in range(j + 1, dim):
-                acc: dict[int, object] = {}
-                for c, v in sp_j[k]:
-                    for t, w in sp_i[c]:
+        chained = set()
+        for c in outer[i]:  # chains of [e_i, [e_j, e_k]]
+            chained.update(hits[c][bisect_left(hits[c], (i + 1) * dim):])
+        for z in outer[i]:  # of [e_j, [e_k, e_i]] (z = k) and [e_k, [e_i, e_j]] (z = j)
+            if z > i:
+                for c, _ in sparse[i][z]:
+                    for x in outer[c]:
+                        if i < x < z:
+                            chained.add(x * dim + z)
+                        elif x > z:
+                            chained.add(z * dim + x)
+        for jk in sorted(chained):
+            j, k = divmod(jk, dim)
+            acc: dict[int, object] = {}
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                for c, v in sparse[y][z]:
+                    for t, w in sparse[x][c]:
                         acc[t] = acc.get(t, 0) + v * w
-                for c, v in sparse[k][i]:
-                    for t, w in sp_j[c]:
-                        acc[t] = acc.get(t, 0) + v * w
-                for c, v in row_ij:
-                    for t, w in sparse[k][c]:
-                        acc[t] = acc.get(t, 0) + v * w
-                if any(v != 0 for v in acc.values()):
-                    raise JacobiViolation(i, j, k)
+            if any(acc.values()):
+                raise JacobiViolation(i, j, k)
 
     entries = {(i, k): v for i, row in enumerate(form) for k, v in row}
     asymmetric = [(min(p), max(p)) for p, v in entries.items() if entries.get(p[::-1], 0) != v]
@@ -200,6 +219,8 @@ def _sparse_row(name: str, pairs, dim: int) -> tuple:
     fast.  Raises ValueError for an index that is not an int in [0, dim) or a
     repeated one, TypeError for a bool or float coefficient.
     """
+    if not pairs:
+        return ()
     coords = {}
     for k, v in pairs:
         if type(k) is not int or not 0 <= k < dim:

@@ -84,6 +84,31 @@ def trace(m: RatMatrix) -> Fraction:
     return sum((m.entries[i][i] for i in range(m.rows)), Fraction(0))
 
 
+def rref_by_fractions(m: RatMatrix) -> tuple[int, RatMatrix]:
+    """Oracle for rref: textbook Gauss-Jordan elimination on the Fraction
+    entries, each pivot row divided by its pivot as soon as it is chosen."""
+    work = [list(row) for row in m.entries]
+    nrows, ncols = m.rows, m.cols
+    pivot_row = 0
+    for col in range(ncols):
+        if pivot_row == nrows:
+            break
+        hit = next((r for r in range(pivot_row, nrows) if work[r][col] != 0), None)
+        if hit is None:
+            continue
+        work[pivot_row], work[hit] = work[hit], work[pivot_row]
+        lead = work[pivot_row][col]
+        if lead != 1:
+            work[pivot_row] = [v / lead for v in work[pivot_row]]
+        piv = work[pivot_row]
+        for r in range(nrows):
+            f = work[r][col]
+            if r != pivot_row and f != 0:
+                work[r] = [a - f * b for a, b in zip(work[r], piv)]
+        pivot_row += 1
+    return pivot_row, RatMatrix(work, cols=ncols)
+
+
 class Subspace:
     """A subspace of Q^n held as a reduced row-echelon basis.
 
@@ -400,6 +425,29 @@ def dense_invariance_failure(bracket_table, form):
                 total += sum(v * fj[t] for t, v in sp_i[k])
                 if total != 0:
                     return (i, j, k), total
+    return None
+
+
+def jacobi_failure_by_triples(brackets):
+    """Oracle for build_table's Jacobi check: the first basis triple
+    (i, j, k), i < j < k, in lexicographic order on which
+    [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] has a nonzero
+    coordinate, or None.
+
+    Every triple is summed, whether or not any of its brackets chain.
+    `brackets[i][j]` lists [e_i, e_j] as (index, coefficient) pairs.
+    """
+    dim = len(brackets)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                acc = {}
+                for x, (y, z) in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
+                    for c, v in brackets[y][z]:
+                        for t, w in brackets[x][c]:
+                            acc[t] = acc.get(t, 0) + v * w
+                if any(v != 0 for v in acc.values()):
+                    return i, j, k
     return None
 
 

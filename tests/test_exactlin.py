@@ -17,6 +17,7 @@ from helpers import (
     kernel,
     mat_add,
     matmul,
+    rref_by_fractions,
     scaled,
     span,
     subspace_sum,
@@ -95,6 +96,66 @@ class TestRref:
     def test_rref_is_idempotent(self, rows):
         _, red = rref(RatMatrix(rows))
         assert rref(red)[1] == red
+
+
+MIXED = st.one_of(st.just(Fraction(0)), st.fractions(-6, 6, max_denominator=12))
+
+
+@st.composite
+def rref_inputs(draw):
+    """Matrices of any shape up to 6 x 6, 0 x k and k x 0 included, with
+    mixed denominators: drawn entries, or a rational product of rank at most
+    3, so that rows eliminate to all zeros; then some rows zeroed."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+
+    def block(r, c):
+        return draw(st.lists(st.lists(MIXED, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if rows and cols and draw(st.booleans()):
+        inner = draw(st.integers(1, 3))
+        m = matmul(RatMatrix(block(rows, inner)), RatMatrix(block(inner, cols)))
+        entries = [list(row) for row in m.entries]
+    else:
+        entries = block(rows, cols)
+    for r in draw(st.sets(st.integers(0, 5))):
+        if r < rows:
+            entries[r] = [0] * cols
+    return RatMatrix(entries, cols=cols)
+
+
+class TestFractionFreeRref:
+    """rref eliminates on integer rows; its result must be the Gauss-Jordan
+    one, entry for entry, and every entry a Fraction."""
+
+    @staticmethod
+    def _matches_oracle(m):
+        got = rref(m)
+        assert got == rref_by_fractions(m)
+        rank, reduced = got
+        assert (reduced.rows, reduced.cols) == (m.rows, m.cols)
+        assert all(type(v) is Fraction for row in reduced.entries for v in row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rref_inputs())
+    def test_matches_gauss_jordan(self, m):
+        self._matches_oracle(m)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            RatMatrix((), cols=0),
+            RatMatrix((), cols=3),
+            RatMatrix([[], [], []]),
+            RatMatrix([[0, 0], [0, 0]]),
+            # the second and third rows eliminate to all zeros (content 0)
+            RatMatrix([[1, 2, 3], [2, 4, 6], [Fraction(1, 2), 1, Fraction(3, 2)]]),
+            RatMatrix([[Fraction(1, 3), Fraction(1, 4)], [Fraction(2, 5), Fraction(-1, 6)]]),
+            RatMatrix([[0, 6, 4], [0, 0, 0], [3, 3, Fraction(7, 2)], [6, 12, 11]]),
+        ],
+        ids=["0x0", "0x3", "3x0", "zero", "rank one", "mixed denominators", "zero row"],
+    )
+    def test_edge_shapes(self, m):
+        self._matches_oracle(m)
 
 
 class TestCharpoly:

@@ -41,6 +41,7 @@ from helpers import (
     full_space,
     generated_subalgebra,
     identity,
+    jacobi_failure_by_triples,
     kernel,
     matmul,
     polar,
@@ -331,6 +332,109 @@ class TestSparseInvarianceCheck:
     def test_valid_tables_pass_dense_oracle(self):
         for t in (so3_table(), _so_table(5), direct_sum(so3_table(), _so_table(4))):
             assert dense_invariance_failure(dense_rows(t), dense_form(t)) is None
+
+
+@st.composite
+def mixed_tables(draw):
+    """A sparse bracket table with Fraction coefficients: so(3) and
+    Heisenberg blocks plus abelian directions (a Lie algebra), mixed by
+    elementary basis changes e_a -> e_a + t e_b so that brackets get two or
+    more coordinates, then, half the time, one bracket perturbed
+    antisymmetrically."""
+    kinds = st.sampled_from(["so3", "heisenberg", "abelian"])
+    blocks = draw(st.lists(kinds, min_size=1, max_size=2))
+    br = {}  # (i, j) -> {k: coefficient}, for i != j
+    dim = 0
+    for block in [draw(st.sampled_from(["so3", "heisenberg"])), *blocks]:
+        x, y, z = dim, dim + 1, dim + 2
+        if block == "so3":
+            triples = ((x, y, z), (y, z, x), (z, x, y))
+        elif block == "heisenberg":
+            triples = ((x, y, z),)
+        else:
+            dim += 1
+            continue
+        for i, j, k in triples:
+            br[i, j], br[j, i] = {k: 1}, {k: -1}
+        dim += 3
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(st.permutations(range(dim)))[:2]
+        t = draw(RANK_COEFFS)
+        mixed = {}
+        for i in range(dim):
+            for j in range(dim):
+                # [f_i, f_j] with f_a = e_a + t e_b, in e coordinates
+                acc = dict(br.get((i, j), {}))
+                for far, near in ((i, j), (j, i)):
+                    if far == a and near != a:
+                        for k, v in br.get((b, near) if far == i else (near, b), {}).items():
+                            acc[k] = acc.get(k, 0) + t * v
+                # then in f coordinates: e_a = f_a - t f_b
+                if acc.get(a):
+                    acc[b] = acc.get(b, 0) - t * acc[a]
+                acc = {k: v for k, v in acc.items() if v != 0}
+                if acc:
+                    mixed[i, j] = acc
+        br = mixed
+    if draw(st.booleans()):
+        p, q = draw(st.permutations(range(dim)))[:2]
+        k = draw(st.integers(0, dim - 1))
+        c = draw(RANK_COEFFS)
+        for pair, sign in (((p, q), 1), ((q, p), -1)):
+            row = br.setdefault(pair, {})
+            row[k] = row.get(k, 0) + sign * c
+    return [
+        [tuple((k, v) for k, v in sorted(br.get((i, j), {}).items()) if v != 0) for j in range(dim)]
+        for i in range(dim)
+    ]
+
+
+def _jacobi_outcome(rows):
+    """The triple build_table reports as JacobiViolation, or None when it
+    passes; the grades and the form are zero, so no other check can fail."""
+    dim = len(rows)
+    try:
+        build_table(dim, rows, (0,) * dim, [()] * dim)
+    except JacobiViolation as err:
+        assert str(err) == f"Jacobi identity fails on basis triple {err.indices}"
+        return err.indices
+    return None
+
+
+class TestJacobi:
+    """build_table's Jacobi check, over nonzero bracket chains, against the
+    loop over every basis triple."""
+
+    @pytest.mark.parametrize("kind", ["scaled", "added"])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_seeded_corruptions_match_triple_oracle(self, n, kind):
+        t = _so_table(n)
+        assert jacobi_failure_by_triples(t._sparse) is None
+        assert _jacobi_outcome(t._sparse) is None
+        raised = 0
+        for seed in range(6):
+            rng = random.Random(f"jacobi-{n}-{kind}-{seed}")
+            rows = [[dict(row) for row in per_i] for per_i in t._sparse]
+            if kind == "scaled":
+                pairs = [(p, q) for p in range(t.dim) for q in range(p + 1, t.dim) if rows[p][q]]
+                p, q = rng.choice(pairs)
+                k = rng.choice(sorted(rows[p][q]))
+                value = rows[p][q][k] * rng.choice([2, -1, Fraction(1, 3), Fraction(3, 2)])
+            else:
+                p, q = sorted(rng.sample(range(t.dim), 2))
+                k = rng.choice([k for k in range(t.dim) if k not in rows[p][q]])
+                value = rng.choice([1, -1, Fraction(1, 2)])
+            rows[p][q][k], rows[q][p][k] = value, -value
+            rows = [[tuple(sorted(row.items())) for row in per_i] for per_i in rows]
+            expected = jacobi_failure_by_triples(rows)
+            assert _jacobi_outcome(rows) == expected, seed
+            raised += expected is not None
+        assert raised >= 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_tables())
+    def test_random_tables_match_triple_oracle(self, rows):
+        assert _jacobi_outcome(rows) == jacobi_failure_by_triples(rows)
 
 
 class TestRegrade:
