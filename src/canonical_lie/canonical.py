@@ -69,7 +69,9 @@ class Verdict(namedtuple("Verdict", "canonical reason failing trace witness")):
 
     `failing` is (grade, achieved dim, required dim) for a generation
     failure; `trace` records (grade, dim g^k, dim g_k) for each positive
-    grade visited; `witness` is the grading when the algebra was realized.
+    grade visited, which skips the (k, 0, 0) grades between the first empty
+    one and the failing one; `witness` is the grading when the algebra was
+    realized.
     """
 
     __slots__ = ()
@@ -115,6 +117,12 @@ def theorem2_check(s: Spectrum) -> Verdict:
     Since [g_1, g^k] always lands inside g_{k+1}, the first failure is a
     strict dimension deficit at some grade; success at every positive grade
     is equivalent to g_1 + g_0 + g_{-1} generating the whole algebra.
+
+    Once an iterate is empty at an empty grade k, every later iterate is
+    empty, so the first failure is the next grade that holds a basis
+    element.  The loop jumps there, and the trace omits the grades between,
+    each (grade, 0, 0), so time and memory grow with the number of grades,
+    not with the magnitudes.
     """
     if not condition1(s):
         return Verdict(False, VerdictReason.NON_INTEGRAL)
@@ -127,6 +135,10 @@ def theorem2_check(s: Spectrum) -> Verdict:
     for k, current in zip(range(1, kmax + 1), _iterates(table, g1, g1)):
         required = spaces.get(k, frozenset())
         trace.append((k, len(current), len(required)))
+        if not current and not required:  # every later iterate is empty too
+            k = min(g for g in spaces if g > k)  # kmax holds a basis element
+            required = spaces[k]
+            trace.append((k, 0, len(required)))
         if current != required:
             return Verdict(
                 False,
@@ -266,19 +278,16 @@ def theorem1_report(s: Spectrum) -> dict[str, bool]:
     gm = grading_of(table)
     grades = gm.grades()
     deepest = max([int(g) for g in grades if g > 0 and g.denominator == 1], default=0)
-    nilradical = frozenset(i for g, idx in gm.blocks if g >= 1 for i in idx)
+    nilradical = gm.tail_indices(1)
     series = _descending_series(table, nilradical)
     steps = max(len(series), deepest + 1)
-    tails, acc, blocks = [], set(), list(gm.blocks)  # tails[r]: indices of grade >= r
-    for r in range(steps, -1, -1):
-        while blocks and blocks[-1][0] >= r:
-            acc.update(blocks.pop()[1])
-        tails.insert(0, frozenset(acc))
-    matches = all(series[min(r, len(series)) - 1] == tails[r] for r in range(1, steps + 1))
+    matches = all(
+        series[min(r, len(series)) - 1] == gm.tail_indices(r) for r in range(1, steps + 1)
+    )
     return {
         "integral_grades": all(g.denominator == 1 for g in grades),
         "series_matches_tails": matches,
-        "polar_is_nilradical": polar_indices(table, tails[0]) == nilradical,
+        "polar_is_nilradical": polar_indices(table, gm.tail_indices(0)) == nilradical,
         "series_reaches_zero": not series[-1],
     }
 

@@ -28,7 +28,7 @@ that close a nonzero bracket chain: at n = 24 about 130,000 of the 3.5
 million basis triples, the rest vanishing term by term.
 
 Checks 1, 4 and 5 do not involve the grades, so one validated algebra can
-carry many gradings that share its brackets, form and cached form rank.
+carry many gradings that share its brackets and form.
 :func:`sonreal.realize` relabels the so(n, C) table that way, in place of
 re-running checks 2 and 3 per grading: the table's bracket shape, checked
 once per n, and mirrored eigenvalue labels imply them.
@@ -39,8 +39,9 @@ and the arguments and results of :func:`bracket_indices` and
 :func:`polar_indices`, which run with no elimination.  Those two are exact
 when every bracket they meet is a multiple of one basis element and the form
 is monomial, and raise :class:`NotMonomial` naming the offending pair or row
-otherwise.  The canonical deciders and certificates run on them; no matrix
-realization is consulted here.
+otherwise; a monomial form is nondegenerate exactly when its rows hit
+distinct columns, so the polar needs no rank either.  The canonical deciders
+and certificates run on them; no matrix realization is consulted here.
 """
 
 from __future__ import annotations
@@ -97,15 +98,13 @@ class NotMonomial(LieTableError):
 class LieTable:
     """Validated structure-constant table; build via :func:`build_table`."""
 
-    __slots__ = ("dim", "grade", "form", "_sparse", "_form_rank")
+    __slots__ = ("dim", "grade", "form", "_sparse")
 
-    def __init__(self, dim, grade, form, sparse, form_rank):
+    def __init__(self, dim, grade, form, sparse):
         self.dim = dim
         self.grade = grade
         self.form = form
         self._sparse = sparse
-        # one-element list, filled on first use and shared by relabelled tables
-        self._form_rank = form_rank
 
     def __repr__(self) -> str:
         return f"LieTable(dim {self.dim}, grades {sorted(set(self.grade))})"
@@ -207,7 +206,7 @@ def build_table(
                 (i, j, k),
             )
 
-    return LieTable(dim, grades, form, sparse, [None])
+    return LieTable(dim, grades, form, sparse)
 
 
 def _sparse_row(name: str, pairs, dim: int) -> tuple:
@@ -341,41 +340,23 @@ def bracket_indices(t: LieTable, a, b) -> frozenset[int]:
 def polar_indices(t: LieTable, a) -> frozenset[int]:
     """The polar of span{e_i : i in a} as a set of basis indices.
 
-    With the symmetric form monomial (one nonzero entry per row, at column
-    p(i)), <x, e_i> is a nonzero multiple of x_{p(i)}, so the polar is
-    spanned by the e_k with k outside {p(i) : i in a}.  Raises DegenerateForm
-    for a degenerate form, then NotMonomial naming a row that is not monomial.
+    A form with at most one nonzero entry per row, row i at column p(i), is
+    nondegenerate exactly when every row has one and p is a permutation.
+    Then <x, e_i> is a nonzero multiple of x_{p(i)}, so the polar is spanned
+    by the e_k with k outside {p(i) : i in a}.  One scan of the form decides
+    both: it raises NotMonomial naming the first row with two or more
+    nonzero entries, then DegenerateForm if a row is empty or two rows share
+    a column.
     """
-    if _form_rank(t) < t.dim:
-        raise DegenerateForm("bilinear form is degenerate; polars are undefined")
-    hit = set()
-    for i in a:
-        row = t.form[i]
-        if len(row) != 1:
+    cols = []
+    for i, row in enumerate(t.form):
+        if len(row) > 1:
             raise NotMonomial(
                 f"form row {i} has {len(row)} nonzero entries; "
                 "an index-set polar needs exactly one",
                 (i,),
             )
-        hit.add(row[0][0])
-    return frozenset(range(t.dim)) - hit
-
-
-def _form_rank(t: LieTable) -> int:
-    """Rank of the form by elimination on its sparse rows: each row is reduced
-    by the kept row at its leading column until that column is new, and is kept
-    there.  A monomial form with distinct columns, as in so(n, C), takes one
-    step per row."""
-    cell = t._form_rank
-    if cell[0] is None:
-        pivots: dict[int, dict] = {}  # leading column -> reduced row
-        for row in t.form:
-            r = dict(row)
-            while r and (lead := min(r)) in pivots:
-                p = pivots[lead]
-                f = Fraction(r[lead], p[lead])
-                r = {k: w for k in r.keys() | p.keys() if (w := r.get(k, 0) - f * p.get(k, 0))}
-            if r:
-                pivots[lead] = r
-        cell[0] = len(pivots)
-    return cell[0]
+        cols.append(row[0][0] if row else None)
+    if None in cols or len(set(cols)) < t.dim:
+        raise DegenerateForm("bilinear form is degenerate; polars are undefined")
+    return frozenset(range(t.dim)) - {cols[i] for i in a}

@@ -299,19 +299,19 @@ def realize(s: Spectrum) -> LieTable:
     """Structure-constant table of so(n, C) graded by the given spectrum.
 
     Basis element p = (a, b) is the wedge u_a ^ u_b of the Witt basis, with
-    grade lambda_a + lambda_b.  The brackets, the form and its cached rank
-    are those of the table validated once for n, shared, not copied.  Only
-    the n labels are checked, for the mirror lambda_{n-1-a} = -lambda_a:
-    with the bracket shape :func:`_so_table` checked, that makes every
-    bracket respect the grades and the grade multiset symmetric (see the
-    module docstring).  Raises GradingViolation naming an unmirrored label.
-    Integral grades are ints, equal, hash-equal and printed alike to Fractions.
+    grade lambda_a + lambda_b.  The brackets and the form are those of the
+    table validated once for n, shared, not copied.  Only the n labels are
+    checked, for the mirror lambda_{n-1-a} = -lambda_a: with the bracket
+    shape :func:`_so_table` checked, that makes every bracket respect the
+    grades and the grade multiset symmetric (see the module docstring).
+    Raises GradingViolation naming an unmirrored label.  Integral grades are
+    ints, equal, hash-equal and printed alike to Fractions.
     """
     t = _so_table(s.n)
     sums, den = _scaled_pair_sums(s)
     grade_of = {k: Fraction(k, den) if k % den else k // den for k in set(sums)}
     grades = tuple(map(grade_of.__getitem__, sums))
-    return LieTable(t.dim, grades, t.form, t._sparse, t._form_rank)
+    return LieTable(t.dim, grades, t.form, t._sparse)
 
 
 def _scaled_pair_sums(s: Spectrum) -> tuple[list[int], int]:
@@ -353,10 +353,12 @@ def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
     D = L^2 / g, the least D that clears the denominators of m^2.  N has
     eigenvalues 4 D lambda^2, so a half-integral magnitude lambda = j/2 is a
     root y = D j^2 of the integer characteristic polynomial of N (Berkowitz,
-    division-free).  A Sturm sequence of its square-free part counts roots
-    between grid points y = D j^2, and bisecting over 0 < j <= J isolates
-    every grid point that is a root, in about log2 J steps per distinct
-    root; J^2 <= -2 tr m^2, four times the sum of the squared magnitudes.
+    division-free).  N is symmetric, so every root is real, and the sign
+    variations of the polynomial and its derivatives (Budan-Fourier) count
+    the roots between grid points y = D j^2 exactly; bisecting over
+    0 < j <= J isolates every grid point that is a root, in about log2 J
+    steps per distinct root; J^2 <= -2 tr m^2, four times the sum of the
+    squared magnitudes.
     Only at those roots is a rank taken: the multiplicity of +/- i*lambda is
     (n - rank(N - D j^2 I)) / 2, and mult(0) = n - rank m.  Returns None when
     the multiplicities found do not account for all n dimensions, i.e. when
@@ -425,64 +427,21 @@ def _derivative(p: list[int]) -> list[int]:
     return [c * (deg - i) for i, c in enumerate(p[:-1])]
 
 
-def _primitive(p: list[int]) -> list[int]:
-    """p without leading zeros, divided by its (positive) content; [] for 0."""
-    start = next((i for i, c in enumerate(p) if c), len(p))
-    p = p[start:]
-    content = math.gcd(*p)
-    return [c // content for c in p] if content > 1 else p
-
-
-def _remainder(a: list[int], b: list[int]) -> list[int]:
-    """A positive multiple of a mod b, made primitive.
-
-    Each step scales the dividend by |lead(b)| before cancelling its leading
-    term, so the result has the sign pattern of the true remainder, which is
-    all a Sturm sequence needs.
-    """
-    lead = b[0]
-    scale, sign = abs(lead), (1 if lead > 0 else -1)
-    r = list(a)
-    while len(r) >= len(b):
-        f = sign * r[0]
-        r = [scale * c for c in r]
-        for i, c in enumerate(b):
-            r[i] -= f * c
-        r = r[1:]
-    return _primitive(r)
-
-
-def _square_free(p: list[int]) -> list[int]:
-    """p / gcd(p, p'): the same roots, each simple (integral by Gauss's lemma)."""
-    a, b = _primitive(p), _primitive(_derivative(p))
-    while b:
-        a, b = b, _remainder(a, b)
-    quotient, r = [], list(p)
-    while len(r) >= len(a):
-        f = r[0] // a[0]
-        quotient.append(f)
-        for i, c in enumerate(a):
-            r[i] -= f * c
-        r = r[1:]
-    return quotient
-
-
 def _grid_roots(p: list[int], scale: int, top: int) -> list[int]:
     """Every integer 0 < j <= top with p(scale * j^2) = 0, ascending.
 
-    Sturm's theorem on the square-free part q: with V(y) the sign variations
-    of q, q', -rem(q, q'), ... at y, V(y0) - V(y1) is the number of roots in
-    (y0, y1].  Only the points y = scale * j^2 are evaluated, so a bisection
-    over j ends at intervals (j - 1, j] that hold a root, which is on the
-    grid exactly when q(scale * j^2) = 0.
+    p is the characteristic polynomial of a symmetric matrix, so every root
+    is real.  Budan-Fourier: with V(y) the sign variations of p, p', p'',
+    ... at y, V(y0) - V(y1) is at least the number of roots in (y0, y1],
+    with multiplicity, and exactly that number when every root is real.
+    Only the points y = scale * j^2 are evaluated, so a bisection over j
+    ends at intervals (j - 1, j] that hold a root, which is on the grid
+    exactly when p(scale * j^2) = 0.  The bound alone means no grid root is
+    missed; exactness means only intervals that hold a root are split.
     """
-    q = _square_free(p)
-    seq = [q, _primitive(_derivative(q))]
-    while True:
-        r = _remainder(seq[-2], seq[-1])
-        if not r:
-            break
-        seq.append([-c for c in r])
+    seq = [p]
+    while len(seq[-1]) > 1:
+        seq.append(_derivative(seq[-1]))
 
     def variations(j: int) -> int:
         y = scale * j * j
@@ -496,7 +455,7 @@ def _grid_roots(p: list[int], scale: int, top: int) -> list[int]:
         if v_lo == v_hi:
             continue
         if hi - lo == 1:
-            if _evaluate(q, scale * hi * hi) == 0:
+            if _evaluate(p, scale * hi * hi) == 0:
                 found.append(hi)
             continue
         mid = (lo + hi) // 2

@@ -14,9 +14,12 @@ from canonical_lie import (
     LieTable,
     RatMatrix,
     Spectrum,
+    bracket_indices,
     build_table,
+    grading_of,
     half_integral_spectra,
     oracle_record,
+    realize,
     rref,
     wedge_basis,
 )
@@ -25,7 +28,6 @@ from canonical_lie.exactlin import as_rational, charpoly
 from canonical_lie.liegraded import (
     _check_grading,
     _combine,
-    _form_rank,
     _grade_labels,
 )
 from canonical_lie.sonreal import _grid_roots
@@ -195,6 +197,23 @@ def kernel(m: RatMatrix) -> Subspace:
 def full_space(dim) -> Subspace:
     """Q^dim as a Subspace: the identity rows are its reduced basis."""
     return Subspace(dim, identity(dim))
+
+
+def theorem2_by_every_grade(s):
+    """Oracle for theorem2_check on a spectrum with integral grades:
+    (failing, trace) from the [g_1, .] iterates at every grade from 1 up to
+    the first failure, one trace row per grade, with no jump."""
+    table = realize(s)
+    spaces = {g: frozenset(idx) for g, idx in grading_of(table).blocks if g > 0}
+    g1 = current = spaces.get(1, frozenset())
+    trace = []
+    for k in range(1, max(spaces, default=0) + 1):
+        required = spaces.get(k, frozenset())
+        trace.append((k, len(current), len(required)))
+        if current != required:
+            return trace[-1], tuple(trace)
+        current = bracket_indices(table, g1, current)
+    return None, tuple(trace)
 
 
 def spectrum_from_matrix_by_kernels(m: RatMatrix):
@@ -595,13 +614,13 @@ def regrade(t, grade):
     """Oracle for relabelling: the algebra of `t` under new grade labels, one
     per basis element, after the full grade-dependent checks of build_table.
 
-    Shares the validated brackets, form and form rank of `t`; raises
+    Shares the validated brackets and form of `t`; raises
     GradingViolation when a bracket leaves grade(i) + grade(j) or when the
     grade multiset is not symmetric under negation.
     """
     grades = _grade_labels(grade, t.dim)
     _check_grading(t._sparse, grades)
-    return LieTable(t.dim, grades, t.form, t._sparse, t._form_rank)
+    return LieTable(t.dim, grades, t.form, t._sparse)
 
 
 def descending_series(t: LieTable, n: Subspace) -> list[Subspace]:
@@ -623,7 +642,7 @@ def polar(t: LieTable, a: Subspace) -> Subspace:
     """{x : <x, a> = 0} with respect to the table's bilinear form."""
     if a.ambient_dim != t.dim:
         raise ValueError("subspace ambient dimension does not match the algebra")
-    if _form_rank(t) < t.dim:
+    if rref(dense_form(t))[0] < t.dim:
         raise DegenerateForm("bilinear form is degenerate; polars are undefined")
     constraints = []
     for vec in a.basis.entries:

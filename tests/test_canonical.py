@@ -48,6 +48,7 @@ from helpers import (
     spectra_in_fraction_order,
     subspace_sum,
     tails_by_sums,
+    theorem2_by_every_grade,
     unit_span,
     zeros,
 )
@@ -140,6 +141,27 @@ class TestTheorem2Check:
         v = theorem2_check(spec(3, ("0", 1), ("2", 1)))
         assert not v.canonical
         assert v.reason is VerdictReason.GENERATION_FAILS
+
+    def test_huge_gap_jumps_to_the_next_grade(self):
+        v = theorem2_check(spec(3, ("0", 1), (10**9, 1)))
+        assert v.reason is VerdictReason.GENERATION_FAILS
+        assert v.failing == (10**9, 0, 1)
+        assert v.trace == ((1, 0, 0), (10**9, 0, 1))
+
+    def test_jump_matches_every_grade(self):
+        # the trace keeps every row up to the first (k, 0, 0), then the failing one
+        jumped = 0
+        for n in range(3, 8):
+            for s in half_integral_spectra(n, Fraction(11, 2)):
+                if not condition1(s):
+                    continue
+                failing, full = theorem2_by_every_grade(s)
+                empty = next((i for i, row in enumerate(full) if row[1:] == (0, 0)), None)
+                expected = full if empty is None else full[: empty + 1] + full[-1:]
+                v = theorem2_check(s)
+                assert (v.failing, v.trace) == (failing, expected), str(s)
+                jumped += len(expected) < len(full)
+        assert jumped > 50
 
     def test_grade_by_grade_equals_one_shot_closure(self):
         for s in half_integral_spectra(5, Fraction(3, 2)) + half_integral_spectra(
@@ -273,7 +295,7 @@ class TestStrictGeneration:
         t = realize(s)
         rows = [list(per_i) for per_i in t._sparse]
         rows[0][2], rows[2][0] = ((0, 1), (2, 1)), ((0, -1), (2, -1))
-        bent = LieTable(t.dim, t.grade, t.form, rows, t._form_rank)
+        bent = LieTable(t.dim, t.grade, t.form, rows)
         monkeypatch.setattr(canonical, "realize", lambda _: bent)
         with pytest.raises(NotMonomial) as info:
             strict_generation_report(s)
@@ -345,6 +367,13 @@ class TestTheorem1:
         report = theorem1_report(spec(4, ("1/2", 1), ("3/2", 1)))
         assert not all(report.values())
         assert not report["series_matches_tails"]
+
+    def test_huge_gap_stops_at_the_first_mismatch(self):
+        # tails are compared grade by grade and the first mismatch ends the
+        # scan, so a magnitude of 10^9 costs no more than one of 2
+        report = theorem1_report(spec(3, ("0", 1), (10**9, 1)))
+        assert report == theorem1_report(spec(3, ("0", 1), ("2", 1)))
+        assert not report["series_matches_tails"] and report["polar_is_nilradical"]
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_forward_bracket_equality(self, n):

@@ -26,7 +26,6 @@ from canonical_lie import (
     realize,
     rref,
 )
-from canonical_lie.liegraded import _form_rank
 from canonical_lie.sonreal import _so_table
 from helpers import (
     Subspace,
@@ -446,7 +445,7 @@ class TestRegrade:
         flat = regrade(t, (0,) * t.dim)
         assert flat.grade == (Fraction(0),) * t.dim
         assert flat._sparse is t._sparse
-        assert flat.form is t.form and flat._form_rank is t._form_rank
+        assert flat.form is t.form
         assert table_key(regrade(flat, t.grade)) == table_key(t)
 
     def test_grading_support_violation(self):
@@ -593,17 +592,31 @@ class TestIndexSets:
         assert "[e_0, e_5]" in str(info.value)
 
     def test_non_monomial_form_row_raises(self):
-        # an abelian algebra makes every symmetric form invariant
+        # an abelian algebra makes every symmetric form invariant; the form is
+        # scanned whole, so a non-monomial row is refused whatever `a` is
         t = build_table(2, [[(), ()], [(), ()]], (0, 0), [((0, 1), (1, 1)), ((0, 1),)])
-        assert polar_indices(t, {1}) == {1}
+        for a in ({0}, {1}, set()):
+            with pytest.raises(NotMonomial) as info:
+                polar_indices(t, a)
+            assert info.value.indices == (0,)
+            assert "form row 0" in str(info.value)
+
+    def test_non_monomial_form_rejected_before_degeneracy(self):
+        t = build_table(2, [[(), ()], [(), ()]], (0, 0), [((0, 1), (1, 1))] * 2)
         with pytest.raises(NotMonomial) as info:
             polar_indices(t, {0})
         assert info.value.indices == (0,)
 
-    def test_degenerate_form_rejected_first(self):
-        t = build_table(2, [[(), ()], [(), ()]], (0, 0), [((0, 1), (1, 1))] * 2)
-        with pytest.raises(DegenerateForm):
-            polar_indices(t, {0})
+    @pytest.mark.parametrize(
+        "form",
+        [[((1, 1),), ()], [((1, 1),), ((1, 2),)], [((0, 1),), ((0, 1),)]],
+        ids=["empty row", "repeated column", "repeated diagonal column"],
+    )
+    def test_degenerate_monomial_form_rejected(self, form):
+        t = LieTable(2, (0, 0), tuple(form), None)
+        for a in ({0}, set()):
+            with pytest.raises(DegenerateForm):
+                polar_indices(t, a)
 
 
 COEFFS = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
@@ -696,18 +709,50 @@ def sparse_form_rows(draw):
     return dim, [tuple((k, v) for k, v in sorted(row.items()) if v != 0) for row in rows]
 
 
-def _fresh_rank(dim, form):
-    """_form_rank on a table holding `form`, with no rank cached yet."""
-    return _form_rank(LieTable(dim, (0,) * dim, tuple(form), None, [None]))
+@st.composite
+def monomial_form_rows(draw):
+    """dim rows of one entry each on a permutation of the columns, with one
+    row emptied or moved to a drawn column half the time."""
+    dim = draw(st.integers(1, 7))
+    rows = [((c, draw(RANK_COEFFS)),) for c in draw(st.permutations(range(dim)))]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, dim - 1))
+        rows[i] = draw(st.sampled_from([(), ((draw(st.integers(0, dim - 1)), 1),)]))
+    return dim, rows
+
+
+def _polar_outcome(dim, form):
+    """What polar_indices(t, ()) gives on a table holding `form`: the indices
+    NotMonomial names, "degenerate", or the whole index set."""
+    try:
+        return polar_indices(LieTable(dim, (0,) * dim, tuple(form), None), ())
+    except NotMonomial as exc:
+        return exc.indices
+    except DegenerateForm:
+        return "degenerate"
+
+
+def _rank_outcome(dim, form):
+    """Oracle for _polar_outcome: the first row with two or more entries, else
+    the form's rank from dense rref."""
+    wide = [i for i, row in enumerate(form) if len(row) > 1]
+    if wide:
+        return (wide[0],)
+    dense = [[dict(row).get(k, 0) for k in range(dim)] for row in form]
+    if rref(RatMatrix(dense, cols=dim))[0] < dim:
+        return "degenerate"
+    return frozenset(range(dim))
 
 
 class TestFormRank:
+    """Whether the form has full rank, as polar_indices decides it from the
+    columns of its monomial rows, against dense rref."""
+
     @settings(max_examples=60, deadline=None)
-    @given(sparse_form_rows())
+    @given(st.one_of(sparse_form_rows(), monomial_form_rows()))
     def test_matches_dense_rref(self, drawn):
         dim, form = drawn
-        dense = [[dict(row).get(k, 0) for k in range(dim)] for row in form]
-        assert _fresh_rank(dim, form) == rref(RatMatrix(dense, cols=dim))[0]
+        assert _polar_outcome(dim, form) == _rank_outcome(dim, form)
 
     @pytest.mark.parametrize(
         "form, rank",
@@ -719,12 +764,17 @@ class TestFormRank:
         ],
     )
     def test_small_forms(self, form, rank):
-        assert _fresh_rank(3, form) == rank
+        dense = [[dict(row).get(k, 0) for k in range(3)] for row in form]
+        assert rref(RatMatrix(dense, cols=3))[0] == rank
+        assert _polar_outcome(3, form) == _rank_outcome(3, form)
 
     @pytest.mark.parametrize("n", range(3, 25))
     def test_so_n_form_is_nondegenerate(self, n):
         t = _so_table(n)
-        assert _fresh_rank(t.dim, t.form) == t.dim
+        assert polar_indices(t, ()) == frozenset(range(t.dim))
+        assert polar_indices(t, range(t.dim)) == frozenset()
+        if n <= 10:
+            assert rref(dense_form(t))[0] == t.dim
 
 
 class TestDirectSum:

@@ -148,6 +148,42 @@ DENOMINATOR_3 = [
 ]
 
 
+@st.composite
+def grid_root_case(draw):
+    """(factors, scale, top): integer factors as coefficient tuples, highest
+    degree first.  Linear ones b y - a have roots on the grid {scale * j^2}
+    (some past top, some at 0) and off it, each repeated up to three times;
+    at times a factor y^2 + c with no real root joins them."""
+    scale = draw(st.integers(1, 4))
+    top = draw(st.integers(0, 12))
+    on_grid = st.integers(0, top + 3).map(lambda j: (1, -scale * j * j))
+    off_grid = st.tuples(st.integers(1, 3), st.integers(-4 * 15 * 15, 40))
+    linear = draw(st.lists(st.one_of(on_grid, off_grid), max_size=6))
+    factors = [f for f in linear for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        factors.append((1, 0, draw(st.integers(1, 100))))
+    return factors, scale, top
+
+
+def _poly_of(factors):
+    """The product of the factors, coefficients highest degree first."""
+    poly = [1]
+    for f in factors:
+        poly = [
+            sum(f[i - k] * c for k, c in enumerate(poly) if 0 <= i - k < len(f))
+            for i in range(len(poly) + len(f) - 1)
+        ]
+    return poly
+
+
+def _value_of(factors, y):
+    """The product of the factors at y, each evaluated on its own."""
+    out = 1
+    for f in factors:
+        out *= sum(c * y ** (len(f) - 1 - i) for i, c in enumerate(f))
+    return out
+
+
 def witt_gram(n):
     """The form on C^n in the Witt basis: (u_a, u_b) = 1 exactly when
     b = n - 1 - a, the anti-diagonal permutation matrix."""
@@ -403,7 +439,6 @@ class TestRelabel:
             assert t.grade == expected.grade, str(s)
             assert grading_of(t).blocks == grading_of(expected).blocks, str(s)
             assert t._sparse is expected._sparse and t.form is expected.form
-            assert t._form_rank is expected._form_rank
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_grade_labels_stand_in_for_fractions(self, n):
@@ -474,7 +509,7 @@ class TestBracketShape:
 
         def corrupting(*args):
             t = build_table(*args)
-            return LieTable(t.dim, t.grade, t.form, sparse, [None])
+            return LieTable(t.dim, t.grade, t.form, sparse)
 
         monkeypatch.setattr(sonreal, "build_table", corrupting)
         with pytest.raises(BracketShapeViolation) as err:
@@ -657,6 +692,26 @@ class TestSpectrumFromMatrix:
         # bound must not truncate below the top magnitude
         s = spec(3, ("0", 1), ("3/2", 1))
         assert spectrum_from_matrix(normal_form(s)) == s
+
+
+class TestGridRoots:
+    """Root isolation on its own, against a scan of every grid point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_root_case())
+    def test_matches_scan(self, case):
+        factors, scale, top = case
+        scan = [j for j in range(1, top + 1) if _value_of(factors, scale * j * j) == 0]
+        assert sonreal._grid_roots(_poly_of(factors), scale, top) == scan
+
+    def test_multiple_and_excluded_roots(self):
+        # (y - 4)^3 (y - 9) y^2 (y - 49) (y^2 + 1) on the grid {j^2}, top 6:
+        # 0 and 49 lie outside 0 < j <= 6
+        factors = [(1, -4)] * 3 + [(1, -9), (1, 0), (1, 0), (1, -49), (1, 0, 1)]
+        assert sonreal._grid_roots(_poly_of(factors), 1, 6) == [2, 3]
+
+    def test_constant_polynomial(self):
+        assert sonreal._grid_roots([5], 1, 10) == []
 
 
 class TestNormalForm:
