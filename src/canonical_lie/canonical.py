@@ -19,7 +19,9 @@ the nilradical of q.  Two independent deciders live here:
 
 The package's headline property is that the two agree on every half-integral
 spectrum; the `verify` CLI command and the acceptance suite sweep that
-equivalence exhaustively at small n.
+equivalence exhaustively at small n.  :func:`enumerate_canonical` lists the
+canonical classes from the root datum instead: each comes from a subset of
+simple roots (Burstall–Rawnsley), and each is an O(n) class.
 
 Every space the generation test and the canonical-element properties touch
 (grade spaces, their tails, [g_1, g^k], the descending series of the
@@ -41,7 +43,7 @@ import math
 from collections import Counter, namedtuple
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import combinations_with_replacement, islice, product
 
 from .exactlin import RatMatrix, as_rational, rref
 from .liegraded import (
@@ -292,46 +294,37 @@ def theorem1_report(s: Spectrum) -> dict[str, bool]:
     }
 
 
-def _positive_tuples(parts: int, total: int):
-    """All tuples of `parts` positive integers with the given sum."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for cuts in combinations(range(1, total), parts - 1):
-        bounds = (0,) + cuts + (total,)
-        yield tuple(bounds[i + 1] - bounds[i] for i in range(parts))
-
-
 def enumerate_canonical(n: int) -> list[Spectrum]:
-    """All canonical spectra for so(n), deterministically ordered.
+    """All canonical spectra for so(n), one per O(n) conjugacy class, sorted
+    by largest magnitude, then entries.
 
-    Integer family: magnitudes exactly 0..k, every multiplicity >= 1.
-    Half-odd family (n even): magnitudes exactly 1/2..k+1/2, multiplicity
-    of 1/2 at least 2.  Sorted by largest magnitude, then entries.
+    Burstall–Rawnsley: the canonical element of the parabolic p_I is 1 on
+    each simple root outside I and 0 on each one in I.  Each 0/1 vector v on
+    the r = n // 2 simple roots is solved for 2 lambda_r (B_r), or for
+    2 lambda_r and 2 lambda_(r-1) (D_r), then 2 lambda_i = 2 lambda_(i+1) +
+    2 v_i up the chain.  The magnitudes are the |lambda_i|, so the D_r fork
+    subsets {alpha_(r-1)} and {alpha_r} give one O(n) class.
     """
     if n < 3:
         raise TooSmall(f"need n >= 3, got n = {n}")
-    found = [Spectrum(n, ((Fraction(0), n),))]
-    for k in range(1, (n - 1) // 2 + 1):
-        for total in range(k, (n - 1) // 2 + 1):
-            m0 = n - 2 * total
-            if m0 < 1:
-                continue
-            for mults in _positive_tuples(k, total):
-                entries = [(Fraction(0), m0)]
-                entries += [(Fraction(j + 1), mults[j]) for j in range(k)]
-                found.append(Spectrum(n, tuple(entries)))
-    if n % 2 == 0:
-        half = n // 2
-        for k in range(0, half):
-            for mults in _positive_tuples(k + 1, half):
-                if mults[0] < 2:
-                    continue
-                entries = [(Fraction(2 * j + 1, 2), mults[j]) for j in range(k + 1)]
-                found.append(Spectrum(n, tuple(entries)))
-    found.sort(key=lambda s: (s.max_magnitude, s.entries))
-    return found
+    keys = set()
+    for v in product((0, 1), repeat=n // 2):
+        doubled = [2 * v[-1]] if n % 2 else [v[-1] - v[-2], v[-2] + v[-1]]
+        for vi in reversed(v[: n % 2 - 2]):  # the roots above the one or two solved
+            doubled.append(doubled[-1] + 2 * vi)
+        counts = Counter(map(abs, doubled))
+        m0 = 2 * counts.pop(0, 0) + n % 2
+        entries = ((0, m0),) * (m0 > 0) + tuple(sorted(counts.items()))
+        keys.add((entries[-1][0], entries))
+    return _spectra_from_doubled(n, keys)
+
+
+def _spectra_from_doubled(n: int, keyed) -> list[Spectrum]:
+    """The spectra of the keys (2 max lambda, ((2 lambda, mult), ...)), sorted
+    on those ints, which is the order by largest magnitude, then entries."""
+    keyed = sorted(keyed)
+    halves = [Fraction(d, 2) for d in range(keyed[-1][0] + 1)]
+    return [Spectrum(n, tuple((halves[d], m) for d, m in doubled)) for _, doubled in keyed]
 
 
 def half_integral_count(n: int, max_lambda) -> int:
@@ -343,8 +336,7 @@ def half_integral_count(n: int, max_lambda) -> int:
 
 def half_integral_spectra(n: int, max_lambda) -> list[Spectrum]:
     """All valid spectra for so(n) with magnitudes in (1/2)Z up to max_lambda,
-    sorted by largest magnitude, then entries.  The sort runs on the ints
-    (2 max lambda, ((2 lambda, mult), ...)), as lambda -> 2 lambda is monotone."""
+    sorted by largest magnitude, then entries."""
     if n < 3:
         raise TooSmall(f"need n >= 3, got n = {n}")
     top = int(2 * as_rational(max_lambda))
@@ -352,11 +344,9 @@ def half_integral_spectra(n: int, max_lambda) -> list[Spectrum]:
     for size in range(0, n // 2 + 1):
         m0 = n - 2 * size
         for combo in combinations_with_replacement(range(1, top + 1), size):
-            doubled = ([(0, m0)] if m0 else []) + sorted(Counter(combo).items())
+            doubled = ((0, m0),) * (m0 > 0) + tuple(sorted(Counter(combo).items()))
             keyed.append((doubled[-1][0], doubled))
-    keyed.sort()
-    halves = [Fraction(d, 2) for d in range(top + 1)]
-    return [Spectrum(n, tuple((halves[d], m) for d, m in doubled)) for _, doubled in keyed]
+    return _spectra_from_doubled(n, keyed)
 
 
 class OracleRecord(namedtuple("OracleRecord", "spectrum verdict prop3 theorem1_ok")):

@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 = canonical / success, 1 = negative
 verdict (not canonical, not strictly generated, or sweep discrepancies),
-2 = usage or input error.  Output is byte-deterministic for a given
-invocation; rationals are always rendered as exact "p/q" strings.
+2 = usage or input error, 141 = the reader closed stdout early.  Output is
+byte-deterministic for a given invocation; rationals are exact "p/q" strings.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -474,4 +475,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout early; the shell's SIGPIPE code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the interpreter's final flush is quiet
+        os.close(devnull)
+        code = 141
+    sys.exit(code)

@@ -6,7 +6,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from canonical_lie import (
     DegenerateForm,
@@ -363,6 +363,62 @@ def prop3_report_by_fractions(s):
             )
         return False, f"half-odd ladder, but mult(1/2) = {m_half} < 2"
     return False, "magnitudes are not an unbroken ladder from 0 or 1/2"
+
+
+def canonical_by_simple_roots(s):
+    """Third decider, from the root datum (Burstall–Rawnsley): xi is canonical
+    iff its dominant representative is 0 or 1 on every simple root.
+
+    The dominant representative is the r-tuple lambda_1 >= ... >= lambda_r,
+    r = n // 2: each nonzero magnitude repeated mult times, padded with
+    zeros.  Its simple-root values are lambda_i - lambda_(i+1) for i < r,
+    then lambda_r for B_r (odd n) or lambda_(r-1) + lambda_r for D_r (even
+    n).  It reads neither the table nor the grading, nor prop3's ladders."""
+    r = s.n // 2
+    lams = sorted((lam for lam, mult in s.entries if lam for _ in range(mult)), reverse=True)
+    lams += [Fraction(0)] * (r - len(lams))
+    values = [lams[i] - lams[i + 1] for i in range(r - 1)]
+    values.append(lams[-1] if s.n % 2 else lams[-2] + lams[-1])
+    return all(v in (0, 1) for v in values)
+
+
+def _positive_tuples(parts, total):
+    """All tuples of `parts` positive integers with the given sum."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for cuts in combinations(range(1, total), parts - 1):
+        bounds = (0,) + cuts + (total,)
+        yield tuple(bounds[i + 1] - bounds[i] for i in range(parts))
+
+
+def canonical_by_families(n):
+    """Oracle for enumerate_canonical: prop3's two families written out.
+
+    Integer family: magnitudes exactly 0..k, every multiplicity >= 1.
+    Half-odd family (n even): magnitudes exactly 1/2..k+1/2, multiplicity
+    of 1/2 at least 2.  Sorted by largest magnitude, then entries."""
+    found = [Spectrum(n, ((Fraction(0), n),))]
+    for k in range(1, (n - 1) // 2 + 1):
+        for total in range(k, (n - 1) // 2 + 1):
+            m0 = n - 2 * total
+            if m0 < 1:
+                continue
+            for mults in _positive_tuples(k, total):
+                entries = [(Fraction(0), m0)]
+                entries += [(Fraction(j + 1), mults[j]) for j in range(k)]
+                found.append(Spectrum(n, tuple(entries)))
+    if n % 2 == 0:
+        half = n // 2
+        for k in range(0, half):
+            for mults in _positive_tuples(k + 1, half):
+                if mults[0] < 2:
+                    continue
+                entries = [(Fraction(2 * j + 1, 2), mults[j]) for j in range(k + 1)]
+                found.append(Spectrum(n, tuple(entries)))
+    found.sort(key=lambda s: (s.max_magnitude, s.entries))
+    return found
 
 
 def matrix_of(s: Spectrum, basis_pair_index: int) -> RatMatrix:

@@ -3,9 +3,9 @@
 Nine exact (tolerance-free) criteria, one test each, every test printing a
 single PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`.
 
-1. The generation-based decider and the closed-form spectral classifier
-   agree on every half-integral spectrum with n in 3..11 (SWEEP_MAX_N),
-   magnitudes <= 7/2.
+1. The generation-based decider, the closed-form spectral classifier and
+   the simple-root decider (0 or 1 on every simple root) agree on every
+   half-integral spectrum with n in 3..11 (SWEEP_MAX_N), magnitudes <= 7/2.
 2. In so(4), the half-odd spectrum with mult(1/2) = 1 is rejected with a
    generation-failure certificate while mult(1/2) = 2 is accepted.
 3. Generation by the grade +-1 pieces alone is strictly weaker: both the
@@ -22,7 +22,8 @@ single PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`.
    independent brute-force filter.
 8. Spectrum extraction inverts the normal form for all enumerated canonical
    spectra n <= 8 and is invariant under exact orthogonal conjugation.
-9. For every n in 3..11 (SWEEP_MAX_N), the enumerated canonical spectra with
+9. Burstall–Rawnsley correspondence: for every n in 3..11 (SWEEP_MAX_N),
+   the images of the subsets of simple roots (the enumerated classes) with
    magnitudes <= 7/2 are exactly the sweep's spectra the generation-based
    decider accepts.
 """
@@ -45,6 +46,7 @@ from canonical_lie import (
 from canonical_lie import VerdictReason
 from helpers import (
     brute_force_spectra,
+    canonical_by_simple_roots,
     dense_rows,
     grade_dims_by_counting,
     identity,
@@ -79,11 +81,16 @@ def report(criterion: int, description: str, passed: bool) -> None:
 
 def test_criterion_1_oracle_equivalence():
     canonical = sweep_canonical()
-    disagreements = [s for s in sweep() if (s in canonical) != prop3_check(s)]
+    disagreements = [
+        s
+        for s in sweep()
+        if not (s in canonical) == prop3_check(s) == canonical_by_simple_roots(s)
+    ]
     report(
         1,
-        f"generation test and spectral classifier agree on all {len(sweep())} "
-        f"spectra (n<={SWEEP_MAX_N}, magnitudes<=7/2); disagreements: {len(disagreements)}",
+        f"generation test, spectral classifier and simple-root decider agree on all "
+        f"{len(sweep())} spectra (n<={SWEEP_MAX_N}, magnitudes<=7/2); "
+        f"disagreements: {len(disagreements)}",
         not disagreements,
     )
 
@@ -274,6 +281,8 @@ def test_criterion_8_spectrum_extraction_round_trip():
 
 
 def test_criterion_9_enumeration_matches_filtered_sweep():
+    """Each enumerated class is the canonical element of a parabolic, solved
+    from a subset of simple roots; theorem2 must accept exactly those."""
     enumerated = {
         s
         for n in range(3, SWEEP_MAX_N + 1)
@@ -283,7 +292,8 @@ def test_criterion_9_enumeration_matches_filtered_sweep():
     canonical = sweep_canonical()
     report(
         9,
-        f"the {len(enumerated)} enumerated canonical spectra with n<={SWEEP_MAX_N} and "
-        f"magnitudes<=7/2 are the {len(canonical)} the generation test accepts in the sweep",
+        f"Burstall-Rawnsley: the {len(enumerated)} images of simple-root subsets with "
+        f"n<={SWEEP_MAX_N} and magnitudes<=7/2 are the {len(canonical)} spectra the "
+        "generation test accepts in the sweep",
         enumerated == canonical,
     )

@@ -35,6 +35,8 @@ from helpers import (
     Subspace,
     bracket_spaces,
     brute_force_spectra,
+    canonical_by_families,
+    canonical_by_simple_roots,
     condition1_by_fractions,
     condition1_pairwise,
     descending_series,
@@ -404,6 +406,18 @@ class TestEnumeration:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             enumerate_canonical(2)
+
+    def test_subset_map_matches_families(self):
+        """For n = 3..24 the Burstall–Rawnsley subset map gives prop3's two
+        families written out, in the same order; 2^r classes for odd n and
+        3 * 2^(r-2) for even n (r = n // 2, the fork pair merged); and the
+        roots decider, the inverse map, accepts every class."""
+        for n in range(3, 25):
+            classes = enumerate_canonical(n)
+            assert classes == canonical_by_families(n), n
+            r = n // 2
+            assert len(classes) == (2**r if n % 2 else 3 * 2 ** (r - 2)), n
+            assert all(canonical_by_simple_roots(s) for s in classes), n
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_brute_force_filter(self, n):

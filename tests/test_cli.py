@@ -361,6 +361,42 @@ class TestContract:
         assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
+class TestClosedPipe:
+    """A reader that closes stdout before the end gets exit 141, the shell's
+    SIGPIPE code, and no traceback, whether the child's stdout is buffered
+    or not.  The read end is closed before the child starts, so its first
+    write to stdout, or its final flush, certainly fails with EPIPE."""
+
+    COMMANDS = {
+        "check": ["check", "--spectrum", '{"n":24,"entries":[{"lambda":"0","mult":24}]}'],
+        "enumerate": ["enumerate", "--n", "24", "--format", "json"],
+        "verify": ["verify", "--max-n", "12"],
+    }
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exit_141_without_traceback(self, command, unbuffered):
+        src = str(Path(canonical_lie.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "canonical_lie", *self.COMMANDS[command]],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (141, "")
+
+
 class TestImportBudget:
     """Start-up every request pays: `dataclasses` pulls in `inspect`, `ast`,
     `dis` and `tokenize`, and `csv` serves CSV input alone."""
