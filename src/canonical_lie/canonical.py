@@ -53,7 +53,7 @@ from .liegraded import (
     grading_of,
     polar_indices,
 )
-from .sonreal import Spectrum, TooSmall, realize, wedge_basis
+from .sonreal import Spectrum, TooSmall, _pair_index, realize
 
 
 class NotCanonical(ValueError):
@@ -219,8 +219,7 @@ def strict_generation_report(s: Spectrum) -> tuple[bool, int, int]:
     """
     table = realize(s)
     gm = grading_of(table)
-    wb = wedge_basis(s)
-    diagonal = [wb.pair_index(a, s.n - 1 - a) for a in range(s.n // 2)]
+    diagonal = [_pair_index(s.n, a, s.n - 1 - a) for a in range(s.n // 2)]
     todo = sorted(gm.indices_at(1) | gm.indices_at(-1))
     roots, done, parts = set(todo), [], set()
     while todo:
@@ -324,7 +323,7 @@ def _spectra_from_doubled(n: int, keyed) -> list[Spectrum]:
     on those ints, which is the order by largest magnitude, then entries."""
     keyed = sorted(keyed)
     halves = [Fraction(d, 2) for d in range(keyed[-1][0] + 1)]
-    return [Spectrum(n, tuple((halves[d], m) for d, m in doubled)) for _, doubled in keyed]
+    return [Spectrum._from_doubled(n, doubled, halves) for _, doubled in keyed]
 
 
 def half_integral_count(n: int, max_lambda) -> int:

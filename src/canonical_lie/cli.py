@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 from fractions import Fraction
@@ -46,7 +45,7 @@ MAX_N = 24
 # the default 7/2.  A sweep keeps one compact record per spectrum, and
 # theorem2 walks each grade up to the largest magnitude, so the two caps bound
 # its time and memory: `--max-n 10 --max-lambda 25/2` (197,288 spectra) takes
-# about 5 s and 168 MB on a 2-vCPU x86-64 host.
+# 7-8 s and 164 MB as JSON on a 2-vCPU x86-64 host.
 MAX_LAMBDA = MAX_N
 MAX_SWEEP = 201_542
 
@@ -65,6 +64,7 @@ def _fail(message: str) -> int:
 
 
 def _parse_json(text: str, origin: str):
+    import json  # off the import path of `verify` and `--help`
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -279,6 +279,7 @@ def cmd_check(args) -> int:
         return _fail(str(exc))
     fields, lines, code = _decide(args.method, s)
     if args.fmt == "json":
+        import json
         payload = {"command": "check", "method": args.method, "input": input_json, **fields}
         print(json.dumps(payload, indent=2))
     else:
@@ -298,6 +299,7 @@ def cmd_enumerate(args) -> int:
     classes = enumerate_canonical(args.n)
     payload = [{"spectrum": s.to_json(), "grading": _grading_cells(grade_dims(s))} for s in classes]
     if args.fmt == "json":
+        import json
         doc = {"command": "enumerate", "n": args.n, "count": len(classes), "classes": payload}
         print(json.dumps(doc, indent=2))
     else:

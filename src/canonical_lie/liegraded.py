@@ -132,13 +132,16 @@ def build_table(
         if len(per_i) != dim:
             raise ValueError(f"bracket table row {i} has {len(per_i)} entries, expected {dim}")
         sparse.append(
-            tuple(_sparse_row(f"bracket [e_{i}, e_{j}]", row, dim) for j, row in enumerate(per_i))
+            tuple(
+                _sparse_row(row, dim, "bracket [e_{}, e_{}]", i, j) if row else ()
+                for j, row in enumerate(per_i)
+            )
         )
     sparse = tuple(sparse)
     grades = _grade_labels(grade, dim)
     if len(form) != dim:
         raise ValueError(f"form has {len(form)} rows, expected {dim}")
-    form = tuple(_sparse_row(f"form row {i}", pairs, dim) for i, pairs in enumerate(form))
+    form = tuple(_sparse_row(pairs, dim, "form row {}", i) for i, pairs in enumerate(form))
 
     for i in range(dim):
         for j in range(i, dim):
@@ -209,31 +212,30 @@ def build_table(
     return LieTable(dim, grades, form, sparse)
 
 
-def _sparse_row(name: str, pairs, dim: int) -> tuple:
-    """A bracket or form row, called `name` in errors, as its nonzero
-    (index, coefficient) pairs, ascending.
+def _sparse_row(pairs, dim: int, name: str, *at) -> tuple:
+    """A bracket or form row, called `name.format(*at)` in errors, as its
+    nonzero (index, coefficient) pairs, ascending.
 
     Coefficients stay ints when they are ints: structure constants are
     usually integral and native int arithmetic keeps the validation loops
     fast.  Raises ValueError for an index that is not an int in [0, dim) or a
     repeated one, TypeError for a bool or float coefficient.
     """
-    if not pairs:
-        return ()
     coords = {}
     for k, v in pairs:
         if type(k) is not int or not 0 <= k < dim:
-            raise ValueError(f"{name} has basis index {k!r} outside [0, {dim})")
+            raise ValueError(f"{name.format(*at)} has basis index {k!r} outside [0, {dim})")
         if k in coords:
-            raise ValueError(f"{name} repeats basis index {k}")
+            raise ValueError(f"{name.format(*at)} repeats basis index {k}")
         if isinstance(v, (bool, float)):
-            raise TypeError(f"{name} has {type(v).__name__} coefficient {v!r}; use int or Fraction")
+            kind = type(v).__name__
+            raise TypeError(f"{name.format(*at)} has {kind} coefficient {v!r}; use int or Fraction")
         coords[k] = v if isinstance(v, (int, Fraction)) else as_rational(v)
     return tuple((k, coords[k]) for k in sorted(coords) if coords[k] != 0)
 
 
-def _grade_labels(grade: Sequence, dim: int) -> tuple[Fraction, ...]:
-    grades = tuple(as_rational(g) for g in grade)
+def _grade_labels(grade: Sequence, dim: int) -> tuple[int | Fraction, ...]:
+    grades = tuple(g if type(g) is int else as_rational(g) for g in grade)  # int sums stay ints
     if len(grades) != dim:
         raise ValueError(f"{len(grades)} grade labels for dim {dim}")
     return grades

@@ -111,6 +111,22 @@ class Spectrum(namedtuple("Spectrum", "n entries")):
         return super().__new__(cls, n, tuple((lam, mult) for _, mult, lam in ents))
 
     @classmethod
+    def _from_doubled(cls, n: int, doubled, halves) -> Spectrum:
+        """Spectrum from ((2 lambda, mult), ...) and halves[d] = d/2: `__new__`'s checks on ints."""
+        if n < 3:
+            raise InvalidSpectrum(f"n must be at least 3, got {n}")
+        prev, total = -1, 0
+        for d, mult in doubled:
+            if d <= prev:
+                raise InvalidSpectrum("doubled magnitudes must be non-negative and ascend strictly")
+            if mult < 1:
+                raise InvalidSpectrum("multiplicities must be at least 1")
+            prev, total = d, total + (2 * mult if d else mult)
+        if total != n:
+            raise InvalidSpectrum(f"multiplicities account for {total} of {n} dimensions")
+        return tuple.__new__(cls, (n, tuple([(halves[d], mult) for d, mult in doubled])))
+
+    @classmethod
     def _make(cls, iterable) -> Spectrum:
         return cls(*iterable)  # `_replace` builds through here, so it validates too
 
@@ -192,12 +208,9 @@ class WedgeBasis(namedtuple("WedgeBasis", "eigen_labels pairs")):
     def dim(self) -> int:
         return len(self.pairs)
 
-    def pair_index(self, a: int, b: int) -> int:
-        """Position of the wedge (a, b), a < b, in lexicographic order."""
-        return _pair_index(self.n, a, b)
-
 
 def _pair_index(n: int, a: int, b: int) -> int:
+    """Position of the wedge (a, b), a < b, in lexicographic order."""
     return a * (2 * n - a - 1) // 2 + (b - a - 1)
 
 
@@ -209,10 +222,18 @@ def _witt_frame(n: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=256)
 def wedge_basis(s: Spectrum) -> WedgeBasis:
-    positive = [(lam, p) for lam, mult in reversed(s.entries) if lam > 0 for p in range(mult)]
-    zeros = [(Fraction(0), p) for p in range(s.mult(0))]
-    labels = positive + zeros + [(-lam, p) for lam, p in reversed(positive)]
-    return WedgeBasis(tuple(labels), _witt_frame(s.n))
+    scaled, den = _scaled_labels(s)
+    p = [scaled[:a].count(k) for a, k in enumerate(scaled)]  # a -lambda label takes its mirror's
+    labels = tuple((Fraction(k, den), p[a] if k >= 0 else p[-1 - a]) for a, k in enumerate(scaled))
+    return WedgeBasis(labels, _witt_frame(s.n))
+
+
+def _scaled_labels(s: Spectrum) -> tuple[list[int], int]:
+    """(D * lambda_a for the labels of :func:`wedge_basis`, D the lcm of their denominators)."""
+    den = math.lcm(*(lam.denominator for lam, _ in s.entries))
+    scaled = [(lam.numerator * (den // lam.denominator), m) for lam, m in reversed(s.entries)]
+    positive = [k for k, m in scaled if k for _ in range(m)]
+    return positive + [0] * (s.n - 2 * len(positive)) + [-k for k in reversed(positive)], den
 
 
 @lru_cache(maxsize=16)
@@ -310,25 +331,21 @@ def realize(s: Spectrum) -> LieTable:
     t = _so_table(s.n)
     sums, den = _scaled_pair_sums(s)
     grade_of = {k: Fraction(k, den) if k % den else k // den for k in set(sums)}
-    grades = tuple(map(grade_of.__getitem__, sums))
-    return LieTable(t.dim, grades, t.form, t._sparse)
+    return LieTable(t.dim, tuple(map(grade_of.__getitem__, sums)), t.form, t._sparse)
 
 
 def _scaled_pair_sums(s: Spectrum) -> tuple[list[int], int]:
-    """(D * (lambda_a + lambda_b) for each wedge (a, b), D) with D the lcm of
-    the label denominators, so the sums are int additions.  Raises
-    GradingViolation naming (a, n - 1 - a) if the labels are not mirrored."""
-    labels = [lam for lam, _ in wedge_basis(s).eigen_labels]
-    n = len(labels)
+    """(D * (lambda_a + lambda_b) for each wedge (a, b), D) from :func:`_scaled_labels`.
+    Raises GradingViolation naming (a, n - 1 - a) if the labels are not mirrored."""
+    scaled, den = _scaled_labels(s)
+    n = len(scaled)
     for a in range((n + 1) // 2):
-        if labels[n - 1 - a] != -labels[a]:
+        if scaled[n - 1 - a] != -scaled[a]:
             raise GradingViolation(
-                f"eigenvalue labels are not mirrored: lambda_{a} = {labels[a]} but "
-                f"lambda_{n - 1 - a} = {labels[n - 1 - a]}",
+                f"eigenvalue labels are not mirrored: lambda_{a} = {Fraction(scaled[a], den)} "
+                f"but lambda_{n - 1 - a} = {Fraction(scaled[n - 1 - a], den)}",
                 (a, n - 1 - a),
             )
-    den = math.lcm(*(lam.denominator for lam in labels))
-    scaled = [lam.numerator * (den // lam.denominator) for lam in labels]
     return [scaled[a] + scaled[b] for a, b in _witt_frame(n)], den
 
 

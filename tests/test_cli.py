@@ -424,6 +424,12 @@ class TestImportBudget:
         assert proc.returncode == 0 and "canonical_lie.cli" in modules
         assert modules & self.HEAVY == set()
 
+    def test_json_verify_skips_json(self):
+        # the sweep writes its records from templates, so `json` is not needed
+        proc, modules = self.request("verify", "--max-n", "3", "--format", "json")
+        assert proc.returncode == 0 and '"tested": 8' in proc.stdout
+        assert "json" not in modules and modules & self.HEAVY == set()
+
     def test_json_matrix_check(self, tmp_path):
         s = spec(3, ("0", 1), ("1", 1))
         a = RatMatrix([[0, 1, 2], [-1, 0, 1], [-2, -1, 0]])

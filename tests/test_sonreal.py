@@ -17,7 +17,6 @@ from canonical_lie import (
     RatMatrix,
     Spectrum,
     TooSmall,
-    WedgeBasis,
     enumerate_canonical,
     grade_dims,
     grading_of,
@@ -29,7 +28,7 @@ from canonical_lie import (
     wedge_basis,
 )
 from canonical_lie.liegraded import LieTable
-from canonical_lie.sonreal import _check_witt_shape, _so_table
+from canonical_lie.sonreal import _check_witt_shape, _pair_index, _so_table
 from helpers import (
     conjugated_normal_form,
     grade_dims_by_counting,
@@ -321,6 +320,54 @@ class TestSpectrum:
             Spectrum.from_json({"n": 4, "entries": [{"lambda": "1/2"}]})
 
 
+class TestFromDoubled:
+    """`Spectrum._from_doubled` builds from ((2 lambda, mult), ...) ints with
+    `__new__`'s checks run on the ints."""
+
+    @staticmethod
+    def rebuilt(s):
+        doubled = tuple((int(2 * lam), mult) for lam, mult in s.entries)
+        halves = [Fraction(d, 2) for d in range(doubled[-1][0] + 1)]
+        return Spectrum._from_doubled(s.n, doubled, halves)
+
+    @staticmethod
+    def assert_same(made, s):
+        ref = Spectrum(s.n, s.entries)
+        assert made == ref and hash(made) == hash(ref)
+        assert {type(lam) for lam in made.magnitudes} == {Fraction}
+        assert {type(lam) for lam in ref.magnitudes} == {Fraction}
+
+    @pytest.mark.parametrize(
+        "n,bound",
+        [(n, Fraction(7, 2)) for n in range(3, 13)] + [(n, Fraction(25, 2)) for n in range(3, 7)],
+    )
+    def test_half_integral_spectra(self, n, bound):
+        for s in half_integral_spectra(n, bound):
+            self.assert_same(s, s)
+            self.assert_same(self.rebuilt(s), s)
+
+    def test_enumerated_classes(self):
+        for n in range(3, 25):
+            for s in enumerate_canonical(n):
+                self.assert_same(s, s)
+                self.assert_same(self.rebuilt(s), s)
+
+    @pytest.mark.parametrize(
+        "n, doubled, message",
+        [
+            (4, ((2, 1), (1, 1)), "non-negative and ascend strictly"),
+            (4, ((1, 1), (1, 1)), "non-negative and ascend strictly"),
+            (3, ((0, 3), (1, 0)), "at least 1"),
+            (4, ((0, 1), (1, 1)), "account for 3 of 4"),
+            (2, ((0, 2),), "at least 3"),
+            (3, ((-2, 1), (0, 1)), "non-negative"),
+        ],
+    )
+    def test_invalid(self, n, doubled, message):
+        with pytest.raises(InvalidSpectrum, match=message):
+            Spectrum._from_doubled(n, doubled, [Fraction(d, 2) for d in range(3)])
+
+
 class TestWedgeBasis:
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
     def test_pair_count_and_order(self, s):
@@ -328,7 +375,7 @@ class TestWedgeBasis:
         assert len(wb.pairs) == s.n * (s.n - 1) // 2
         assert list(wb.pairs) == sorted(wb.pairs)
         for idx, (a, b) in enumerate(wb.pairs):
-            assert wb.pair_index(a, b) == idx
+            assert _pair_index(s.n, a, b) == idx
 
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
     def test_labels_descending_and_gram_pairing(self, s):
@@ -458,11 +505,9 @@ class TestRelabel:
 
     def test_unmirrored_labels_raise(self, monkeypatch):
         s = spec(6, ("1/2", 1), ("3/2", 1), ("5/2", 1))
-        wb = wedge_basis(s)
-        labels = list(wb.eigen_labels)  # 5/2, 3/2, 1/2, -1/2, -3/2, -5/2
+        labels, den = sonreal._scaled_labels(s)  # 5, 3, 1, -1, -3, -5 over 2
         labels[0], labels[1] = labels[1], labels[0]
-        broken = WedgeBasis(tuple(labels), wb.pairs)
-        monkeypatch.setattr(sonreal, "wedge_basis", lambda _: broken)
+        monkeypatch.setattr(sonreal, "_scaled_labels", lambda _: (labels, den))
         with pytest.raises(GradingViolation) as err:
             realize.__wrapped__(s)
         assert err.value.indices == (0, 5)
