@@ -30,11 +30,9 @@ from .sonreal import (
     NotSkew,
     Spectrum,
     TooSmall,
-    WedgeBasis,
     grade_dims,
     realize,
     spectrum_from_matrix,
-    wedge_basis,
 )
 from .canonical import (
     NotCanonical,
@@ -78,7 +76,6 @@ __all__ = [
     "TooSmall",
     "Verdict",
     "VerdictReason",
-    "WedgeBasis",
     "bracket_indices",
     "build_table",
     "condition1",
@@ -99,5 +96,4 @@ __all__ = [
     "strict_generation_report",
     "theorem1_report",
     "theorem2_check",
-    "wedge_basis",
 ]

@@ -4,6 +4,10 @@ Exit codes are a stable contract: 0 = canonical / success, 1 = negative
 verdict (not canonical, not strictly generated, or sweep discrepancies),
 2 = usage or input error, 141 = the reader closed stdout early.  Output is
 byte-deterministic for a given invocation; rationals are exact "p/q" strings.
+
+A process ends in :func:`run` through `os._exit` after flushing stdout and
+stderr, skipping the interpreter's teardown, which nothing here needs (see
+:func:`run`); :func:`main` returns the exit code, for callers in process.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ MAX_N = 24
 # the default 7/2.  A sweep keeps one compact record per spectrum, and
 # theorem2 walks each grade up to the largest magnitude, so the two caps bound
 # its time and memory: `--max-n 10 --max-lambda 25/2` (197,288 spectra) takes
-# 7-8 s and 164 MB as JSON on a 2-vCPU x86-64 host.
+# 7.4-8.9 s (median 8.1 s over 14 runs) and 164 MB as JSON on a 2-vCPU
+# x86-64 host.
 MAX_LAMBDA = MAX_N
 MAX_SWEEP = 201_542
 
@@ -288,37 +293,20 @@ def cmd_check(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# enumerate
+# JSON templates
 
 
-def cmd_enumerate(args) -> int:
-    if args.n < 3:
-        return _fail(f"--n must be at least 3, got {args.n}")
-    if args.n > MAX_N:
-        return _fail(f"--n must be at most {MAX_N}, got {args.n}")
-    classes = enumerate_canonical(args.n)
-    payload = [{"spectrum": s.to_json(), "grading": _grading_cells(grade_dims(s))} for s in classes]
-    if args.fmt == "json":
-        import json
-        doc = {"command": "enumerate", "n": args.n, "count": len(classes), "classes": payload}
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"canonical spectra for so({args.n}): {len(classes)} classes")
-        for idx, (s, cells) in enumerate(zip(classes, payload), start=1):
-            dims = " ".join(f"{c['grade']}:{c['dim']}" for c in cells["grading"])
-            print(f"  [{idx}] {s}")
-            print(f"      grading dims: {dims}")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# verify
-
-
-# `json.dumps(..., indent=2)` runs the pure-Python encoder, so each record is
-# written from a template instead: the text `json.dumps(record, indent=2)`
-# gives for the record at depth 2 of the document.  No string in a record
-# needs escaping: magnitudes render as p/q and reasons are VerdictReason values.
+# `json.dumps(..., indent=2)` runs the pure-Python encoder, so `enumerate` and
+# `verify` write their JSON from templates instead.  Each template is the text
+# `json.dumps(..., indent=2)` gives for its value where it sits in the
+# document: a class or a record at depth 2, a grading cell at depth 4 and a
+# spectrum entry at depth 5.  No string needs escaping: magnitudes and grades
+# render as p/q and reasons are VerdictReason values.
+_CLASS = (
+    '    {\n      "spectrum": {\n        "n": %d,\n        "entries": [%s\n        ]\n'
+    '      },\n      "grading": [%s\n      ]\n    }'
+)
+_CELL = '\n        {\n          "grade": "%s",\n          "dim": %d\n        }'
 _RECORD = (
     '    {\n      "n": %d,\n      "spectrum": {\n        "n": %d,\n        "entries": [%s\n'
     '        ]\n      },\n      "theorem2": {\n        "canonical": %s,\n'
@@ -332,6 +320,51 @@ _FAILING = (
 _LITERAL = {True: "true", False: "false", None: "null"}
 
 
+def _write_list(write, texts) -> None:
+    """A JSON list at depth 1 of the document from its items' texts, one write per item."""
+    sep = "[\n"
+    for text in texts:
+        write(sep + text)
+        sep = ",\n"
+    write("[]" if sep == "[\n" else "\n  ]")
+
+
+# ---------------------------------------------------------------------------
+# enumerate
+
+
+def _class_text(s: Spectrum) -> str:
+    entries = ",".join([_ENTRY % entry for entry in s.entries])
+    cells = ",".join([_CELL % cell for cell in grade_dims(s).items()])
+    return _CLASS % (s.n, entries, cells)
+
+
+def cmd_enumerate(args) -> int:
+    if args.n < 3:
+        return _fail(f"--n must be at least 3, got {args.n}")
+    if args.n > MAX_N:
+        return _fail(f"--n must be at most {MAX_N}, got {args.n}")
+    classes = enumerate_canonical(args.n)
+    write = sys.stdout.write
+    if args.fmt == "json":
+        write(
+            f'{{\n  "command": "enumerate",\n  "n": {args.n},\n'
+            f'  "count": {len(classes)},\n  "classes": '
+        )
+        _write_list(write, map(_class_text, classes))
+        write("\n}\n")
+    else:
+        write(f"canonical spectra for so({args.n}): {len(classes)} classes\n")
+        for idx, s in enumerate(classes, start=1):
+            dims = " ".join(f"{g}:{d}" for g, d in grade_dims(s).items())
+            write(f"  [{idx}] {s}\n      grading dims: {dims}\n")
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# verify
+
+
 def _record_text(rec: OracleRecord) -> str:
     s, verdict = rec.spectrum, rec.verdict
     entries = ",".join([_ENTRY % entry for entry in s.entries])
@@ -339,15 +372,6 @@ def _record_text(rec: OracleRecord) -> str:
     decision = (_LITERAL[verdict.canonical], verdict.reason.value, failing)
     checks = (_LITERAL[rec.prop3], _LITERAL[rec.theorem1_ok], _LITERAL[rec.agree])
     return _RECORD % (s.n, s.n, entries, *decision, *checks)
-
-
-def _write_records(write, records: list[OracleRecord]) -> None:
-    """A JSON list of records at depth 1 of the document, one write per record."""
-    sep = "[\n"
-    for rec in records:
-        write(sep + _record_text(rec))
-        sep = ",\n"
-    write("[]" if sep == "[\n" else "\n  ]")
 
 
 def _table_cells(rec: OracleRecord) -> tuple[str, ...]:
@@ -401,9 +425,9 @@ def cmd_verify(args) -> int:
             f'  "agreements": {agreements},\n  "canonical": {canonical_count},\n'
             '  "discrepancies": '
         )
-        _write_records(write, bad)
+        _write_list(write, map(_record_text, bad))
         write(',\n  "results": ')
-        _write_records(write, records)
+        _write_list(write, map(_record_text, records))
         write("\n}\n")
     else:
         write(f"oracle sweep: n = 3..{args.max_n}, magnitudes <= {bound}\n")
@@ -477,12 +501,19 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    """The console script's entry: run :func:`main`, flush, and exit with its code.
+
+    `os._exit` skips the interpreter's teardown, which frees every object the
+    request built and every module loaded, the site set-up's included, and
+    can cost more than a small request.  Nothing needs it: the CLI registers
+    no `atexit` handler and has no file open but stdout and stderr, flushed
+    here.  An exception that escapes `main` ends the process the usual way,
+    with a traceback and exit 1.
+    """
     try:
         code = main()
         sys.stdout.flush()
+        sys.stderr.flush()
     except BrokenPipeError:  # the reader closed stdout early; the shell's SIGPIPE code
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())  # so the interpreter's final flush is quiet
-        os.close(devnull)
         code = 141
-    sys.exit(code)
+    os._exit(code)

@@ -130,13 +130,6 @@ class Spectrum(namedtuple("Spectrum", "n entries")):
     def _make(cls, iterable) -> Spectrum:
         return cls(*iterable)  # `_replace` builds through here, so it validates too
 
-    def mult(self, lam) -> int:
-        lam = as_rational(lam)
-        for ell, m in self.entries:
-            if ell == lam:
-                return m
-        return 0
-
     @property
     def magnitudes(self) -> tuple[Fraction, ...]:
         return tuple(lam for lam, _ in self.entries)
@@ -187,28 +180,6 @@ class Spectrum(namedtuple("Spectrum", "n entries")):
         return cls(n, tuple(entries))
 
 
-class WedgeBasis(namedtuple("WedgeBasis", "eigen_labels pairs")):
-    """Ordered Witt eigenbasis of C^n and the induced wedge basis of so(n, C).
-
-    `eigen_labels[a] = (lambda_a, p)` is the signed eigenvalue and the index
-    within its eigenspace: the positive labels by descending lambda, then p,
-    then the zeros, then the negatives mirrored, so that
-    lambda_{n-1-a} = -lambda_a; (u_a, u_b) = 1 exactly when b = n - 1 - a.
-    `pairs` lists the wedge basis (a, b), a < b, in lexicographic order.
-    Only the labels depend on the spectrum; the pairs depend on n alone.
-    """
-
-    __slots__ = ()
-
-    @property
-    def n(self) -> int:
-        return len(self.eigen_labels)
-
-    @property
-    def dim(self) -> int:
-        return len(self.pairs)
-
-
 def _pair_index(n: int, a: int, b: int) -> int:
     """Position of the wedge (a, b), a < b, in lexicographic order."""
     return a * (2 * n - a - 1) // 2 + (b - a - 1)
@@ -220,16 +191,14 @@ def _witt_frame(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a in range(n) for b in range(a + 1, n))
 
 
-@lru_cache(maxsize=256)
-def wedge_basis(s: Spectrum) -> WedgeBasis:
-    scaled, den = _scaled_labels(s)
-    p = [scaled[:a].count(k) for a, k in enumerate(scaled)]  # a -lambda label takes its mirror's
-    labels = tuple((Fraction(k, den), p[a] if k >= 0 else p[-1 - a]) for a, k in enumerate(scaled))
-    return WedgeBasis(labels, _witt_frame(s.n))
-
-
 def _scaled_labels(s: Spectrum) -> tuple[list[int], int]:
-    """(D * lambda_a for the labels of :func:`wedge_basis`, D the lcm of their denominators)."""
+    """(D * lambda_a for a = 0, ..., n - 1, D the lcm of the magnitudes' denominators).
+
+    The labels follow the Witt basis: the positive magnitudes by descending
+    lambda, each repeated by its multiplicity, then the zeros, then the
+    negatives mirrored, so that lambda_{n-1-a} = -lambda_a; (u_a, u_b) = 1
+    exactly when b = n - 1 - a.
+    """
     den = math.lcm(*(lam.denominator for lam, _ in s.entries))
     scaled = [(lam.numerator * (den // lam.denominator), m) for lam, m in reversed(s.entries)]
     positive = [k for k, m in scaled if k for _ in range(m)]

@@ -3,7 +3,7 @@ and independent oracles."""
 
 import json
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -16,26 +16,67 @@ from canonical_lie import (
     Spectrum,
     bracket_indices,
     build_table,
+    enumerate_canonical,
+    grade_dims,
     grading_of,
     half_integral_spectra,
     oracle_record,
     realize,
     rref,
-    wedge_basis,
 )
-from canonical_lie.cli import _verdict_summary
+from canonical_lie.cli import _grading_cells, _verdict_summary
 from canonical_lie.exactlin import as_rational, charpoly
 from canonical_lie.liegraded import (
     _check_grading,
     _combine,
     _grade_labels,
 )
-from canonical_lie.sonreal import _grid_roots
+from canonical_lie.sonreal import _grid_roots, _scaled_labels, _witt_frame
 
 
 def spec(n, *pairs):
     """spec(4, ("1/2", 2)) -> Spectrum; magnitudes given as 'p/q' strings or ints."""
     return Spectrum(n, tuple((Fraction(lam), mult) for lam, mult in pairs))
+
+
+def mult_of(s, lam) -> int:
+    """The multiplicity of magnitude lam in s, 0 when lam is not one."""
+    lam = as_rational(lam)
+    for ell, m in s.entries:
+        if ell == lam:
+            return m
+    return 0
+
+
+class WedgeBasis(namedtuple("WedgeBasis", "eigen_labels pairs")):
+    """Ordered Witt eigenbasis of C^n and the induced wedge basis of so(n, C).
+
+    `eigen_labels[a] = (lambda_a, p)` is the signed eigenvalue and the index
+    within its eigenspace: the positive labels by descending lambda, then p,
+    then the zeros, then the negatives mirrored, so that
+    lambda_{n-1-a} = -lambda_a; (u_a, u_b) = 1 exactly when b = n - 1 - a.
+    `pairs` lists the wedge basis (a, b), a < b, in lexicographic order.
+    Only the labels depend on the spectrum; the pairs depend on n alone.
+    """
+
+    __slots__ = ()
+
+    @property
+    def n(self) -> int:
+        return len(self.eigen_labels)
+
+    @property
+    def dim(self) -> int:
+        return len(self.pairs)
+
+
+@lru_cache(maxsize=256)
+def wedge_basis(s: Spectrum) -> WedgeBasis:
+    """The labels of `realize`'s basis as Fractions, with their eigenspace indices."""
+    scaled, den = _scaled_labels(s)
+    p = [scaled[:a].count(k) for a, k in enumerate(scaled)]  # a -lambda label takes its mirror's
+    labels = tuple((Fraction(k, den), p[a] if k >= 0 else p[-1 - a]) for a, k in enumerate(scaled))
+    return WedgeBasis(labels, _witt_frame(s.n))
 
 
 def zeros(rows, cols) -> RatMatrix:
@@ -355,7 +396,7 @@ def prop3_report_by_fractions(s):
     if mags == [Fraction(i) for i in range(count)]:
         return True, f"magnitudes form the integer ladder 0..{count - 1}"
     if mags == [Fraction(2 * i + 1, 2) for i in range(count)]:
-        m_half = s.mult(Fraction(1, 2))
+        m_half = mult_of(s, Fraction(1, 2))
         if m_half >= 2:
             return True, (
                 f"magnitudes form the half-odd ladder 1/2..{mags[-1]} "
@@ -738,6 +779,14 @@ def _record_json(rec):
         "theorem1": rec.theorem1_ok,
         "agree": rec.agree,
     }
+
+
+def enumerate_doc(n):
+    """Oracle for `enumerate --format json`: the document as the dict that
+    json.dumps(indent=2) renders."""
+    classes = enumerate_canonical(n)
+    payload = [{"spectrum": s.to_json(), "grading": _grading_cells(grade_dims(s))} for s in classes]
+    return {"command": "enumerate", "n": n, "count": len(classes), "classes": payload}
 
 
 def verify_by_dumps(max_n, max_lambda, fmt):

@@ -41,7 +41,6 @@ from canonical_lie import (
     strict_generation_report,
     theorem2_check,
     theorem1_report,
-    wedge_basis,
 )
 from canonical_lie import VerdictReason
 from helpers import (

@@ -26,7 +26,6 @@ from canonical_lie import (
     strict_generation_report,
     theorem1_report,
     theorem2_check,
-    wedge_basis,
 )
 from canonical_lie import canonical
 from canonical_lie.canonical import _descending_series, _iterates
@@ -42,6 +41,7 @@ from helpers import (
     descending_series,
     generated_subalgebra,
     integer_path_spectra,
+    mult_of,
     normal_form,
     polar,
     prop3_report_by_fractions,
@@ -52,6 +52,7 @@ from helpers import (
     tails_by_sums,
     theorem2_by_every_grade,
     unit_span,
+    wedge_basis,
     zeros,
 )
 
@@ -470,7 +471,7 @@ class TestSpectralProperties:
     @pytest.mark.parametrize("n", [4, 6])
     def test_multiplicity_one_half_always_rejected(self, n):
         for s in half_integral_spectra(n, Fraction(5, 2)):
-            if s.mult(Fraction(1, 2)) == 1 and s.magnitudes[0].denominator == 2:
+            if mult_of(s, Fraction(1, 2)) == 1 and s.magnitudes[0].denominator == 2:
                 assert not theorem2_check(s).canonical
                 assert not prop3_check(s)
 

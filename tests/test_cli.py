@@ -22,7 +22,14 @@ from canonical_lie import (
     oracle_record,
 )
 from canonical_lie.cli import MAX_LAMBDA, MAX_N, MAX_SWEEP, main
-from helpers import _record_json, conjugated_normal_form, spec, verify_by_dumps, zeros
+from helpers import (
+    _record_json,
+    conjugated_normal_form,
+    enumerate_doc,
+    spec,
+    verify_by_dumps,
+    zeros,
+)
 
 GOOD_SO4 = '{"n":4,"entries":[{"lambda":"1/2","mult":2}]}'
 BAD_SO4 = '{"n":4,"entries":[{"lambda":"1/2","mult":1},{"lambda":"3/2","mult":1}]}'
@@ -224,6 +231,11 @@ class TestEnumerate:
         spectra = [Spectrum.from_json(cls["spectrum"]) for cls in doc["classes"]]
         assert len(set(spectra)) == 3
 
+    @pytest.mark.parametrize("n", range(3, MAX_N + 1))
+    def test_json_template_is_json_dumps(self, capsys, n):
+        code, out, err = run_cli(capsys, "enumerate", "--n", str(n), "--format", "json")
+        assert (code, out, err) == (0, json.dumps(enumerate_doc(n), indent=2) + "\n", "")
+
     def test_n_too_small(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--n", "2")
         assert code == 2
@@ -361,6 +373,39 @@ class TestContract:
         assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
+class TestProcessMatchesMain:
+    """A `python -m canonical_lie` process, which ends in `run()` through a
+    flush and `os._exit`, prints what `main()` prints in process and exits
+    with the code it returns, whether its stdout is buffered or not and when
+    the output is larger than a pipe's buffer (6.2 MB for enumerate)."""
+
+    COMMANDS = {
+        "help": (0, ["--help"]),
+        "enumerate": (0, ["enumerate", "--n", "24", "--format", "json"]),
+        "verify": (0, ["verify", "--max-n", "12", "--format", "json"]),
+        "negative": (1, ["check", "--spectrum", BAD_SO4]),
+        "usage": (2, ["check"]),
+        "bad_input": (2, ["check", "--spectrum", '{"n":4,']),
+    }
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_same_output_and_code(self, capsys, monkeypatch, command, unbuffered):
+        code, argv = self.COMMANDS[command]
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+        want = run_cli(capsys, *argv)
+        assert want[0] == code
+        src = str(Path(canonical_lie.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.run(
+            [sys.executable, "-m", "canonical_lie", *argv], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
 class TestClosedPipe:
     """A reader that closes stdout before the end gets exit 141, the shell's
     SIGPIPE code, and no traceback, whether the child's stdout is buffered
@@ -428,6 +473,12 @@ class TestImportBudget:
         # the sweep writes its records from templates, so `json` is not needed
         proc, modules = self.request("verify", "--max-n", "3", "--format", "json")
         assert proc.returncode == 0 and '"tested": 8' in proc.stdout
+        assert "json" not in modules and modules & self.HEAVY == set()
+
+    def test_json_enumerate_skips_json(self):
+        # enumerate writes its document from templates too
+        proc, modules = self.request("enumerate", "--n", "4", "--format", "json")
+        assert proc.returncode == 0 and '"count": 3' in proc.stdout
         assert "json" not in modules and modules & self.HEAVY == set()
 
     def test_json_matrix_check(self, tmp_path):

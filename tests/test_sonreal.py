@@ -25,7 +25,6 @@ from canonical_lie import (
     rref,
     sonreal,
     spectrum_from_matrix,
-    wedge_basis,
 )
 from canonical_lie.liegraded import LieTable
 from canonical_lie.sonreal import _check_witt_shape, _pair_index, _so_table
@@ -38,6 +37,7 @@ from helpers import (
     mat_add,
     matmul,
     matrix_of,
+    mult_of,
     dense_rows,
     normal_form,
     regrade,
@@ -47,6 +47,7 @@ from helpers import (
     spectrum_from_matrix_by_kernels,
     trace,
     transpose,
+    wedge_basis,
     zeros,
 )
 
@@ -385,7 +386,7 @@ class TestWedgeBasis:
         n = s.n
         lams = [lam for lam, _ in wb.eigen_labels]
         assert lams == sorted(lams, reverse=True)
-        expected = Counter({Fraction(0): s.mult(0)})
+        expected = Counter({Fraction(0): mult_of(s, 0)})
         for lam, mult in s.entries:
             if lam != 0:
                 expected[lam] += mult
