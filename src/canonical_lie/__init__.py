@@ -21,7 +21,6 @@ from .liegraded import (
     NotMonomial,
     bracket_indices,
     build_table,
-    grading_of,
     polar_indices,
 )
 from .sonreal import (
@@ -30,8 +29,7 @@ from .sonreal import (
     NotSkew,
     Spectrum,
     TooSmall,
-    grade_dims,
-    realize,
+    grading,
     spectrum_from_matrix,
 )
 from .canonical import (
@@ -80,8 +78,7 @@ __all__ = [
     "build_table",
     "condition1",
     "enumerate_canonical",
-    "grade_dims",
-    "grading_of",
+    "grading",
     "half_integral_count",
     "half_integral_spectra",
     "oracle_record",
@@ -90,7 +87,6 @@ __all__ = [
     "polar_indices",
     "prop3_check",
     "prop3_report",
-    "realize",
     "rref",
     "spectrum_from_matrix",
     "strict_generation_report",

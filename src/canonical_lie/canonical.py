@@ -46,14 +46,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, islice, product
 
 from .exactlin import RatMatrix, as_rational, rref
-from .liegraded import (
-    LieTable,
-    NotMonomial,
-    bracket_indices,
-    grading_of,
-    polar_indices,
-)
-from .sonreal import Spectrum, TooSmall, _pair_index, realize
+from .liegraded import LieTable, NotMonomial, bracket_indices, polar_indices
+from .sonreal import Spectrum, TooSmall, _pair_index, _so_table, grading
 
 
 class NotCanonical(ValueError):
@@ -72,8 +66,8 @@ class Verdict(namedtuple("Verdict", "canonical reason failing trace witness")):
     `failing` is (grade, achieved dim, required dim) for a generation
     failure; `trace` records (grade, dim g^k, dim g_k) for each positive
     grade visited, which skips the (k, 0, 0) grades between the first empty
-    one and the failing one; `witness` is the grading when the algebra was
-    realized.
+    one and the failing one; `witness` is the spectrum's grading when its
+    grades are integral.
     """
 
     __slots__ = ()
@@ -115,7 +109,7 @@ def theorem2_check(s: Spectrum) -> Verdict:
     """Generation-based canonicality decision with a step-by-step certificate.
 
     After the integrality gate, iterate g^1 = g_1, g^{k+1} = [g_1, g^k]
-    inside the realized algebra and compare against the actual grade spaces.
+    in the so(n, C) table and compare against the spectrum's grade spaces.
     Since [g_1, g^k] always lands inside g_{k+1}, the first failure is a
     strict dimension deficit at some grade; success at every positive grade
     is equivalent to g_1 + g_0 + g_{-1} generating the whole algebra.
@@ -128,8 +122,7 @@ def theorem2_check(s: Spectrum) -> Verdict:
     """
     if not condition1(s):
         return Verdict(False, VerdictReason.NON_INTEGRAL)
-    table = realize(s)
-    gm = grading_of(table)
+    table, gm = _so_table(s.n), grading(s)
     spaces = {g: frozenset(idx) for g, idx in gm.blocks if g > 0}  # condition1: int grades
     kmax = max(spaces, default=0)
     g1 = spaces.get(1, frozenset())
@@ -217,8 +210,7 @@ def strict_generation_report(s: Spectrum) -> tuple[bool, int, int]:
     is the index set g_1 + g_{-1}.  Raises NotMonomial naming a bracket of
     root wedges with two nonzero coordinates on root wedges.
     """
-    table = realize(s)
-    gm = grading_of(table)
+    table, gm = _so_table(s.n), grading(s)
     diagonal = [_pair_index(s.n, a, s.n - 1 - a) for a in range(s.n // 2)]
     todo = sorted(gm.indices_at(1) | gm.indices_at(-1))
     roots, done, parts = set(todo), [], set()
@@ -254,8 +246,7 @@ def parabolic_of(s: Spectrum) -> ParabolicData:
     verdict = theorem2_check(s)
     if not verdict.canonical:
         raise NotCanonical(f"spectrum {s} is not canonical: {verdict.reason.value}")
-    table = realize(s)
-    gm = grading_of(table)
+    table, gm = _so_table(s.n), verdict.witness
     nilradical = gm.tail_indices(1)
     series = _descending_series(table, nilradical)
     for r, term in enumerate(series, start=1):
@@ -275,8 +266,7 @@ def theorem1_report(s: Spectrum) -> dict[str, bool]:
     at zero.  Running this on a non-canonical grading shows which property
     breaks.
     """
-    table = realize(s)
-    gm = grading_of(table)
+    table, gm = _so_table(s.n), grading(s)
     grades = gm.grades()
     deepest = max([int(g) for g in grades if g > 0 and g.denominator == 1], default=0)
     nilradical = gm.tail_indices(1)

@@ -31,16 +31,17 @@ from .canonical import (
     theorem2_check,
 )
 from .exactlin import RatMatrix, parse_rational
-from .sonreal import InvalidSpectrum, NotSkew, Spectrum, TooSmall, grade_dims, spectrum_from_matrix
+from .sonreal import InvalidSpectrum, NotSkew, Spectrum, TooSmall, grading, spectrum_from_matrix
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 # Largest n any command accepts.  Building and validating the so(n, C) table
-# grows about as n^6 (Jacobi over dim^3 / 6 basis triples, dim = n(n-1)/2):
-# `check --spectrum` takes about 0.35 s at n = 20 and 0.9 s at n = 24 on a
-# 2-vCPU x86-64 host, most of it building and checking the table.
+# grows about as n^4: Jacobi sums only the basis triples that close a nonzero
+# bracket chain, 129,272 of the 3,466,100 at n = 24.  `check --spectrum` takes
+# 0.21-0.38 s at n = 20 and 0.43-0.63 s at n = 24 (19 MB peak) as a process
+# on a 2-vCPU Intel Xeon host with Python 3.11.7, mostly building the table.
 MAX_N = 24
 
 # Caps on `verify`.  No spectrum with n <= MAX_N and a magnitude above
@@ -49,8 +50,7 @@ MAX_N = 24
 # the default 7/2.  A sweep keeps one compact record per spectrum, and
 # theorem2 walks each grade up to the largest magnitude, so the two caps bound
 # its time and memory: `--max-n 10 --max-lambda 25/2` (197,288 spectra) takes
-# 7.4-8.9 s (median 8.1 s over 14 runs) and 164 MB as JSON on a 2-vCPU
-# x86-64 host.
+# 6.5-7.2 s and 164.5 MB as JSON, as a whole process on the same host.
 MAX_LAMBDA = MAX_N
 MAX_SWEEP = 201_542
 
@@ -335,7 +335,7 @@ def _write_list(write, texts) -> None:
 
 def _class_text(s: Spectrum) -> str:
     entries = ",".join([_ENTRY % entry for entry in s.entries])
-    cells = ",".join([_CELL % cell for cell in grade_dims(s).items()])
+    cells = ",".join([_CELL % cell for cell in grading(s).dims().items()])
     return _CLASS % (s.n, entries, cells)
 
 
@@ -356,7 +356,7 @@ def cmd_enumerate(args) -> int:
     else:
         write(f"canonical spectra for so({args.n}): {len(classes)} classes\n")
         for idx, s in enumerate(classes, start=1):
-            dims = " ".join(f"{g}:{d}" for g, d in grade_dims(s).items())
+            dims = " ".join(f"{g}:{d}" for g, d in grading(s).dims().items())
             write(f"  [{idx}] {s}\n      grading dims: {dims}\n")
     return EXIT_OK
 

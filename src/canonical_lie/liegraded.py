@@ -29,9 +29,10 @@ million basis triples, the rest vanishing term by term.
 
 Checks 1, 4 and 5 do not involve the grades, so one validated algebra can
 carry many gradings that share its brackets and form.
-:func:`sonreal.realize` relabels the so(n, C) table that way, in place of
-re-running checks 2 and 3 per grading: the table's bracket shape, checked
-once per n, and mirrored eigenvalue labels imply them.
+:func:`sonreal.grading` grades the so(n, C) table that way, as a
+:class:`GradingMap` over its basis, in place of re-running checks 2 and 3
+per grading: the table's bracket shape, checked once per n, and mirrored
+eigenvalue labels imply them.
 
 Every subspace here is a coordinate subspace, given as the set of basis
 indices that spans it: the grade spaces and tails of a :class:`GradingMap`,
@@ -295,14 +296,6 @@ class GradingMap(namedtuple("GradingMap", "ambient_dim blocks")):
 
     def dims(self) -> dict[Fraction, int]:
         return {g: len(idx) for g, idx in self.blocks}
-
-
-def grading_of(t: LieTable) -> GradingMap:
-    """Group basis elements by their grade label."""
-    groups: dict[Fraction, list[int]] = {}
-    for idx, g in enumerate(t.grade):
-        groups.setdefault(g, []).append(idx)
-    return GradingMap(t.dim, tuple((g, tuple(groups[g])) for g in sorted(groups)))
 
 
 def _combine(coeffs, rows) -> dict:

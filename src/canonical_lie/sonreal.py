@@ -31,9 +31,11 @@ checks this shape once per n.  With mirrored labels, lambda_{n-1-a} =
 -lambda_a, a partner pair contributes 0, so that target has grade exactly
 grade(a, b) + grade(c, d); and (a, b) -> (n - 1 - b, n - 1 - a) negates
 grades, so the grade multiset is symmetric.  Those are the two grading
-checks of :func:`liegraded.build_table`, so :func:`realize` only checks the
-n labels for the mirror and relabels in integer arithmetic.  No complex (or
-floating-point) arithmetic ever appears.
+checks of :func:`liegraded.build_table`, so :func:`grading` only checks the
+n labels for the mirror and groups the wedges by their label sums in integer
+arithmetic; the deciders pair that grading with the one table of n, and no
+table is built per spectrum.  No complex (or floating-point) arithmetic ever
+appears.
 
 The bilinear form installed on the algebra is the trace form tr(XY) of the
 matrix realization; for so(n) the Killing form is (n-2) times it, so polars
@@ -43,12 +45,12 @@ agree.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from .exactlin import RatMatrix, as_rational, charpoly, rref
-from .liegraded import GradingViolation, LieTable, LieTableError, build_table
+from .liegraded import GradingMap, GradingViolation, LieTable, LieTableError, build_table
 
 
 class InvalidSpectrum(ValueError):
@@ -129,10 +131,6 @@ class Spectrum(namedtuple("Spectrum", "n entries")):
     @classmethod
     def _make(cls, iterable) -> Spectrum:
         return cls(*iterable)  # `_replace` builds through here, so it validates too
-
-    @property
-    def magnitudes(self) -> tuple[Fraction, ...]:
-        return tuple(lam for lam, _ in self.entries)
 
     @property
     def max_magnitude(self) -> Fraction:
@@ -224,7 +222,7 @@ def _so_table(n: int) -> LieTable:
     the spectrum with magnitudes 0, 1, ... (n odd) or 1/2, 3/2, ... (n even),
     each of multiplicity one, so validation checks the bracket against a
     nontrivial grading as well.  After validation, the bracket shape that
-    lets :func:`realize` skip the grading checks is checked too.
+    lets :func:`grading` skip the grading checks is checked too.
     """
     pairs = _witt_frame(n)
     dim = len(pairs)
@@ -284,23 +282,29 @@ def _check_witt_shape(n: int, sparse) -> None:
                     raise BracketShapeViolation(p, q, k)
 
 
-@lru_cache(maxsize=64)
-def realize(s: Spectrum) -> LieTable:
-    """Structure-constant table of so(n, C) graded by the given spectrum.
+def grading(s: Spectrum) -> GradingMap:
+    """The grading of so(n, C) by the spectrum, on the basis of :func:`_so_table`.
 
     Basis element p = (a, b) is the wedge u_a ^ u_b of the Witt basis, with
-    grade lambda_a + lambda_b.  The brackets and the form are those of the
-    table validated once for n, shared, not copied.  Only the n labels are
-    checked, for the mirror lambda_{n-1-a} = -lambda_a: with the bracket
-    shape :func:`_so_table` checked, that makes every bracket respect the
-    grades and the grade multiset symmetric (see the module docstring).
+    grade lambda_a + lambda_b; blocks come in ascending grade order, each
+    with its indices ascending.  Only the n labels are checked, for the
+    mirror lambda_{n-1-a} = -lambda_a: with the bracket shape
+    :func:`_so_table` checked, that makes every bracket of the table respect
+    the grades and the grade multiset symmetric (see the module docstring).
     Raises GradingViolation naming an unmirrored label.  Integral grades are
     ints, equal, hash-equal and printed alike to Fractions.
     """
-    t = _so_table(s.n)
     sums, den = _scaled_pair_sums(s)
-    grade_of = {k: Fraction(k, den) if k % den else k // den for k in set(sums)}
-    return LieTable(t.dim, tuple(map(grade_of.__getitem__, sums)), t.form, t._sparse)
+    groups: dict[int, list[int]] = {}
+    for p, k in enumerate(sums):
+        groups.setdefault(k, []).append(p)
+    return GradingMap(
+        len(sums),
+        tuple(
+            (Fraction(k, den) if k % den else k // den, tuple(groups[k]))
+            for k in sorted(groups)
+        ),
+    )
 
 
 def _scaled_pair_sums(s: Spectrum) -> tuple[list[int], int]:
@@ -316,17 +320,6 @@ def _scaled_pair_sums(s: Spectrum) -> tuple[list[int], int]:
                 (a, n - 1 - a),
             )
     return [scaled[a] + scaled[b] for a, b in _witt_frame(n)], den
-
-
-def grade_dims(s: Spectrum) -> dict[Fraction, int]:
-    """Dimension of each grade space of so(n, C) under s, by grade ascending.
-
-    Counts the wedge basis elements per grade label, the dimensions
-    `grading_of(realize(s)).dims()` reports, without a table.
-    """
-    sums, den = _scaled_pair_sums(s)
-    counts = Counter(sums)
-    return {Fraction(k, den): counts[k] for k in sorted(counts)}
 
 
 def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:

@@ -10,6 +10,7 @@ from itertools import combinations, combinations_with_replacement
 
 from canonical_lie import (
     DegenerateForm,
+    GradingMap,
     InvalidSpectrum,
     LieTable,
     RatMatrix,
@@ -17,11 +18,9 @@ from canonical_lie import (
     bracket_indices,
     build_table,
     enumerate_canonical,
-    grade_dims,
-    grading_of,
+    grading,
     half_integral_spectra,
     oracle_record,
-    realize,
     rref,
 )
 from canonical_lie.cli import _grading_cells, _verdict_summary
@@ -31,7 +30,7 @@ from canonical_lie.liegraded import (
     _combine,
     _grade_labels,
 )
-from canonical_lie.sonreal import _grid_roots, _scaled_labels, _witt_frame
+from canonical_lie.sonreal import _grid_roots, _scaled_labels, _so_table, _witt_frame
 
 
 def spec(n, *pairs):
@@ -46,6 +45,32 @@ def mult_of(s, lam) -> int:
         if ell == lam:
             return m
     return 0
+
+
+def magnitudes_of(s) -> tuple[Fraction, ...]:
+    """The distinct magnitudes of s, ascending."""
+    return tuple(lam for lam, _ in s.entries)
+
+
+def grading_of(t: LieTable) -> GradingMap:
+    """Oracle for `grading`: the basis elements of a table grouped by their
+    grade labels, by grade ascending."""
+    groups: dict[Fraction, list[int]] = {}
+    for idx, g in enumerate(t.grade):
+        groups.setdefault(g, []).append(idx)
+    return GradingMap(t.dim, tuple((g, tuple(groups[g])) for g in sorted(groups)))
+
+
+def realize(s: Spectrum) -> LieTable:
+    """so(n, C) as a table graded by s: the one table of n, sharing its
+    brackets and form, with each basis element labelled by its grade in
+    `grading(s)`."""
+    t = _so_table(s.n)
+    grade = [None] * t.dim
+    for g, idx in grading(s).blocks:
+        for i in idx:
+            grade[i] = g
+    return LieTable(t.dim, tuple(grade), t.form, t._sparse)
 
 
 class WedgeBasis(namedtuple("WedgeBasis", "eigen_labels pairs")):
@@ -72,7 +97,7 @@ class WedgeBasis(namedtuple("WedgeBasis", "eigen_labels pairs")):
 
 @lru_cache(maxsize=256)
 def wedge_basis(s: Spectrum) -> WedgeBasis:
-    """The labels of `realize`'s basis as Fractions, with their eigenspace indices."""
+    """The Witt labels that `grading` sums, as Fractions, with their eigenspace indices."""
     scaled, den = _scaled_labels(s)
     p = [scaled[:a].count(k) for a, k in enumerate(scaled)]  # a -lambda label takes its mirror's
     labels = tuple((Fraction(k, den), p[a] if k >= 0 else p[-1 - a]) for a, k in enumerate(scaled))
@@ -382,7 +407,7 @@ def spectrum_entries_by_fractions(n, entries):
 def condition1_by_fractions(s):
     """Oracle for condition1: every 2 lambda is an integer, and all of them
     have one parity."""
-    doubled = [2 * lam for lam in s.magnitudes]
+    doubled = [2 * lam for lam in magnitudes_of(s)]
     if any(d.denominator != 1 for d in doubled):
         return False
     return len({d.numerator % 2 for d in doubled}) == 1
@@ -391,7 +416,7 @@ def condition1_by_fractions(s):
 def prop3_report_by_fractions(s):
     """Oracle for prop3_report: the magnitudes compared, as Fractions, with
     the integer ladder and the half-odd ladder."""
-    mags = list(s.magnitudes)
+    mags = list(magnitudes_of(s))
     count = len(mags)
     if mags == [Fraction(i) for i in range(count)]:
         return True, f"magnitudes form the integer ladder 0..{count - 1}"
@@ -785,7 +810,10 @@ def enumerate_doc(n):
     """Oracle for `enumerate --format json`: the document as the dict that
     json.dumps(indent=2) renders."""
     classes = enumerate_canonical(n)
-    payload = [{"spectrum": s.to_json(), "grading": _grading_cells(grade_dims(s))} for s in classes]
+    payload = []
+    for s in classes:
+        dims = dict(sorted(grade_dims_by_counting(s).items()))
+        payload.append({"spectrum": s.to_json(), "grading": _grading_cells(dims)})
     return {"command": "enumerate", "n": n, "count": len(classes), "classes": payload}
 
 

@@ -14,14 +14,13 @@ from canonical_lie import (
     VerdictReason,
     condition1,
     enumerate_canonical,
-    grading_of,
+    grading,
     half_integral_count,
     half_integral_spectra,
     parabolic_of,
     polar_indices,
     prop3_check,
     prop3_report,
-    realize,
     spectrum_from_matrix,
     strict_generation_report,
     theorem1_report,
@@ -29,7 +28,7 @@ from canonical_lie import (
 )
 from canonical_lie import canonical
 from canonical_lie.canonical import _descending_series, _iterates
-from canonical_lie.sonreal import TooSmall
+from canonical_lie.sonreal import TooSmall, _so_table
 from helpers import (
     Subspace,
     bracket_spaces,
@@ -41,10 +40,12 @@ from helpers import (
     descending_series,
     generated_subalgebra,
     integer_path_spectra,
+    magnitudes_of,
     mult_of,
     normal_form,
     polar,
     prop3_report_by_fractions,
+    realize,
     space_at,
     spec,
     spectra_in_fraction_order,
@@ -173,7 +174,7 @@ class TestTheorem2Check:
             if not condition1(s):
                 continue
             table = realize(s)
-            gm = grading_of(table)
+            gm = grading(s)
             seed = subspace_sum(
                 subspace_sum(space_at(gm, 1), space_at(gm, -1)), space_at(gm, 0)
             )
@@ -194,7 +195,7 @@ class TestIndexPathMatchesSubspaceRoute:
         seen = set()
         for s in half_integral_spectra(n, Fraction(5, 2)):
             t = realize(s)
-            gm = grading_of(t)
+            gm = grading(s)
             g1, nil, q = gm.indices_at(1), gm.tail_indices(1), gm.tail_indices(0)
             assert unit_span(t.dim, q) == tails_by_sums(gm)[0], str(s)
 
@@ -295,11 +296,11 @@ class TestStrictGeneration:
 
     def test_two_root_coordinates_raise(self, monkeypatch):
         s = spec(3, ("0", 1), ("1", 1))
-        t = realize(s)
+        t = _so_table(3)
         rows = [list(per_i) for per_i in t._sparse]
         rows[0][2], rows[2][0] = ((0, 1), (2, 1)), ((0, -1), (2, -1))
         bent = LieTable(t.dim, t.grade, t.form, rows)
-        monkeypatch.setattr(canonical, "realize", lambda _: bent)
+        monkeypatch.setattr(canonical, "_so_table", lambda _: bent)
         with pytest.raises(NotMonomial) as info:
             strict_generation_report(s)
         assert info.value.indices == (0, 2)
@@ -313,7 +314,7 @@ class TestStrictGeneration:
         assert len(spectra) == half_integral_count(n, Fraction(5, 2))
         for s in spectra:
             t = realize(s)
-            gm = grading_of(t)
+            gm = grading(s)
             seed = subspace_sum(space_at(gm, 1), space_at(gm, -1))
             got = generated_subalgebra(t, seed).dim
             assert strict_generation_report(s) == (got == t.dim, got, t.dim), str(s)
@@ -383,7 +384,7 @@ class TestTheorem1:
         # for canonical spectra, [g_1, g_k] is exactly g_{k+1}
         for s in enumerate_canonical(n):
             table = realize(s)
-            gm = grading_of(table)
+            gm = grading(s)
             kmax = max((int(g) for g in gm.grades() if g > 0), default=0)
             for k in range(1, kmax + 1):
                 out = bracket_spaces(table, space_at(gm, 1), space_at(gm, k))
@@ -471,7 +472,7 @@ class TestSpectralProperties:
     @pytest.mark.parametrize("n", [4, 6])
     def test_multiplicity_one_half_always_rejected(self, n):
         for s in half_integral_spectra(n, Fraction(5, 2)):
-            if mult_of(s, Fraction(1, 2)) == 1 and s.magnitudes[0].denominator == 2:
+            if mult_of(s, Fraction(1, 2)) == 1 and magnitudes_of(s)[0].denominator == 2:
                 assert not theorem2_check(s).canonical
                 assert not prop3_check(s)
 

@@ -20,10 +20,8 @@ from canonical_lie import (
     RatMatrix,
     bracket_indices,
     build_table,
-    grading_of,
     half_integral_spectra,
     polar_indices,
-    realize,
     rref,
 )
 from canonical_lie.sonreal import _so_table
@@ -39,11 +37,13 @@ from helpers import (
     direct_sum,
     full_space,
     generated_subalgebra,
+    grading_of,
     identity,
     jacobi_failure_by_triples,
     kernel,
     matmul,
     polar,
+    realize,
     regrade,
     scaled,
     space_at,

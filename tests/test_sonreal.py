@@ -18,28 +18,33 @@ from canonical_lie import (
     Spectrum,
     TooSmall,
     enumerate_canonical,
-    grade_dims,
-    grading_of,
+    grading,
     half_integral_spectra,
-    realize,
+    parabolic_of,
     rref,
     sonreal,
     spectrum_from_matrix,
+    strict_generation_report,
+    theorem1_report,
+    theorem2_check,
 )
 from canonical_lie.liegraded import LieTable
 from canonical_lie.sonreal import _check_witt_shape, _pair_index, _so_table
 from helpers import (
     conjugated_normal_form,
     grade_dims_by_counting,
+    grading_of,
     identity,
     integer_path_spectra,
     kernel,
+    magnitudes_of,
     mat_add,
     matmul,
     matrix_of,
     mult_of,
     dense_rows,
     normal_form,
+    realize,
     regrade,
     scaled,
     spec,
@@ -306,7 +311,7 @@ class TestSpectrum:
 
     def test_entries_sorted_ascending(self):
         s = Spectrum(5, ((Fraction(1), 1), (Fraction(0), 3)))
-        assert s.magnitudes == (Fraction(0), Fraction(1))
+        assert magnitudes_of(s) == (Fraction(0), Fraction(1))
 
     def test_json_round_trip(self):
         s = spec(4, ("1/2", 1), ("3/2", 1))
@@ -335,8 +340,8 @@ class TestFromDoubled:
     def assert_same(made, s):
         ref = Spectrum(s.n, s.entries)
         assert made == ref and hash(made) == hash(ref)
-        assert {type(lam) for lam in made.magnitudes} == {Fraction}
-        assert {type(lam) for lam in ref.magnitudes} == {Fraction}
+        assert {type(lam) for lam in magnitudes_of(made)} == {Fraction}
+        assert {type(lam) for lam in magnitudes_of(ref)} == {Fraction}
 
     @pytest.mark.parametrize(
         "n,bound",
@@ -398,19 +403,20 @@ class TestWedgeBasis:
 
 
 class TestRealize:
+    """so(n, C) graded by a spectrum: the one table of n and `grading(s)`."""
+
     def test_trivial_so3(self):
+        assert grading(spec(3, ("0", 3))).blocks == ((0, (0, 1, 2)),)
         t = realize(spec(3, ("0", 3)))
-        assert t.dim == 3
-        assert set(t.grade) == {Fraction(0)}
         # cross-product-like: each bracket of distinct generators is the third
         assert sum(1 for v in dense_rows(t)[0][1] if v != 0) == 1
 
     def test_so4_grading(self):
-        dims = grading_of(realize(spec(4, ("1/2", 2)))).dims()
+        dims = grading(spec(4, ("1/2", 2))).dims()
         assert dims == {Fraction(-1): 1, Fraction(0): 4, Fraction(1): 1}
 
     def test_so3_integer_grading(self):
-        dims = grading_of(realize(spec(3, ("0", 1), ("1", 1)))).dims()
+        dims = grading(spec(3, ("0", 1), ("1", 1))).dims()
         assert dims == {Fraction(-1): 1, Fraction(0): 1, Fraction(1): 1}
 
     @pytest.mark.parametrize("n", range(3, 8))
@@ -423,11 +429,11 @@ class TestRealize:
         assert _so_table(n).form == expected
 
     def test_table_depends_on_n_alone(self):
-        a = realize(spec(6, ("1/2", 2), ("3/2", 1)))
-        b = realize(spec(6, ("0", 2), ("1", 2)))
-        assert a.grade != b.grade
-        assert a.form == b.form
-        assert dense_rows(a) == dense_rows(b)
+        # two gradings of the one table, each passing build_table's grading checks
+        a, b = spec(6, ("1/2", 2), ("3/2", 1)), spec(6, ("0", 2), ("1", 2))
+        assert grading(a) != grading(b)
+        for s in (a, b):
+            assert grading_of(regrade(_so_table(6), pair_sums(s))) == grading(s)
 
     def test_one_table_built_per_n(self, monkeypatch):
         built = []
@@ -439,19 +445,24 @@ class TestRealize:
 
         monkeypatch.setattr(sonreal, "build_table", counting)
         sonreal._so_table.cache_clear()
-        realize.cache_clear()
-        spectra = half_integral_spectra(6, Fraction(7, 2))
-        assert len({realize(s).grade for s in spectra}) > 1
-        assert built == [15]
+        for n in (5, 6):
+            spectra = half_integral_spectra(n, Fraction(7, 2))
+            assert len({grading(s) for s in spectra}) > 1
+            for s in spectra:
+                strict_generation_report(s)
+                if theorem2_check(s).canonical:
+                    parabolic_of(s)
+                    theorem1_report(s)
+        assert built == [10, 15]
 
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
     def test_grading_dims_match_pair_counting(self, s):
-        assert grading_of(realize(s)).dims() == grade_dims_by_counting(s)
+        assert grading(s).dims() == grade_dims_by_counting(s)
 
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
     def test_total_dimension(self, s):
-        dims = grading_of(realize(s)).dims()
-        assert sum(dims.values()) == s.n * (s.n - 1) // 2
+        dims = grading(s).dims()
+        assert sum(dims.values()) == s.n * (s.n - 1) // 2 == grading(s).ambient_dim
 
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
     def test_grade_one_counting_identity(self, s):
@@ -471,35 +482,37 @@ class TestRealize:
                 total += m * (m - 1) // 2
             elif other in mult:
                 total += m * mult[other]
-        assert len(grading_of(realize(s)).indices_at(1)) == total
+        assert len(grading(s).indices_at(1)) == total
 
 
 class TestRelabel:
-    """realize relabels the per-n table with integer label sums, checking only
-    the mirror; the regrade oracle re-runs build_table's grading checks."""
+    """grading groups the wedges by integer label sums, checking only the
+    mirror; the regrade oracle re-runs build_table's grading checks on the
+    Fraction pair sums."""
+
+    @staticmethod
+    def assert_keys_stand_in(got, want, s):
+        assert got == want and list(map(str, got)) == list(map(str, want)), str(s)
+        assert list(map(hash, got)) == list(map(hash, want)), str(s)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_matches_regrade_oracle(self, n):
         extra = [s for s in DENOMINATOR_3 if s.n == n]
         for s in half_integral_spectra(n, Fraction(7, 2)) + extra:
-            t = realize(s)
-            expected = regrade(_so_table(n), pair_sums(s))
-            assert t.grade == expected.grade, str(s)
-            assert grading_of(t).blocks == grading_of(expected).blocks, str(s)
-            assert t._sparse is expected._sparse and t.form is expected.form
+            gm = grading(s)
+            expected = grading_of(regrade(_so_table(n), pair_sums(s)))
+            assert gm.blocks == expected.blocks, str(s)
+            assert gm.ambient_dim == expected.ambient_dim
+            self.assert_keys_stand_in(gm.grades(), expected.grades(), s)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_grade_labels_stand_in_for_fractions(self, n):
         # integral grades are ints; each must behave as the Fraction label it replaces
         kinds, mixed = set(), 0
         for s in half_integral_spectra(n, Fraction(7, 2)):
-            got, want = realize(s).grade, pair_sums(s)
-            assert got == want and list(map(str, got)) == list(map(str, want)), str(s)
-            assert list(map(hash, got)) == list(map(hash, want)), str(s)
-            order = sorted(range(len(got)), key=got.__getitem__)
-            assert order == sorted(range(len(want)), key=want.__getitem__), str(s)
-            dims = grading_of(realize(s)).dims()
-            assert list(dims.items()) == list(grade_dims(s).items()), str(s)
+            got = grading(s).grades()
+            want = tuple(sorted(set(pair_sums(s))))
+            self.assert_keys_stand_in(got, want, s)
             kinds.update(map(type, got))
             mixed += {int, Fraction} <= set(map(type, got))
         assert kinds == {int, Fraction} and mixed
@@ -510,10 +523,20 @@ class TestRelabel:
         labels[0], labels[1] = labels[1], labels[0]
         monkeypatch.setattr(sonreal, "_scaled_labels", lambda _: (labels, den))
         with pytest.raises(GradingViolation) as err:
-            realize.__wrapped__(s)
+            grading(s)
         assert err.value.indices == (0, 5)
-        with pytest.raises(GradingViolation):
-            grade_dims(s)
+
+
+class TestGradeDims:
+    @pytest.mark.parametrize("n", range(3, 25))
+    def test_matches_regraded_table(self, n):
+        # the order matters too: the CLI prints the grades in this order
+        for s in enumerate_canonical(n):
+            dims = list(grading(s).dims().items())
+            assert dims == sorted(grade_dims_by_counting(s).items()), str(s)
+            if n <= 10:
+                expected = grading_of(regrade(_so_table(n), pair_sums(s))).dims()
+                assert dims == list(expected.items()), str(s)
 
 
 class TestBracketShape:
@@ -561,16 +584,6 @@ class TestBracketShape:
         with pytest.raises(BracketShapeViolation) as err:
             sonreal._so_table.__wrapped__(5)
         assert err.value.indices == indices
-
-
-class TestGradeDims:
-    @pytest.mark.parametrize("n", range(3, 11))
-    def test_matches_regraded_table(self, n):
-        # the order matters too: the CLI prints the grades in this order
-        for s in enumerate_canonical(n):
-            expected = grading_of(realize(s)).dims()
-            assert list(grade_dims(s).items()) == list(expected.items()), str(s)
-            assert grade_dims(s) == grade_dims_by_counting(s), str(s)
 
 
 class TestMatrixOf:
