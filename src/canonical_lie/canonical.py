@@ -8,9 +8,9 @@ the nilradical of q.  Two independent deciders live here:
 * :func:`theorem2_check` — the generation-based test.  xi is canonical iff
   all ad-eigenvalue grades are integers and the grade-1 piece rebuilds each
   higher grade by repeated bracketing: g^1 = g_1, g^{k+1} = [g_1, g^k] must
-  equal g_{k+1} for every positive grade.  Verdicts carry certificates
-  (grading dimensions, or the first failing grade with the achieved and
-  required dimensions).
+  equal g_{k+1} for every positive grade.  A verdict's answer is read from
+  its reason, and it carries certificates (the grading, or the first
+  failing grade with the achieved and required dimensions).
 
 * :func:`prop3_check` — the closed-form spectral test.  The magnitude set
   must be an unbroken ladder 0, 1, ..., k, or an unbroken half-odd ladder
@@ -22,6 +22,9 @@ spectrum; the `verify` CLI command and the acceptance suite sweep that
 equivalence exhaustively at small n.  :func:`enumerate_canonical` lists the
 canonical classes from the root datum instead: each comes from a subset of
 simple roots (Burstall–Rawnsley), and each is an O(n) class.
+:func:`theorem1_report` checks the defining properties (Theorem 1), and
+:func:`parabolic_of` and :func:`oracle_record` run the same check on
+theorem2's grading, so each spectrum is graded once.
 
 Every space the generation test and the canonical-element properties touch
 (grade spaces, their tails, [g_1, g^k], the descending series of the
@@ -46,7 +49,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, islice, product
 
 from .exactlin import RatMatrix, as_rational, rref
-from .liegraded import LieTable, NotMonomial, bracket_indices, polar_indices
+from .liegraded import GradingMap, LieTable, NotMonomial, bracket_indices, polar_indices
 from .sonreal import Spectrum, TooSmall, _pair_index, _so_table, grading
 
 
@@ -60,8 +63,8 @@ class VerdictReason(str, Enum):
     GENERATION_FAILS = "GenerationFails"
 
 
-class Verdict(namedtuple("Verdict", "canonical reason failing trace witness")):
-    """Decision plus certificate.
+class Verdict(namedtuple("Verdict", "reason failing trace witness", defaults=(None,) * 3)):
+    """Decision plus certificate; the answer is read from `reason`.
 
     `failing` is (grade, achieved dim, required dim) for a generation
     failure; `trace` records (grade, dim g^k, dim g_k) for each positive
@@ -72,14 +75,9 @@ class Verdict(namedtuple("Verdict", "canonical reason failing trace witness")):
 
     __slots__ = ()
 
-    def __new__(cls, canonical, reason, failing=None, trace=None, witness=None):
-        if (reason is VerdictReason.CANONICAL) != canonical:
-            raise ValueError("verdict reason inconsistent with the boolean answer")
-        return super().__new__(cls, canonical, reason, failing, trace, witness)
-
-    @classmethod
-    def _make(cls, iterable) -> Verdict:
-        return cls(*iterable)  # `_replace` builds through here, so it validates too
+    @property
+    def canonical(self) -> bool:
+        return self.reason is VerdictReason.CANONICAL
 
 
 class ParabolicData(namedtuple("ParabolicData", "q nilradical series grading")):
@@ -121,7 +119,7 @@ def theorem2_check(s: Spectrum) -> Verdict:
     not with the magnitudes.
     """
     if not condition1(s):
-        return Verdict(False, VerdictReason.NON_INTEGRAL)
+        return Verdict(VerdictReason.NON_INTEGRAL)
     table, gm = _so_table(s.n), grading(s)
     spaces = {g: frozenset(idx) for g, idx in gm.blocks if g > 0}  # condition1: int grades
     kmax = max(spaces, default=0)
@@ -136,13 +134,9 @@ def theorem2_check(s: Spectrum) -> Verdict:
             trace.append((k, 0, len(required)))
         if current != required:
             return Verdict(
-                False,
-                VerdictReason.GENERATION_FAILS,
-                failing=trace[-1],
-                trace=tuple(trace),
-                witness=gm,
+                VerdictReason.GENERATION_FAILS, failing=trace[-1], trace=tuple(trace), witness=gm
             )
-    return Verdict(True, VerdictReason.CANONICAL, trace=tuple(trace), witness=gm)
+    return Verdict(VerdictReason.CANONICAL, trace=tuple(trace), witness=gm)
 
 
 def _iterates(table: LieTable, a: frozenset[int], start: frozenset[int]):
@@ -240,21 +234,18 @@ def parabolic_of(s: Spectrum) -> ParabolicData:
 
     q is the sum of the non-negative grade spaces and the nilradical the sum
     of the positive ones, each given by the basis indices that span it; the
-    series is recomputed by bracketing and checked against the grading tails
-    rather than assumed.
+    series is recomputed by bracketing, and all four properties of
+    :func:`theorem1_report` are checked rather than assumed.
     """
     verdict = theorem2_check(s)
     if not verdict.canonical:
         raise NotCanonical(f"spectrum {s} is not canonical: {verdict.reason.value}")
-    table, gm = _so_table(s.n), verdict.witness
-    nilradical = gm.tail_indices(1)
-    series = _descending_series(table, nilradical)
-    for r, term in enumerate(series, start=1):
-        if term != gm.tail_indices(r):
-            raise RuntimeError(
-                f"descending series step {r} does not match the grading tail"
-            )
-    return ParabolicData(gm.tail_indices(0), nilradical, tuple(series), gm)
+    gm = verdict.witness
+    report, series = _theorem1(_so_table(s.n), gm)
+    failed = [name for name, ok in report.items() if not ok]
+    if failed:
+        raise RuntimeError(f"canonical spectrum {s} fails {', '.join(failed)}")
+    return ParabolicData(gm.tail_indices(0), series[0], tuple(series), gm)
 
 
 def theorem1_report(s: Spectrum) -> dict[str, bool]:
@@ -266,7 +257,12 @@ def theorem1_report(s: Spectrum) -> dict[str, bool]:
     at zero.  Running this on a non-canonical grading shows which property
     breaks.
     """
-    table, gm = _so_table(s.n), grading(s)
+    return _theorem1(_so_table(s.n), grading(s))[0]
+
+
+def _theorem1(table: LieTable, gm: GradingMap) -> tuple[dict[str, bool], list[frozenset[int]]]:
+    """theorem1_report's properties of the grading gm of table, with the
+    descending series of the nilradical, which starts with the nilradical."""
     grades = gm.grades()
     deepest = max([int(g) for g in grades if g > 0 and g.denominator == 1], default=0)
     nilradical = gm.tail_indices(1)
@@ -280,7 +276,7 @@ def theorem1_report(s: Spectrum) -> dict[str, bool]:
         "series_matches_tails": matches,
         "polar_is_nilradical": polar_indices(table, gm.tail_indices(0)) == nilradical,
         "series_reaches_zero": not series[-1],
-    }
+    }, series
 
 
 def enumerate_canonical(n: int) -> list[Spectrum]:
@@ -340,8 +336,9 @@ def half_integral_spectra(n: int, max_lambda) -> list[Spectrum]:
 
 class OracleRecord(namedtuple("OracleRecord", "spectrum verdict prop3 theorem1_ok")):
     """One spectrum's results under both deciders, for the equivalence sweep;
-    `theorem1_ok` is None unless theorem2 found the spectrum canonical.
-    `verdict` keeps no trace or grading witness, so a sweep's records stay small."""
+    `theorem1_ok` is None unless theorem2 found the spectrum canonical, else
+    whether its grading has every Theorem 1 property.  `verdict` keeps only
+    its reason and failing grade, so a sweep's records stay small."""
 
     __slots__ = ()
 
@@ -357,5 +354,5 @@ class OracleRecord(namedtuple("OracleRecord", "spectrum verdict prop3 theorem1_o
 def oracle_record(s: Spectrum) -> OracleRecord:
     verdict = theorem2_check(s)
     p3 = prop3_check(s)
-    t1 = all(theorem1_report(s).values()) if verdict.canonical else None
-    return OracleRecord(s, Verdict(verdict.canonical, verdict.reason, verdict.failing), p3, t1)
+    t1 = all(_theorem1(_so_table(s.n), verdict.witness)[0].values()) if verdict.canonical else None
+    return OracleRecord(s, Verdict(verdict.reason, verdict.failing), p3, t1)

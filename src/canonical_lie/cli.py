@@ -236,7 +236,7 @@ def _decide(method: str, s: Spectrum | None) -> tuple[dict, list[str], int]:
     non-integral ad-spectrum, and every method reports that verdict.
     """
     if s is None:
-        verdict = Verdict(False, VerdictReason.NON_INTEGRAL)
+        verdict = Verdict(VerdictReason.NON_INTEGRAL)
     elif method == "strict":
         generated, got, full = strict_generation_report(s)
         fields = {"strictly_generated": generated, "generated_dim": got, "algebra_dim": full}

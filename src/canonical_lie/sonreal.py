@@ -83,7 +83,7 @@ class Spectrum(namedtuple("Spectrum", "n entries")):
     `entries` lists (lambda, mult) with lambda >= 0 strictly increasing.
     The eigenvalues of xi on C^n are +/- i*lambda, so the multiplicities
     satisfy mult(0) + 2 * sum of the positive multiplicities = n.
-    Immutable, equal and hashed by (n, entries), so it can key caches.
+    Immutable, equal and hashed by (n, entries).
     """
 
     __slots__ = ()
@@ -183,7 +183,7 @@ def _pair_index(n: int, a: int, b: int) -> int:
     return a * (2 * n - a - 1) // 2 + (b - a - 1)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=None)
 def _witt_frame(n: int) -> tuple[tuple[int, int], ...]:
     """The wedge pairs (a, b), a < b, in lexicographic order."""
     return tuple((a, b) for a in range(n) for b in range(a + 1, n))
@@ -203,7 +203,7 @@ def _scaled_labels(s: Spectrum) -> tuple[list[int], int]:
     return positive + [0] * (s.n - 2 * len(positive)) + [-k for k in reversed(positive)], den
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=None)
 def _so_table(n: int) -> LieTable:
     """so(n, C) in the Witt wedge basis, built and validated once per n.
 

@@ -127,18 +127,21 @@ class TestTheorem2Check:
     def test_verdict_is_an_immutable_validated_record(self):
         v = theorem2_check(spec(4, ("1/2", 1), ("3/2", 1)))
         assert v == theorem2_check(spec(4, ("1/2", 1), ("3/2", 1)))
-        assert hash(v) == hash((v.canonical, v.reason, v.failing, v.trace, v.witness))
-        assert Verdict(False, VerdictReason.NON_INTEGRAL) == Verdict(
-            False, VerdictReason.NON_INTEGRAL, failing=None, trace=None, witness=None
+        assert Verdict._fields == ("reason", "failing", "trace", "witness")
+        assert hash(v) == hash((v.reason, v.failing, v.trace, v.witness))
+        assert Verdict(VerdictReason.NON_INTEGRAL) == Verdict(
+            VerdictReason.NON_INTEGRAL, failing=None, trace=None, witness=None
         )
-        with pytest.raises(ValueError, match="inconsistent"):
-            Verdict(True, VerdictReason.GENERATION_FAILS)
-        with pytest.raises(ValueError, match="inconsistent"):
-            Verdict(False, reason=VerdictReason.CANONICAL)
+        assert {r: Verdict(r).canonical for r in VerdictReason} == {
+            VerdictReason.CANONICAL: True,
+            VerdictReason.NON_INTEGRAL: False,
+            VerdictReason.GENERATION_FAILS: False,
+        }
         with pytest.raises(AttributeError):
             v.canonical = True
-        assert v._replace(trace=None) == Verdict(v.canonical, v.reason, v.failing, None, v.witness)
-        with pytest.raises(ValueError, match="inconsistent"):
+        assert v._replace(trace=None) == Verdict(v.reason, v.failing, None, v.witness)
+        assert v._replace(reason=VerdictReason.CANONICAL).canonical
+        with pytest.raises(ValueError, match="unexpected field"):
             v._replace(canonical=not v.canonical)
 
     def test_gap_obstruction(self):
@@ -355,6 +358,27 @@ class TestParabolicOf:
     def test_rejects_non_canonical(self):
         with pytest.raises(NotCanonical):
             parabolic_of(spec(4, ("1/2", 1), ("3/2", 1)))
+
+    @pytest.mark.parametrize(
+        "name,broken,fails",
+        [
+            ("polar_indices", lambda table, idx: frozenset(), "polar_is_nilradical"),
+            (
+                "_descending_series",
+                lambda table, n: [n],
+                "series_matches_tails, series_reaches_zero",
+            ),
+        ],
+        ids=["polar", "series"],
+    )
+    def test_names_each_failing_theorem1_property(self, monkeypatch, name, broken, fails):
+        # theorem2 still finds the spectrum canonical; the bent layer breaks
+        # Theorem 1 only, and parabolic_of names what broke
+        s = spec(5, ("0", 1), ("1", 2))
+        monkeypatch.setattr(canonical, name, broken)
+        assert theorem2_check(s).canonical
+        with pytest.raises(RuntimeError, match=f"fails {fails}$"):
+            parabolic_of(s)
 
 
 class TestTheorem1:

@@ -291,7 +291,7 @@ class TestVerify:
         "name,forced",
         [
             ("prop3_report", lambda s: (False, "forced")),
-            ("theorem1_report", lambda s: {"forced": False}),
+            ("_theorem1", lambda table, gm: ({"forced": False}, [])),
         ],
     )
     def test_discrepancies_match_json_dumps(self, capsys, monkeypatch, fmt, name, forced):
@@ -304,6 +304,18 @@ class TestVerify:
         if fmt == "json":
             bad = json.loads(out)["discrepancies"]
             assert bad and all(r["theorem2"]["canonical"] for r in bad)
+
+    def test_one_grading_per_swept_spectrum(self, capsys, monkeypatch):
+        # theorem2's grading witness serves Theorem 1 too, so each spectrum
+        # with integral grades is graded once and the others never
+        graded = []
+        grading = canonical.grading
+        monkeypatch.setattr(canonical, "grading", lambda s: graded.append(s) or grading(s))
+        code, _, _ = run_cli(capsys, "verify", "--max-n", "7", "--max-lambda", "7/2")
+        assert code == 0
+        spectra = [s for n in range(3, 8) for s in half_integral_spectra(n, "7/2")]
+        assert graded == [s for s in spectra if canonical.condition1(s)]
+        assert len(graded) == 94
 
     def test_max_n_too_small(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--max-n", "2")

@@ -28,6 +28,7 @@ from canonical_lie import (
     theorem1_report,
     theorem2_check,
 )
+from canonical_lie.cli import MAX_N
 from canonical_lie.liegraded import LieTable
 from canonical_lie.sonreal import _check_witt_shape, _pair_index, _so_table
 from helpers import (
@@ -435,7 +436,9 @@ class TestRealize:
         for s in (a, b):
             assert grading_of(regrade(_so_table(6), pair_sums(s))) == grading(s)
 
-    def test_one_table_built_per_n(self, monkeypatch):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The dims of the tables built from here on, with the cache emptied."""
         built = []
         build_table = sonreal.build_table
 
@@ -445,6 +448,9 @@ class TestRealize:
 
         monkeypatch.setattr(sonreal, "build_table", counting)
         sonreal._so_table.cache_clear()
+        return built
+
+    def test_one_table_built_per_n(self, built):
         for n in (5, 6):
             spectra = half_integral_spectra(n, Fraction(7, 2))
             assert len({grading(s) for s in spectra}) > 1
@@ -454,6 +460,15 @@ class TestRealize:
                     parabolic_of(s)
                     theorem1_report(s)
         assert built == [10, 15]
+
+    def test_every_table_kept(self, built):
+        # two passes over every n the CLI accepts build each table once
+        sizes = range(3, MAX_N + 1)
+        for _ in range(2):
+            for n in sizes:
+                _so_table(n)
+        assert built == [n * (n - 1) // 2 for n in sizes]
+        assert len(built) == 22
 
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
     def test_grading_dims_match_pair_counting(self, s):
