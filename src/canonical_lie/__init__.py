@@ -10,23 +10,20 @@ rationals; there is no floating point anywhere.
 
 from .exactlin import RatMatrix, parse_rational, rref
 from .liegraded import (
-    AntisymmetryViolation,
     DegenerateForm,
-    FormNotInvariant,
     GradingMap,
     GradingViolation,
-    JacobiViolation,
     LieTable,
     LieTableError,
     NotMonomial,
     bracket_indices,
-    build_table,
     polar_indices,
 )
 from .sonreal import (
     BracketShapeViolation,
     InvalidSpectrum,
     NotSkew,
+    RealizationViolation,
     Spectrum,
     TooSmall,
     grading,
@@ -54,14 +51,11 @@ from .canonical import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntisymmetryViolation",
     "BracketShapeViolation",
     "DegenerateForm",
-    "FormNotInvariant",
     "GradingMap",
     "GradingViolation",
     "InvalidSpectrum",
-    "JacobiViolation",
     "LieTable",
     "LieTableError",
     "NotCanonical",
@@ -70,12 +64,12 @@ __all__ = [
     "OracleRecord",
     "ParabolicData",
     "RatMatrix",
+    "RealizationViolation",
     "Spectrum",
     "TooSmall",
     "Verdict",
     "VerdictReason",
     "bracket_indices",
-    "build_table",
     "condition1",
     "enumerate_canonical",
     "grading",

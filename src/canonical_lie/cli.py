@@ -38,10 +38,10 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 # Largest n any command accepts.  Building and validating the so(n, C) table
-# grows about as n^4: Jacobi sums only the basis triples that close a nonzero
-# bracket chain, 129,272 of the 3,466,100 at n = 24.  `check --spectrum` takes
-# 0.21-0.38 s at n = 20 and 0.43-0.63 s at n = 24 (19 MB peak) as a process
-# on a 2-vCPU Intel Xeon host with Python 3.11.7, mostly building the table.
+# grows about as n^4: the build and the realization check each visit all
+# dim^2 basis pairs, 76,176 at n = 24.  `check --spectrum` takes 0.11-0.14 s
+# at n = 20 and 0.14-0.19 s at n = 24 (17.5 MB peak) as a process on a 2-vCPU
+# Intel Xeon host with Python 3.11.7, about half of it building the table.
 MAX_N = 24
 
 # Caps on `verify`.  No spectrum with n <= MAX_N and a magnitude above

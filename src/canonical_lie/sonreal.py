@@ -20,22 +20,29 @@ permutation matrix for every spectrum, and every structure constant of
     [a^b, c^d] = (a,c) b^d - (a,d) b^c - (b,c) a^d + (b,d) a^c
 
 is a small integer that depends on n alone.  The table of brackets and the
-form is therefore built and fully validated once per n; a spectrum only
-places its eigenvalue labels on the basis, and the grading derivation acts
-on u_a ^ u_b with grade lambda_a + lambda_b.
+form is therefore built and validated once per n; a spectrum only places
+its eigenvalue labels on the basis, and the grading derivation acts on
+u_a ^ u_b with grade lambda_a + lambda_b.
 
-Those grades need no per-bracket check.  Every nonzero coordinate of
+Validation uses the skew map itself: u_a ^ u_b is an n x n matrix with two
+nonzero entries, and distinct wedges have disjoint supports, so the
+realization is faithful.  :func:`_check_realization` requires every bracket
+row to be the coordinates of the commutator of two such matrices and every
+form row to be their traces.  Antisymmetry and the Jacobi identity then hold
+because the commutator has them, and invariance because tr([X, Y] Z) =
+tr(X [Y, Z]); no sum over basis triples is needed.
+
+Those grades need no per-bracket check either.  Every nonzero coordinate of
 [u_a ^ u_b, u_c ^ u_d] sits on the wedge of the two indices left after one
 partner pair {x, n - 1 - x} is removed from {a, b, c, d}; :func:`_so_table`
 checks this shape once per n.  With mirrored labels, lambda_{n-1-a} =
 -lambda_a, a partner pair contributes 0, so that target has grade exactly
 grade(a, b) + grade(c, d); and (a, b) -> (n - 1 - b, n - 1 - a) negates
-grades, so the grade multiset is symmetric.  Those are the two grading
-checks of :func:`liegraded.build_table`, so :func:`grading` only checks the
-n labels for the mirror and groups the wedges by their label sums in integer
-arithmetic; the deciders pair that grading with the one table of n, and no
-table is built per spectrum.  No complex (or floating-point) arithmetic ever
-appears.
+grades, so the grade multiset is symmetric.  So :func:`grading` only checks
+the n labels for the mirror and groups the wedges by their label sums in
+integer arithmetic; the deciders pair that grading with the one table of n,
+and no table is built per spectrum.  No complex (or floating-point)
+arithmetic ever appears.
 
 The bilinear form installed on the algebra is the trace form tr(XY) of the
 matrix realization; for so(n) the Killing form is (n-2) times it, so polars
@@ -50,7 +57,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactlin import RatMatrix, as_rational, charpoly, rref
-from .liegraded import GradingMap, GradingViolation, LieTable, LieTableError, build_table
+from .liegraded import GradingMap, GradingViolation, LieTable, LieTableError
 
 
 class InvalidSpectrum(ValueError):
@@ -67,6 +74,16 @@ class BracketShapeViolation(LieTableError):
             "after removing a partner pair"
         )
         self.indices = (p, q, k)
+
+
+class RealizationViolation(LieTableError):
+    """A bracket row [e_p, e_q] of the so(n, C) table differs from the
+    coordinates of [M_p, M_q] in the matrix realization, or form row p from
+    the traces tr(M_p M_q)."""
+
+    def __init__(self, message: str, indices: tuple):
+        super().__init__(message)
+        self.indices = indices
 
 
 class NotSkew(ValueError):
@@ -220,9 +237,10 @@ def _so_table(n: int) -> LieTable:
     pairs with u_(n-1-b) ^ u_(n-1-a) alone, with value 2.  The table
     carries the principal grading lambda_a = (n - 1)/2 - a, the grading of
     the spectrum with magnitudes 0, 1, ... (n odd) or 1/2, 3/2, ... (n even),
-    each of multiplicity one, so validation checks the bracket against a
-    nontrivial grading as well.  After validation, the bracket shape that
-    lets :func:`grading` skip the grading checks is checked too.
+    each of multiplicity one.  Two checks run before the table is returned:
+    the bracket shape that lets :func:`grading` skip the grading checks
+    (:func:`_check_witt_shape`), then :func:`_check_realization`, which
+    proves the brackets and the form are those of so(n, C).
     """
     pairs = _witt_frame(n)
     dim = len(pairs)
@@ -253,15 +271,97 @@ def _so_table(n: int) -> LieTable:
             if pb == d:
                 put(acc, a, c, 1)
             if acc:
-                rows[p][q] = tuple(acc.items())
-                rows[q][p] = tuple((k, -v) for k, v in acc.items())
+                rows[p][q] = tuple(sorted(acc.items()))
+                rows[q][p] = tuple((k, -v) for k, v in rows[p][q])
 
     grades = tuple(n - 1 - a - b for a, b in pairs)
-    form = [((_pair_index(n, n - 1 - b, n - 1 - a), 2),) for a, b in pairs]
+    form = tuple(((_pair_index(n, n - 1 - b, n - 1 - a), 2),) for a, b in pairs)
 
-    table = build_table(dim, rows, grades, form)
+    table = LieTable(dim, grades, form, tuple(map(tuple, rows)))
     _check_witt_shape(n, table._sparse)
+    _check_realization(n, table._sparse, table.form)
     return table
+
+
+def _check_realization(n: int, sparse, form) -> None:
+    """Check the table against the faithful n x n realization of so(n, C).
+
+    In the Witt basis the wedge p = (a, b) acts on C^n as the matrix M_p with
+    +1 at (b, n - 1 - a) and -1 at (a, n - 1 - b), the map
+    c -> (u_a, c) u_b - (u_b, c) u_a.  An entry (r, c) with r + c > n - 1 is
+    the +1 of M_(n-1-c, r), one with r + c < n - 1 the -1 of M_(r, n-1-c), and
+    none lies on r + c = n - 1: the supports are disjoint, so p -> M_p is
+    injective and X = sum of x_k M_k has coordinates x_k read off its entries.
+    For every p and q, q <= p included, `sparse[p][q]` must be the
+    coordinates of [M_p, M_q] as ascending (index, coefficient) pairs with
+    no zero, and `form[p]` must list tr(M_p M_q) over the q where it is
+    nonzero, in the same format.  The bracket is then the matrix
+    commutator, so antisymmetry and the Jacobi identity hold, and the form is
+    the trace form, symmetric and invariant since tr([X, Y] Z) =
+    tr(X [Y, Z]).  Nondegeneracy is left to :func:`liegraded.polar_indices`.
+
+    Products are taken only where supports meet: M_p M_q through the M_q
+    entries in the rows that M_p's columns name, M_q M_p through those in
+    the columns that its rows name, about 4n products per p.  Raises
+    RealizationViolation naming the first failing (p, q) in lexicographic
+    order, or (p,) for a form row, checked after the brackets of p.
+    """
+    pairs = _witt_frame(n)
+    mats = [((b, n - 1 - a, 1), (a, n - 1 - b, -1)) for a, b in pairs]
+    in_row = [[] for _ in range(n)]
+    in_col = [[] for _ in range(n)]
+    for q, entries in enumerate(mats):
+        for r, c, v in entries:
+            in_row[r].append((q, c, v))
+            in_col[c].append((q, r, v))
+    for p, entries in enumerate(mats):
+        comm: dict[int, dict[tuple[int, int], int]] = {}
+        trace: dict[int, int] = {}
+        for r, x, v in entries:  # M_p M_q
+            for q, c, w in in_row[x]:
+                at = comm.setdefault(q, {})
+                at[r, c] = at.get((r, c), 0) + v * w
+                if c == r:
+                    trace[q] = trace.get(q, 0) + v * w
+        for x, c, v in entries:  # - M_q M_p
+            for q, r, w in in_col[x]:
+                at = comm.setdefault(q, {})
+                at[r, c] = at.get((r, c), 0) - w * v
+        for q, row in enumerate(sparse[p]):
+            coords = _coordinates(n, comm[q]) if q in comm else ()
+            if row != coords:
+                found = "no coordinates" if coords is None else f"coordinates {coords}"
+                raise RealizationViolation(
+                    f"[e_{p}, e_{q}] is {row}, but [M_{p}, M_{q}] has {found}", (p, q)
+                )
+        traces = tuple((q, t) for q, t in sorted(trace.items()) if t)
+        if form[p] != traces:
+            raise RealizationViolation(
+                f"form row {p} is {form[p]}, but the traces tr(M_{p} M_q) are {traces}", (p,)
+            )
+
+
+def _coordinates(n: int, entries: dict) -> tuple | None:
+    """The X = sum of x_k M_k with these {(r, c): value} entries, as its
+    ascending nonzero (k, x_k) pairs; None when X is outside the span: an
+    entry on r + c = n - 1, or an M_k whose two entries disagree."""
+    coords: dict[int, int] = {}
+    nonzero = 0
+    for (r, c), v in entries.items():
+        if not v:
+            continue
+        if r + c == n - 1:
+            return None
+        if r + c > n - 1:
+            k, x = _pair_index(n, n - 1 - c, r), v
+        else:
+            k, x = _pair_index(n, r, n - 1 - c), -v
+        if coords.setdefault(k, x) != x:
+            return None
+        nonzero += 1
+    if nonzero != 2 * len(coords):
+        return None
+    return tuple(sorted(coords.items()))
 
 
 def _check_witt_shape(n: int, sparse) -> None:

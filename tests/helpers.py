@@ -3,7 +3,9 @@ and independent oracles."""
 
 import json
 import math
+from bisect import bisect_left
 from collections import Counter, namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -16,7 +18,6 @@ from canonical_lie import (
     RatMatrix,
     Spectrum,
     bracket_indices,
-    build_table,
     enumerate_canonical,
     grading,
     half_integral_spectra,
@@ -25,12 +26,198 @@ from canonical_lie import (
 )
 from canonical_lie.cli import _grading_cells, _verdict_summary
 from canonical_lie.exactlin import as_rational, charpoly
-from canonical_lie.liegraded import (
-    _check_grading,
-    _combine,
-    _grade_labels,
-)
+from canonical_lie.liegraded import GradingViolation, LieTableError
 from canonical_lie.sonreal import _grid_roots, _scaled_labels, _so_table, _witt_frame
+
+
+# The general structure-constant checker, for any Lie algebra: the oracle the
+# so(n, C) realization check is compared with, and the builder of the small
+# tables the liegraded tests use.
+
+
+class AntisymmetryViolation(LieTableError):
+    def __init__(self, i: int, j: int):
+        super().__init__(f"bracket table is not antisymmetric at basis pair ({i}, {j})")
+        self.indices = (i, j)
+
+
+class JacobiViolation(LieTableError):
+    def __init__(self, i: int, j: int, k: int):
+        super().__init__(f"Jacobi identity fails on basis triple ({i}, {j}, {k})")
+        self.indices = (i, j, k)
+
+
+class FormNotInvariant(LieTableError):
+    def __init__(self, message: str, indices: tuple = ()):
+        super().__init__(message)
+        self.indices = indices
+
+
+def build_table(
+    dim: int,
+    brackets: Sequence[Sequence[Sequence[tuple]]],
+    grade: Sequence,
+    form: Sequence[Sequence[tuple]],
+) -> LieTable:
+    """Validate and assemble a LieTable.
+
+    `brackets[i][j]` lists [e_i, e_j] as (index, coefficient) pairs, each
+    index in [0, dim) at most once, in any order; zero coefficients are
+    dropped.  `grade` is one rational label per basis element; `form[i]`
+    lists row i of the Gram matrix as (column, value) pairs in the same
+    format.  Raises AntisymmetryViolation / GradingViolation /
+    JacobiViolation / FormNotInvariant naming the offending basis indices.
+    """
+    if len(brackets) != dim:
+        raise ValueError(f"bracket table has {len(brackets)} rows, expected {dim}")
+    sparse = []
+    for i, per_i in enumerate(brackets):
+        if len(per_i) != dim:
+            raise ValueError(f"bracket table row {i} has {len(per_i)} entries, expected {dim}")
+        sparse.append(
+            tuple(
+                _sparse_row(row, dim, "bracket [e_{}, e_{}]", i, j) if row else ()
+                for j, row in enumerate(per_i)
+            )
+        )
+    sparse = tuple(sparse)
+    grades = _grade_labels(grade, dim)
+    if len(form) != dim:
+        raise ValueError(f"form has {len(form)} rows, expected {dim}")
+    form = tuple(_sparse_row(pairs, dim, "form row {}", i) for i, pairs in enumerate(form))
+
+    for i in range(dim):
+        for j in range(i, dim):
+            if sparse[i][j] != tuple((k, -v) for k, v in sparse[j][i]):
+                raise AntisymmetryViolation(i, j)
+
+    _check_grading(sparse, grades)
+
+    # Jacobi on i < j < k: a term [e_x, [e_y, e_z]] is nonzero only through a
+    # chain, a coordinate c of [e_y, e_z] with [e_x, e_c] != 0.  outer[c] lists
+    # those x (by antisymmetry, the support of row c) and hits[c], ascending,
+    # the pairs y < z with a coordinate at c, as y * dim + z.  A triple with
+    # no chain vanishes term by term, so only chained triples are summed, in
+    # lexicographic order per i.
+    outer = [[x for x, hit in enumerate(row) if hit] for row in sparse]
+    hits = [[] for _ in range(dim)]
+    for y, row in enumerate(sparse):
+        for z in outer[y]:
+            if z > y:
+                for c, _ in row[z]:
+                    hits[c].append(y * dim + z)
+    for i in range(dim):
+        chained = set()
+        for c in outer[i]:  # chains of [e_i, [e_j, e_k]]
+            chained.update(hits[c][bisect_left(hits[c], (i + 1) * dim):])
+        for z in outer[i]:  # of [e_j, [e_k, e_i]] (z = k) and [e_k, [e_i, e_j]] (z = j)
+            if z > i:
+                for c, _ in sparse[i][z]:
+                    for x in outer[c]:
+                        if i < x < z:
+                            chained.add(x * dim + z)
+                        elif x > z:
+                            chained.add(z * dim + x)
+        for jk in sorted(chained):
+            j, k = divmod(jk, dim)
+            acc: dict[int, object] = {}
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                for c, v in sparse[y][z]:
+                    for t, w in sparse[x][c]:
+                        acc[t] = acc.get(t, 0) + v * w
+            if any(acc.values()):
+                raise JacobiViolation(i, j, k)
+
+    entries = {(i, k): v for i, row in enumerate(form) for k, v in row}
+    asymmetric = [(min(p), max(p)) for p, v in entries.items() if entries.get(p[::-1], 0) != v]
+    if asymmetric:
+        i, j = min(asymmetric)
+        raise FormNotInvariant(f"form is not symmetric at ({i}, {j})", (i, j))
+    # With the form symmetric, <[e_i, e_j], e_k> + <e_j, [e_i, e_k]> is
+    # u[j][k] + u[k][j] for u[j] = <[e_i, e_j], .>, so only the pairs (j, k)
+    # where u[j] or u[k] has a nonzero entry can fail.
+    for i in range(dim):
+        u = [_combine(sp, form) for sp in sparse[i]]
+        failing = []
+        for j, uj in enumerate(u):
+            for k in uj:
+                lo, hi = (j, k) if j <= k else (k, j)
+                total = u[lo].get(hi, 0) + u[hi].get(lo, 0)
+                if total != 0:
+                    failing.append((lo, hi, total))
+        if failing:
+            j, k, total = min(failing)
+            raise FormNotInvariant(
+                f"<[e_{i}, e_{j}], e_{k}> + <e_{j}, [e_{i}, e_{k}]> = {total} != 0",
+                (i, j, k),
+            )
+
+    return LieTable(dim, grades, form, sparse)
+
+
+def _sparse_row(pairs, dim: int, name: str, *at) -> tuple:
+    """A bracket or form row, called `name.format(*at)` in errors, as its
+    nonzero (index, coefficient) pairs, ascending.
+
+    Coefficients stay ints when they are ints: structure constants are
+    usually integral and native int arithmetic keeps the validation loops
+    fast.  Raises ValueError for an index that is not an int in [0, dim) or a
+    repeated one, TypeError for a bool or float coefficient.
+    """
+    coords = {}
+    for k, v in pairs:
+        if type(k) is not int or not 0 <= k < dim:
+            raise ValueError(f"{name.format(*at)} has basis index {k!r} outside [0, {dim})")
+        if k in coords:
+            raise ValueError(f"{name.format(*at)} repeats basis index {k}")
+        if isinstance(v, (bool, float)):
+            kind = type(v).__name__
+            raise TypeError(f"{name.format(*at)} has {kind} coefficient {v!r}; use int or Fraction")
+        coords[k] = v if isinstance(v, (int, Fraction)) else as_rational(v)
+    return tuple((k, coords[k]) for k in sorted(coords) if coords[k] != 0)
+
+
+def _grade_labels(grade: Sequence, dim: int) -> tuple[int | Fraction, ...]:
+    grades = tuple(g if type(g) is int else as_rational(g) for g in grade)  # int sums stay ints
+    if len(grades) != dim:
+        raise ValueError(f"{len(grades)} grade labels for dim {dim}")
+    return grades
+
+
+def _check_grading(sparse, grades) -> None:
+    """Checks 2 and 3: bracket support on grade(i) + grade(j), and a grade
+    multiset symmetric under negation."""
+    dim = len(grades)
+    for i in range(dim):
+        for j in range(i, dim):
+            hits = sparse[i][j]
+            if not hits:
+                continue
+            target = grades[i] + grades[j]
+            for k, _ in hits:
+                if grades[k] != target:
+                    raise GradingViolation(
+                        f"[e_{i}, e_{j}] has grade {grades[i]}+{grades[j]} but hits "
+                        f"basis element {k} of grade {grades[k]}",
+                        (i, j, k),
+                    )
+
+    counts = Counter(grades)
+    for g, cnt in counts.items():
+        if counts.get(-g, 0) != cnt:
+            raise GradingViolation(
+                f"grade {g} has dimension {cnt} but grade {-g} has {counts.get(-g, 0)}"
+            )
+
+
+def _combine(coeffs, rows) -> dict:
+    """sum of c * rows[t] over the (t, c) pairs, as a {column: value} dict;
+    `rows` are sparse (column, value) rows."""
+    acc: dict[int, object] = {}
+    for t, c in coeffs:
+        for k, v in rows[t]:
+            acc[k] = acc.get(k, 0) + c * v
+    return acc
 
 
 def spec(n, *pairs):

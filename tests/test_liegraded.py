@@ -9,25 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonical_lie import (
-    AntisymmetryViolation,
     DegenerateForm,
-    FormNotInvariant,
     GradingViolation,
-    JacobiViolation,
     LieTable,
     LieTableError,
     NotMonomial,
     RatMatrix,
     bracket_indices,
-    build_table,
     half_integral_spectra,
     polar_indices,
     rref,
 )
 from canonical_lie.sonreal import _so_table
 from helpers import (
+    AntisymmetryViolation,
+    FormNotInvariant,
+    JacobiViolation,
     Subspace,
     bracket_spaces,
+    build_table,
     dense_antisymmetry_failure,
     dense_form,
     dense_invariance_failure,

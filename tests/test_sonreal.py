@@ -15,6 +15,7 @@ from canonical_lie import (
     InvalidSpectrum,
     NotSkew,
     RatMatrix,
+    RealizationViolation,
     Spectrum,
     TooSmall,
     enumerate_canonical,
@@ -30,8 +31,15 @@ from canonical_lie import (
 )
 from canonical_lie.cli import MAX_N
 from canonical_lie.liegraded import LieTable
-from canonical_lie.sonreal import _check_witt_shape, _pair_index, _so_table
+from canonical_lie.sonreal import (
+    _check_realization,
+    _check_witt_shape,
+    _coordinates,
+    _pair_index,
+    _so_table,
+)
 from helpers import (
+    build_table,
     conjugated_normal_form,
     grade_dims_by_counting,
     grading_of,
@@ -51,6 +59,7 @@ from helpers import (
     spec,
     spectrum_entries_by_fractions,
     spectrum_from_matrix_by_kernels,
+    table_key,
     trace,
     transpose,
     wedge_basis,
@@ -430,7 +439,7 @@ class TestRealize:
         assert _so_table(n).form == expected
 
     def test_table_depends_on_n_alone(self):
-        # two gradings of the one table, each passing build_table's grading checks
+        # two gradings of the one table, each passing the regrade oracle's grading checks
         a, b = spec(6, ("1/2", 2), ("3/2", 1)), spec(6, ("0", 2), ("1", 2))
         assert grading(a) != grading(b)
         for s in (a, b):
@@ -440,13 +449,12 @@ class TestRealize:
     def built(self, monkeypatch):
         """The dims of the tables built from here on, with the cache emptied."""
         built = []
-        build_table = sonreal.build_table
 
         def counting(dim, *rest):
             built.append(dim)
-            return build_table(dim, *rest)
+            return LieTable(dim, *rest)
 
-        monkeypatch.setattr(sonreal, "build_table", counting)
+        monkeypatch.setattr(sonreal, "LieTable", counting)
         sonreal._so_table.cache_clear()
         return built
 
@@ -589,17 +597,93 @@ class TestBracketShape:
 
     def test_so_table_runs_the_check(self, monkeypatch):
         sparse, indices = self.corrupt(5, 1, 1)
-        build_table = sonreal.build_table
 
-        def corrupting(*args):
-            t = build_table(*args)
-            return LieTable(t.dim, t.grade, t.form, sparse)
+        def corrupting(dim, grade, form, _):
+            return LieTable(dim, grade, form, sparse)
 
-        monkeypatch.setattr(sonreal, "build_table", corrupting)
+        monkeypatch.setattr(sonreal, "LieTable", corrupting)
         with pytest.raises(BracketShapeViolation) as err:
             sonreal._so_table.__wrapped__(5)
         assert err.value.indices == indices
 
+
+
+class TestRealizationCheck:
+    """_check_realization against the general checker and on corrupted copies."""
+
+    @pytest.mark.parametrize("n", range(3, MAX_N + 1))
+    def test_general_checker_accepts_every_table(self, n):
+        # antisymmetry, grading, Jacobi and invariance, summed the general way;
+        # equal sparse rows show they were already ascending and zero-free
+        t = _so_table(n)
+        u = build_table(t.dim, t._sparse, t.grade, t.form)
+        assert table_key(u) == table_key(t)
+        assert u._sparse == t._sparse and u.form == t.form
+
+    @staticmethod
+    def last_pair(n, terms):
+        """The last (p, q), lexicographically, whose bracket has `terms` coordinates."""
+        rows = enumerate(_so_table(n)._sparse)
+        return max((p, q) for p, row in rows for q, hits in enumerate(row) if len(hits) == terms)
+
+    @classmethod
+    def mutated(cls, n, kind):
+        """A corrupted copy of the sparse rows and form of _so_table(n), and
+        the indices the check must name."""
+        t = _so_table(n)
+        sparse, form = [list(row) for row in t._sparse], list(t.form)
+        if kind == "form":
+            p = t.dim - 2
+            form[p] = ((form[p][0][0], 3),)
+            return sparse, form, (p,)
+        if kind == "self":  # [e_p, e_p] is 0
+            p = q = t.dim // 2
+            row = ((0, 1),)
+        else:
+            p, q = cls.last_pair(n, 2 if kind in ("dropped", "unsorted") else 1)
+            (k, v), *rest = sparse[p][q]
+            other = k + 1 if k + 1 < t.dim else k - 1
+            row = {
+                "sign": ((k, -v), *rest),
+                "partner": ((other, v),),
+                "dropped": tuple(rest),
+                "unsorted": tuple(reversed(sparse[p][q])),
+                "zero": tuple(sorted(((k, v), (other, 0)))),
+            }[kind]
+        sparse[p][q] = row
+        return sparse, form, (p, q)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 9])
+    @pytest.mark.parametrize(
+        "kind", ["sign", "partner", "dropped", "self", "unsorted", "zero", "form"]
+    )
+    def test_mutation_is_caught(self, n, kind):
+        sparse, form, indices = self.mutated(n, kind)
+        with pytest.raises(RealizationViolation) as err:
+            _check_realization(n, sparse, form)
+        assert err.value.indices == indices
+
+    def test_so_table_runs_the_check(self, monkeypatch):
+        # a flipped sign keeps the bracket shape, so only the realization check sees it
+        sparse, _, indices = self.mutated(6, "sign")
+        _check_witt_shape(6, sparse)
+
+        def corrupting(dim, grade, form, _):
+            return LieTable(dim, grade, form, sparse)
+
+        monkeypatch.setattr(sonreal, "LieTable", corrupting)
+        with pytest.raises(RealizationViolation) as err:
+            sonreal._so_table.__wrapped__(6)
+        assert err.value.indices == indices
+
+    def test_coordinates_outside_the_span(self):
+        # n = 4: an entry on r + c = n - 1 lies in no M_k
+        assert _coordinates(4, {(0, 3): 1}) is None
+        # the two entries of M_(0, 1), +1 at (1, 3) and -1 at (0, 2), must agree
+        assert _coordinates(4, {(1, 3): 2, (0, 2): -2}) == ((0, 2),)
+        assert _coordinates(4, {(1, 3): 2, (0, 2): 2}) is None
+        assert _coordinates(4, {(1, 3): 2}) is None
+        assert _coordinates(4, {(1, 3): 0}) == ()
 
 class TestMatrixOf:
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
