@@ -5,6 +5,10 @@ verdict (not canonical, not strictly generated, or sweep discrepancies),
 2 = usage or input error, 141 = the reader closed stdout early.  Output is
 byte-deterministic for a given invocation; rationals are exact "p/q" strings.
 
+Arguments are read from one grammar table, `_GRAMMAR`: `_parse` reads the
+form every request sends, COMMAND (--flag VALUE)*, and only help and usage
+errors build argparse's parser from it, about 3.6 ms of a process's start-up.
+
 A process ends in :func:`run` through `os._exit` after flushing stdout and
 stderr, skipping the interpreter's teardown, which nothing here needs (see
 :func:`run`); :func:`main` returns the exit code, for callers in process.
@@ -12,11 +16,11 @@ stderr, skipping the interpreter's teardown, which nothing here needs (see
 
 from __future__ import annotations
 
-import argparse
 import io
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .canonical import (
     OracleRecord,
@@ -455,7 +459,59 @@ def cmd_verify(args) -> int:
 # entry points
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The grammar `_parse` and `_build_parser` read: per command its help, the flags
+# of its required one-of group and each option's `add_argument` keywords, in order.
+_FORMAT = dict(dest="fmt", choices=("table", "json"), default="table")
+_GRAMMAR = {
+    "check": ("decide canonicality of a spectrum or matrix", ("--spectrum", "--matrix"), {
+        "--spectrum": dict(dest="spectrum", metavar="JSON|PATH",
+                           help="inline spectrum JSON or a path"),
+        "--matrix": dict(dest="matrix", metavar="PATH", help="skew matrix as JSON or CSV of 'p/q'"),
+        "--method": dict(dest="method", choices=("theorem2", "prop3", "both", "strict"),
+                         default="theorem2", help="decision procedure (default: theorem2)"),
+        "--format": _FORMAT,
+    }),
+    "enumerate": ("list all canonical spectra for so(n)", (), {
+        "--n": dict(dest="n", type=int, required=True),
+        "--format": _FORMAT,
+    }),
+    "verify": ("exhaustively cross-check theorem2 against prop3 within bounds", (), {
+        "--max-n": dict(dest="max_n", type=int, required=True),
+        "--max-lambda": dict(dest="max_lambda", default="7/2", metavar="P/Q"),
+        "--format": _FORMAT,
+    }),
+}
+
+
+def _parse(argv):
+    """The namespace argparse would give for `argv` of the form COMMAND (--flag
+    VALUE)*, with each flag exact and at most once and no value starting with
+    "-"; None for any other argv, or a bad value, or a missing option."""
+    if len(argv) % 2 == 0 or argv[0] not in _GRAMMAR:
+        return None
+    _, one_of, options = _GRAMMAR[argv[0]]
+    args = {"command": argv[0], **{o["dest"]: o.get("default") for o in options.values()}}
+    flags = argv[1::2]
+    for flag, value in zip(flags, argv[2::2]):
+        option = options.get(flag)
+        if option is None or value.startswith("-") or flags.count(flag) > 1:
+            return None
+        try:
+            value = option.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in option and value not in option["choices"]:
+            return None
+        args[option["dest"]] = value
+    if not all(f in flags for f, o in options.items() if o.get("required")):
+        return None
+    return None if one_of and sum(f in flags for f in one_of) != 1 else SimpleNamespace(**args)
+
+
+def _build_parser():
+    """The argparse parser of the same grammar, for help and usage errors."""
+    import argparse  # off the path of every request `_parse` accepts
+
     parser = argparse.ArgumentParser(
         prog="canonical-lie",
         description=(
@@ -464,38 +520,22 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="decide canonicality of a spectrum or matrix")
-    group = p_check.add_mutually_exclusive_group(required=True)
-    group.add_argument("--spectrum", metavar="JSON|PATH", help="inline spectrum JSON or a path")
-    group.add_argument("--matrix", metavar="PATH", help="skew matrix as JSON or CSV of 'p/q'")
-    p_check.add_argument(
-        "--method",
-        choices=["theorem2", "prop3", "both", "strict"],
-        default="theorem2",
-        help="decision procedure (default: theorem2)",
-    )
-
-    p_enum = sub.add_parser("enumerate", help="list all canonical spectra for so(n)")
-    p_enum.add_argument("--n", type=int, required=True)
-
-    p_verify = sub.add_parser(
-        "verify", help="exhaustively cross-check theorem2 against prop3 within bounds"
-    )
-    p_verify.add_argument("--max-n", dest="max_n", type=int, required=True)
-    p_verify.add_argument("--max-lambda", dest="max_lambda", default="7/2", metavar="P/Q")
-
-    for command in (p_check, p_enum, p_verify):
-        command.add_argument("--format", dest="fmt", choices=["table", "json"], default="table")
+    for command, (help_text, one_of, options) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=help_text)
+        group = p.add_mutually_exclusive_group(required=True) if one_of else p
+        for flag, option in options.items():
+            (group if flag in one_of else p).add_argument(flag, **option)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_ERROR
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     handlers = {"check": cmd_check, "enumerate": cmd_enumerate, "verify": cmd_verify}
     return handlers[args.command](args)
 

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import canonical_lie
 from canonical_lie import (
@@ -385,6 +387,119 @@ class TestContract:
         assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
+class TestGrammar:
+    """`main` reads argv through `_parse` and the `_GRAMMAR` table, and falls
+    back to the argparse parser only where `_parse` returns None."""
+
+    # the benchmark's three request forms and its warm-up request
+    BENCHMARK = [
+        ["verify", "--max-n", "7", "--max-lambda", "7/2", "--format", "json"],
+        ["enumerate", "--n", "9", "--format", "json"],
+        ["check", "--matrix", ".perfbench/matrix-1-0/inputs/m000.json", "--format", "json"],
+        ["check", "--spectrum", GOOD_SO4, "--format", "json"],
+    ]
+    GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text("utf-8"))
+
+    @staticmethod
+    def argparse_vars(argv):
+        return vars(cli._build_parser().parse_args(argv))
+
+    def test_every_recorded_request_takes_the_table_path(self):
+        for argv in [e["argv"] for e in self.GOLDEN] + self.BENCHMARK:
+            args = cli._parse(argv)
+            assert args is not None, argv
+            assert vars(args) == self.argparse_vars(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--help"],
+            ["check", "--help"],
+            ["check", "--spectrum", GOOD_SO4, "-h"],
+            ["enumerate", "--n", "9", "--format"],
+            ["enumerate", "--n", "9", "extra"],
+            ["verify", "--max", "7"],
+            ["verify", "--max-n", "7", "--form", "json"],
+            ["enumerate", "--n=9"],
+            ["enumerate", "--n", "9", "--n", "9"],
+            ["enumerate", "--", "--n", "9"],
+            ["enumerate", "--n", "-3"],
+            ["verify", "--max-n", "7", "--max-lambda", "-1/2"],
+            ["enumerate", "--n", "x"],
+            ["enumerate", "--n", ""],
+            ["enumerate", "--format", "json"],
+            ["verify", "--max-n", "7", "--format", "xml"],
+            ["check", "--method", "prop3"],
+            ["check", "--spectrum", GOOD_SO4, "--matrix", "m.json"],
+            ["check", "--n", "9"],
+            ["nonsense"],
+        ],
+    )
+    def test_rejects_what_argparse_must_answer(self, argv):
+        assert cli._parse(argv) is None
+
+    OWN = {
+        "check": ["--spectrum", "--matrix", "--method", "--format"],
+        "enumerate": ["--n", "--format"],
+        "verify": ["--max-n", "--max-lambda", "--format"],
+    }
+    FLAGS = sorted({f for flags in OWN.values() for f in flags}) + [
+        "--max", "--form", "--n=9", "-h", "--help", "--",
+    ]
+    VALUES = ["9", "-3", "", "\u0663", " 9", "json", "xml", "both", "7/2", GOOD_SO4]
+    SENSIBLE = {
+        "--spectrum": [GOOD_SO4, "s.json"],
+        "--matrix": ["m.json", "m.csv"],
+        "--method": ["theorem2", "prop3", "both", "strict"],
+        "--format": ["table", "json"],
+        "--n": ["3", "9", "+9", "\u0663", " 9", "9_0"],
+        "--max-n": ["3", "7"],
+        "--max-lambda": ["7/2", "1/2"],
+    }
+
+    @staticmethod
+    @st.composite
+    def argvs(draw):
+        """A command and some of its flags in any order, each with a value
+        mostly of its kind; at times a flag is swapped for any flag, and at
+        times a stray token goes in.  About one argv in ten is accepted."""
+        g = TestGrammar
+        command = draw(st.sampled_from(list(g.OWN)))
+        argv = [command]
+        for flag in draw(st.permutations(g.OWN[command]))[: draw(st.integers(0, 4))]:
+            if draw(st.integers(0, 4)) == 0:
+                flag = draw(st.sampled_from(g.FLAGS))
+            argv += [flag, draw(st.sampled_from(g.SENSIBLE.get(flag, []) * 3 + g.VALUES))]
+        if draw(st.integers(0, 3)) == 0:
+            stray = draw(st.sampled_from(g.FLAGS + g.VALUES + ["nonsense"]))
+            argv.insert(draw(st.integers(0, len(argv))), stray)
+        return argv
+
+    @settings(max_examples=400, deadline=None)
+    @given(argvs())
+    def test_parse_agrees_with_argparse(self, argv):
+        args = cli._parse(argv)
+        assert args is None or vars(args) == self.argparse_vars(argv)
+
+
+USAGE = json.loads((Path(__file__).parent / "golden" / "usage.json").read_text("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "entry", USAGE, ids=[f"{i:02d}-{(e['argv'] or ['empty'])[0]}" for i, e in enumerate(USAGE)]
+)
+def test_help_and_usage_match_golden(entry, capsys, monkeypatch):
+    """`golden/usage.json` pins argparse's help and usage errors, recorded with
+    COLUMNS=80 as {"argv", "exit", "stdout", "stderr"}: `--help` at the top
+    and for each command, empty argv, an unknown command, a missing,
+    conflicting or ambiguous option, a bad int or choice, a flag without its
+    value and a stray argument."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
+    assert run_cli(capsys, *entry["argv"]) == (entry["exit"], entry["stdout"], entry["stderr"])
+
+
 class TestProcessMatchesMain:
     """A `python -m canonical_lie` process, which ends in `run()` through a
     flush and `os._exit`, prints what `main()` prints in process and exits
@@ -456,9 +571,12 @@ class TestClosedPipe:
 
 class TestImportBudget:
     """Start-up every request pays: `dataclasses` pulls in `inspect`, `ast`,
-    `dis` and `tokenize`, and `csv` serves CSV input alone."""
+    `dis` and `tokenize`, and `csv` serves CSV input alone.  `argparse`, with
+    the `gettext` and `locale` its parser loads, serves help and usage errors
+    alone."""
 
     HEAVY = {"dataclasses", "inspect", "csv"}
+    ARGPARSE = {"argparse", "gettext", "locale"}
 
     @staticmethod
     def request(*argv):
@@ -480,18 +598,24 @@ class TestImportBudget:
         proc, modules = self.request("--help")
         assert proc.returncode == 0 and "canonical_lie.cli" in modules
         assert modules & self.HEAVY == set()
+        assert "argparse" in modules
+
+    def test_usage_error_loads_argparse(self):
+        proc, modules = self.request("enumerate", "--n", "x")
+        assert proc.returncode == 2 and "invalid int value: 'x'" in proc.stderr
+        assert "argparse" in modules and modules & self.HEAVY == set()
 
     def test_json_verify_skips_json(self):
         # the sweep writes its records from templates, so `json` is not needed
         proc, modules = self.request("verify", "--max-n", "3", "--format", "json")
         assert proc.returncode == 0 and '"tested": 8' in proc.stdout
-        assert "json" not in modules and modules & self.HEAVY == set()
+        assert "json" not in modules and modules & (self.HEAVY | self.ARGPARSE) == set()
 
     def test_json_enumerate_skips_json(self):
         # enumerate writes its document from templates too
         proc, modules = self.request("enumerate", "--n", "4", "--format", "json")
         assert proc.returncode == 0 and '"count": 3' in proc.stdout
-        assert "json" not in modules and modules & self.HEAVY == set()
+        assert "json" not in modules and modules & (self.HEAVY | self.ARGPARSE) == set()
 
     def test_json_matrix_check(self, tmp_path):
         s = spec(3, ("0", 1), ("1", 1))
@@ -501,7 +625,12 @@ class TestImportBudget:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["input"]["extracted_spectrum"] == s.to_json()
         assert "canonical_lie.sonreal" in modules
-        assert modules & self.HEAVY == set()
+        assert modules & (self.HEAVY | self.ARGPARSE) == set()
+
+    def test_spectrum_check_skips_argparse(self):
+        proc, modules = self.request("check", "--spectrum", GOOD_SO4)
+        assert proc.returncode == 0 and "verdict: canonical" in proc.stdout
+        assert modules & (self.HEAVY | self.ARGPARSE) == set()
 
     def test_csv_matrix_check_imports_csv(self, tmp_path):
         path = tmp_path / "m.csv"
