@@ -20,7 +20,6 @@ from .liegraded import (
     polar_indices,
 )
 from .sonreal import (
-    BracketShapeViolation,
     InvalidSpectrum,
     NotSkew,
     RealizationViolation,
@@ -51,7 +50,6 @@ from .canonical import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketShapeViolation",
     "DegenerateForm",
     "GradingMap",
     "GradingViolation",

@@ -43,9 +43,9 @@ EXIT_ERROR = 2
 
 # Largest n any command accepts.  Building and validating the so(n, C) table
 # grows about as n^4: the build and the realization check each visit all
-# dim^2 basis pairs, 76,176 at n = 24.  `check --spectrum` takes 0.11-0.14 s
-# at n = 20 and 0.14-0.19 s at n = 24 (17.5 MB peak) as a process on a 2-vCPU
-# Intel Xeon host with Python 3.11.7, about half of it building the table.
+# dim^2 basis pairs, 76,176 at n = 24.  `check --spectrum` takes 0.08-0.10 s
+# at n = 20 and 0.09-0.15 s at n = 24 (16.9 MB peak) as a process on a 2-vCPU
+# Intel Xeon host with Python 3.11.7, about 40 ms of it building the table.
 MAX_N = 24
 
 # Caps on `verify`.  No spectrum with n <= MAX_N and a magnitude above
@@ -122,27 +122,25 @@ def _load_matrix_file(path: str) -> RatMatrix:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read matrix file {path}: {exc}") from None
-    stripped = text.lstrip()
-    rows: list[list[Fraction]] = []
-    if stripped.startswith("["):
+    if text.lstrip().startswith("["):
         data = _parse_json(text, f"matrix file {path}")
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise InputError(f"matrix file {path}: expected an array of arrays")
-        for i, raw in enumerate(data):
-            rows.append(
-                [_parse_matrix_cell(v, f"{path} row {i} column {j}") for j, v in enumerate(raw)]
-            )
+        numbered = list(enumerate(data))
     else:
         import csv  # only CSV input pays for the module
 
-        reader = csv.reader(io.StringIO(text))
-        for i, raw in enumerate(reader):
+        numbered = []
+        for i, raw in enumerate(csv.reader(io.StringIO(text))):
             cells = [c.strip() for c in raw if c.strip() != ""]
-            if not cells:
-                continue
-            rows.append(
-                [_parse_matrix_cell(v, f"{path} row {i} column {j}") for j, v in enumerate(cells)]
-            )
+            if cells:  # rows past the cap are only counted
+                numbered.append((i, cells) if len(numbered) < MAX_N else None)
+    if len(numbered) > MAX_N:  # before any cell is converted
+        raise InputError(f"matrix {path} has {len(numbered)} rows; n must be at most {MAX_N}")
+    rows = [
+        [_parse_matrix_cell(v, f"{path} row {i} column {j}") for j, v in enumerate(raw)]
+        for i, raw in numbered
+    ]
     if not rows:
         raise InputError(f"matrix file {path} is empty")
     try:
@@ -161,10 +159,6 @@ def _load_check_input(args) -> tuple[Spectrum | None, dict, str]:
             raise InputError(f"spectrum has n = {s.n}; n must be at most {MAX_N}")
         return s, {"spectrum": s.to_json()}, f"input: spectrum {s} (n={s.n})"
     matrix = _load_matrix_file(args.matrix)
-    if matrix.rows > MAX_N:
-        raise InputError(
-            f"matrix {args.matrix} has {matrix.rows} rows; n must be at most {MAX_N}"
-        )
     s = spectrum_from_matrix(matrix)
     source = f"input: matrix {matrix.rows}x{matrix.cols} from {args.matrix}; "
     if s is None:

@@ -19,9 +19,9 @@ from it, so the check runs before the table is used.
 
 One table can carry many gradings that share its brackets and form.
 :func:`sonreal.grading` grades the so(n, C) table as a :class:`GradingMap`
-over its basis: the table's bracket shape, checked once per n, and mirrored
-eigenvalue labels imply that every bracket respects the grades and that the
-grade multiset is symmetric, so no grading is checked per bracket.
+over its basis: the table's matrix realization, checked once per n, and
+mirrored eigenvalue labels imply that every bracket respects the grades and
+that the grade multiset is symmetric, so no grading is checked per bracket.
 
 Every subspace here is a coordinate subspace, given as the set of basis
 indices that spans it: the grade spaces and tails of a :class:`GradingMap`,

@@ -32,17 +32,17 @@ form row to be their traces.  Antisymmetry and the Jacobi identity then hold
 because the commutator has them, and invariance because tr([X, Y] Z) =
 tr(X [Y, Z]); no sum over basis triples is needed.
 
-Those grades need no per-bracket check either.  Every nonzero coordinate of
-[u_a ^ u_b, u_c ^ u_d] sits on the wedge of the two indices left after one
-partner pair {x, n - 1 - x} is removed from {a, b, c, d}; :func:`_so_table`
-checks this shape once per n.  With mirrored labels, lambda_{n-1-a} =
--lambda_a, a partner pair contributes 0, so that target has grade exactly
-grade(a, b) + grade(c, d); and (a, b) -> (n - 1 - b, n - 1 - a) negates
-grades, so the grade multiset is symmetric.  So :func:`grading` only checks
-the n labels for the mirror and groups the wedges by their label sums in
-integer arithmetic; the deciders pair that grading with the one table of n,
-and no table is built per spectrum.  No complex (or floating-point)
-arithmetic ever appears.
+Those grades need no per-bracket check either: the realization already
+implies them.  With mirrored labels, lambda_{n-1-a} = -lambda_a, the
+diagonal matrix xi = diag(lambda_0, ..., lambda_{n-1}) lies in so(n, C) for
+the Witt form, and [xi, M_p] = (lambda_a + lambda_b) M_p for the matrix M_p
+of p = u_a ^ u_b.  ad xi is a derivation of the matrix commutator, so a
+table equal to the commutators [M_p, M_q] respects every mirrored grading;
+and (a, b) -> (n - 1 - b, n - 1 - a) negates grades, so the grade multiset
+is symmetric.  So :func:`grading` only checks the n labels for the mirror
+and groups the wedges by their label sums in integer arithmetic; the
+deciders pair that grading with the one table of n, and no table is built
+per spectrum.  No complex (or floating-point) arithmetic ever appears.
 
 The bilinear form installed on the algebra is the trace form tr(XY) of the
 matrix realization; for so(n) the Killing form is (n-2) times it, so polars
@@ -62,18 +62,6 @@ from .liegraded import GradingMap, GradingViolation, LieTable, LieTableError
 
 class InvalidSpectrum(ValueError):
     """Eigenvalue data that no element of so(n), n >= 3, can have."""
-
-
-class BracketShapeViolation(LieTableError):
-    """A bracket of the so(n, C) table hits a wedge other than the two
-    indices left after removing one partner pair from its four."""
-
-    def __init__(self, p: int, q: int, k: int):
-        super().__init__(
-            f"[e_{p}, e_{q}] hits basis element {k}, which is not the wedge left "
-            "after removing a partner pair"
-        )
-        self.indices = (p, q, k)
 
 
 class RealizationViolation(LieTableError):
@@ -237,10 +225,10 @@ def _so_table(n: int) -> LieTable:
     pairs with u_(n-1-b) ^ u_(n-1-a) alone, with value 2.  The table
     carries the principal grading lambda_a = (n - 1)/2 - a, the grading of
     the spectrum with magnitudes 0, 1, ... (n odd) or 1/2, 3/2, ... (n even),
-    each of multiplicity one.  Two checks run before the table is returned:
-    the bracket shape that lets :func:`grading` skip the grading checks
-    (:func:`_check_witt_shape`), then :func:`_check_realization`, which
-    proves the brackets and the form are those of so(n, C).
+    each of multiplicity one.  :func:`_check_realization` runs before the
+    table is returned: it proves the brackets and the form are those of
+    so(n, C), which also lets :func:`grading` skip the grading checks (see
+    the module docstring).
     """
     pairs = _witt_frame(n)
     dim = len(pairs)
@@ -278,7 +266,6 @@ def _so_table(n: int) -> LieTable:
     form = tuple(((_pair_index(n, n - 1 - b, n - 1 - a), 2),) for a, b in pairs)
 
     table = LieTable(dim, grades, form, tuple(map(tuple, rows)))
-    _check_witt_shape(n, table._sparse)
     _check_realization(n, table._sparse, table.form)
     return table
 
@@ -364,33 +351,16 @@ def _coordinates(n: int, entries: dict) -> tuple | None:
     return tuple(sorted(coords.items()))
 
 
-def _check_witt_shape(n: int, sparse) -> None:
-    """Every nonzero coordinate k = (e, f) of [e_p, e_q], p = (a, b),
-    q = (c, d), must leave a partner pair {x, n - 1 - x} when {e, f} is taken
-    out of {a, b, c, d}.  Raises BracketShapeViolation naming the first
-    failing (p, q, k) in lexicographic order.  O(dim^2 + nonzero entries)."""
-    pairs = _witt_frame(n)
-    for p, row in enumerate(sparse):
-        for q, hits in enumerate(row):
-            for k, _ in hits:
-                rest = [*pairs[p], *pairs[q]]
-                for x in pairs[k]:
-                    if x not in rest:
-                        raise BracketShapeViolation(p, q, k)
-                    rest.remove(x)
-                if rest[0] + rest[1] != n - 1:
-                    raise BracketShapeViolation(p, q, k)
-
-
 def grading(s: Spectrum) -> GradingMap:
     """The grading of so(n, C) by the spectrum, on the basis of :func:`_so_table`.
 
     Basis element p = (a, b) is the wedge u_a ^ u_b of the Witt basis, with
     grade lambda_a + lambda_b; blocks come in ascending grade order, each
     with its indices ascending.  Only the n labels are checked, for the
-    mirror lambda_{n-1-a} = -lambda_a: with the bracket shape
-    :func:`_so_table` checked, that makes every bracket of the table respect
-    the grades and the grade multiset symmetric (see the module docstring).
+    mirror lambda_{n-1-a} = -lambda_a: with the table checked against its
+    matrix realization by :func:`_so_table`, that makes every bracket of the
+    table respect the grades and the grade multiset symmetric (see the
+    module docstring).
     Raises GradingViolation naming an unmirrored label.  Integral grades are
     ints, equal, hash-equal and printed alike to Fractions.
     """

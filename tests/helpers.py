@@ -32,7 +32,8 @@ from canonical_lie.sonreal import _grid_roots, _scaled_labels, _so_table, _witt_
 
 # The general structure-constant checker, for any Lie algebra: the oracle the
 # so(n, C) realization check is compared with, and the builder of the small
-# tables the liegraded tests use.
+# tables the liegraded tests use.  `check_witt_shape` is the oracle for the
+# so(n, C) table's bracket shape, which the realization check implies.
 
 
 class AntisymmetryViolation(LieTableError):
@@ -51,6 +52,18 @@ class FormNotInvariant(LieTableError):
     def __init__(self, message: str, indices: tuple = ()):
         super().__init__(message)
         self.indices = indices
+
+
+class BracketShapeViolation(LieTableError):
+    """A bracket of the so(n, C) table hits a wedge other than the two
+    indices left after removing one partner pair from its four."""
+
+    def __init__(self, p: int, q: int, k: int):
+        super().__init__(
+            f"[e_{p}, e_{q}] hits basis element {k}, which is not the wedge left "
+            "after removing a partner pair"
+        )
+        self.indices = (p, q, k)
 
 
 def build_table(
@@ -218,6 +231,24 @@ def _combine(coeffs, rows) -> dict:
         for k, v in rows[t]:
             acc[k] = acc.get(k, 0) + c * v
     return acc
+
+
+def check_witt_shape(n: int, sparse) -> None:
+    """Every nonzero coordinate k = (e, f) of [e_p, e_q], p = (a, b),
+    q = (c, d), must leave a partner pair {x, n - 1 - x} when {e, f} is taken
+    out of {a, b, c, d}.  Raises BracketShapeViolation naming the first
+    failing (p, q, k) in lexicographic order.  O(dim^2 + nonzero entries)."""
+    pairs = _witt_frame(n)
+    for p, row in enumerate(sparse):
+        for q, hits in enumerate(row):
+            for k, _ in hits:
+                rest = [*pairs[p], *pairs[q]]
+                for x in pairs[k]:
+                    if x not in rest:
+                        raise BracketShapeViolation(p, q, k)
+                    rest.remove(x)
+                if rest[0] + rest[1] != n - 1:
+                    raise BracketShapeViolation(p, q, k)
 
 
 def spec(n, *pairs):

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canonical_lie import (
-    BracketShapeViolation,
     GradingViolation,
     InvalidSpectrum,
     NotSkew,
@@ -33,13 +32,14 @@ from canonical_lie.cli import MAX_N
 from canonical_lie.liegraded import LieTable
 from canonical_lie.sonreal import (
     _check_realization,
-    _check_witt_shape,
     _coordinates,
     _pair_index,
     _so_table,
 )
 from helpers import (
+    BracketShapeViolation,
     build_table,
+    check_witt_shape,
     conjugated_normal_form,
     grade_dims_by_counting,
     grading_of,
@@ -563,6 +563,10 @@ class TestGradeDims:
 
 
 class TestBracketShape:
+    """The bracket shape the grading argument once checked on its own: the
+    helper oracle accepts every table, and the realization check alone
+    refuses a coordinate moved off it."""
+
     # (n, terms, shift): move the first coordinate of the first bracket with
     # `terms` nonzero coordinates to the wedge `shift` places away.  With one
     # term the new wedge uses an index outside {a, b, c, d}; with two and
@@ -584,28 +588,30 @@ class TestBracketShape:
         sparse[p][q] = ((k + shift, v), *rest)
         return sparse, (p, q, k + shift)
 
-    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("n", range(3, MAX_N + 1))
     def test_tables_have_the_shape(self, n):
-        _check_witt_shape(n, _so_table(n)._sparse)
+        check_witt_shape(n, _so_table(n)._sparse)
 
     @pytest.mark.parametrize("n, terms, shift", CASES)
     def test_moved_coordinate_is_caught(self, n, terms, shift):
         sparse, indices = self.corrupt(n, terms, shift)
         with pytest.raises(BracketShapeViolation) as err:
-            _check_witt_shape(n, sparse)
+            check_witt_shape(n, sparse)
         assert err.value.indices == indices
 
     def test_so_table_runs_the_check(self, monkeypatch):
-        sparse, indices = self.corrupt(5, 1, 1)
+        # every moved coordinate fails the realization check at its (p, q);
+        # corrupt() reads _so_table(n), so all copies are made before the patch
+        corrupted = [(n, self.corrupt(n, terms, shift)) for n, terms, shift in self.CASES]
+        for n, (sparse, (p, q, _)) in corrupted:
 
-        def corrupting(dim, grade, form, _):
-            return LieTable(dim, grade, form, sparse)
+            def corrupting(dim, grade, form, _, sparse=sparse):
+                return LieTable(dim, grade, form, sparse)
 
-        monkeypatch.setattr(sonreal, "LieTable", corrupting)
-        with pytest.raises(BracketShapeViolation) as err:
-            sonreal._so_table.__wrapped__(5)
-        assert err.value.indices == indices
-
+            monkeypatch.setattr(sonreal, "LieTable", corrupting)
+            with pytest.raises(RealizationViolation) as err:
+                sonreal._so_table.__wrapped__(n)
+            assert err.value.indices == (p, q), n
 
 
 class TestRealizationCheck:
@@ -664,9 +670,10 @@ class TestRealizationCheck:
         assert err.value.indices == indices
 
     def test_so_table_runs_the_check(self, monkeypatch):
-        # a flipped sign keeps the bracket shape, so only the realization check sees it
+        # a flipped sign keeps the bracket shape, which the oracle accepts;
+        # the realization check still refuses it
         sparse, _, indices = self.mutated(6, "sign")
-        _check_witt_shape(6, sparse)
+        check_witt_shape(6, sparse)
 
         def corrupting(dim, grade, form, _):
             return LieTable(dim, grade, form, sparse)
@@ -684,6 +691,7 @@ class TestRealizationCheck:
         assert _coordinates(4, {(1, 3): 2, (0, 2): 2}) is None
         assert _coordinates(4, {(1, 3): 2}) is None
         assert _coordinates(4, {(1, 3): 0}) == ()
+
 
 class TestMatrixOf:
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
