@@ -137,6 +137,11 @@ def _load_matrix_file(path: str) -> RatMatrix:
                 numbered.append((i, cells) if len(numbered) < MAX_N else None)
     if len(numbered) > MAX_N:  # before any cell is converted
         raise InputError(f"matrix {path} has {len(numbered)} rows; n must be at most {MAX_N}")
+    for i, raw in numbered:
+        if len(raw) > MAX_N:
+            raise InputError(
+                f"matrix {path} row {i} has {len(raw)} entries; n must be at most {MAX_N}"
+            )
     rows = [
         [_parse_matrix_cell(v, f"{path} row {i} column {j}") for j, v in enumerate(raw)]
         for i, raw in numbered

@@ -11,12 +11,12 @@ that eliminates on integer rows (fraction-free) and forms Fractions only for
 its result.  The structure-constant layer keeps brackets and the invariant
 form as sparse rows and the deciders, like the parabolic certificates, work
 on sets of basis indices, so dense elimination runs only where no basis index
-set will do: the ranks of spectrum extraction and the rank of the diagonal
-parts in strict generation, at most n // 2 columns.  The monomial
+set will do: the rank of an extracted matrix, for mult(0), and the rank of the
+diagonal parts in strict generation, at most n // 2 columns.  The monomial
 invariant form needs no rank: :func:`liegraded.polar_indices` reads its
-nondegeneracy off the columns its rows hit.  :func:`charpoly` is
-division-free, so extraction works on an integer matrix and gets an integer
-polynomial.
+nondegeneracy off the columns its rows hit.  :func:`charpoly` is division-free,
+so extraction gets an integer polynomial, whose root orders give the other
+multiplicities.
 """
 
 from __future__ import annotations

@@ -407,12 +407,12 @@ def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
     the roots between grid points y = D j^2 exactly; bisecting over
     0 < j <= J isolates every grid point that is a root, in about log2 J
     steps per distinct root; J^2 <= -2 tr m^2, four times the sum of the
-    squared magnitudes.
-    Only at those roots is a rank taken: the multiplicity of +/- i*lambda is
-    (n - rank(N - D j^2 I)) / 2, and mult(0) = n - rank m.  Returns None when
-    the multiplicities found do not account for all n dimensions, i.e. when
-    some magnitude is not a half-integer.  The cost grows with the bit length
-    of the entries, not with their size, and no float is involved.
+    squared magnitudes.  As N is symmetric, the order of the root D j^2 is
+    dim ker(N - D j^2 I), twice the multiplicity of +/- i*lambda; the one
+    rank taken is mult(0) = n - rank m.  Returns None when the multiplicities
+    found do not account for all n dimensions, i.e. when some magnitude is
+    not a half-integer.  The cost grows with the bit length of the entries,
+    not with their size, and no float is involved.
 
     That outcome already settles the canonicality question.  A grading can
     only have integer grades if any two signed magnitudes have integral sum
@@ -438,26 +438,18 @@ def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
     gram = [[-4 * (v // g) for v in row] for row in a2]
     top = math.isqrt(-2 * sum(a2[i][i] for i in range(n)) // (lcd * lcd))
     mult0 = n - rref(m)[0]
-    entries = []
-    for j in _grid_roots(charpoly(gram), scale, top):
-        shifted = [list(row) for row in gram]
-        for i in range(n):
-            shifted[i][i] -= scale * j * j
-        d = n - rref(RatMatrix(shifted, cols=n))[0]
+    entries = [(Fraction(0), mult0)] if mult0 else []
+    for j, d in _grid_roots(charpoly(gram), scale, top):
         lam = Fraction(j, 2)
         if d % 2:
             raise RuntimeError(
                 f"kernel of m^2 + {lam * lam} has odd dimension {d}; the +/- i*{lam} "
                 "eigenspaces of a real matrix match in size"
             )
-        if d:
-            entries.append((lam, d // 2))
+        entries.append((lam, d // 2))
 
-    accounted = mult0 + 2 * sum(mult for _, mult in entries)
-    if accounted != n:
+    if mult0 + 2 * sum(mult for lam, mult in entries if lam) != n:
         return None
-    if mult0:
-        entries.insert(0, (Fraction(0), mult0))
     return Spectrum(n, tuple(entries))
 
 
@@ -476,8 +468,8 @@ def _derivative(p: list[int]) -> list[int]:
     return [c * (deg - i) for i, c in enumerate(p[:-1])]
 
 
-def _grid_roots(p: list[int], scale: int, top: int) -> list[int]:
-    """Every integer 0 < j <= top with p(scale * j^2) = 0, ascending.
+def _grid_roots(p: list[int], scale: int, top: int) -> list[tuple[int, int]]:
+    """(j, k) for every root scale * j^2 of p, 0 < j <= top, k its order; ascending.
 
     p is the characteristic polynomial of a symmetric matrix, so every root
     is real.  Budan-Fourier: with V(y) the sign variations of p, p', p'',
@@ -485,8 +477,9 @@ def _grid_roots(p: list[int], scale: int, top: int) -> list[int]:
     with multiplicity, and exactly that number when every root is real.
     Only the points y = scale * j^2 are evaluated, so a bisection over j
     ends at intervals (j - 1, j] that hold a root, which is on the grid
-    exactly when p(scale * j^2) = 0.  The bound alone means no grid root is
-    missed; exactness means only intervals that hold a root are split.
+    exactly when p(scale * j^2) = 0, of order the first k with p^(k) nonzero
+    there.  The bound alone means no grid root is missed; exactness means
+    only intervals that hold a root are split.
     """
     seq = [p]
     while len(seq[-1]) > 1:
@@ -504,8 +497,9 @@ def _grid_roots(p: list[int], scale: int, top: int) -> list[int]:
         if v_lo == v_hi:
             continue
         if hi - lo == 1:
-            if _evaluate(p, scale * hi * hi) == 0:
-                found.append(hi)
+            order = next(k for k, s in enumerate(seq) if _evaluate(s, scale * hi * hi))
+            if order:
+                found.append((hi, order))
             continue
         mid = (lo + hi) // 2
         v_mid = variations(mid)

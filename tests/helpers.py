@@ -513,7 +513,7 @@ def spectrum_from_matrix_by_kernels(m: RatMatrix):
     gram = [[-4 * v.numerator * (scale // v.denominator) for v in row] for row in m2.entries]
     top = math.isqrt(math.floor(-2 * trace(m2)))
     entries = []
-    for j in _grid_roots(charpoly(gram), scale, top):
+    for j, _ in _grid_roots(charpoly(gram), scale, top):
         lam = Fraction(j, 2)
         d = kernel(mat_add(m2, scaled(identity(n), lam * lam))).dim
         if d % 2:

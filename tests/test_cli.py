@@ -220,6 +220,25 @@ class TestCheckMatrix:
         assert (code, out) == (2, "")
         assert err == f"error: matrix {path} has {n} rows; n must be at most {MAX_N}\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overlong_row_rejected_before_cells_are_converted(
+        self, capsys, tmp_path, monkeypatch, fmt
+    ):
+        def unreachable(value, where):
+            raise AssertionError(f"{where} was converted in a matrix with an overlong row")
+
+        monkeypatch.setattr(cli, "_parse_matrix_cell", unreachable)
+        width = MAX_N + 1
+        rows = [["0"] * 3, ["1/3"] * width, ["0"] * 3]
+        path = tmp_path / f"m.{fmt}"
+        if fmt == "json":
+            path.write_text(json.dumps(rows))
+        else:
+            path.write_text("\n".join(",".join(row) for row in rows))
+        code, out, err = run_cli(capsys, "check", "--matrix", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: matrix {path} row 1 has {width} entries; n must be at most {MAX_N}\n"
+
     def test_integer_over_digit_limit_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("[[0, " + "1" * 5000 + "], [0, 0]]")
