@@ -45,10 +45,9 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations_with_replacement, islice, product
 
-from .exactlin import RatMatrix, as_rational, rref
+from .exactlin import RatMatrix, format_ratio, ratio, rref
 from .liegraded import GradingMap, LieTable, NotMonomial, bracket_indices, polar_indices
 from .sonreal import Spectrum, TooSmall, _pair_index, _so_table, grading
 
@@ -80,6 +79,9 @@ class Verdict(namedtuple("Verdict", "reason failing trace witness", defaults=(No
         return self.reason is VerdictReason.CANONICAL
 
 
+_NON_INTEGRAL = Verdict(VerdictReason.NON_INTEGRAL)  # one shared verdict, as it has no certificate
+
+
 class ParabolicData(namedtuple("ParabolicData", "q nilradical series grading")):
     """The parabolic built from a canonical spectrum, with its certificates:
     q, its nilradical and each term of its descending series as the frozenset
@@ -96,11 +98,11 @@ def condition1(s: Spectrum) -> bool:
     present) are all integers or all half-odd.  Each eigendirection lambda
     has a second one mu beside it (n >= 3), and lambda + mu and lambda - mu
     are both grades, so integral grades put 2 lambda in Z and lambda, mu in
-    the same class mod 1; conversely every grade is then an integer.  This
-    reads the spectrum's entries only, never the n(n-1)/2 basis pairs.
+    the same class mod 1; conversely every grade is then an integer.  On
+    the spectrum's ints: D = 1, or D = 2 with every 2 lambda odd.  This reads
+    the spectrum's entries only, never the n(n-1)/2 basis pairs.
     """
-    dens = {lam.denominator for lam, _ in s.entries}
-    return dens == {1} or dens == {2}
+    return s.den == 1 or (s.den == 2 and all(k & 1 for k, _ in s.scaled))
 
 
 def theorem2_check(s: Spectrum) -> Verdict:
@@ -119,7 +121,7 @@ def theorem2_check(s: Spectrum) -> Verdict:
     not with the magnitudes.
     """
     if not condition1(s):
-        return Verdict(VerdictReason.NON_INTEGRAL)
+        return _NON_INTEGRAL
     table, gm = _so_table(s.n), grading(s)
     spaces = {g: frozenset(idx) for g, idx in gm.blocks if g > 0}  # condition1: int grades
     kmax = max(spaces, default=0)
@@ -163,16 +165,15 @@ def _descending_series(table: LieTable, n: frozenset[int]) -> list[frozenset[int
 def prop3_report(s: Spectrum) -> tuple[bool, str]:
     """Closed-form canonicality test on the magnitude ladder, with the
     sentence that says why."""
-    count = len(s.entries)
-    nums = [lam.numerator for lam, _ in s.entries]
-    dens = {lam.denominator for lam, _ in s.entries}
-    if dens == {1} and nums == list(range(count)):
+    count = len(s.scaled)
+    scaled = [k for k, _ in s.scaled]  # D * lambda, ascending
+    if s.den == 1 and scaled == list(range(count)):
         return True, f"magnitudes form the integer ladder 0..{count - 1}"
-    if dens == {2} and nums == list(range(1, 2 * count, 2)):
-        m_half = s.entries[0][1]
+    if s.den == 2 and scaled == list(range(1, 2 * count, 2)):
+        m_half = s.scaled[0][1]
         if m_half >= 2:
             return True, (
-                f"magnitudes form the half-odd ladder 1/2..{s.max_magnitude} "
+                f"magnitudes form the half-odd ladder 1/2..{format_ratio(scaled[-1], 2)} "
                 f"with mult(1/2) = {m_half} >= 2"
             )
         return False, f"half-odd ladder, but mult(1/2) = {m_half} < 2"
@@ -307,29 +308,39 @@ def enumerate_canonical(n: int) -> list[Spectrum]:
 def _spectra_from_doubled(n: int, keyed) -> list[Spectrum]:
     """The spectra of the keys (2 max lambda, ((2 lambda, mult), ...)), sorted
     on those ints, which is the order by largest magnitude, then entries."""
-    keyed = sorted(keyed)
-    halves = [Fraction(d, 2) for d in range(keyed[-1][0] + 1)]
-    return [Spectrum._from_doubled(n, doubled, halves) for _, doubled in keyed]
+    return [Spectrum._from_doubled(n, doubled) for _, doubled in sorted(keyed)]
+
+
+def _twice(max_lambda) -> int:
+    """int(2 * max_lambda), rounded toward 0 as int() rounds a Fraction; an
+    int or a 'p/q' string is read without building one."""
+    p, q = ratio(max_lambda)
+    return 2 * p // q if p >= 0 else -(-2 * p // q)
 
 
 def half_integral_count(n: int, max_lambda) -> int:
     """len(half_integral_spectra(n, max_lambda)) without building them: one
     spectrum per multiset of at most n // 2 of the 2 max_lambda positive
     magnitudes."""
-    return math.comb(int(2 * as_rational(max_lambda)) + n // 2, n // 2)
+    return math.comb(_twice(max_lambda) + n // 2, n // 2)
 
 
 def half_integral_spectra(n: int, max_lambda) -> list[Spectrum]:
     """All valid spectra for so(n) with magnitudes in (1/2)Z up to max_lambda,
-    sorted by largest magnitude, then entries."""
+    sorted by largest magnitude, then entries.  max_lambda is an int, a
+    Fraction or a 'p/q' string."""
     if n < 3:
         raise TooSmall(f"need n >= 3, got n = {n}")
-    top = int(2 * as_rational(max_lambda))
+    top = _twice(max_lambda)
+    # one (2 lambda, mult) pair per value, shared by the spectra that hold it
+    pairs = [[(d, m) for m in range(n // 2 + 1)] for d in range(top + 1)]
     keyed = []
     for size in range(0, n // 2 + 1):
         m0 = n - 2 * size
+        zero = ((0, m0),) * (m0 > 0)
         for combo in combinations_with_replacement(range(1, top + 1), size):
-            doubled = ((0, m0),) * (m0 > 0) + tuple(sorted(Counter(combo).items()))
+            # combo ascends, so dict.fromkeys lists its distinct values in order
+            doubled = zero + tuple([pairs[d][combo.count(d)] for d in dict.fromkeys(combo)])
             keyed.append((doubled[-1][0], doubled))
     return _spectra_from_doubled(n, keyed)
 
@@ -355,4 +366,6 @@ def oracle_record(s: Spectrum) -> OracleRecord:
     verdict = theorem2_check(s)
     p3 = prop3_check(s)
     t1 = all(_theorem1(_so_table(s.n), verdict.witness)[0].values()) if verdict.canonical else None
-    return OracleRecord(s, Verdict(verdict.reason, verdict.failing), p3, t1)
+    if verdict.trace is not None:
+        verdict = Verdict(verdict.reason, verdict.failing)
+    return OracleRecord(s, verdict, p3, t1)

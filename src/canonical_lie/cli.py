@@ -8,6 +8,10 @@ byte-deterministic for a given invocation; rationals are exact "p/q" strings.
 Arguments are read from one grammar table, `_GRAMMAR`: `_parse` reads the
 form every request sends, COMMAND (--flag VALUE)*, and only help and usage
 errors build argparse's parser from it, about 3.6 ms of a process's start-up.
+Spectra stay ints from parse to render: `--spectrum` and `--max-lambda` are
+read as int pairs and magnitudes are printed from D * lambda, so only
+`--matrix` cells (and non-integral grades) import `fractions`, with the
+`decimal` and `numbers` it loads, about 2.5 ms of start-up.
 
 A process ends in :func:`run` through `os._exit` after flushing stdout and
 stderr, skipping the interpreter's teardown, which nothing here needs (see
@@ -19,7 +23,6 @@ from __future__ import annotations
 import io
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .canonical import (
@@ -34,7 +37,7 @@ from .canonical import (
     strict_generation_report,
     theorem2_check,
 )
-from .exactlin import RatMatrix, parse_rational
+from .exactlin import RatMatrix, parse_ratio, parse_rational
 from .sonreal import InvalidSpectrum, NotSkew, Spectrum, TooSmall, grading, spectrum_from_matrix
 
 EXIT_OK = 0
@@ -54,7 +57,8 @@ MAX_N = 24
 # the default 7/2.  A sweep keeps one compact record per spectrum, and
 # theorem2 walks each grade up to the largest magnitude, so the two caps bound
 # its time and memory: `--max-n 10 --max-lambda 25/2` (197,288 spectra) takes
-# 6.5-7.2 s and 164.5 MB as JSON, as a whole process on the same host.
+# 3.6-4.6 s and 75 MB as JSON (122 MB as a table), as a whole process on the
+# same host.
 MAX_LAMBDA = MAX_N
 MAX_SWEEP = 201_542
 
@@ -101,11 +105,11 @@ def _load_spectrum_arg(arg: str) -> Spectrum:
         raise InputError(f"{origin}: {exc}") from None
 
 
-def _parse_matrix_cell(value, where: str) -> Fraction:
+def _parse_matrix_cell(value, where: str) -> int | Fraction:
     if isinstance(value, bool):
         raise InputError(f"{where}: booleans are not matrix entries")
     if isinstance(value, int):
-        return Fraction(value)
+        return value  # RatMatrix makes it a Fraction
     if isinstance(value, float):
         raise InputError(f"{where}: float {value!r} rejected; use exact 'p/q' strings")
     if isinstance(value, str):
@@ -126,25 +130,26 @@ def _load_matrix_file(path: str) -> RatMatrix:
         data = _parse_json(text, f"matrix file {path}")
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise InputError(f"matrix file {path}: expected an array of arrays")
-        numbered = list(enumerate(data))
+        numbered = [(i, len(raw), raw) for i, raw in enumerate(data)]
     else:
         import csv  # only CSV input pays for the module
 
-        numbered = []
+        numbered = []  # (row number, width, non-blank cells), cells kept within the cap
         for i, raw in enumerate(csv.reader(io.StringIO(text))):
-            cells = [c.strip() for c in raw if c.strip() != ""]
-            if cells:  # rows past the cap are only counted
-                numbered.append((i, cells) if len(numbered) < MAX_N else None)
+            width = sum(1 for c in raw if c.strip())
+            if width:  # rows past the cap are only counted
+                cells = [c.strip() for c in raw if c.strip()] if width <= MAX_N else None
+                numbered.append((i, width, cells) if len(numbered) < MAX_N else None)
     if len(numbered) > MAX_N:  # before any cell is converted
         raise InputError(f"matrix {path} has {len(numbered)} rows; n must be at most {MAX_N}")
-    for i, raw in numbered:
-        if len(raw) > MAX_N:
+    for i, width, _ in numbered:
+        if width > MAX_N:
             raise InputError(
-                f"matrix {path} row {i} has {len(raw)} entries; n must be at most {MAX_N}"
+                f"matrix {path} row {i} has {width} entries; n must be at most {MAX_N}"
             )
     rows = [
         [_parse_matrix_cell(v, f"{path} row {i} column {j}") for j, v in enumerate(raw)]
-        for i, raw in numbered
+        for i, _, raw in numbered
     ]
     if not rows:
         raise InputError(f"matrix file {path} is empty")
@@ -337,7 +342,7 @@ def _write_list(write, texts) -> None:
 
 
 def _class_text(s: Spectrum) -> str:
-    entries = ",".join([_ENTRY % entry for entry in s.entries])
+    entries = ",".join([_ENTRY % entry for entry in s._texts()])
     cells = ",".join([_CELL % cell for cell in grading(s).dims().items()])
     return _CLASS % (s.n, entries, cells)
 
@@ -370,7 +375,7 @@ def cmd_enumerate(args) -> int:
 
 def _record_text(rec: OracleRecord) -> str:
     s, verdict = rec.spectrum, rec.verdict
-    entries = ",".join([_ENTRY % entry for entry in s.entries])
+    entries = ",".join([_ENTRY % entry for entry in s._texts()])
     failing = "null" if verdict.failing is None else _FAILING % verdict.failing
     decision = (_LITERAL[verdict.canonical], verdict.reason.value, failing)
     checks = (_LITERAL[rec.prop3], _LITERAL[rec.theorem1_ok], _LITERAL[rec.agree])
@@ -378,10 +383,12 @@ def _record_text(rec: OracleRecord) -> str:
 
 
 def _table_cells(rec: OracleRecord) -> tuple[str, ...]:
+    """One table row; a sweep keeps every row until the widths are known, so
+    the few distinct n and verdict texts are shared, not copied per row."""
     return (
-        str(rec.spectrum.n),
+        sys.intern(str(rec.spectrum.n)),
         str(rec.spectrum),
-        _verdict_summary(rec.verdict),
+        sys.intern(_verdict_summary(rec.verdict)),
         "yes" if rec.prop3 else "no",
         "-" if rec.theorem1_ok is None else ("ok" if rec.theorem1_ok else "FAIL"),
         "yes" if rec.agree else "NO",
@@ -398,13 +405,14 @@ def cmd_verify(args) -> int:
     if args.max_n > MAX_N:
         return _fail(f"--max-n must be at most {MAX_N}, got {args.max_n}")
     try:
-        bound = parse_rational(args.max_lambda)
+        p, q = parse_ratio(args.max_lambda)
     except ValueError as exc:
         return _fail(str(exc))
-    if bound <= 0 or (2 * bound).denominator != 1:
+    if p <= 0 or q > 2:  # p/q in lowest terms is a half-integer iff q divides 2
         return _fail(f"--max-lambda must be a positive half-integer, got {args.max_lambda}")
-    if bound > MAX_LAMBDA:
+    if p > MAX_LAMBDA * q:
         return _fail(f"--max-lambda must be at most {MAX_LAMBDA}, got {args.max_lambda}")
+    bound = f"{p}/{q}" if q == 2 else str(p)
     ns = range(3, args.max_n + 1)
     count = sum(half_integral_count(n, bound) for n in ns)
     if count > MAX_SWEEP:
@@ -435,12 +443,11 @@ def cmd_verify(args) -> int:
     else:
         write(f"oracle sweep: n = 3..{args.max_n}, magnitudes <= {bound}\n")
         headers = ("n", "spectrum", "theorem2", "prop3", "theorem1", "agree")
-        widths = [len(h) for h in headers]
-        for rec in records:
-            widths = [max(w, len(v)) for w, v in zip(widths, _table_cells(rec))]
+        rows = [_table_cells(rec) for rec in records]
+        widths = [max(map(len, column)) for column in zip(headers, *rows)]
         write(_table_line(headers, widths))
-        for rec in records:
-            write(_table_line(_table_cells(rec), widths))
+        for cells in rows:
+            write(_table_line(cells, widths))
         write(
             f"tested: {len(records)}   agreements: {agreements}   "
             f"canonical: {canonical_count}   discrepancies: {len(bad)}\n"

@@ -1,10 +1,16 @@
 """Exact scalars, the matrix input container, one elimination and charpoly.
 
-Scalars are :class:`fractions.Fraction` (arbitrary precision, always in
-lowest terms with positive denominator); nothing here ever touches a float.
-:class:`RatMatrix` is an immutable dense matrix, the container that
-`check --matrix` input is validated into; it offers indexing and value
-equality, no arithmetic.
+Scalars are Python ints wherever they can be, and :class:`fractions.Fraction`
+(arbitrary precision, always in lowest terms with positive denominator) only
+where a non-integer must be held as one value: matrix cells, their
+elimination and the magnitudes a caller reads back.  `fractions` (with the
+`decimal` and `numbers` it loads) is imported by the functions that build a
+Fraction, not with the module, so a request that stays on ints never loads
+it: :func:`parse_ratio` reads a 'p/q' string as the int pair (p, q) and
+:func:`rational` gives p/q as an int whenever q divides p.  Nothing here ever
+touches a float.  :class:`RatMatrix` is an immutable dense matrix, the
+container that `check --matrix` input is validated into; it offers indexing
+and value equality, no arithmetic.
 
 :func:`rref` is the one dense elimination of the package, Gauss-Jordan
 that eliminates on integer rows (fraction-free) and forms Fractions only for
@@ -24,13 +30,23 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
+from functools import cache
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
+@cache
+def _fraction() -> type:
+    """`fractions.Fraction`, imported on the first call: once per process, not
+    once per matrix cell, and never by a request that stays on ints."""
+    from fractions import Fraction
+
+    return Fraction
+
+
 def as_rational(value) -> Fraction:
     """Coerce an exact scalar to Fraction, rejecting floats and bools outright."""
+    Fraction = _fraction()
     if type(value) is Fraction:
         return value
     if isinstance(value, (bool, float)):
@@ -40,12 +56,49 @@ def as_rational(value) -> Fraction:
     return Fraction(value)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a 'p' or 'p/q' string (q positive); anything else is an error."""
+def rational(num: int, den: int):
+    """num/den for a positive den: the int when den divides num, else a Fraction."""
+    return num // den if num % den == 0 else _fraction()(num, den)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for a positive den, from ints: 'p/q' in lowest
+    terms, or 'p' when the denominator is 1."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _rational_text(text: str) -> str:
+    """text stripped, once it is a 'p' or 'p/q' string with q positive."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational 'p/q' string: {text!r}")
-    return Fraction(s)
+    return s
+
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """A 'p' or 'p/q' string (q positive) as (p, q) in lowest terms, read with
+    int alone; anything else is an error."""
+    num, _, den = _rational_text(text).partition("/")
+    p, q = int(num), int(den or 1)
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def ratio(value) -> tuple[int, int]:
+    """as_rational(value) as (numerator, denominator); an int or a 'p/q'
+    string is read without building a Fraction."""
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, str) and _RATIONAL_RE.match(value.strip()):
+        return parse_ratio(value)
+    r = as_rational(value)
+    return r.numerator, r.denominator
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a 'p' or 'p/q' string (q positive); anything else is an error."""
+    return _fraction()(_rational_text(text))
 
 
 class RatMatrix:
@@ -97,6 +150,7 @@ def rref(m: RatMatrix) -> tuple[int, RatMatrix]:
     pivot p takes row r to p * r - r[col] * (pivot row), divided by the gcd
     of its entries.  Pivot rows are divided by their pivots at the end.
     """
+    Fraction = _fraction()
     work = []
     for row in m.entries:
         den = math.lcm(*(v.denominator for v in row))

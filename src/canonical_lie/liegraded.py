@@ -37,7 +37,6 @@ and certificates run on them.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .exactlin import as_rational
 
@@ -95,7 +94,7 @@ class GradingMap(namedtuple("GradingMap", "ambient_dim blocks")):
         return tuple(g for g, _ in self.blocks)
 
     def indices_at(self, r) -> frozenset[int]:
-        r = as_rational(r)
+        r = r if type(r) is int else as_rational(r)
         for g, idx in self.blocks:
             if g == r:
                 return frozenset(idx)
@@ -103,7 +102,7 @@ class GradingMap(namedtuple("GradingMap", "ambient_dim blocks")):
 
     def tail_indices(self, r) -> frozenset[int]:
         """Indices of the basis elements with grade >= r."""
-        r = as_rational(r)
+        r = r if type(r) is int else as_rational(r)
         return frozenset(i for g, idx in self.blocks if g >= r for i in idx)
 
     def dims(self) -> dict[Fraction, int]:

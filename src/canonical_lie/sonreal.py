@@ -53,10 +53,18 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
-from .exactlin import RatMatrix, as_rational, charpoly, rref
+from .exactlin import (
+    RatMatrix,
+    _fraction,
+    charpoly,
+    format_ratio,
+    parse_ratio,
+    ratio,
+    rational,
+    rref,
+)
 from .liegraded import GradingMap, GradingViolation, LieTable, LieTableError
 
 
@@ -82,13 +90,26 @@ class TooSmall(ValueError):
     """n < 3: so(1) is zero and so(2) is abelian, both out of scope."""
 
 
-class Spectrum(namedtuple("Spectrum", "n entries")):
+# str(Fraction(d, 2)) at index d = 2 lambda, for every magnitude below 32:
+# those of every spectrum that `verify` (2 lambda <= 48) and `enumerate`
+# (2 lambda < 24) make.
+_HALVES = tuple(format_ratio(d, 2) for d in range(64))
+
+
+class Spectrum(namedtuple("Spectrum", "n den scaled")):
     """Conjugacy-class data of xi in so(n): magnitudes with multiplicities.
 
     `entries` lists (lambda, mult) with lambda >= 0 strictly increasing.
     The eigenvalues of xi on C^n are +/- i*lambda, so the multiplicities
     satisfy mult(0) + 2 * sum of the positive multiplicities = n.
-    Immutable, equal and hashed by (n, entries).
+
+    A spectrum holds ints only: n, the lcm `den` = D of the magnitudes'
+    denominators and `scaled`, the pairs (D * lambda, mult) in the order of
+    `entries`.  Canonicity for so(n) is a fact about the integers 2 lambda,
+    so the deciders, the Witt labels and the renderers read these, and
+    `entries` and `max_magnitude` build their Fractions when asked.  Every
+    constructor ends in :meth:`_checked`, the one validation.  Immutable;
+    equal, hashed, printed by `repr` and pickled as (n, entries).
     """
 
     __slots__ = ()
@@ -100,60 +121,96 @@ class Spectrum(namedtuple("Spectrum", "n entries")):
         for lam, _ in entries:
             if isinstance(lam, (bool, float)):
                 raise InvalidSpectrum(f"magnitudes must be rationals, got {lam!r}")
-        lams = [as_rational(lam) for lam, _ in entries]
-        if n < 3:
-            raise InvalidSpectrum(f"n must be at least 3, got {n}")
-        den = math.lcm(*(lam.denominator for lam in lams))  # sorted and compared as D * lambda
-        scaled = [lam.numerator * (den // lam.denominator) for lam in lams]
-        ents = sorted(zip(scaled, (mult for _, mult in entries), lams))
-        if ents and ents[0][0] < 0:
-            raise InvalidSpectrum("magnitudes must be non-negative")
-        if any(a[0] == b[0] for a, b in zip(ents, ents[1:])):
-            raise InvalidSpectrum("magnitudes must be distinct")
-        if any(mult < 1 for _, mult, _ in ents):
-            raise InvalidSpectrum("multiplicities must be at least 1")
-        total = sum(mult if x == 0 else 2 * mult for x, mult, _ in ents)
-        if total != n:
-            raise InvalidSpectrum(f"multiplicities account for {total} of {n} dimensions")
-        return super().__new__(cls, n, tuple((lam, mult) for _, mult, lam in ents))
+        return cls._from_ratios(n, [(ratio(lam), mult) for lam, mult in entries])
 
     @classmethod
-    def _from_doubled(cls, n: int, doubled, halves) -> Spectrum:
-        """Spectrum from ((2 lambda, mult), ...) and halves[d] = d/2: `__new__`'s checks on ints."""
+    def _from_ratios(cls, n: int, items) -> Spectrum:
+        """From ((p, q), mult) pairs in any order, lambda = p/q in lowest terms."""
+        den = math.lcm(*(q for (_, q), _ in items))
+        return cls._checked(n, den, sorted([(p * (den // q), m) for (p, q), m in items]))
+
+    @classmethod
+    def _from_doubled(cls, n: int, doubled) -> Spectrum:
+        """From ((2 lambda, mult), ...) with 2 lambda ascending, as the
+        generators make them: D = 2 keeps the pairs as given."""
+        unordered = "doubled magnitudes must be non-negative and ascend strictly"
+        if any(d & 1 for d, _ in doubled):
+            return cls._checked(n, 2, doubled, unordered)
+        return cls._checked(n, 1, [(d >> 1, m) for d, m in doubled], unordered)
+
+    @classmethod
+    def _checked(cls, n, den, scaled, unordered="magnitudes must be distinct") -> Spectrum:
+        """The spectrum (n, den, scaled) once the (D * lambda, mult) pairs pass,
+        in this order: n >= 3, lambda >= 0, D * lambda strictly ascending
+        (else `unordered`; after a sort, a repeated magnitude), every
+        multiplicity at least 1 and their total n."""
         if n < 3:
             raise InvalidSpectrum(f"n must be at least 3, got {n}")
-        prev, total = -1, 0
-        for d, mult in doubled:
-            if d <= prev:
-                raise InvalidSpectrum("doubled magnitudes must be non-negative and ascend strictly")
-            if mult < 1:
-                raise InvalidSpectrum("multiplicities must be at least 1")
-            prev, total = d, total + (2 * mult if d else mult)
+        prev, total, short = -1, 0, False
+        for k, mult in scaled:
+            if k <= prev:
+                raise InvalidSpectrum("magnitudes must be non-negative" if prev < 0 else unordered)
+            short = short or mult < 1
+            prev, total = k, total + (2 * mult if k else mult)
+        if short:
+            raise InvalidSpectrum("multiplicities must be at least 1")
         if total != n:
             raise InvalidSpectrum(f"multiplicities account for {total} of {n} dimensions")
-        return tuple.__new__(cls, (n, tuple([(halves[d], mult) for d, mult in doubled])))
+        return tuple.__new__(cls, (n, den, tuple(scaled)))
 
     @classmethod
     def _make(cls, iterable) -> Spectrum:
-        return cls(*iterable)  # `_replace` builds through here, so it validates too
+        return cls(*iterable)  # (n, entries), validated
+
+    def _replace(self, /, **changes) -> Spectrum:
+        result = self._make((changes.pop("n", self.n), changes.pop("entries", self.entries)))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return result
+
+    def __getnewargs__(self):
+        return self.n, self.entries
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, int], ...]:
+        Fraction = _fraction()
+        return tuple([(Fraction(k, self.den), m) for k, m in self.scaled])
 
     @property
     def max_magnitude(self) -> Fraction:
-        return self.entries[-1][0]
+        return _fraction()(self.scaled[-1][0], self.den)
+
+    def __eq__(self, other):
+        if isinstance(other, Spectrum):
+            return tuple.__eq__(self, other)  # n, D and scaled are canonical
+        return (self.n, self.entries) == other if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.entries))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n!r}, entries={self.entries!r})"
+
+    def _texts(self) -> list[tuple[str, int]]:
+        """(str(lambda), mult) per entry, lambda printed as its Fraction prints."""
+        den, scaled = self.den, self.scaled
+        step = 2 // den
+        if step and scaled[-1][0] * step < len(_HALVES):
+            return [(_HALVES[k * step], m) for k, m in scaled]
+        return [(format_ratio(k, den), m) for k, m in scaled]
 
     def __str__(self) -> str:
-        return "{" + ", ".join(f"{lam}:{m}" for lam, m in self.entries) + "}"
+        return "{" + ", ".join([f"{lam}:{m}" for lam, m in self._texts()]) + "}"
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "entries": [{"lambda": str(lam), "mult": m} for lam, m in self.entries],
-        }
+        return {"n": self.n, "entries": [{"lambda": lam, "mult": m} for lam, m in self._texts()]}
 
     @classmethod
     def from_json(cls, obj) -> Spectrum:
-        from .exactlin import parse_rational
-
         if not isinstance(obj, dict):
             raise InvalidSpectrum("spectrum must be a JSON object")
         if "n" not in obj or "entries" not in obj:
@@ -164,23 +221,25 @@ class Spectrum(namedtuple("Spectrum", "n entries")):
         raw = obj["entries"]
         if not isinstance(raw, list):
             raise InvalidSpectrum('"entries" must be a list')
-        entries = []
+        items = []
         for item in raw:
             if not isinstance(item, dict) or "lambda" not in item or "mult" not in item:
                 raise InvalidSpectrum('each entry needs keys "lambda" and "mult"')
             lam = item["lambda"]
             if isinstance(lam, str):
                 try:
-                    lam = parse_rational(lam)
+                    lam = parse_ratio(lam)
                 except ValueError as exc:
                     raise InvalidSpectrum(str(exc)) from None
             elif isinstance(lam, bool) or not isinstance(lam, int):
                 raise InvalidSpectrum('"lambda" must be an integer or a "p/q" string')
+            else:
+                lam = (lam, 1)
             mult = item["mult"]
             if isinstance(mult, bool) or not isinstance(mult, int):
                 raise InvalidSpectrum('"mult" must be an integer')
-            entries.append((as_rational(lam), mult))
-        return cls(n, tuple(entries))
+            items.append((lam, mult))
+        return cls._from_ratios(n, items)
 
 
 def _pair_index(n: int, a: int, b: int) -> int:
@@ -195,17 +254,15 @@ def _witt_frame(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _scaled_labels(s: Spectrum) -> tuple[list[int], int]:
-    """(D * lambda_a for a = 0, ..., n - 1, D the lcm of the magnitudes' denominators).
+    """(D * lambda_a for a = 0, ..., n - 1, D), D the spectrum's `den`.
 
     The labels follow the Witt basis: the positive magnitudes by descending
     lambda, each repeated by its multiplicity, then the zeros, then the
     negatives mirrored, so that lambda_{n-1-a} = -lambda_a; (u_a, u_b) = 1
     exactly when b = n - 1 - a.
     """
-    den = math.lcm(*(lam.denominator for lam, _ in s.entries))
-    scaled = [(lam.numerator * (den // lam.denominator), m) for lam, m in reversed(s.entries)]
-    positive = [k for k, m in scaled if k for _ in range(m)]
-    return positive + [0] * (s.n - 2 * len(positive)) + [-k for k in reversed(positive)], den
+    positive = [k for k, m in reversed(s.scaled) if k for _ in range(m)]
+    return positive + [0] * (s.n - 2 * len(positive)) + [-k for k in reversed(positive)], s.den
 
 
 @lru_cache(maxsize=None)
@@ -368,13 +425,8 @@ def grading(s: Spectrum) -> GradingMap:
     groups: dict[int, list[int]] = {}
     for p, k in enumerate(sums):
         groups.setdefault(k, []).append(p)
-    return GradingMap(
-        len(sums),
-        tuple(
-            (Fraction(k, den) if k % den else k // den, tuple(groups[k]))
-            for k in sorted(groups)
-        ),
-    )
+    blocks = tuple((rational(k, den), tuple(groups[k])) for k in sorted(groups))
+    return GradingMap(len(sums), blocks)
 
 
 def _scaled_pair_sums(s: Spectrum) -> tuple[list[int], int]:
@@ -385,8 +437,8 @@ def _scaled_pair_sums(s: Spectrum) -> tuple[list[int], int]:
     for a in range((n + 1) // 2):
         if scaled[n - 1 - a] != -scaled[a]:
             raise GradingViolation(
-                f"eigenvalue labels are not mirrored: lambda_{a} = {Fraction(scaled[a], den)} "
-                f"but lambda_{n - 1 - a} = {Fraction(scaled[n - 1 - a], den)}",
+                f"eigenvalue labels are not mirrored: lambda_{a} = {format_ratio(scaled[a], den)} "
+                f"but lambda_{n - 1 - a} = {format_ratio(scaled[n - 1 - a], den)}",
                 (a, n - 1 - a),
             )
     return [scaled[a] + scaled[b] for a, b in _witt_frame(n)], den
@@ -438,19 +490,18 @@ def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
     gram = [[-4 * (v // g) for v in row] for row in a2]
     top = math.isqrt(-2 * sum(a2[i][i] for i in range(n)) // (lcd * lcd))
     mult0 = n - rref(m)[0]
-    entries = [(Fraction(0), mult0)] if mult0 else []
+    doubled = [(0, mult0)] if mult0 else []
     for j, d in _grid_roots(charpoly(gram), scale, top):
-        lam = Fraction(j, 2)
         if d % 2:
             raise RuntimeError(
-                f"kernel of m^2 + {lam * lam} has odd dimension {d}; the +/- i*{lam} "
-                "eigenspaces of a real matrix match in size"
+                f"kernel of m^2 + {format_ratio(j * j, 4)} has odd dimension {d}; the "
+                f"+/- i*{format_ratio(j, 2)} eigenspaces of a real matrix match in size"
             )
-        entries.append((lam, d // 2))
+        doubled.append((j, d // 2))
 
-    if mult0 + 2 * sum(mult for lam, mult in entries if lam) != n:
+    if mult0 + 2 * sum(mult for j, mult in doubled if j) != n:
         return None
-    return Spectrum(n, tuple(entries))
+    return Spectrum._from_doubled(n, doubled)
 
 
 # Integer polynomials below are coefficient lists, highest degree first.

@@ -382,6 +382,15 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: --max-lambda must be at most {MAX_LAMBDA}, got {bound}\n"
 
+    def test_max_lambda_over_the_digit_limit(self, capsys):
+        # read as ints, the bound gets int's own error, as Fraction gave it
+        bound = "1" * 5000
+        with pytest.raises(ValueError) as exc:
+            int(bound)
+        code, out, err = run_cli(capsys, "verify", "--max-n", "3", "--max-lambda", bound)
+        assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+        assert str(exc.value).startswith("Exceeds the limit")
+
     def test_sweep_cap_is_the_default_sweep_at_max_n(self):
         default = Fraction(7, 2)
         assert sum(half_integral_count(n, default) for n in range(3, MAX_N + 1)) == MAX_SWEEP
@@ -611,10 +620,13 @@ class TestImportBudget:
     """Start-up every request pays: `dataclasses` pulls in `inspect`, `ast`,
     `dis` and `tokenize`, and `csv` serves CSV input alone.  `argparse`, with
     the `gettext` and `locale` its parser loads, serves help and usage errors
-    alone."""
+    alone.  `fractions`, with the `decimal` and `numbers` it loads, serves
+    matrix cells and other non-integers alone: spectra are ints from parse to
+    render."""
 
     HEAVY = {"dataclasses", "inspect", "csv"}
     ARGPARSE = {"argparse", "gettext", "locale"}
+    FRACTIONS = {"fractions", "decimal", "numbers"}
 
     @staticmethod
     def request(*argv):
@@ -664,6 +676,26 @@ class TestImportBudget:
         assert json.loads(proc.stdout)["input"]["extracted_spectrum"] == s.to_json()
         assert "canonical_lie.sonreal" in modules
         assert modules & (self.HEAVY | self.ARGPARSE) == set()
+        assert "fractions" in modules  # matrix cells are Fractions
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--max-n", "5", "--max-lambda", "5/2", "--format", "json"),
+            ("verify", "--max-n", "5", "--max-lambda", "5/2"),
+            ("enumerate", "--n", "10", "--format", "json"),
+            ("enumerate", "--n", "10"),
+        ],
+        ids=" ".join,
+    )
+    def test_sweeps_skip_fractions(self, argv):
+        # every reason and both parities of magnitude are rendered
+        proc, modules = self.request(*argv)
+        assert proc.returncode == 0 and "1/2" in proc.stdout and "3/2" in proc.stdout
+        if argv[0] == "verify":
+            assert "GenerationFails" in proc.stdout and "NonIntegralAdSpectrum" in proc.stdout
+        assert "canonical_lie.cli" in modules
+        assert modules & (self.FRACTIONS | self.HEAVY | self.ARGPARSE) == set()
 
     def test_spectrum_check_skips_argparse(self):
         proc, modules = self.request("check", "--spectrum", GOOD_SO4)

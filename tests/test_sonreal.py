@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -337,21 +338,35 @@ class TestSpectrum:
 
 
 class TestFromDoubled:
-    """`Spectrum._from_doubled` builds from ((2 lambda, mult), ...) ints with
-    `__new__`'s checks run on the ints."""
+    """`Spectrum._from_doubled` builds from ((2 lambda, mult), ...) ints and
+    `Spectrum.from_json` from 'p/q' strings read as ints, through the one
+    validating core `Spectrum(n, entries)` ends in too.  Whatever built it, a
+    spectrum must read as the Fraction oracle does: its entries, hash, repr,
+    str and JSON are those of the sorted (Fraction, mult) pairs."""
 
     @staticmethod
     def rebuilt(s):
-        doubled = tuple((int(2 * lam), mult) for lam, mult in s.entries)
-        halves = [Fraction(d, 2) for d in range(doubled[-1][0] + 1)]
-        return Spectrum._from_doubled(s.n, doubled, halves)
+        return Spectrum._from_doubled(s.n, tuple((int(2 * lam), mult) for lam, mult in s.entries))
+
+    @staticmethod
+    def from_fraction_json(s):
+        entries = [{"lambda": str(lam), "mult": mult} for lam, mult in s.entries]
+        return Spectrum.from_json({"n": s.n, "entries": entries})
 
     @staticmethod
     def assert_same(made, s):
         ref = Spectrum(s.n, s.entries)
-        assert made == ref and hash(made) == hash(ref)
+        oracle = spectrum_entries_by_fractions(s.n, s.entries)
+        assert made == ref and made.entries == ref.entries == oracle
+        assert hash(made) == hash(ref) == hash((s.n, oracle))
         assert {type(lam) for lam in magnitudes_of(made)} == {Fraction}
         assert {type(lam) for lam in magnitudes_of(ref)} == {Fraction}
+        assert made.max_magnitude == oracle[-1][0] and type(made.max_magnitude) is Fraction
+        assert repr(made) == repr(ref) == f"Spectrum(n={s.n}, entries={oracle!r})"
+        text = "{" + ", ".join(f"{lam}:{m}" for lam, m in oracle) + "}"
+        assert str(made) == str(ref) == text
+        cells = [{"lambda": str(lam), "mult": m} for lam, m in oracle]
+        assert made.to_json() == ref.to_json() == {"n": s.n, "entries": cells}
 
     @pytest.mark.parametrize(
         "n,bound",
@@ -361,12 +376,28 @@ class TestFromDoubled:
         for s in half_integral_spectra(n, bound):
             self.assert_same(s, s)
             self.assert_same(self.rebuilt(s), s)
+            self.assert_same(self.from_fraction_json(s), s)
 
     def test_enumerated_classes(self):
         for n in range(3, 25):
             for s in enumerate_canonical(n):
                 self.assert_same(s, s)
                 self.assert_same(self.rebuilt(s), s)
+
+    def test_thirds_quarters_and_large_magnitudes(self):
+        # D = 3, 4, 6 and 12 take the general renderer, and so do magnitudes
+        # past the table of texts (2 lambda >= 64); 63/2 is its last text
+        large = [
+            spec(3, ("0", 1), ("63/2", 1)),
+            spec(3, ("0", 1), ("32", 1)),
+            spec(6, ("1/2", 2), ("1000000001/2", 1)),
+            spec(6, ("31", 1), ("32", 1), ("33", 1)),
+        ]
+        for s in integer_path_spectra() + tuple(large):
+            self.assert_same(self.from_fraction_json(s), s)
+            if s.den <= 2:
+                self.assert_same(self.rebuilt(s), s)
+        assert {s.den for s in integer_path_spectra()} == {1, 2, 3, 4, 6, 12}
 
     @pytest.mark.parametrize(
         "n, doubled, message",
@@ -381,7 +412,7 @@ class TestFromDoubled:
     )
     def test_invalid(self, n, doubled, message):
         with pytest.raises(InvalidSpectrum, match=message):
-            Spectrum._from_doubled(n, doubled, [Fraction(d, 2) for d in range(3)])
+            Spectrum._from_doubled(n, doubled)
 
 
 class TestWedgeBasis:
@@ -548,6 +579,10 @@ class TestRelabel:
         with pytest.raises(GradingViolation) as err:
             grading(s)
         assert err.value.indices == (0, 5)
+        assert str(err.value) == (
+            "eigenvalue labels are not mirrored: "
+            f"lambda_0 = {Fraction(labels[0], den)} but lambda_5 = {Fraction(labels[5], den)}"
+        )
 
 
 class TestGradeDims:
@@ -790,8 +825,10 @@ class TestSpectrumFromMatrix:
         monkeypatch.setattr(
             sonreal, "_grid_roots", lambda *args: [(j, k - 1) for j, k in grid_roots(*args)]
         )
-        with pytest.raises(RuntimeError):
-            spectrum_from_matrix(normal_form(spec(3, ("0", 1), ("1", 1))))
+        for lam, square in (("1", "1"), ("3/2", "9/4")):
+            message = f"kernel of m^2 + {square} has odd dimension 1; the +/- i*{lam} eigenspaces"
+            with pytest.raises(RuntimeError, match=re.escape(message)):
+                spectrum_from_matrix(normal_form(spec(3, ("0", 1), (lam, 1))))
 
     @settings(max_examples=40, deadline=None)
     @given(half_integral_case())
