@@ -20,7 +20,6 @@ stderr, skipping the interpreter's teardown, which nothing here needs (see
 
 from __future__ import annotations
 
-import io
 import os
 import sys
 from types import SimpleNamespace
@@ -84,7 +83,7 @@ def _parse_json(text: str, origin: str):
         raise InputError(
             f"{origin}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
-    except ValueError as exc:  # e.g. an integer literal over the digit limit
+    except (ValueError, RecursionError) as exc:  # an integer over the digit limit, deep nesting
         raise InputError(f"{origin}: {exc}") from None
 
 
@@ -96,7 +95,7 @@ def _load_spectrum_arg(arg: str) -> Spectrum:
         try:
             with open(arg, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {origin}: {exc}") from None
     obj = _parse_json(text, origin)
     try:
@@ -120,11 +119,22 @@ def _parse_matrix_cell(value, where: str) -> int | Fraction:
     raise InputError(f"{where}: unsupported entry {value!r}")
 
 
+def _lines(text: str):
+    """The lines of text, each with its newline, as io.StringIO(text) yields
+    them without copying the text at 4 bytes a character; unlike splitlines,
+    only a newline ends one (`open` has turned CR LF and lone CRs into it)."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def _load_matrix_file(path: str) -> RatMatrix:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read matrix file {path}: {exc}") from None
     if text.lstrip().startswith("["):
         data = _parse_json(text, f"matrix file {path}")
@@ -135,7 +145,7 @@ def _load_matrix_file(path: str) -> RatMatrix:
         import csv  # only CSV input pays for the module
 
         numbered = []  # (row number, width, non-blank cells), cells kept within the cap
-        for i, raw in enumerate(csv.reader(io.StringIO(text))):
+        for i, raw in enumerate(csv.reader(_lines(text))):
             width = sum(1 for c in raw if c.strip())
             if width:  # rows past the cap are only counted
                 cells = [c.strip() for c in raw if c.strip()] if width <= MAX_N else None

@@ -6,11 +6,11 @@ where a non-integer must be held as one value: matrix cells, their
 elimination and the magnitudes a caller reads back.  `fractions` (with the
 `decimal` and `numbers` it loads) is imported by the functions that build a
 Fraction, not with the module, so a request that stays on ints never loads
-it: :func:`parse_ratio` reads a 'p/q' string as the int pair (p, q) and
-:func:`rational` gives p/q as an int whenever q divides p.  Nothing here ever
-touches a float.  :class:`RatMatrix` is an immutable dense matrix, the
-container that `check --matrix` input is validated into; it offers indexing
-and value equality, no arithmetic.
+it: :func:`parse_ratio` checks a 'p/q' string with `str` methods and reads
+it as the int pair (p, q), and :func:`rational` gives p/q as an int whenever
+q divides p.  No float, no `re`.  :class:`RatMatrix` is an immutable dense
+matrix, the container that `check --matrix` input is validated into; it
+offers indexing and value equality, no arithmetic.
 
 :func:`rref` is the one dense elimination of the package, Gauss-Jordan
 that eliminates on integer rows (fraction-free) and forms Fractions only for
@@ -21,18 +21,15 @@ set will do: the rank of an extracted matrix, for mult(0), and the rank of the
 diagonal parts in strict generation, at most n // 2 columns.  The monomial
 invariant form needs no rank: :func:`liegraded.polar_indices` reads its
 nondegeneracy off the columns its rows hit.  :func:`charpoly` is division-free,
-so extraction gets an integer polynomial, whose root orders give the other
-multiplicities.
+so extraction gets the integer polynomial of the skew integer matrix 2 L m,
+whose root orders give the other multiplicities.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Iterable, Sequence
 from functools import cache
-
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 @cache
@@ -68,10 +65,18 @@ def format_ratio(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
+def _is_rational_text(s: str) -> bool:
+    """Whether s is 'p' or 'p/q': an optional sign, decimal digits (Unicode Nd,
+    as int reads), then maybe '/' and digits that start with an ASCII 1-9."""
+    num, slash, den = s.partition("/")
+    num = num[1:] if num[:1] in ("+", "-") else num
+    return num.isdecimal() and (not slash or "1" <= den[:1] <= "9" and den.isdecimal())
+
+
 def _rational_text(text: str) -> str:
     """text stripped, once it is a 'p' or 'p/q' string with q positive."""
     s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    if not _is_rational_text(s):
         raise ValueError(f"not a rational 'p/q' string: {text!r}")
     return s
 
@@ -90,7 +95,7 @@ def ratio(value) -> tuple[int, int]:
     string is read without building a Fraction."""
     if type(value) is int:
         return value, 1
-    if isinstance(value, str) and _RATIONAL_RE.match(value.strip()):
+    if isinstance(value, str) and _is_rational_text(value.strip()):
         return parse_ratio(value)
     r = as_rational(value)
     return r.numerator, r.denominator

@@ -447,24 +447,19 @@ def _scaled_pair_sums(s: Spectrum) -> tuple[list[int], int]:
 def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
     """Exact eigenvalue extraction from a rational skew-symmetric matrix.
 
-    The eigenvalues of m are +/- i*lambda, so those of -m^2 are the squares
-    lambda^2 >= 0.  With L the lcm of the denominators of m, A = L m is an
-    integer matrix and so is its square; dividing -4 A^2 by
-    g = gcd(content of A^2, L^2) gives the integer matrix N = -4 D m^2,
-    D = L^2 / g, the least D that clears the denominators of m^2.  N has
-    eigenvalues 4 D lambda^2, so a half-integral magnitude lambda = j/2 is a
-    root y = D j^2 of the integer characteristic polynomial of N (Berkowitz,
-    division-free).  N is symmetric, so every root is real, and the sign
-    variations of the polynomial and its derivatives (Budan-Fourier) count
-    the roots between grid points y = D j^2 exactly; bisecting over
-    0 < j <= J isolates every grid point that is a root, in about log2 J
-    steps per distinct root; J^2 <= -2 tr m^2, four times the sum of the
-    squared magnitudes.  As N is symmetric, the order of the root D j^2 is
-    dim ker(N - D j^2 I), twice the multiplicity of +/- i*lambda; the one
-    rank taken is mult(0) = n - rank m.  Returns None when the multiplicities
-    found do not account for all n dimensions, i.e. when some magnitude is
-    not a half-integer.  The cost grows with the bit length of the entries,
-    not with their size, and no float is involved.
+    With L the lcm of the denominators of m, B = 2 L m is a skew integer
+    matrix with eigenvalues +/- 2 L lambda i.  Its characteristic polynomial
+    (Berkowitz, division-free) is x^(n mod 2) Q(x^2), so R(y) =
+    (-1)^(n // 2) Q(-y) has degree n // 2 and, as B is normal, only the real
+    roots y = (2 L lambda)^2, of order mult(lambda) for lambda > 0.  A
+    half-integral lambda = j/2 is the root L^2 j^2, of order mult(j/2), and
+    :func:`_grid_roots` finds every such j up to J, J^2 <= -2 tr m^2 (four
+    times the sum of the squared magnitudes), which is minus R's second
+    coefficient, sum_{i<j} B_ij^2, over L^2.  The one rank taken is mult(0) =
+    n - rank m.  Returns None when the multiplicities found do not account
+    for all n dimensions, i.e. when some magnitude is not a half-integer.
+    The cost grows with the bit length of the entries, not with their size,
+    and no float is involved.
 
     That outcome already settles the canonicality question.  A grading can
     only have integer grades if any two signed magnitudes have integral sum
@@ -482,26 +477,13 @@ def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
                 raise NotSkew(f"entry ({i}, {j}) is not the negative of ({j}, {i})")
 
     lcd = math.lcm(*(v.denominator for row in m.entries for v in row))
-    a = [[v.numerator * (lcd // v.denominator) for v in row] for row in m.entries]
-    cols = list(zip(*a))
-    a2 = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-    g = math.gcd(*(v for row in a2 for v in row), lcd * lcd)
-    scale = lcd * lcd // g
-    gram = [[-4 * (v // g) for v in row] for row in a2]
-    top = math.isqrt(-2 * sum(a2[i][i] for i in range(n)) // (lcd * lcd))
+    b = [[2 * v.numerator * (lcd // v.denominator) for v in row] for row in m.entries]
+    r = [-c if k & 1 else c for k, c in enumerate(charpoly(b)[::2])]
+    roots = _grid_roots(r, lcd * lcd, math.isqrt(-r[1] // (lcd * lcd)))
     mult0 = n - rref(m)[0]
-    doubled = [(0, mult0)] if mult0 else []
-    for j, d in _grid_roots(charpoly(gram), scale, top):
-        if d % 2:
-            raise RuntimeError(
-                f"kernel of m^2 + {format_ratio(j * j, 4)} has odd dimension {d}; the "
-                f"+/- i*{format_ratio(j, 2)} eigenspaces of a real matrix match in size"
-            )
-        doubled.append((j, d // 2))
-
-    if mult0 + 2 * sum(mult for j, mult in doubled if j) != n:
+    if mult0 + 2 * sum(mult for _, mult in roots) != n:
         return None
-    return Spectrum._from_doubled(n, doubled)
+    return Spectrum._from_doubled(n, ([(0, mult0)] if mult0 else []) + roots)
 
 
 # Integer polynomials below are coefficient lists, highest degree first.
@@ -522,15 +504,15 @@ def _derivative(p: list[int]) -> list[int]:
 def _grid_roots(p: list[int], scale: int, top: int) -> list[tuple[int, int]]:
     """(j, k) for every root scale * j^2 of p, 0 < j <= top, k its order; ascending.
 
-    p is the characteristic polynomial of a symmetric matrix, so every root
-    is real.  Budan-Fourier: with V(y) the sign variations of p, p', p'',
-    ... at y, V(y0) - V(y1) is at least the number of roots in (y0, y1],
-    with multiplicity, and exactly that number when every root is real.
-    Only the points y = scale * j^2 are evaluated, so a bisection over j
-    ends at intervals (j - 1, j] that hold a root, which is on the grid
-    exactly when p(scale * j^2) = 0, of order the first k with p^(k) nonzero
-    there.  The bound alone means no grid root is missed; exactness means
-    only intervals that hold a root are split.
+    p must have only real roots, as R of :func:`spectrum_from_matrix` has.
+    Budan-Fourier: with V(y) the sign variations of p, p', p'', ... at y,
+    V(y0) - V(y1) is at least the number of roots in (y0, y1], with
+    multiplicity, and exactly that number when every root is real.  Only the
+    points y = scale * j^2 are evaluated, so a bisection over j ends at
+    intervals (j - 1, j] that hold a root, which is on the grid exactly when
+    p(scale * j^2) = 0, of order the first k with p^(k) nonzero there.  The
+    bound alone means no grid root is missed; exactness means only intervals
+    that hold a root are split.
     """
     seq = [p]
     while len(seq[-1]) > 1:

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, formats, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -249,6 +250,65 @@ class TestCheckMatrix:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "--matrix", "/nonexistent/m.csv")
         assert code == 2
+
+    def test_csv_line_ends(self, capsys, tmp_path):
+        # CR LF and a lone CR end rows as LF does; a form feed, a file
+        # separator or a line separator inside a row does not, and is
+        # stripped from its cell as whitespace
+        for text in ("0,-1,0\r\n1,0,0\r0,0,0\r\n", "0,-1\f,0\n1,0\x1c,0\n0,0\u2028,0\n"):
+            path = tmp_path / "m.csv"
+            path.write_bytes(text.encode("utf-8"))
+            code, out, err = run_cli(capsys, "check", "--matrix", str(path))
+            assert (code, err) == (0, "")
+            assert f"input: matrix 3x3 from {path}; extracted spectrum {{0:1, 1:1}}" in out
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "a", "a\n", "\n\n", "a\nb", "a,\"1\n2\"\nb\n", "a\fb\x85c\u2028d\n", "\na\n\n"],
+    )
+    def test_lines_match_string_io(self, text):
+        assert list(cli._lines(text)) == list(io.StringIO(text))
+
+
+class TestMalformedFile:
+    """An input file that is not UTF-8 or nests JSON too deeply for the parser
+    is an input error: exit 2 and one `error:` line that names the file."""
+
+    CONTENTS = {
+        "not-utf8": b"\xff\xfe",
+        "nested-997": b"[" * 997 + b"]" * 997,
+        "nested-100000": b"[" * 100_000 + b"]" * 100_000,
+    }
+
+    @pytest.mark.parametrize("option", ["--matrix", "--spectrum"])
+    @pytest.mark.parametrize("name", list(CONTENTS))
+    def test_in_process(self, capsys, tmp_path, option, name):
+        path = tmp_path / name
+        path.write_bytes(self.CONTENTS[name])
+        code, out, err = run_cli(capsys, "check", option, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("option", ["--matrix", "--spectrum"])
+    @pytest.mark.parametrize("name", ["not-utf8", "nested-997"])
+    def test_process(self, tmp_path, option, name):
+        # the depth at which the parser gives up depends on the stack under it
+        path = tmp_path / name
+        path.write_bytes(self.CONTENTS[name])
+        src = str(Path(canonical_lie.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "canonical_lie", "check", option, str(path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and str(path) in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    def test_nested_inline_spectrum(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--spectrum", "[" * 100_000 + "]" * 100_000)
+        assert (code, out) == (2, "") and err.startswith("error: inline spectrum: maximum recursion")
 
 
 class TestEnumerate:
@@ -622,11 +682,13 @@ class TestImportBudget:
     the `gettext` and `locale` its parser loads, serves help and usage errors
     alone.  `fractions`, with the `decimal` and `numbers` it loads, serves
     matrix cells and other non-integers alone: spectra are ints from parse to
-    render."""
+    render.  `re` comes with the `json` decoder alone: rationals are read
+    with `str` methods."""
 
     HEAVY = {"dataclasses", "inspect", "csv"}
     ARGPARSE = {"argparse", "gettext", "locale"}
     FRACTIONS = {"fractions", "decimal", "numbers"}
+    RE = {"re"}
 
     @staticmethod
     def request(*argv):
@@ -695,7 +757,7 @@ class TestImportBudget:
         if argv[0] == "verify":
             assert "GenerationFails" in proc.stdout and "NonIntegralAdSpectrum" in proc.stdout
         assert "canonical_lie.cli" in modules
-        assert modules & (self.FRACTIONS | self.HEAVY | self.ARGPARSE) == set()
+        assert modules & (self.FRACTIONS | self.HEAVY | self.ARGPARSE | self.RE) == set()
 
     def test_spectrum_check_skips_argparse(self):
         proc, modules = self.request("check", "--spectrum", GOOD_SO4)

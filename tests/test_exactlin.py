@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonical_lie import RatMatrix, parse_rational, rref
-from canonical_lie.exactlin import charpoly
+from canonical_lie.exactlin import charpoly, ratio
 from helpers import (
     Subspace,
     full_space,
@@ -285,11 +285,42 @@ class TestKernel:
 
 
 class TestParseRational:
-    @pytest.mark.parametrize("text,value", [("1/2", Fraction(1, 2)), ("-3", -3), ("0", 0)])
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            ("1/2", Fraction(1, 2)),
+            ("-3", -3),
+            ("0", 0),
+            ("+4/10", Fraction(2, 5)),
+            (" 7 ", 7),
+            ("\u0663/2\u0660", Fraction(3, 20)),  # Arabic-Indic digits: Unicode Nd
+        ],
+    )
     def test_accepts(self, text, value):
         assert parse_rational(text) == value
+        assert ratio(text) == (value.numerator, value.denominator)
 
-    @pytest.mark.parametrize("text", ["1.5", "1/0", "1/-2", "a/b", "", "1e3"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1.5",
+            "1/0",
+            "1/05",
+            "+-1",
+            "1/-2",
+            "1/+2",
+            "a/b",
+            "",
+            "-",
+            "/2",
+            "1/",
+            "1/2/3",
+            "1e3",
+            "1 /2",
+            "1/\u0664",  # a denominator starts with an ASCII 1-9
+            "\u00b2",  # superscript two: a digit, but not Nd
+        ],
+    )
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)

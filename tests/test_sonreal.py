@@ -2,7 +2,6 @@
 
 import copy
 import pickle
-import re
 from collections import Counter
 from fractions import Fraction
 
@@ -819,17 +818,6 @@ class TestSpectrumFromMatrix:
         with pytest.raises(TooSmall):
             spectrum_from_matrix(zeros(2, 2))
 
-    def test_odd_eigenspace_dimension_raises(self, monkeypatch):
-        # impossible for a real skew matrix; the check must survive python -O
-        grid_roots = sonreal._grid_roots
-        monkeypatch.setattr(
-            sonreal, "_grid_roots", lambda *args: [(j, k - 1) for j, k in grid_roots(*args)]
-        )
-        for lam, square in (("1", "1"), ("3/2", "9/4")):
-            message = f"kernel of m^2 + {square} has odd dimension 1; the +/- i*{lam} eigenspaces"
-            with pytest.raises(RuntimeError, match=re.escape(message)):
-                spectrum_from_matrix(normal_form(spec(3, ("0", 1), (lam, 1))))
-
     @settings(max_examples=40, deadline=None)
     @given(half_integral_case())
     def test_cayley_conjugates_round_trip(self, case):
@@ -869,9 +857,10 @@ class TestSpectrumFromMatrix:
     def test_matches_kernel_oracle(self, m):
         assert spectrum_from_matrix(m) == spectrum_from_matrix_by_kernels(m)
 
-    def test_content_not_dividing_the_squared_denominator(self):
-        # A^2 = diag(-4, -4, 0) has content 4 but L^2 = 1: dividing by the
-        # content alone would scale N and D wrongly
+    def test_grid_scale_is_the_squared_denominator(self):
+        # the grid is y = L^2 j^2 however the entries factor: 2 has a factor
+        # in common with every entry but L = 1, so its root 16 is j = 4, and
+        # 3/2 has L = 2, so its root 36 is L^2 j^2 with j = 3
         m = RatMatrix([[0, 2, 0], [-2, 0, 0], [0, 0, 0]])
         assert spectrum_from_matrix(m) == spec(3, ("0", 1), ("2", 1))
         assert spectrum_from_matrix_by_kernels(m) == spec(3, ("0", 1), ("2", 1))
