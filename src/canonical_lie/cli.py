@@ -8,10 +8,11 @@ byte-deterministic for a given invocation; rationals are exact "p/q" strings.
 Arguments are read from one grammar table, `_GRAMMAR`: `_parse` reads the
 form every request sends, COMMAND (--flag VALUE)*, and only help and usage
 errors build argparse's parser from it, about 3.6 ms of a process's start-up.
-Spectra stay ints from parse to render: `--spectrum` and `--max-lambda` are
-read as int pairs and magnitudes are printed from D * lambda, so only
-`--matrix` cells (and non-integral grades) import `fractions`, with the
-`decimal` and `numbers` it loads, about 2.5 ms of start-up.
+Spectra and matrices stay ints from parse to render: `--spectrum`,
+`--max-lambda` and `--matrix` cells are read as int pairs, a matrix is held
+as ints over one denominator and magnitudes are printed from D * lambda, so
+only non-integral grades import `fractions`, with the `decimal` and
+`numbers` it loads, about 2.8 ms of start-up.
 
 A process ends in :func:`run` through `os._exit` after flushing stdout and
 stderr, skipping the interpreter's teardown, which nothing here needs (see
@@ -36,7 +37,7 @@ from .canonical import (
     strict_generation_report,
     theorem2_check,
 )
-from .exactlin import RatMatrix, parse_ratio, parse_rational
+from .exactlin import RatMatrix, parse_ratio, shown
 from .sonreal import InvalidSpectrum, NotSkew, Spectrum, TooSmall, grading, spectrum_from_matrix
 
 EXIT_OK = 0
@@ -104,19 +105,20 @@ def _load_spectrum_arg(arg: str) -> Spectrum:
         raise InputError(f"{origin}: {exc}") from None
 
 
-def _parse_matrix_cell(value, where: str) -> int | Fraction:
+def _parse_matrix_cell(value, where: str) -> tuple[int, int]:
+    """A matrix cell as the (p, q) pair of :func:`exactlin.ratio`."""
     if isinstance(value, bool):
         raise InputError(f"{where}: booleans are not matrix entries")
     if isinstance(value, int):
-        return value  # RatMatrix makes it a Fraction
+        return value, 1
     if isinstance(value, float):
-        raise InputError(f"{where}: float {value!r} rejected; use exact 'p/q' strings")
+        raise InputError(f"{where}: float {shown(value)} rejected; use exact 'p/q' strings")
     if isinstance(value, str):
         try:
-            return parse_rational(value)
+            return parse_ratio(value)
         except ValueError as exc:
             raise InputError(f"{where}: {exc}") from None
-    raise InputError(f"{where}: unsupported entry {value!r}")
+    raise InputError(f"{where}: unsupported entry {shown(value)}")
 
 
 def _lines(text: str):
@@ -164,7 +166,7 @@ def _load_matrix_file(path: str) -> RatMatrix:
     if not rows:
         raise InputError(f"matrix file {path} is empty")
     try:
-        return RatMatrix(rows)
+        return RatMatrix._from_ratios(rows)
     except ValueError as exc:
         raise InputError(f"matrix file {path}: {exc}") from None
 

@@ -2,27 +2,29 @@
 
 Scalars are Python ints wherever they can be, and :class:`fractions.Fraction`
 (arbitrary precision, always in lowest terms with positive denominator) only
-where a non-integer must be held as one value: matrix cells, their
-elimination and the magnitudes a caller reads back.  `fractions` (with the
+where a caller reads a non-integer back as one value.  `fractions` (with the
 `decimal` and `numbers` it loads) is imported by the functions that build a
 Fraction, not with the module, so a request that stays on ints never loads
 it: :func:`parse_ratio` checks a 'p/q' string with `str` methods and reads
-it as the int pair (p, q), and :func:`rational` gives p/q as an int whenever
-q divides p.  No float, no `re`.  :class:`RatMatrix` is an immutable dense
-matrix, the container that `check --matrix` input is validated into; it
-offers indexing and value equality, no arithmetic.
+it as the int pair (p, q), :func:`ratio` reads any exact scalar so, and
+:func:`rational` gives p/q as an int whenever q divides p.  A string is
+rational in one grammar only, 'p' or 'p/q'.  No float, no `re`.
+:class:`RatMatrix` is an immutable dense matrix, the container that
+`check --matrix` input is validated into, held as int rows over one
+denominator; it offers indexing and value equality, no arithmetic.
 
 :func:`rref` is the one dense elimination of the package, Gauss-Jordan
-that eliminates on integer rows (fraction-free) and forms Fractions only for
-its result.  The structure-constant layer keeps brackets and the invariant
-form as sparse rows and the deciders, like the parabolic certificates, work
-on sets of basis indices, so dense elimination runs only where no basis index
-set will do: the rank of an extracted matrix, for mult(0), and the rank of the
-diagonal parts in strict generation, at most n // 2 columns.  The monomial
-invariant form needs no rank: :func:`liegraded.polar_indices` reads its
-nondegeneracy off the columns its rows hit.  :func:`charpoly` is division-free,
-so extraction gets the integer polynomial of the skew integer matrix 2 L m,
-whose root orders give the other multiplicities.
+that eliminates on those integer rows (fraction-free) and returns its
+reduced matrix in the same int form.  The structure-constant layer keeps
+brackets and the invariant form as sparse rows and the deciders, like the
+parabolic certificates, work on sets of basis indices, so dense elimination
+runs only where no basis index set will do: the rank of an extracted matrix,
+for mult(0), and the rank of the diagonal parts in strict generation, at most
+n // 2 columns.  The monomial invariant form needs no rank:
+:func:`liegraded.polar_indices` reads its nondegeneracy off the columns its
+rows hit.  :func:`charpoly` is division-free, so extraction gets the integer
+polynomial of the skew integer matrix 2 L m, whose root orders give the
+other multiplicities.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ def _fraction() -> type:
 
 
 def as_rational(value) -> Fraction:
-    """Coerce an exact scalar to Fraction, rejecting floats and bools outright."""
+    """Coerce an exact scalar to Fraction, rejecting floats and bools outright;
+    a string must be 'p' or 'p/q', as for :func:`parse_rational`."""
     Fraction = _fraction()
     if type(value) is Fraction:
         return value
@@ -50,7 +53,7 @@ def as_rational(value) -> Fraction:
         raise TypeError(
             f"{type(value).__name__} coefficient {value!r} not allowed; use int or Fraction"
         )
-    return Fraction(value)
+    return Fraction(_rational_text(value) if isinstance(value, str) else value)
 
 
 def rational(num: int, den: int):
@@ -65,6 +68,16 @@ def format_ratio(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
+SHOWN = 32  # characters of an offending value that an error message echoes
+
+
+def shown(value) -> str:
+    """repr(value) for an error message, cut after SHOWN characters with a
+    note of its full length, so that a huge input never makes a huge message."""
+    text = repr(value)
+    return text if len(text) <= SHOWN else f"{text[:SHOWN]}... ({len(text)} characters)"
+
+
 def _is_rational_text(s: str) -> bool:
     """Whether s is 'p' or 'p/q': an optional sign, decimal digits (Unicode Nd,
     as int reads), then maybe '/' and digits that start with an ASCII 1-9."""
@@ -77,7 +90,7 @@ def _rational_text(text: str) -> str:
     """text stripped, once it is a 'p' or 'p/q' string with q positive."""
     s = text.strip()
     if not _is_rational_text(s):
-        raise ValueError(f"not a rational 'p/q' string: {text!r}")
+        raise ValueError(f"not a rational 'p/q' string: {shown(text)}")
     return s
 
 
@@ -91,11 +104,12 @@ def parse_ratio(text: str) -> tuple[int, int]:
 
 
 def ratio(value) -> tuple[int, int]:
-    """as_rational(value) as (numerator, denominator); an int or a 'p/q'
-    string is read without building a Fraction."""
+    """as_rational(value) as (numerator, denominator); an int or a string is
+    read without building a Fraction, and a string that is not 'p' or 'p/q'
+    is an error."""
     if type(value) is int:
         return value, 1
-    if isinstance(value, str) and _is_rational_text(value.strip()):
+    if isinstance(value, str):
         return parse_ratio(value)
     r = as_rational(value)
     return r.numerator, r.denominator
@@ -107,24 +121,54 @@ def parse_rational(text: str) -> Fraction:
 
 
 class RatMatrix:
-    """Immutable dense matrix with Fraction entries: shape, indexing, equality."""
+    """Immutable dense rational matrix: shape, indexing, equality.
 
-    __slots__ = ("rows", "cols", "entries")
+    Held as ints over one denominator: cell (i, j) is nums[i][j] / den, with
+    den the lcm of the cells' denominators in lowest terms (1 for no cells),
+    so the form is canonical and two matrices are equal when their cols, den
+    and nums are.  Cells may be given as ints, Fractions or 'p/q' strings,
+    read through :func:`ratio`.  `entries` and m[i, j] give them as
+    Fractions, built on the first read.
+    """
+
+    __slots__ = ("rows", "cols", "den", "nums", "_entries")
 
     def __init__(self, data: Iterable[Sequence], cols: int | None = None):
-        entries = tuple(tuple(as_rational(v) for v in row) for row in data)
-        if entries:
-            width = len(entries[0])
-            if any(len(row) != width for row in entries[1:]):
+        self._fill([[ratio(v) for v in row] for row in data], cols)
+
+    @classmethod
+    def _from_ratios(cls, data: list[list[tuple[int, int]]], cols: int | None = None) -> RatMatrix:
+        """The matrix of rows of (p, q) cells, q positive, whose q have the
+        lcm of the cells' denominators in lowest terms: cells as :func:`ratio`
+        gives them, or each row over the lcm of its own denominators."""
+        m = object.__new__(cls)
+        m._fill(data, cols)
+        return m
+
+    def _fill(self, data, cols) -> None:
+        if data:
+            width = len(data[0])
+            if any(len(row) != width for row in data[1:]):
                 raise ValueError("rows have inconsistent lengths")
             if cols is not None and cols != width:
                 raise ValueError(f"expected {cols} columns, got {width}")
             cols = width
         elif cols is None:
             cols = 0
-        self.rows = len(entries)
-        self.cols = cols
-        self.entries = entries
+        den = math.lcm(*(q for row in data for _, q in row))
+        self.rows, self.cols, self.den, self._entries = len(data), cols, den, None
+        self.nums = tuple(tuple(p * (den // q) for p, q in row) for row in data)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._entries is None:
+            Fraction, den = _fraction(), self.den
+            made = {}  # one Fraction per distinct cell value
+            self._entries = tuple(
+                tuple([made[a] if a in made else made.setdefault(a, Fraction(a, den)) for a in row])
+                for row in self.nums
+            )
+        return self._entries
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
@@ -134,14 +178,16 @@ class RatMatrix:
         return (
             isinstance(other, RatMatrix)
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self) -> int:
-        return hash((self.cols, self.entries))
+        return hash((self.cols, self.den, self.nums))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(v) for v in row) for row in self.entries)
+        den = self.den
+        body = "; ".join(" ".join(format_ratio(a, den) for a in row) for row in self.nums)
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
 
@@ -150,16 +196,15 @@ def rref(m: RatMatrix) -> tuple[int, RatMatrix]:
 
     Returns (rank, reduced).  `reduced` has the shape of `m`, its nonzero
     rows on top with unit pivots in strictly increasing columns, and zeros
-    above and below every pivot; it is the unique RREF of `m`.  Each row is
-    scaled to integers by the lcm of its denominators and stays integral:
-    pivot p takes row r to p * r - r[col] * (pivot row), divided by the gcd
-    of its entries.  Pivot rows are divided by their pivots at the end.
+    above and below every pivot; it is the unique RREF of `m`.  Elimination
+    runs on the integer rows `m.nums` (scaling a row leaves the RREF alone)
+    and keeps them integral: pivot p takes row r to p * r - r[col] * (pivot
+    row), divided by the gcd of its entries.  A pivot row r with pivot
+    r[c] and content g reduces to the ints r / g over d = r[c] / g (sign
+    in d's favour), and d is the lcm of that row's denominators in lowest
+    terms, so `reduced` is built in the int form with no Fraction.
     """
-    Fraction = _fraction()
-    work = []
-    for row in m.entries:
-        den = math.lcm(*(v.denominator for v in row))
-        work.append([v.numerator * (den // v.denominator) for v in row])
+    work = [list(row) for row in m.nums]
     pivots = []
     for col in range(m.cols):
         rank = len(pivots)
@@ -175,10 +220,12 @@ def rref(m: RatMatrix) -> tuple[int, RatMatrix]:
                 g = math.gcd(*row)  # 0 when the row eliminates to all zeros
                 work[r] = [a // g for a in row] if g > 1 else row
         pivots.append(col)
-    zero = Fraction(0)
-    reduced = [[Fraction(a, r[c]) if a else zero for a in r] for r, c in zip(work, pivots)]
-    reduced += [[zero] * m.cols] * (m.rows - len(pivots))
-    return len(pivots), RatMatrix(reduced, cols=m.cols)
+    reduced = []
+    for r, c in zip(work, pivots):
+        g = math.gcd(*r) if r[c] > 0 else -math.gcd(*r)
+        reduced.append([(a // g, r[c] // g) for a in r])
+    reduced += [[(0, 1)] * m.cols] * (m.rows - len(pivots))
+    return len(pivots), RatMatrix._from_ratios(reduced, cols=m.cols)
 
 
 def charpoly(a: Sequence[Sequence]) -> list:

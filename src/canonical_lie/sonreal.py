@@ -121,7 +121,11 @@ class Spectrum(namedtuple("Spectrum", "n den scaled")):
         for lam, _ in entries:
             if isinstance(lam, (bool, float)):
                 raise InvalidSpectrum(f"magnitudes must be rationals, got {lam!r}")
-        return cls._from_ratios(n, [(ratio(lam), mult) for lam, mult in entries])
+        try:
+            items = [(ratio(lam), mult) for lam, mult in entries]
+        except ValueError as exc:  # a string that is not 'p' or 'p/q'
+            raise InvalidSpectrum(str(exc)) from None
+        return cls._from_ratios(n, items)
 
     @classmethod
     def _from_ratios(cls, n: int, items) -> Spectrum:
@@ -447,19 +451,20 @@ def _scaled_pair_sums(s: Spectrum) -> tuple[list[int], int]:
 def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
     """Exact eigenvalue extraction from a rational skew-symmetric matrix.
 
-    With L the lcm of the denominators of m, B = 2 L m is a skew integer
-    matrix with eigenvalues +/- 2 L lambda i.  Its characteristic polynomial
-    (Berkowitz, division-free) is x^(n mod 2) Q(x^2), so R(y) =
-    (-1)^(n // 2) Q(-y) has degree n // 2 and, as B is normal, only the real
-    roots y = (2 L lambda)^2, of order mult(lambda) for lambda > 0.  A
-    half-integral lambda = j/2 is the root L^2 j^2, of order mult(j/2), and
-    :func:`_grid_roots` finds every such j up to J, J^2 <= -2 tr m^2 (four
-    times the sum of the squared magnitudes), which is minus R's second
-    coefficient, sum_{i<j} B_ij^2, over L^2.  The one rank taken is mult(0) =
-    n - rank m.  Returns None when the multiplicities found do not account
-    for all n dimensions, i.e. when some magnitude is not a half-integer.
-    The cost grows with the bit length of the entries, not with their size,
-    and no float is involved.
+    With L = `m.den`, the lcm of the denominators of m, B = 2 L m, twice
+    `m.nums`, is a skew integer matrix with eigenvalues +/- 2 L lambda i.
+    Its characteristic polynomial (Berkowitz, division-free) is
+    x^(n mod 2) Q(x^2), so R(y) = (-1)^(n // 2) Q(-y) has degree n // 2
+    and, as B is normal, only the real roots y = (2 L lambda)^2, of order
+    mult(lambda) for lambda > 0.  A half-integral lambda = j/2 is the root
+    L^2 j^2, of order mult(j/2), and :func:`_grid_roots` finds every such j
+    up to J, J^2 <= -2 tr m^2 (four times the sum of the squared
+    magnitudes), which is minus R's second coefficient, sum_{i<j} B_ij^2,
+    over L^2.  The one rank taken is mult(0) = n - rank m.  Returns None when
+    the multiplicities found do not account for all n dimensions, i.e. when
+    some magnitude is not a half-integer.  The cost grows with the bit length
+    of the entries, not with their size, and no float or Fraction is
+    involved.
 
     That outcome already settles the canonicality question.  A grading can
     only have integer grades if any two signed magnitudes have integral sum
@@ -471,13 +476,13 @@ def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
     n = m.rows
     if n < 3:
         raise TooSmall(f"need n >= 3, got n = {n}")
-    for i in range(n):
+    nums, lcd = m.nums, m.den
+    for i, row in enumerate(nums):
         for j in range(i, n):
-            if m[i, j] != -m[j, i]:
+            if row[j] != -nums[j][i]:
                 raise NotSkew(f"entry ({i}, {j}) is not the negative of ({j}, {i})")
 
-    lcd = math.lcm(*(v.denominator for row in m.entries for v in row))
-    b = [[2 * v.numerator * (lcd // v.denominator) for v in row] for row in m.entries]
+    b = [[2 * v for v in row] for row in nums]
     r = [-c if k & 1 else c for k, c in enumerate(charpoly(b)[::2])]
     roots = _grid_roots(r, lcd * lcd, math.isqrt(-r[1] // (lcd * lcd)))
     mult0 = n - rref(m)[0]

@@ -311,6 +311,56 @@ class TestMalformedFile:
         assert (code, out) == (2, "") and err.startswith("error: inline spectrum: maximum recursion")
 
 
+class TestEchoedValueIsCut:
+    """An input error echoes a fixed prefix of an overlong offending value,
+    with a marker and the length of the whole, so the `error:` line stays
+    short however large the value is."""
+
+    @pytest.mark.parametrize(
+        "cell,detail",
+        [
+            (
+                "1" * 999_999 + "x",
+                "not a rational 'p/q' string: '1111111111111111111111111111111... "
+                "(1000002 characters)",
+            ),
+            (
+                [0] * 100_000,
+                "unsupported entry [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0... (300000 characters)",
+            ),
+        ],
+        ids=["string", "array"],
+    )
+    def test_matrix_cell(self, capsys, tmp_path, cell, detail):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([["0", cell, "0"], ["0", "0", "0"], ["0", "0", "0"]]))
+        code, out, err = run_cli(capsys, "check", "--matrix", str(path))
+        assert (code, out) == (2, "") and len(err.encode()) < 300
+        assert err == f"error: {path} row 0 column 1: {detail}\n"
+
+    def test_inline_lambda(self, capsys):
+        lam = "9" * 99_999 + "."
+        arg = json.dumps({"n": 3, "entries": [{"lambda": lam, "mult": 1}]})
+        code, out, err = run_cli(capsys, "check", "--spectrum", arg)
+        assert (code, out) == (2, "") and len(err.encode()) < 300
+        assert err == (
+            "error: inline spectrum: not a rational 'p/q' string: "
+            "'9999999999999999999999999999999... (100002 characters)\n"
+        )
+
+    def test_process(self, tmp_path):
+        # the million-character cell through a whole process, stderr in bytes
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([["0", "x" * 1_000_000, "0"], ["0", "0", "0"], ["0", "0", "0"]]))
+        src = str(Path(canonical_lie.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "canonical_lie", "check", "--matrix", str(path)],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"") and len(proc.stderr) < 300
+
+
 class TestEnumerate:
     def test_n3_has_two_classes(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--n", "3")
@@ -681,9 +731,10 @@ class TestImportBudget:
     `dis` and `tokenize`, and `csv` serves CSV input alone.  `argparse`, with
     the `gettext` and `locale` its parser loads, serves help and usage errors
     alone.  `fractions`, with the `decimal` and `numbers` it loads, serves
-    matrix cells and other non-integers alone: spectra are ints from parse to
-    render.  `re` comes with the `json` decoder alone: rationals are read
-    with `str` methods."""
+    non-integral grades and callers that read Fractions back alone: spectra
+    are ints from parse to render, and so are matrices, held as ints over
+    one denominator through extraction and elimination.  `re` comes with the
+    `json` decoder alone: rationals are read with `str` methods."""
 
     HEAVY = {"dataclasses", "inspect", "csv"}
     ARGPARSE = {"argparse", "gettext", "locale"}
@@ -737,8 +788,21 @@ class TestImportBudget:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["input"]["extracted_spectrum"] == s.to_json()
         assert "canonical_lie.sonreal" in modules
-        assert modules & (self.HEAVY | self.ARGPARSE) == set()
-        assert "fractions" in modules  # matrix cells are Fractions
+        assert modules & (self.HEAVY | self.ARGPARSE | self.FRACTIONS) == set()
+
+    @pytest.mark.parametrize("method", ["theorem2", "prop3", "both", "strict"])
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_matrix_check_skips_fractions(self, tmp_path, method, fmt):
+        # magnitudes 1/2 and 3/2, mult(1/2) = 2: every grade is an integer;
+        # cells with denominators 1, 2 and 5, read as ints over one denominator
+        s = spec(6, ("1/2", 2), ("3/2", 1))
+        a = RatMatrix([[0, "1/2", 1, 0, 2, "-1/5"]] + [[0] * 6] * 5)
+        a = RatMatrix([[a[i, j] - a[j, i] for j in range(6)] for i in range(6)])
+        path = write_matrix(tmp_path / "m.json", conjugated_normal_form(s, a))
+        proc, modules = self.request("check", "--matrix", path, "--method", method, "--format", fmt)
+        assert proc.returncode == 0, proc.stderr
+        assert ("{1/2:2, 3/2:1}" if fmt == "table" else '"lambda": "3/2"') in proc.stdout
+        assert modules & (self.HEAVY | self.ARGPARSE | self.FRACTIONS) == set()
 
     @pytest.mark.parametrize(
         "argv",
@@ -771,3 +835,14 @@ class TestImportBudget:
         assert proc.returncode == 0
         assert "extracted spectrum {0:1, 1:1}" in proc.stdout
         assert modules & self.HEAVY == {"csv"}
+        assert modules & self.FRACTIONS == set()
+
+    @pytest.mark.parametrize("method", ["theorem2", "strict"])
+    def test_csv_matrix_check_skips_fractions(self, tmp_path, method):
+        # {0:1, 1:1}: the first row and column hold the unit vector (3/5, -4/5)
+        path = tmp_path / "m.csv"
+        path.write_text("0,3/5,-4/5\n-3/5,0,0\n4/5,0,0\n")
+        proc, modules = self.request("check", "--matrix", str(path), "--method", method)
+        assert proc.returncode == 0, proc.stderr
+        assert "extracted spectrum {0:1, 1:1}" in proc.stdout
+        assert modules & self.FRACTIONS == set()

@@ -2,14 +2,15 @@
 test oracles built on them: matrix arithmetic, spans, the subspace lattice
 and kernels."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canonical_lie import RatMatrix, parse_rational, rref
-from canonical_lie.exactlin import charpoly, ratio
+from canonical_lie import InvalidSpectrum, RatMatrix, Spectrum, parse_rational, rref
+from canonical_lie.exactlin import as_rational, charpoly, ratio
 from helpers import (
     Subspace,
     full_space,
@@ -156,6 +157,63 @@ class TestFractionFreeRref:
     )
     def test_edge_shapes(self, m):
         self._matches_oracle(m)
+
+
+CELLS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@st.composite
+def written_cells(draw):
+    """Rational cells of any shape up to 5 x 5, and the same cells written
+    again one by one as a Fraction, a 'p/q' string (maybe unreduced and
+    padded with spaces) or, when integral, an int."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    cells = draw(
+        st.lists(st.lists(CELLS, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    )
+
+    def written(v):
+        k = draw(st.integers(1, 4))
+        forms = [v, str(v), f" {v.numerator * k}/{v.denominator * k} "]
+        return draw(st.sampled_from(forms + [int(v)] * (v.denominator == 1)))
+
+    return cells, cols, [[written(v) for v in row] for row in cells]
+
+
+class TestIntForm:
+    """A RatMatrix holds ints over one denominator; read back, it must be the
+    matrix of Fractions its cells give, as when it held those Fractions:
+    entries and their types, indexing, ==, hash, repr and rref."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(written_cells())
+    def test_matches_fraction_semantics(self, drawn):
+        cells, cols, written = drawn
+        expected = tuple(tuple(row) for row in cells)
+        body = "; ".join(" ".join(str(v) for v in row) for row in expected)
+        made = RatMatrix(cells, cols=cols), RatMatrix(written, cols=cols)
+        for m in made:
+            assert (m.rows, m.cols) == (len(cells), cols)
+            assert m.entries == expected
+            assert all(type(v) is Fraction for row in m.entries for v in row)
+            assert all(m[i, j] == v for i, row in enumerate(cells) for j, v in enumerate(row))
+            assert repr(m) == f"RatMatrix({len(cells)}x{cols}: {body})"
+            assert m.den == math.lcm(*(v.denominator for row in cells for v in row))
+            assert all(type(a) is int for row in m.nums for a in row)
+            assert rref(m) == rref_by_fractions(m)
+        assert made[0] == made[1] and hash(made[0]) == hash(made[1])
+        if cells and cols:
+            other = [list(row) for row in cells]
+            other[-1][-1] += Fraction(1, 7)
+            assert RatMatrix(other) != made[1]
+        assert made[1] != RatMatrix(cells + [[0] * cols], cols=cols)
+
+    def test_reduced_matrix_is_canonical(self):
+        _, reduced = rref(RatMatrix([[2, 4, 1], [6, 12, 5], [0, 0, 0]]))
+        assert (reduced.den, reduced.nums) == (1, ((1, 2, 0), (0, 0, 1), (0, 0, 0)))
+        _, reduced = rref(RatMatrix([[3, 1], [0, 0]]))
+        assert (reduced.den, reduced.nums) == (3, ((3, 1), (0, 0)))
+        assert reduced.entries == ((1, Fraction(1, 3)), (0, 0))
 
 
 class TestCharpoly:
@@ -319,8 +377,39 @@ class TestParseRational:
             "1 /2",
             "1/\u0664",  # a denominator starts with an ASCII 1-9
             "\u00b2",  # superscript two: a digit, but not Nd
+            "0.5",
+            "5e-1",
+            ".5",
+            "1_000",
+            "inf",
+            "abc",
+            "1/2x",
         ],
     )
     def test_rejects(self, text):
-        with pytest.raises(ValueError):
-            parse_rational(text)
+        # one grammar: every reader of a rational string refuses it alike
+        message = f"not a rational 'p/q' string: {text!r}"
+        for read in (parse_rational, ratio, as_rational, lambda t: RatMatrix([[t]])):
+            with pytest.raises(ValueError) as info:
+                read(text)
+            assert str(info.value) == message
+        with pytest.raises(InvalidSpectrum) as info:
+            Spectrum(4, ((text, 2),))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "value,pair",
+        [
+            ("1/2", (1, 2)),
+            (" 3 ", (3, 1)),
+            ("-6/4", (-3, 2)),
+            (3, (3, 1)),
+            (Fraction(-4, 6), (-2, 3)),
+        ],
+    )
+    def test_every_reader_accepts(self, value, pair):
+        assert ratio(value) == pair
+        assert as_rational(value) == Fraction(*pair)
+        assert RatMatrix([[value]]).entries == ((Fraction(*pair),),)
+        lam = abs(Fraction(*pair))
+        assert Spectrum(4, ((value if pair[0] > 0 else lam, 2),)).entries == ((lam, 2),)
