@@ -14,6 +14,16 @@ as ints over one denominator and magnitudes are printed from D * lambda, so
 only non-integral grades import `fractions`, with the `decimal` and
 `numbers` it loads, about 2.8 ms of start-up.
 
+JSON input is read by `_read_json`, with `str` methods, where it stays in the
+subset the CLI's inputs use; `check` writes its answer with `_dumps`, and
+`enumerate` and `verify` write theirs from templates.  Only malformed,
+oversized or escaped input imports `json`, and with its decoder `re`, so
+`check --matrix FILE --format json` on a 6 x 6 matrix imports 48 modules
+under `python -S` where it imported 60: `json` had cost 6.0 ms of
+`-X importtime`, 3.1 ms of it `re` (medians of 41 alternating runs, 2-vCPU
+x86-64, Python 3.11.7).  Where the site set-up loads `re` anyway, `json`
+alone is about 1.9 ms of each request.
+
 A process ends in :func:`run` through `os._exit` after flushing stdout and
 stderr, skipping the interpreter's teardown, which nothing here needs (see
 :func:`run`); :func:`main` returns the exit code, for callers in process.
@@ -76,8 +86,95 @@ def _fail(message: str) -> int:
 # input loading
 
 
+class _Unread(Exception):
+    """The text leaves the JSON subset that `_read_json` reads."""
+
+
+_BLANK = frozenset(" \t\n\r")  # JSON's whitespace
+_MAX_DEPTH = 3  # a spectrum's: its object, the entries array, an entry
+
+
+def _read_json(text: str):
+    """json.loads(text), read with `str` methods, or None where the text
+    leaves the subset the CLI's inputs use: objects with string keys; arrays
+    of at most MAX_N items; containers nested at most _MAX_DEPTH deep;
+    integers -?(0|[1-9][0-9]*) that int() reads; strings with no backslash
+    and no character below U+0020; JSON's whitespace.  json.loads reads
+    the rest, and gives every error message, for malformed and oversized
+    documents alike."""
+    try:
+        value, end = _read_value(text, _skip(text, 0), 1)
+    except (_Unread, ValueError):  # ValueError: an integer past int()'s digit limit
+        return None
+    return value if end == len(text) else None
+
+
+def _skip(text: str, i: int) -> int:
+    while text[i : i + 1] in _BLANK:
+        i += 1
+    return i
+
+
+def _read_value(text: str, i: int, depth: int):
+    """The value that starts at text[i], at nesting depth `depth`, and the
+    index of the first non-blank character after it."""
+    c = text[i : i + 1]
+    if c == "[" or c == "{":
+        if depth > _MAX_DEPTH:
+            raise _Unread
+        return (_read_array if c == "[" else _read_object)(text, _skip(text, i + 1), depth + 1)
+    if c == '"':
+        end = text.find('"', i + 1)
+        value = text[i + 1 : end]
+        if end < 0 or "\\" in value or value and min(value) < " ":
+            raise _Unread
+        return value, _skip(text, end + 1)
+    digits = end = i + (c == "-")
+    while "0" <= text[end : end + 1] <= "9":
+        end += 1
+    if end == digits or text[digits] == "0" and end > digits + 1:
+        raise _Unread
+    return int(text[i:end]), _skip(text, end)
+
+
+def _read_array(text: str, i: int, depth: int):
+    items = []
+    if text[i : i + 1] == "]":
+        return items, _skip(text, i + 1)
+    while len(items) < MAX_N:
+        item, i = _read_value(text, i, depth)
+        items.append(item)
+        sep, i = text[i : i + 1], _skip(text, i + 1)
+        if sep == "]":
+            return items, i
+        if sep != ",":
+            raise _Unread
+    raise _Unread  # a longer array is json.loads' to read, or to refuse as malformed
+
+
+def _read_object(text: str, i: int, depth: int):
+    members = {}
+    if text[i : i + 1] == "}":
+        return members, _skip(text, i + 1)
+    while True:
+        if text[i : i + 1] != '"':
+            raise _Unread
+        key, i = _read_value(text, i, depth)
+        if text[i : i + 1] != ":":
+            raise _Unread
+        members[key], i = _read_value(text, _skip(text, i + 1), depth)
+        sep, i = text[i : i + 1], _skip(text, i + 1)
+        if sep == "}":
+            return members, i
+        if sep != ",":
+            raise _Unread
+
+
 def _parse_json(text: str, origin: str):
-    import json  # off the import path of `verify` and `--help`
+    value = _read_json(text)
+    if value is not None:
+        return value
+    import json  # only for text the reader leaves: malformed, oversized or outside its subset
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -144,10 +241,12 @@ def _load_matrix_file(path: str) -> RatMatrix:
             raise InputError(f"matrix file {path}: expected an array of arrays")
         numbered = [(i, len(raw), raw) for i, raw in enumerate(data)]
     else:
-        import csv  # only CSV input pays for the module
+        # csv.reader itself, with its default (excel) dialect; the `csv` module
+        # around it would load `re` for its Sniffer
+        from _csv import reader
 
         numbered = []  # (row number, width, non-blank cells), cells kept within the cap
-        for i, raw in enumerate(csv.reader(_lines(text))):
+        for i, raw in enumerate(reader(_lines(text))):
             width = sum(1 for c in raw if c.strip())
             if width:  # rows past the cap are only counted
                 cells = [c.strip() for c in raw if c.strip()] if width <= MAX_N else None
@@ -178,7 +277,7 @@ def _load_check_input(args) -> tuple[Spectrum | None, dict, str]:
     if args.spectrum is not None:
         s = _load_spectrum_arg(args.spectrum)
         if s.n > MAX_N:
-            raise InputError(f"spectrum has n = {s.n}; n must be at most {MAX_N}")
+            raise InputError(f"spectrum has n = {shown(s.n)}; n must be at most {MAX_N}")
         return s, {"spectrum": s.to_json()}, f"input: spectrum {s} (n={s.n})"
     matrix = _load_matrix_file(args.matrix)
     s = spectrum_from_matrix(matrix)
@@ -304,9 +403,8 @@ def cmd_check(args) -> int:
         return _fail(str(exc))
     fields, lines, code = _decide(args.method, s)
     if args.fmt == "json":
-        import json
         payload = {"command": "check", "method": args.method, "input": input_json, **fields}
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         print("\n".join([input_line, *lines]))
     return code
@@ -340,6 +438,30 @@ _FAILING = (
 _LITERAL = {True: "true", False: "false", None: "null"}
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) for dicts, lists, strs, ints, bools and None;
+    `indent` is the newline and indentation that start the value's own lines.
+    Only a string that is not printable ASCII, or holds a quote or a
+    backslash, needs json's escapes, and of `check`'s strings only an echoed
+    --matrix path can be one."""
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+        import json
+
+        return json.dumps(value)
+    if value is None or isinstance(value, bool):
+        return _LITERAL[value]
+    if isinstance(value, int):
+        return str(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{_dumps(k)}: {_dumps(v, inner)}" for k, v in value.items()]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    items = [inner + _dumps(v, inner) for v in value]
+    return "[" + ",".join(items) + indent + "]" if items else "[]"
+
+
 def _write_list(write, texts) -> None:
     """A JSON list at depth 1 of the document from its items' texts, one write per item."""
     sep = "[\n"
@@ -361,9 +483,9 @@ def _class_text(s: Spectrum) -> str:
 
 def cmd_enumerate(args) -> int:
     if args.n < 3:
-        return _fail(f"--n must be at least 3, got {args.n}")
+        return _fail(f"--n must be at least 3, got {shown(args.n)}")
     if args.n > MAX_N:
-        return _fail(f"--n must be at most {MAX_N}, got {args.n}")
+        return _fail(f"--n must be at most {MAX_N}, got {shown(args.n)}")
     classes = enumerate_canonical(args.n)
     write = sys.stdout.write
     if args.fmt == "json":
@@ -413,17 +535,18 @@ def _table_line(cells, widths) -> str:
 
 def cmd_verify(args) -> int:
     if args.max_n < 3:
-        return _fail(f"--max-n must be at least 3, got {args.max_n}")
+        return _fail(f"--max-n must be at least 3, got {shown(args.max_n)}")
     if args.max_n > MAX_N:
-        return _fail(f"--max-n must be at most {MAX_N}, got {args.max_n}")
+        return _fail(f"--max-n must be at most {MAX_N}, got {shown(args.max_n)}")
     try:
         p, q = parse_ratio(args.max_lambda)
     except ValueError as exc:
         return _fail(str(exc))
+    echoed = shown(args.max_lambda, str)
     if p <= 0 or q > 2:  # p/q in lowest terms is a half-integer iff q divides 2
-        return _fail(f"--max-lambda must be a positive half-integer, got {args.max_lambda}")
+        return _fail(f"--max-lambda must be a positive half-integer, got {echoed}")
     if p > MAX_LAMBDA * q:
-        return _fail(f"--max-lambda must be at most {MAX_LAMBDA}, got {args.max_lambda}")
+        return _fail(f"--max-lambda must be at most {MAX_LAMBDA}, got {echoed}")
     bound = f"{p}/{q}" if q == 2 else str(p)
     ns = range(3, args.max_n + 1)
     count = sum(half_integral_count(n, bound) for n in ns)

@@ -71,10 +71,10 @@ def format_ratio(num: int, den: int) -> str:
 SHOWN = 32  # characters of an offending value that an error message echoes
 
 
-def shown(value) -> str:
-    """repr(value) for an error message, cut after SHOWN characters with a
+def shown(value, render=repr) -> str:
+    """render(value) for an error message, cut after SHOWN characters with a
     note of its full length, so that a huge input never makes a huge message."""
-    text = repr(value)
+    text = render(value)
     return text if len(text) <= SHOWN else f"{text[:SHOWN]}... ({len(text)} characters)"
 
 

@@ -64,6 +64,7 @@ from .exactlin import (
     ratio,
     rational,
     rref,
+    shown,
 )
 from .liegraded import GradingMap, GradingViolation, LieTable, LieTableError
 
@@ -149,7 +150,7 @@ class Spectrum(namedtuple("Spectrum", "n den scaled")):
         (else `unordered`; after a sort, a repeated magnitude), every
         multiplicity at least 1 and their total n."""
         if n < 3:
-            raise InvalidSpectrum(f"n must be at least 3, got {n}")
+            raise InvalidSpectrum(f"n must be at least 3, got {shown(n)}")
         prev, total, short = -1, 0, False
         for k, mult in scaled:
             if k <= prev:
@@ -159,7 +160,9 @@ class Spectrum(namedtuple("Spectrum", "n den scaled")):
         if short:
             raise InvalidSpectrum("multiplicities must be at least 1")
         if total != n:
-            raise InvalidSpectrum(f"multiplicities account for {total} of {n} dimensions")
+            raise InvalidSpectrum(
+                f"multiplicities account for {shown(total)} of {shown(n)} dimensions"
+            )
         return tuple.__new__(cls, (n, den, tuple(scaled)))
 
     @classmethod

@@ -360,6 +360,160 @@ class TestEchoedValueIsCut:
         )
         assert (proc.returncode, proc.stdout) == (2, b"") and len(proc.stderr) < 300
 
+    BIG = "1" * 4000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--spectrum", '{"n": -%s, "entries": []}' % BIG],
+            ["check", "--spectrum", '{"n": %s, "entries": [{"lambda": "0", "mult": %s}]}' % (BIG, BIG)],
+            ["check", "--spectrum", '{"n": 4, "entries": [{"lambda": "1", "mult": %s}]}' % BIG],
+            ["enumerate", "--n", BIG],
+            ["verify", "--max-n", BIG],
+            ["verify", "--max-n", "5", "--max-lambda", BIG],
+            ["verify", "--max-n", "5", "--max-lambda", "-" + BIG],
+        ],
+        ids=["n-below-3", "n-above-max", "mult-total", "enumerate-n", "max-n", "max-lambda",
+             "negative-max-lambda"],
+    )
+    def test_huge_integer(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert len(err.encode()) < 200 and "... (400" in err
+
+
+def loads_or_message(text, origin):
+    """What `_parse_json` gave when it read every document with json.loads:
+    ("value", v) or ("error", the InputError's message)."""
+    try:
+        return "value", json.loads(text)
+    except json.JSONDecodeError as exc:
+        return "error", f"{origin}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
+    except (ValueError, RecursionError) as exc:
+        return "error", f"{origin}: {exc}"
+
+
+class TestJsonSubset:
+    """`cli._read_json` reads the JSON subset of the CLI's inputs with `str`
+    methods and gives up (None) on anything else, which json.loads then
+    reads; `cli._dumps` writes what json.dumps(v, indent=2) writes.  Values
+    are compared as json.dumps text, which tells 1 from 1.0 and True and
+    keeps key order."""
+
+    MARK = 987654321987654321  # a leaf that a near miss replaces
+
+    @staticmethod
+    def subset_values():
+        """Values inside the subset: string keys, at most MAX_N items per
+        array, containers at most three deep, ints, and strings with no
+        backslash, quote or character below U+0020."""
+        plain = st.text(st.characters(blacklist_characters='"\\', min_codepoint=0x20), max_size=8)
+        ints = st.integers() | st.integers(-(10**300), 10**300)
+        leaf = plain | ints | st.just(TestJsonSubset.MARK)
+
+        def nest(inner):
+            return st.lists(inner, max_size=MAX_N) | st.dictionaries(plain, inner, max_size=5)
+
+        depth1 = nest(leaf)
+        return st.one_of(leaf, depth1, nest(leaf | depth1), nest(leaf | nest(leaf | depth1)))
+
+    @staticmethod
+    @st.composite
+    def documents(draw):
+        """A value of the subset as json.dumps writes it, in one of its
+        layouts, with CR LF line ends at times."""
+        value = draw(TestJsonSubset.subset_values())
+        layout = draw(st.sampled_from([{}, {"indent": 2}, {"indent": "\t"}, {"separators": (",", ":")}]))
+        text = json.dumps(value, ensure_ascii=False, **layout)
+        if draw(st.booleans()):
+            text = text.replace("\n", "\r\n")
+        return draw(st.sampled_from(["", " ", "\n", "\t\r\n"])) + text + draw(st.sampled_from(["", " \n"]))
+
+    NEAR_MISSES = [
+        "1.0", "1e3", "1E3", "-0", "+1", "01", "-01", "1_0", "-", "--1", "0x1", "\u0663", "\u00b2", "1\u0663",
+        "true", "false", "null", "NaN", "Infinity", "-Infinity", '"a\\nb"', '"\\u0041"', '"\\""', '"\t"',
+        '"\x1f"', '"\x7f"', '"\u00fc"', "'a'", '{"a": 1, "a": 2}', '{"b": 1, "a": [2], "b": 3}',
+        "1" * 5000, "-" + "1" * 4300, "1" * 4300, "[" * 1000 + "]" * 1000, "[[[[1]]]]", "{1: 2}",
+        '{"a" 1}', '{"a": 1,}', "[1,]", "[,1]", "[1 2]", '"a" "b"', "[]", "{}", "\f1", "\u00a01",
+        "[" + ",".join(["0"] * (MAX_N + 1)) + "]",
+    ]
+
+    @staticmethod
+    @st.composite
+    def near_misses(draw):
+        """A document of the subset cut short, with a BOM, with trailing data,
+        or with one leaf in place of the mark swapped for a near miss."""
+        text = draw(TestJsonSubset.documents())
+        how = draw(st.sampled_from(["cut", "bom", "trail", "swap"]))
+        if how == "cut":
+            return text[: draw(st.integers(0, max(0, len(text) - 1)))]
+        if how == "bom":
+            return "\ufeff" + text
+        if how == "trail":
+            return text + draw(st.sampled_from([" x", "]", "}", ",", "0", "\f", "\u00a0"]))
+        miss = draw(st.sampled_from(TestJsonSubset.NEAR_MISSES))
+        mark = str(TestJsonSubset.MARK)
+        return text.replace(mark, miss, 1) if mark in text else miss
+
+    @settings(max_examples=400, deadline=None)
+    @given(documents())
+    def test_reads_the_subset(self, text):
+        value = cli._read_json(text)
+        assert value is not None and json.dumps(value) == json.dumps(json.loads(text))
+
+    @settings(max_examples=600, deadline=None)
+    @given(documents() | near_misses())
+    def test_reads_as_json_loads_or_gives_up(self, text):
+        value = cli._read_json(text)
+        kind, want = loads_or_message(text, "doc")
+        if value is not None:
+            assert (kind, json.dumps(value)) == ("value", json.dumps(want))
+        try:
+            got = "value", cli._parse_json(text, "doc")
+        except cli.InputError as exc:
+            got = "error", str(exc)
+        assert (got[0], json.dumps(got[1])) == (kind, json.dumps(want))
+
+    @pytest.mark.parametrize("miss", NEAR_MISSES)
+    def test_each_near_miss(self, miss):
+        for text in (miss, f'{{"n": {miss}}}', f"[[{miss}]]"):
+            value = cli._read_json(text)
+            kind, want = loads_or_message(text, "doc")
+            assert value is None or (kind, json.dumps(value)) == ("value", json.dumps(want))
+
+    def test_gives_up_outside_the_subset(self):
+        for text in ("1.0", "-01", "true", '"\\u0041"', "\ufeff[]", "[" * 4 + "]" * 4, "1" * 5000,
+                     "[" + ",".join(["0"] * (MAX_N + 1)) + "]", '["a" "b"]', '"\t"'):
+            assert cli._read_json(text) is None, text
+
+    payloads = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | st.text(),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=25,
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(payloads)
+    def test_dumps_is_json_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "text", ["", "a", '"', "\\", 'a"b\\c', "\x00", "\x1f", "\n\t", "\x7f", "\u00fc", " ", "~ "]
+    )
+    def test_dumps_strings(self, text):
+        value = {text: [text, {"k": text}]}
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    def test_check_echoes_a_path_that_needs_escapes(self, capsys, tmp_path):
+        path = tmp_path / 'm "q" \\ \u00fc.json'
+        path.write_text('[["0","-1","0"],["1","0","0"],["0","0","0"]]')
+        code, out, err = run_cli(capsys, "check", "--matrix", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["input"]["matrix"] == str(path)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert '\\"q\\" \\\\ \\u00fc.json"' in out
+
 
 class TestEnumerate:
     def test_n3_has_two_classes(self, capsys):
@@ -490,7 +644,9 @@ class TestVerify:
     def test_max_lambda_cap(self, capsys, bound):
         code, out, err = run_cli(capsys, "verify", "--max-n", "3", "--max-lambda", bound)
         assert (code, out) == (2, "")
-        assert err == f"error: --max-lambda must be at most {MAX_LAMBDA}, got {bound}\n"
+        # an overlong bound is echoed cut, as exactlin.shown cuts any value
+        echoed = bound if len(bound) < 10 else "9" * 32 + "... (4000 characters)"
+        assert err == f"error: --max-lambda must be at most {MAX_LAMBDA}, got {echoed}\n"
 
     def test_max_lambda_over_the_digit_limit(self, capsys):
         # read as ints, the bound gets int's own error, as Fraction gave it
@@ -728,15 +884,20 @@ class TestClosedPipe:
 
 class TestImportBudget:
     """Start-up every request pays: `dataclasses` pulls in `inspect`, `ast`,
-    `dis` and `tokenize`, and `csv` serves CSV input alone.  `argparse`, with
+    `dis` and `tokenize`, and `_csv`, csv's reader without the `csv` module
+    and the `re` it loads, serves CSV input alone.  `argparse`, with
     the `gettext` and `locale` its parser loads, serves help and usage errors
     alone.  `fractions`, with the `decimal` and `numbers` it loads, serves
     non-integral grades and callers that read Fractions back alone: spectra
     are ints from parse to render, and so are matrices, held as ints over
-    one denominator through extraction and elimination.  `re` comes with the
-    `json` decoder alone: rationals are read with `str` methods."""
+    one denominator through extraction and elimination.  `json`, with its
+    `_json` scanner and the `re` its decoder loads, serves only malformed,
+    oversized or escaped JSON input: `check` reads the JSON its inputs use
+    with `str` methods and writes its answer itself, and rationals are read
+    with `str` methods too, so `re` comes with the `json` decoder alone."""
 
-    HEAVY = {"dataclasses", "inspect", "csv"}
+    HEAVY = {"dataclasses", "inspect", "csv", "_csv"}
+    JSON = {"json", "json.decoder", "json.scanner", "json.encoder", "_json"}
     ARGPARSE = {"argparse", "gettext", "locale"}
     FRACTIONS = {"fractions", "decimal", "numbers"}
     RE = {"re"}
@@ -788,7 +949,7 @@ class TestImportBudget:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["input"]["extracted_spectrum"] == s.to_json()
         assert "canonical_lie.sonreal" in modules
-        assert modules & (self.HEAVY | self.ARGPARSE | self.FRACTIONS) == set()
+        assert modules & (self.HEAVY | self.ARGPARSE | self.FRACTIONS | self.JSON | self.RE) == set()
 
     @pytest.mark.parametrize("method", ["theorem2", "prop3", "both", "strict"])
     @pytest.mark.parametrize("fmt", ["json", "table"])
@@ -802,7 +963,7 @@ class TestImportBudget:
         proc, modules = self.request("check", "--matrix", path, "--method", method, "--format", fmt)
         assert proc.returncode == 0, proc.stderr
         assert ("{1/2:2, 3/2:1}" if fmt == "table" else '"lambda": "3/2"') in proc.stdout
-        assert modules & (self.HEAVY | self.ARGPARSE | self.FRACTIONS) == set()
+        assert modules & (self.HEAVY | self.ARGPARSE | self.FRACTIONS | self.JSON | self.RE) == set()
 
     @pytest.mark.parametrize(
         "argv",
@@ -826,7 +987,32 @@ class TestImportBudget:
     def test_spectrum_check_skips_argparse(self):
         proc, modules = self.request("check", "--spectrum", GOOD_SO4)
         assert proc.returncode == 0 and "verdict: canonical" in proc.stdout
-        assert modules & (self.HEAVY | self.ARGPARSE) == set()
+        assert modules & (self.HEAVY | self.ARGPARSE | self.JSON | self.RE) == set()
+
+    @pytest.mark.parametrize("method", ["theorem2", "prop3", "both", "strict"])
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("source", ["inline", "file"])
+    def test_spectrum_check_skips_json(self, tmp_path, source, fmt, method):
+        # an indented file, as json.dumps(..., indent=2) writes one
+        arg = GOOD_SO4
+        if source == "file":
+            arg = str(tmp_path / "s.json")
+            Path(arg).write_text(json.dumps(json.loads(GOOD_SO4), indent=2) + "\n")
+        proc, modules = self.request("check", "--spectrum", arg, "--method", method, "--format", fmt)
+        assert proc.returncode == (1 if method == "strict" else 0), proc.stderr
+        assert ("{1/2:2}" if fmt == "table" else '"lambda": "1/2"') in proc.stdout
+        assert modules & (self.HEAVY | self.ARGPARSE | self.JSON | self.RE) == set()
+
+    def test_malformed_spectrum_loads_json(self):
+        # text the reader leaves goes to json.loads, whose message is printed
+        proc, modules = self.request("check", "--spectrum", '{"n":4,')
+        assert (proc.returncode, proc.stdout) == (2, "")
+        errors = [line for line in proc.stderr.splitlines() if not line.startswith("import time:")]
+        assert errors == [
+            "error: inline spectrum: JSON parse error at line 1 column 8: "
+            "Expecting property name enclosed in double quotes"
+        ]
+        assert {"json", "_json", "re"} <= modules
 
     def test_csv_matrix_check_imports_csv(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -834,8 +1020,8 @@ class TestImportBudget:
         proc, modules = self.request("check", "--matrix", str(path))
         assert proc.returncode == 0
         assert "extracted spectrum {0:1, 1:1}" in proc.stdout
-        assert modules & self.HEAVY == {"csv"}
-        assert modules & self.FRACTIONS == set()
+        assert modules & self.HEAVY == {"_csv"}
+        assert modules & (self.FRACTIONS | self.JSON | self.RE) == set()
 
     @pytest.mark.parametrize("method", ["theorem2", "strict"])
     def test_csv_matrix_check_skips_fractions(self, tmp_path, method):
@@ -845,4 +1031,4 @@ class TestImportBudget:
         proc, modules = self.request("check", "--matrix", str(path), "--method", method)
         assert proc.returncode == 0, proc.stderr
         assert "extracted spectrum {0:1, 1:1}" in proc.stdout
-        assert modules & self.FRACTIONS == set()
+        assert modules & (self.FRACTIONS | self.JSON | self.RE) == set()
