@@ -62,6 +62,9 @@ class VerdictReason(str, Enum):
     GENERATION_FAILS = "GenerationFails"
 
 
+_CANONICAL = VerdictReason.CANONICAL  # an enum member read off its class costs a lookup each time
+
+
 class Verdict(namedtuple("Verdict", "reason failing trace witness", defaults=(None,) * 3)):
     """Decision plus certificate; the answer is read from `reason`.
 
@@ -76,7 +79,7 @@ class Verdict(namedtuple("Verdict", "reason failing trace witness", defaults=(No
 
     @property
     def canonical(self) -> bool:
-        return self.reason is VerdictReason.CANONICAL
+        return self.reason is _CANONICAL
 
 
 _NON_INTEGRAL = Verdict(VerdictReason.NON_INTEGRAL)  # one shared verdict, as it has no certificate
@@ -360,6 +363,21 @@ class OracleRecord(namedtuple("OracleRecord", "spectrum verdict prop3 theorem1_o
     @property
     def ok(self) -> bool:
         return self.agree and self.theorem1_ok is not False
+
+
+def sweep_tally(records) -> tuple[list[OracleRecord], int, int]:
+    """(the records that are not `ok`, how many theorem2 found canonical, how
+    many `agree`) in one pass that reads each verdict's reason once, with
+    `canonical`, `agree` and `ok` as the properties above define them."""
+    bad, canonical_count, agreements = [], 0, 0
+    for rec in records:
+        canonical = rec.verdict.reason is _CANONICAL
+        agree = canonical == rec.prop3
+        canonical_count += canonical
+        agreements += agree
+        if not agree or rec.theorem1_ok is False:
+            bad.append(rec)
+    return bad, canonical_count, agreements
 
 
 def oracle_record(s: Spectrum) -> OracleRecord:

@@ -24,13 +24,15 @@ under `python -S` where it imported 60: `json` had cost 6.0 ms of
 x86-64, Python 3.11.7).  Where the site set-up loads `re` anyway, `json`
 alone is about 1.9 ms of each request.
 
-A process ends in :func:`run` through `os._exit` after flushing stdout and
+A process runs :func:`run` with the cyclic collector off, as no request
+leaves cyclic garbage, and ends through `os._exit` after flushing stdout and
 stderr, skipping the interpreter's teardown, which nothing here needs (see
 :func:`run`); :func:`main` returns the exit code, for callers in process.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -45,9 +47,10 @@ from .canonical import (
     oracle_record,
     prop3_report,
     strict_generation_report,
+    sweep_tally,
     theorem2_check,
 )
-from .exactlin import RatMatrix, parse_ratio, shown
+from .exactlin import RatMatrix, format_ratio, parse_ratio, shown
 from .sonreal import InvalidSpectrum, NotSkew, Spectrum, TooSmall, grading, spectrum_from_matrix
 
 EXIT_OK = 0
@@ -67,8 +70,8 @@ MAX_N = 24
 # the default 7/2.  A sweep keeps one compact record per spectrum, and
 # theorem2 walks each grade up to the largest magnitude, so the two caps bound
 # its time and memory: `--max-n 10 --max-lambda 25/2` (197,288 spectra) takes
-# 3.6-4.6 s and 75 MB as JSON (122 MB as a table), as a whole process on the
-# same host.
+# 2.3-3.7 s and 78 MB as JSON, and 2.6-3.9 s and 124 MB as a table, as a
+# whole process on the same host.
 MAX_LAMBDA = MAX_N
 MAX_SWEEP = 201_542
 
@@ -243,14 +246,17 @@ def _load_matrix_file(path: str) -> RatMatrix:
     else:
         # csv.reader itself, with its default (excel) dialect; the `csv` module
         # around it would load `re` for its Sniffer
-        from _csv import reader
+        from _csv import Error, reader
 
         numbered = []  # (row number, width, non-blank cells), cells kept within the cap
-        for i, raw in enumerate(reader(_lines(text))):
-            width = sum(1 for c in raw if c.strip())
-            if width:  # rows past the cap are only counted
-                cells = [c.strip() for c in raw if c.strip()] if width <= MAX_N else None
-                numbered.append((i, width, cells) if len(numbered) < MAX_N else None)
+        try:
+            for i, raw in enumerate(reader(_lines(text))):
+                width = sum(1 for c in raw if c.strip())
+                if width:  # rows past the cap are only counted
+                    cells = [c.strip() for c in raw if c.strip()] if width <= MAX_N else None
+                    numbered.append((i, width, cells) if len(numbered) < MAX_N else None)
+        except Error as exc:  # a field over the reader's limit, 131,072 characters
+            raise InputError(f"matrix file {path}: {exc}") from None
     if len(numbered) > MAX_N:  # before any cell is converted
         raise InputError(f"matrix {path} has {len(numbered)} rows; n must be at most {MAX_N}")
     for i, width, _ in numbered:
@@ -417,9 +423,10 @@ def cmd_check(args) -> int:
 # `json.dumps(..., indent=2)` runs the pure-Python encoder, so `enumerate` and
 # `verify` write their JSON from templates instead.  Each template is the text
 # `json.dumps(..., indent=2)` gives for its value where it sits in the
-# document: a class or a record at depth 2, a grading cell at depth 4 and a
-# spectrum entry at depth 5.  No string needs escaping: magnitudes and grades
-# render as p/q and reasons are VerdictReason values.
+# document: a class or a record at depth 2 (a record's text split after
+# `"canonical": `), a grading cell at depth 4 and a spectrum entry at depth 5.
+# No string needs escaping: magnitudes and grades render as p/q and reasons
+# are VerdictReason values.
 _CLASS = (
     '    {\n      "spectrum": {\n        "n": %d,\n        "entries": [%s\n        ]\n'
     '      },\n      "grading": [%s\n      ]\n    }'
@@ -427,8 +434,10 @@ _CLASS = (
 _CELL = '\n        {\n          "grade": "%s",\n          "dim": %d\n        }'
 _RECORD = (
     '    {\n      "n": %d,\n      "spectrum": {\n        "n": %d,\n        "entries": [%s\n'
-    '        ]\n      },\n      "theorem2": {\n        "canonical": %s,\n'
-    '        "reason": "%s",\n        "failing": %s\n      },\n      "prop3": %s,\n'
+    '        ]\n      },\n      "theorem2": {\n        "canonical": '
+)
+_RECORD_TAIL = (
+    '%s,\n        "reason": "%s",\n        "failing": %s\n      },\n      "prop3": %s,\n'
     '      "theorem1": %s,\n      "agree": %s\n    }'
 )
 _ENTRY = '\n          {\n            "lambda": "%s",\n            "mult": %d\n          }'
@@ -507,26 +516,47 @@ def cmd_enumerate(args) -> int:
 # verify
 
 
-def _record_text(rec: OracleRecord) -> str:
-    s, verdict = rec.spectrum, rec.verdict
-    entries = ",".join([_ENTRY % entry for entry in s._texts()])
-    failing = "null" if verdict.failing is None else _FAILING % verdict.failing
-    decision = (_LITERAL[verdict.canonical], verdict.reason.value, failing)
-    checks = (_LITERAL[rec.prop3], _LITERAL[rec.theorem1_ok], _LITERAL[rec.agree])
-    return _RECORD % (s.n, s.n, entries, *decision, *checks)
+def _record_text(rec: OracleRecord, shared: dict) -> str:
+    """The record's text at depth 2.  A sweep's records share most of it:
+    each entry's text depends only on its (D * lambda, mult) and the
+    spectrum's D, and what follows `"canonical": ` only on the record's
+    (verdict, prop3, theorem1_ok), and a sweep has few of either.  So
+    `shared` keeps those texts for the request: per D a dict of the entry
+    texts, and per triple its tail."""
+    s = rec.spectrum
+    texts = shared.get(s.den)
+    if texts is None:
+        texts = shared[s.den] = {}
+    entries = []
+    for pair in s.scaled:
+        text = texts.get(pair)
+        if text is None:
+            text = texts[pair] = _ENTRY % (format_ratio(pair[0], s.den), pair[1])
+        entries.append(text)
+    tail = shared.get(rec[1:])
+    if tail is None:
+        verdict = rec.verdict
+        failing = "null" if verdict.failing is None else _FAILING % verdict.failing
+        decision = (_LITERAL[verdict.canonical], verdict.reason.value, failing)
+        checks = (_LITERAL[rec.prop3], _LITERAL[rec.theorem1_ok], _LITERAL[rec.agree])
+        tail = shared[rec[1:]] = _RECORD_TAIL % (*decision, *checks)
+    return _RECORD % (s.n, s.n, ",".join(entries)) + tail
 
 
-def _table_cells(rec: OracleRecord) -> tuple[str, ...]:
+def _table_cells(rec: OracleRecord, shared: dict) -> tuple[str, ...]:
     """One table row; a sweep keeps every row until the widths are known, so
-    the few distinct n and verdict texts are shared, not copied per row."""
-    return (
-        sys.intern(str(rec.spectrum.n)),
-        str(rec.spectrum),
-        sys.intern(_verdict_summary(rec.verdict)),
-        "yes" if rec.prop3 else "no",
-        "-" if rec.theorem1_ok is None else ("ok" if rec.theorem1_ok else "FAIL"),
-        "yes" if rec.agree else "NO",
-    )
+    the few distinct n texts are interned, and the last four cells, which
+    depend only on the record's (verdict, prop3, theorem1_ok), are made once
+    per triple and kept in `shared` for the request."""
+    checks = shared.get(rec[1:])
+    if checks is None:
+        checks = shared[rec[1:]] = (
+            _verdict_summary(rec.verdict),
+            "yes" if rec.prop3 else "no",
+            "-" if rec.theorem1_ok is None else ("ok" if rec.theorem1_ok else "FAIL"),
+            "yes" if rec.agree else "NO",
+        )
+    return (sys.intern(str(rec.spectrum.n)), str(rec.spectrum), *checks)
 
 
 def _table_line(cells, widths) -> str:
@@ -558,10 +588,8 @@ def cmd_verify(args) -> int:
 
     # each n's spectra come sorted by largest magnitude, then entries
     records = [oracle_record(s) for n in ns for s in half_integral_spectra(n, bound)]
-
-    bad = [r for r in records if not r.ok]
-    canonical_count = sum(1 for r in records if r.verdict.canonical)
-    agreements = sum(1 for r in records if r.agree)
+    bad, canonical_count, agreements = sweep_tally(records)
+    shared = {}  # what the records' texts or table rows share, kept for this request
 
     write = sys.stdout.write
     if args.fmt == "json":
@@ -571,14 +599,14 @@ def cmd_verify(args) -> int:
             f'  "agreements": {agreements},\n  "canonical": {canonical_count},\n'
             '  "discrepancies": '
         )
-        _write_list(write, map(_record_text, bad))
+        _write_list(write, (_record_text(rec, shared) for rec in bad))
         write(',\n  "results": ')
-        _write_list(write, map(_record_text, records))
+        _write_list(write, (_record_text(rec, shared) for rec in records))
         write("\n}\n")
     else:
         write(f"oracle sweep: n = 3..{args.max_n}, magnitudes <= {bound}\n")
         headers = ("n", "spectrum", "theorem2", "prop3", "theorem1", "agree")
-        rows = [_table_cells(rec) for rec in records]
+        rows = [_table_cells(rec, shared) for rec in records]
         widths = [max(map(len, column)) for column in zip(headers, *rows)]
         write(_table_line(headers, widths))
         for cells in rows:
@@ -682,7 +710,19 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The console script's entry: run :func:`main`, flush, and exit with its code.
+    """The console script's entry: run :func:`main` with the cyclic collector
+    off, flush, and exit with its code.
+
+    No request leaves a reference cycle behind, so the collector's passes
+    free nothing.  Counted in process through `gc.callbacks`, after import,
+    `verify --max-n 7` (the benchmark's sweep) made 3 collections, `verify
+    --max-n 18` 275, and `verify --max-n 10 --max-lambda 25/2` 1,262 as JSON
+    and 1,827 as a table, about a tenth of its time; `enumerate --n 24` made
+    66, and `enumerate --n 9` and a `check --matrix` at most one.  They freed
+    0 objects, and so did a `gc.collect()` after each request; the tests
+    hold every command to that (`TestNoCyclicGarbage`).  `python -m
+    canonical_lie` turns the collector off before this module loads, too.
+    :func:`main` keeps it, for callers in process.
 
     `os._exit` skips the interpreter's teardown, which frees every object the
     request built and every module loaded, the site set-up's included, and
@@ -691,6 +731,7 @@ def run() -> None:
     here.  An exception that escapes `main` ends the process the usual way,
     with a traceback and exit 1.
     """
+    gc.disable()
     try:
         code = main()
         sys.stdout.flush()

@@ -1035,6 +1035,18 @@ def enumerate_doc(n):
     return {"command": "enumerate", "n": n, "count": len(classes), "classes": payload}
 
 
+def table_row(rec):
+    """One `verify` record's table cells, each made from the record alone."""
+    return (
+        str(rec.spectrum.n),
+        str(rec.spectrum),
+        _verdict_summary(rec.verdict),
+        "yes" if rec.prop3 else "no",
+        "-" if rec.theorem1_ok is None else ("ok" if rec.theorem1_ok else "FAIL"),
+        "yes" if rec.agree else "NO",
+    )
+
+
 def verify_by_dumps(max_n, max_lambda, fmt):
     """Oracle for `verify`: (exit code, stdout) rendered from the full list of
     records, JSON as one json.dumps(indent=2) of the document and the table
@@ -1060,17 +1072,7 @@ def verify_by_dumps(max_n, max_lambda, fmt):
         }
         return code, json.dumps(doc, indent=2) + "\n"
     lines = [f"oracle sweep: n = 3..{max_n}, magnitudes <= {bound}"]
-    rows = [
-        (
-            str(rec.spectrum.n),
-            str(rec.spectrum),
-            _verdict_summary(rec.verdict),
-            "yes" if rec.prop3 else "no",
-            "-" if rec.theorem1_ok is None else ("ok" if rec.theorem1_ok else "FAIL"),
-            "yes" if rec.agree else "NO",
-        )
-        for rec in records
-    ]
+    rows = [table_row(rec) for rec in records]
     headers = ("n", "spectrum", "theorem2", "prop3", "theorem1", "agree")
     widths = [max(map(len, column)) for column in zip(headers, *rows)]
     for r in (headers, *rows):

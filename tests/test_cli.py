@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, formats, determinism."""
 
+import gc
 import io
 import json
 import os
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 
 import canonical_lie
 from canonical_lie import (
+    OracleRecord,
     RatMatrix,
     Spectrum,
+    Verdict,
     VerdictReason,
     canonical,
     cli,
@@ -30,6 +33,7 @@ from helpers import (
     conjugated_normal_form,
     enumerate_doc,
     spec,
+    table_row,
     verify_by_dumps,
     zeros,
 )
@@ -271,13 +275,15 @@ class TestCheckMatrix:
 
 
 class TestMalformedFile:
-    """An input file that is not UTF-8 or nests JSON too deeply for the parser
-    is an input error: exit 2 and one `error:` line that names the file."""
+    """An input file that is not UTF-8, nests JSON too deeply for the parser
+    or holds a CSV field too long for the reader is an input error: exit 2
+    and one `error:` line that names the file."""
 
     CONTENTS = {
         "not-utf8": b"\xff\xfe",
         "nested-997": b"[" * 997 + b"]" * 997,
         "nested-100000": b"[" * 100_000 + b"]" * 100_000,
+        "long-field": b"a" * 200_000,  # past the CSV reader's field limit
     }
 
     @pytest.mark.parametrize("option", ["--matrix", "--spectrum"])
@@ -290,7 +296,7 @@ class TestMalformedFile:
         assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("option", ["--matrix", "--spectrum"])
-    @pytest.mark.parametrize("name", ["not-utf8", "nested-997"])
+    @pytest.mark.parametrize("name", ["not-utf8", "nested-997", "long-field"])
     def test_process(self, tmp_path, option, name):
         # the depth at which the parser gives up depends on the stack under it
         path = tmp_path / name
@@ -578,9 +584,24 @@ class TestVerify:
         assert {r.verdict.reason for r in records} == set(VerdictReason)
         assert any(r.verdict.failing for r in records)
         assert {r.theorem1_ok for r in records} == {True, None}
-        for rec in records:
+        # forged records reach the JSON tails and table cells no real sweep
+        # makes: theorem1 false and disagreements, over every reason and
+        # several failing grades
+        verdicts = [
+            Verdict(VerdictReason.CANONICAL),
+            Verdict(VerdictReason.NON_INTEGRAL),
+            *(Verdict(VerdictReason.GENERATION_FAILS, f) for f in [(1, 0, 2), (2, 0, 1), (5, 3, 4)]),
+        ]
+        shapes = [(v, p3, t1) for v in verdicts for p3 in (True, False) for t1 in (True, False, None)]
+        # every shape twice, each time after a different one, so a text kept
+        # under the wrong key would show; as in a request, each format keeps
+        # one dict of shared texts for all its records
+        forged = [OracleRecord(records[i].spectrum, *s) for i, s in enumerate(shapes + shapes)]
+        shared, cells = {}, {}
+        for rec in records + forged:
             want = textwrap.indent(json.dumps(_record_json(rec), indent=2), "    ")
-            assert cli._record_text(rec) == want
+            assert cli._record_text(rec, shared) == want
+            assert cli._table_cells(rec, cells) == table_row(rec)
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     @pytest.mark.parametrize("max_n,bound", [(3, "1/2"), (6, "5/2"), (8, "7/2")])
@@ -671,6 +692,55 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--max-n", max_n, "--max-lambda", bound)
         assert (code, out) == (2, "")
         assert f"at most {MAX_SWEEP} are allowed" in err
+
+
+class TestNoCyclicGarbage:
+    """`run` turns the cyclic collector off because no request leaves a
+    reference cycle behind: with the collector off through a request on the
+    success path of each command, the next collection finds nothing."""
+
+    LADDER = spec(5, ("0", 1), ("1", 1), ("2", 1))  # canonical, and strictly generated
+
+    @pytest.fixture
+    def matrix_files(self, tmp_path):
+        a = RatMatrix([[0, 1, 0, 2, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 0, 3],
+                       [-2, 0, 0, 0, 1], [0, 0, -3, -1, 0]])
+        m = conjugated_normal_form(self.LADDER, a)
+        csv_path = tmp_path / "m.csv"
+        csv_path.write_text("\n".join(",".join(str(v) for v in row) for row in m.entries))
+        return write_matrix(tmp_path / "m.json", m), str(csv_path)
+
+    def requests(self, matrix_files):
+        inline = json.dumps(self.LADDER.to_json())
+        for fmt in ("table", "json"):
+            yield ["verify", "--max-n", "8", "--format", fmt]
+            yield ["enumerate", "--n", "12", "--format", fmt]
+            for method in ("theorem2", "prop3", "both", "strict"):
+                for option, value in [("--spectrum", inline), *(("--matrix", f) for f in matrix_files)]:
+                    yield ["check", option, value, "--method", method, "--format", fmt]
+
+    def test_requests_leave_none(self, capsys, matrix_files):
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in self.requests(matrix_files):
+                code = main(argv)
+                capsys.readouterr()
+                assert (argv, code, gc.collect()) == (argv, 0, 0)
+        finally:
+            gc.enable()
+
+    def test_import_leaves_none(self):
+        # `python -m canonical_lie` turns the collector off before `cli` loads
+        src = str(Path(canonical_lie.__file__).resolve().parents[1])
+        code = "import gc; gc.disable(); import canonical_lie.cli; print(gc.collect())"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 class TestContract:
