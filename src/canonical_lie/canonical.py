@@ -40,8 +40,6 @@ two nonzero coordinates, closes an index set too and eliminates only over
 the n // 2 diagonal wedges.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter, namedtuple
 from enum import Enum

@@ -30,8 +30,6 @@ stderr, skipping the interpreter's teardown, which nothing here needs (see
 :func:`run`); :func:`main` returns the exit code, for callers in process.
 """
 
-from __future__ import annotations
-
 import gc
 import os
 import sys
@@ -57,11 +55,11 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
-# Largest n any command accepts.  Building and validating the so(n, C) table
-# grows about as n^4: the build and the realization check each visit all
-# dim^2 basis pairs, 76,176 at n = 24.  `check --spectrum` takes 0.08-0.10 s
-# at n = 20 and 0.09-0.15 s at n = 24 (16.9 MB peak) as a process on a 2-vCPU
-# Intel Xeon host with Python 3.11.7, about 40 ms of it building the table.
+# Largest n any command accepts.  Building the so(n, C) table grows about as
+# n^4: it stores all dim^2 basis pairs, 76,176 at n = 24, from one pass over
+# the matrix realization.  `check --spectrum` takes 0.05-0.07 s at n = 20 and
+# 0.06-0.09 s at n = 24 (15.7 MB peak) as a process on a 2-vCPU Intel Xeon
+# host with Python 3.11.7, about 23 ms of it building the table.
 MAX_N = 24
 
 # Caps on `verify`.  No spectrum with n <= MAX_N and a magnitude above

@@ -27,8 +27,6 @@ polynomial of the skew integer matrix 2 L m, whose root orders give the
 other multiplicities.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable, Sequence
 from functools import cache
@@ -43,7 +41,7 @@ def _fraction() -> type:
     return Fraction
 
 
-def as_rational(value) -> Fraction:
+def as_rational(value) -> "Fraction":
     """Coerce an exact scalar to Fraction, rejecting floats and bools outright;
     a string must be 'p' or 'p/q', as for :func:`parse_rational`."""
     Fraction = _fraction()
@@ -115,7 +113,7 @@ def ratio(value) -> tuple[int, int]:
     return r.numerator, r.denominator
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str) -> "Fraction":
     """Parse a 'p' or 'p/q' string (q positive); anything else is an error."""
     return _fraction()(_rational_text(text))
 
@@ -137,7 +135,7 @@ class RatMatrix:
         self._fill([[ratio(v) for v in row] for row in data], cols)
 
     @classmethod
-    def _from_ratios(cls, data: list[list[tuple[int, int]]], cols: int | None = None) -> RatMatrix:
+    def _from_ratios(cls, data: list[list[tuple[int, int]]], cols: int | None = None) -> "RatMatrix":
         """The matrix of rows of (p, q) cells, q positive, whose q have the
         lcm of the cells' denominators in lowest terms: cells as :func:`ratio`
         gives them, or each row over the lcm of its own denominators."""
@@ -160,7 +158,7 @@ class RatMatrix:
         self.nums = tuple(tuple(p * (den // q) for p, q in row) for row in data)
 
     @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+    def entries(self) -> "tuple[tuple[Fraction, ...], ...]":
         if self._entries is None:
             Fraction, den = _fraction(), self.den
             made = {}  # one Fraction per distinct cell value
@@ -170,7 +168,7 @@ class RatMatrix:
             )
         return self._entries
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+    def __getitem__(self, key: tuple[int, int]) -> "Fraction":
         i, j = key
         return self.entries[i][j]
 

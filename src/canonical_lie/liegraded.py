@@ -8,19 +8,18 @@ and the form are kept in one sparse format: [e_i, e_j], and row i of the
 form, are their nonzero (index, coefficient) pairs in ascending index order.
 No dense matrix is kept.
 
-The class itself checks nothing; whoever builds a table proves it.  The one
-builder in the package, :func:`sonreal._so_table`, builds so(n, C) once per
-n and checks it against its faithful matrix realization: every bracket row
-must be the coordinates of a matrix commutator and every form row the traces
-of matrix products, so antisymmetry, the Jacobi identity and invariance of
-the form follow from matrix algebra rather than from sums over basis
-triples.  A corrupt table would silently invalidate every verdict computed
-from it, so the check runs before the table is used.
+The class itself checks nothing; how a table is built must make it a Lie
+algebra.  The one builder in the package, :func:`sonreal._so_table`,
+computes so(n, C) once per n from its faithful matrix realization: every
+bracket row is the coordinates of a matrix commutator and every form row the
+traces of matrix products, so antisymmetry, the Jacobi identity and
+invariance of the form follow from matrix algebra rather than from sums over
+basis triples.
 
 One table can carry many gradings that share its brackets and form.
 :func:`sonreal.grading` grades the so(n, C) table as a :class:`GradingMap`
-over its basis: the table's matrix realization, checked once per n, and
-mirrored eigenvalue labels imply that every bracket respects the grades and
+over its basis: a table computed from its matrix realization, and mirrored
+eigenvalue labels, imply that every bracket respects the grades and
 that the grade multiset is symmetric, so no grading is checked per bracket.
 
 Every subspace here is a coordinate subspace, given as the set of basis
@@ -33,8 +32,6 @@ otherwise; a monomial form is nondegenerate exactly when its rows hit
 distinct columns, so the polar needs no rank either.  The canonical deciders
 and certificates run on them.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 
@@ -65,7 +62,7 @@ class NotMonomial(LieTableError):
 
 
 class LieTable:
-    """Structure-constant table, validated by its builder (see the module docstring)."""
+    """Structure-constant table; its builder makes it a Lie algebra (see the module docstring)."""
 
     __slots__ = ("dim", "grade", "form", "_sparse")
 
@@ -90,7 +87,7 @@ class GradingMap(namedtuple("GradingMap", "ambient_dim blocks")):
 
     __slots__ = ()
 
-    def grades(self) -> tuple[Fraction, ...]:
+    def grades(self) -> "tuple[Fraction, ...]":
         return tuple(g for g, _ in self.blocks)
 
     def indices_at(self, r) -> frozenset[int]:
@@ -105,7 +102,7 @@ class GradingMap(namedtuple("GradingMap", "ambient_dim blocks")):
         r = r if type(r) is int else as_rational(r)
         return frozenset(i for g, idx in self.blocks if g >= r for i in idx)
 
-    def dims(self) -> dict[Fraction, int]:
+    def dims(self) -> "dict[Fraction, int]":
         return {g: len(idx) for g, idx in self.blocks}
 
 

@@ -20,15 +20,15 @@ permutation matrix for every spectrum, and every structure constant of
     [a^b, c^d] = (a,c) b^d - (a,d) b^c - (b,c) a^d + (b,d) a^c
 
 is a small integer that depends on n alone.  The table of brackets and the
-form is therefore built and validated once per n; a spectrum only places
-its eigenvalue labels on the basis, and the grading derivation acts on
+form is therefore computed once per n; a spectrum only places its
+eigenvalue labels on the basis, and the grading derivation acts on
 u_a ^ u_b with grade lambda_a + lambda_b.
 
-Validation uses the skew map itself: u_a ^ u_b is an n x n matrix with two
-nonzero entries, and distinct wedges have disjoint supports, so the
-realization is faithful.  :func:`_check_realization` requires every bracket
-row to be the coordinates of the commutator of two such matrices and every
-form row to be their traces.  Antisymmetry and the Jacobi identity then hold
+The table is computed from the skew map itself: u_a ^ u_b is an n x n
+matrix with two nonzero entries, and distinct wedges have disjoint
+supports, so the realization is faithful.  :func:`_so_table` stores as each
+bracket row the coordinates of the commutator of two such matrices and as
+each form row their traces.  Antisymmetry and the Jacobi identity then hold
 because the commutator has them, and invariance because tr([X, Y] Z) =
 tr(X [Y, Z]); no sum over basis triples is needed.
 
@@ -48,8 +48,6 @@ The bilinear form installed on the algebra is the trace form tr(XY) of the
 matrix realization; for so(n) the Killing form is (n-2) times it, so polars
 agree.
 """
-
-from __future__ import annotations
 
 import math
 from collections import namedtuple
@@ -74,9 +72,9 @@ class InvalidSpectrum(ValueError):
 
 
 class RealizationViolation(LieTableError):
-    """A bracket row [e_p, e_q] of the so(n, C) table differs from the
-    coordinates of [M_p, M_q] in the matrix realization, or form row p from
-    the traces tr(M_p M_q)."""
+    """The commutator [M_p, M_q] of two matrices of the so(n, C) realization
+    lies outside the span of the M_k, so bracket row [e_p, e_q] has no
+    coordinates to hold."""
 
     def __init__(self, message: str, indices: tuple):
         super().__init__(message)
@@ -115,7 +113,7 @@ class Spectrum(namedtuple("Spectrum", "n den scaled")):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, entries: tuple[tuple[Fraction, int], ...]):
+    def __new__(cls, n: int, entries: "tuple[tuple[Fraction, int], ...]"):
         for x in (n, *(mult for _, mult in entries)):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise InvalidSpectrum(f"n and multiplicities must be integers, got {x!r}")
@@ -129,13 +127,13 @@ class Spectrum(namedtuple("Spectrum", "n den scaled")):
         return cls._from_ratios(n, items)
 
     @classmethod
-    def _from_ratios(cls, n: int, items) -> Spectrum:
+    def _from_ratios(cls, n: int, items) -> "Spectrum":
         """From ((p, q), mult) pairs in any order, lambda = p/q in lowest terms."""
         den = math.lcm(*(q for (_, q), _ in items))
         return cls._checked(n, den, sorted([(p * (den // q), m) for (p, q), m in items]))
 
     @classmethod
-    def _from_doubled(cls, n: int, doubled) -> Spectrum:
+    def _from_doubled(cls, n: int, doubled) -> "Spectrum":
         """From ((2 lambda, mult), ...) with 2 lambda ascending, as the
         generators make them: D = 2 keeps the pairs as given."""
         unordered = "doubled magnitudes must be non-negative and ascend strictly"
@@ -144,7 +142,7 @@ class Spectrum(namedtuple("Spectrum", "n den scaled")):
         return cls._checked(n, 1, [(d >> 1, m) for d, m in doubled], unordered)
 
     @classmethod
-    def _checked(cls, n, den, scaled, unordered="magnitudes must be distinct") -> Spectrum:
+    def _checked(cls, n, den, scaled, unordered="magnitudes must be distinct") -> "Spectrum":
         """The spectrum (n, den, scaled) once the (D * lambda, mult) pairs pass,
         in this order: n >= 3, lambda >= 0, D * lambda strictly ascending
         (else `unordered`; after a sort, a repeated magnitude), every
@@ -166,10 +164,10 @@ class Spectrum(namedtuple("Spectrum", "n den scaled")):
         return tuple.__new__(cls, (n, den, tuple(scaled)))
 
     @classmethod
-    def _make(cls, iterable) -> Spectrum:
+    def _make(cls, iterable) -> "Spectrum":
         return cls(*iterable)  # (n, entries), validated
 
-    def _replace(self, /, **changes) -> Spectrum:
+    def _replace(self, /, **changes) -> "Spectrum":
         result = self._make((changes.pop("n", self.n), changes.pop("entries", self.entries)))
         if changes:
             raise ValueError(f"Got unexpected field names: {list(changes)!r}")
@@ -179,12 +177,12 @@ class Spectrum(namedtuple("Spectrum", "n den scaled")):
         return self.n, self.entries
 
     @property
-    def entries(self) -> tuple[tuple[Fraction, int], ...]:
+    def entries(self) -> "tuple[tuple[Fraction, int], ...]":
         Fraction = _fraction()
         return tuple([(Fraction(k, self.den), m) for k, m in self.scaled])
 
     @property
-    def max_magnitude(self) -> Fraction:
+    def max_magnitude(self) -> "Fraction":
         return _fraction()(self.scaled[-1][0], self.den)
 
     def __eq__(self, other):
@@ -217,7 +215,7 @@ class Spectrum(namedtuple("Spectrum", "n den scaled")):
         return {"n": self.n, "entries": [{"lambda": lam, "mult": m} for lam, m in self._texts()]}
 
     @classmethod
-    def from_json(cls, obj) -> Spectrum:
+    def from_json(cls, obj) -> "Spectrum":
         if not isinstance(obj, dict):
             raise InvalidSpectrum("spectrum must be a JSON object")
         if "n" not in obj or "entries" not in obj:
@@ -274,88 +272,30 @@ def _scaled_labels(s: Spectrum) -> tuple[list[int], int]:
 
 @lru_cache(maxsize=None)
 def _so_table(n: int) -> LieTable:
-    """so(n, C) in the Witt wedge basis, built and validated once per n.
+    """so(n, C) in the Witt wedge basis, computed once per n from its
+    faithful n x n matrix realization.
 
-    The bracket follows the four-term wedge identity with partner(a) =
-    n - 1 - a.  The form is tr(XY) of the matrix realization, in closed
-    form.  The map x -> (u, x) v has trace (u, v), so composing
-    (a ^ b)(x) = (a, x) b - (b, x) a with c ^ d gives
-
-        tr((a ^ b)(c ^ d)) = 2 ((a, d)(b, c) - (a, c)(b, d)).
-
-    For wedges u_a ^ u_b and u_c ^ u_d, a < b and c < d, (a, d)(b, c) is 1
-    when (c, d) = (n - 1 - b, n - 1 - a) and 0 otherwise, and (a, c)(b, d)
-    is 0, as it would need c = n - 1 - a > n - 1 - b = d.  So u_a ^ u_b
-    pairs with u_(n-1-b) ^ u_(n-1-a) alone, with value 2.  The table
-    carries the principal grading lambda_a = (n - 1)/2 - a, the grading of
-    the spectrum with magnitudes 0, 1, ... (n odd) or 1/2, 3/2, ... (n even),
-    each of multiplicity one.  :func:`_check_realization` runs before the
-    table is returned: it proves the brackets and the form are those of
-    so(n, C), which also lets :func:`grading` skip the grading checks (see
-    the module docstring).
-    """
-    pairs = _witt_frame(n)
-    dim = len(pairs)
-
-    def put(acc, x, y, coeff):
-        if x == y:
-            return
-        if x < y:
-            k = _pair_index(n, x, y)
-            acc[k] = acc.get(k, 0) + coeff
-        else:
-            k = _pair_index(n, y, x)
-            acc[k] = acc.get(k, 0) - coeff
-
-    rows = [[()] * dim for _ in range(dim)]
-    for p in range(dim):
-        a, b = pairs[p]
-        pa, pb = n - 1 - a, n - 1 - b
-        for q in range(p + 1, dim):
-            c, d = pairs[q]
-            acc: dict[int, int] = {}
-            if pa == c:
-                put(acc, b, d, 1)
-            if pa == d:
-                put(acc, b, c, -1)
-            if pb == c:
-                put(acc, a, d, -1)
-            if pb == d:
-                put(acc, a, c, 1)
-            if acc:
-                rows[p][q] = tuple(sorted(acc.items()))
-                rows[q][p] = tuple((k, -v) for k, v in rows[p][q])
-
-    grades = tuple(n - 1 - a - b for a, b in pairs)
-    form = tuple(((_pair_index(n, n - 1 - b, n - 1 - a), 2),) for a, b in pairs)
-
-    table = LieTable(dim, grades, form, tuple(map(tuple, rows)))
-    _check_realization(n, table._sparse, table.form)
-    return table
-
-
-def _check_realization(n: int, sparse, form) -> None:
-    """Check the table against the faithful n x n realization of so(n, C).
-
-    In the Witt basis the wedge p = (a, b) acts on C^n as the matrix M_p with
-    +1 at (b, n - 1 - a) and -1 at (a, n - 1 - b), the map
+    The wedge p = (a, b) acts on C^n as the matrix M_p with +1 at
+    (b, n - 1 - a) and -1 at (a, n - 1 - b), the map
     c -> (u_a, c) u_b - (u_b, c) u_a.  An entry (r, c) with r + c > n - 1 is
     the +1 of M_(n-1-c, r), one with r + c < n - 1 the -1 of M_(r, n-1-c), and
     none lies on r + c = n - 1: the supports are disjoint, so p -> M_p is
     injective and X = sum of x_k M_k has coordinates x_k read off its entries.
-    For every p and q, q <= p included, `sparse[p][q]` must be the
-    coordinates of [M_p, M_q] as ascending (index, coefficient) pairs with
-    no zero, and `form[p]` must list tr(M_p M_q) over the q where it is
-    nonzero, in the same format.  The bracket is then the matrix
-    commutator, so antisymmetry and the Jacobi identity hold, and the form is
-    the trace form, symmetric and invariant since tr([X, Y] Z) =
-    tr(X [Y, Z]).  Nondegeneracy is left to :func:`liegraded.polar_indices`.
+    Bracket row [e_p, e_q] holds the coordinates of [M_p, M_q] as ascending
+    (index, coefficient) pairs with no zero, and form row p the nonzero
+    traces tr(M_p M_q): u_a ^ u_b pairs with u_(n-1-b) ^ u_(n-1-a) alone,
+    with value 2.  The table is the commutator table, so antisymmetry and the
+    Jacobi identity hold, and the form is the trace form, symmetric and
+    invariant since tr([X, Y] Z) = tr(X [Y, Z]); it also respects every
+    mirrored grading (see the module docstring).  Nondegeneracy is left to
+    :func:`liegraded.polar_indices`.  The table carries the principal grading
+    lambda_a = (n - 1)/2 - a, the grading of the spectrum with magnitudes
+    0, 1, ... (n odd) or 1/2, 3/2, ... (n even), each of multiplicity one.
 
     Products are taken only where supports meet: M_p M_q through the M_q
     entries in the rows that M_p's columns name, M_q M_p through those in
     the columns that its rows name, about 4n products per p.  Raises
-    RealizationViolation naming the first failing (p, q) in lexicographic
-    order, or (p,) for a form row, checked after the brackets of p.
+    RealizationViolation naming (p, q) if a commutator has no coordinates.
     """
     pairs = _witt_frame(n)
     mats = [((b, n - 1 - a, 1), (a, n - 1 - b, -1)) for a, b in pairs]
@@ -365,6 +305,7 @@ def _check_realization(n: int, sparse, form) -> None:
         for r, c, v in entries:
             in_row[r].append((q, c, v))
             in_col[c].append((q, r, v))
+    rows, form = [], []
     for p, entries in enumerate(mats):
         comm: dict[int, dict[tuple[int, int], int]] = {}
         trace: dict[int, int] = {}
@@ -378,18 +319,17 @@ def _check_realization(n: int, sparse, form) -> None:
             for q, r, w in in_col[x]:
                 at = comm.setdefault(q, {})
                 at[r, c] = at.get((r, c), 0) - w * v
-        for q, row in enumerate(sparse[p]):
-            coords = _coordinates(n, comm[q]) if q in comm else ()
-            if row != coords:
-                found = "no coordinates" if coords is None else f"coordinates {coords}"
+        row = [()] * len(mats)
+        for q, at in comm.items():
+            row[q] = _coordinates(n, at)
+            if row[q] is None:
                 raise RealizationViolation(
-                    f"[e_{p}, e_{q}] is {row}, but [M_{p}, M_{q}] has {found}", (p, q)
+                    f"[M_{p}, M_{q}] lies outside the span of the M_k", (p, q)
                 )
-        traces = tuple((q, t) for q, t in sorted(trace.items()) if t)
-        if form[p] != traces:
-            raise RealizationViolation(
-                f"form row {p} is {form[p]}, but the traces tr(M_{p} M_q) are {traces}", (p,)
-            )
+        rows.append(tuple(row))
+        form.append(tuple((q, t) for q, t in sorted(trace.items()) if t))
+    grades = tuple(n - 1 - a - b for a, b in pairs)
+    return LieTable(len(pairs), grades, tuple(form), tuple(rows))
 
 
 def _coordinates(n: int, entries: dict) -> tuple | None:
@@ -421,7 +361,7 @@ def grading(s: Spectrum) -> GradingMap:
     Basis element p = (a, b) is the wedge u_a ^ u_b of the Witt basis, with
     grade lambda_a + lambda_b; blocks come in ascending grade order, each
     with its indices ascending.  Only the n labels are checked, for the
-    mirror lambda_{n-1-a} = -lambda_a: with the table checked against its
+    mirror lambda_{n-1-a} = -lambda_a: with the table computed from its
     matrix realization by :func:`_so_table`, that makes every bracket of the
     table respect the grades and the grade multiset symmetric (see the
     module docstring).

@@ -27,13 +27,14 @@ from canonical_lie import (
 from canonical_lie.cli import _grading_cells, _verdict_summary
 from canonical_lie.exactlin import as_rational, charpoly
 from canonical_lie.liegraded import GradingViolation, LieTableError
-from canonical_lie.sonreal import _grid_roots, _scaled_labels, _so_table, _witt_frame
+from canonical_lie.sonreal import _grid_roots, _pair_index, _scaled_labels, _so_table, _witt_frame
 
 
-# The general structure-constant checker, for any Lie algebra: the oracle the
-# so(n, C) realization check is compared with, and the builder of the small
-# tables the liegraded tests use.  `check_witt_shape` is the oracle for the
-# so(n, C) table's bracket shape, which the realization check implies.
+# The general structure-constant checker, for any Lie algebra: it accepts the
+# so(n, C) table computed from the matrix realization, and builds the small
+# tables the liegraded tests use.  `so_table_by_wedge_identity` derives the
+# so(n, C) table a second way, and `check_witt_shape` is the oracle for its
+# bracket shape, which the realization implies.
 
 
 class AntisymmetryViolation(LieTableError):
@@ -249,6 +250,44 @@ def check_witt_shape(n: int, sparse) -> None:
                     rest.remove(x)
                 if rest[0] + rest[1] != n - 1:
                     raise BracketShapeViolation(p, q, k)
+
+
+def so_table_by_wedge_identity(n: int) -> LieTable:
+    """so(n, C) in the Witt wedge basis from the four-term identity
+
+        [a^b, c^d] = (a,c) b^d - (a,d) b^c - (b,c) a^d + (b,d) a^c
+
+    with (u_x, u_y) = 1 exactly when y = n - 1 - x, and the trace form in
+    closed form: tr((a ^ b)(c ^ d)) = 2 ((a, d)(b, c) - (a, c)(b, d)), so
+    u_a ^ u_b pairs with u_(n-1-b) ^ u_(n-1-a) alone, with value 2."""
+    pairs = _witt_frame(n)
+    dim = len(pairs)
+
+    def put(acc, x, y, coeff):
+        if x < y:
+            acc[_pair_index(n, x, y)] = acc.get(_pair_index(n, x, y), 0) + coeff
+        elif x > y:
+            acc[_pair_index(n, y, x)] = acc.get(_pair_index(n, y, x), 0) - coeff
+
+    rows = [[()] * dim for _ in range(dim)]
+    for p, (a, b) in enumerate(pairs):
+        for q in range(p + 1, dim):
+            c, d = pairs[q]
+            acc: dict[int, int] = {}
+            if a + c == n - 1:
+                put(acc, b, d, 1)
+            if a + d == n - 1:
+                put(acc, b, c, -1)
+            if b + c == n - 1:
+                put(acc, a, d, -1)
+            if b + d == n - 1:
+                put(acc, a, c, 1)
+            if acc:
+                rows[p][q] = tuple(sorted(acc.items()))
+                rows[q][p] = tuple((k, -v) for k, v in rows[p][q])
+    grades = tuple(n - 1 - a - b for a, b in pairs)
+    form = tuple(((_pair_index(n, n - 1 - b, n - 1 - a), 2),) for a, b in pairs)
+    return LieTable(dim, grades, form, tuple(map(tuple, rows)))
 
 
 def spec(n, *pairs):

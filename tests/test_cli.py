@@ -964,9 +964,10 @@ class TestImportBudget:
     `_json` scanner and the `re` its decoder loads, serves only malformed,
     oversized or escaped JSON input: `check` reads the JSON its inputs use
     with `str` methods and writes its answer itself, and rationals are read
-    with `str` methods too, so `re` comes with the `json` decoder alone."""
+    with `str` methods too, so `re` comes with the `json` decoder alone.  No
+    module postpones its annotations, so no request loads `__future__`."""
 
-    HEAVY = {"dataclasses", "inspect", "csv", "_csv"}
+    HEAVY = {"dataclasses", "inspect", "csv", "_csv", "__future__"}
     JSON = {"json", "json.decoder", "json.scanner", "json.encoder", "_json"}
     ARGPARSE = {"argparse", "gettext", "locale"}
     FRACTIONS = {"fractions", "decimal", "numbers"}

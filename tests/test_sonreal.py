@@ -31,7 +31,6 @@ from canonical_lie import (
 from canonical_lie.cli import MAX_N
 from canonical_lie.liegraded import LieTable
 from canonical_lie.sonreal import (
-    _check_realization,
     _coordinates,
     _pair_index,
     _so_table,
@@ -56,6 +55,7 @@ from helpers import (
     realize,
     regrade,
     scaled,
+    so_table_by_wedge_identity,
     spec,
     spectrum_entries_by_fractions,
     spectrum_from_matrix_by_kernels,
@@ -598,8 +598,7 @@ class TestGradeDims:
 
 class TestBracketShape:
     """The bracket shape the grading argument once checked on its own: the
-    helper oracle accepts every table, and the realization check alone
-    refuses a coordinate moved off it."""
+    helper oracle accepts every table and refuses a coordinate moved off it."""
 
     # (n, terms, shift): move the first coordinate of the first bracket with
     # `terms` nonzero coordinates to the wedge `shift` places away.  With one
@@ -633,23 +632,9 @@ class TestBracketShape:
             check_witt_shape(n, sparse)
         assert err.value.indices == indices
 
-    def test_so_table_runs_the_check(self, monkeypatch):
-        # every moved coordinate fails the realization check at its (p, q);
-        # corrupt() reads _so_table(n), so all copies are made before the patch
-        corrupted = [(n, self.corrupt(n, terms, shift)) for n, terms, shift in self.CASES]
-        for n, (sparse, (p, q, _)) in corrupted:
-
-            def corrupting(dim, grade, form, _, sparse=sparse):
-                return LieTable(dim, grade, form, sparse)
-
-            monkeypatch.setattr(sonreal, "LieTable", corrupting)
-            with pytest.raises(RealizationViolation) as err:
-                sonreal._so_table.__wrapped__(n)
-            assert err.value.indices == (p, q), n
-
 
 class TestRealizationCheck:
-    """_check_realization against the general checker and on corrupted copies."""
+    """_so_table against the general checker and the wedge-identity oracle."""
 
     @pytest.mark.parametrize("n", range(3, MAX_N + 1))
     def test_general_checker_accepts_every_table(self, n):
@@ -660,62 +645,27 @@ class TestRealizationCheck:
         assert table_key(u) == table_key(t)
         assert u._sparse == t._sparse and u.form == t.form
 
-    @staticmethod
-    def last_pair(n, terms):
-        """The last (p, q), lexicographically, whose bracket has `terms` coordinates."""
-        rows = enumerate(_so_table(n)._sparse)
-        return max((p, q) for p, row in rows for q, hits in enumerate(row) if len(hits) == terms)
-
-    @classmethod
-    def mutated(cls, n, kind):
-        """A corrupted copy of the sparse rows and form of _so_table(n), and
-        the indices the check must name."""
-        t = _so_table(n)
-        sparse, form = [list(row) for row in t._sparse], list(t.form)
-        if kind == "form":
-            p = t.dim - 2
-            form[p] = ((form[p][0][0], 3),)
-            return sparse, form, (p,)
-        if kind == "self":  # [e_p, e_p] is 0
-            p = q = t.dim // 2
-            row = ((0, 1),)
-        else:
-            p, q = cls.last_pair(n, 2 if kind in ("dropped", "unsorted") else 1)
-            (k, v), *rest = sparse[p][q]
-            other = k + 1 if k + 1 < t.dim else k - 1
-            row = {
-                "sign": ((k, -v), *rest),
-                "partner": ((other, v),),
-                "dropped": tuple(rest),
-                "unsorted": tuple(reversed(sparse[p][q])),
-                "zero": tuple(sorted(((k, v), (other, 0)))),
-            }[kind]
-        sparse[p][q] = row
-        return sparse, form, (p, q)
+    @pytest.mark.parametrize("n", range(3, MAX_N + 1))
+    def test_matches_wedge_identity_oracle(self, n):
+        t, u = _so_table(n), so_table_by_wedge_identity(n)
+        assert (t.dim, t.grade, t.form, t._sparse) == (u.dim, u.grade, u.form, u._sparse)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 9])
-    @pytest.mark.parametrize(
-        "kind", ["sign", "partner", "dropped", "self", "unsorted", "zero", "form"]
-    )
-    def test_mutation_is_caught(self, n, kind):
-        sparse, form, indices = self.mutated(n, kind)
+    def test_commutator_outside_the_span_raises(self, n, monkeypatch):
+        # a two-term bracket is [M_p, M_q] for one ordered pair (p, q) alone
+        rows = enumerate(_so_table(n)._sparse)
+        p, q = max((p, q) for p, row in rows for q, hits in enumerate(row) if len(hits) == 2)
+        target = _so_table(n)._sparse[p][q]
+
+        def failing(n, entries):
+            coords = _coordinates(n, entries)
+            return None if coords == target else coords
+
+        monkeypatch.setattr(sonreal, "_coordinates", failing)
         with pytest.raises(RealizationViolation) as err:
-            _check_realization(n, sparse, form)
-        assert err.value.indices == indices
-
-    def test_so_table_runs_the_check(self, monkeypatch):
-        # a flipped sign keeps the bracket shape, which the oracle accepts;
-        # the realization check still refuses it
-        sparse, _, indices = self.mutated(6, "sign")
-        check_witt_shape(6, sparse)
-
-        def corrupting(dim, grade, form, _):
-            return LieTable(dim, grade, form, sparse)
-
-        monkeypatch.setattr(sonreal, "LieTable", corrupting)
-        with pytest.raises(RealizationViolation) as err:
-            sonreal._so_table.__wrapped__(6)
-        assert err.value.indices == indices
+            sonreal._so_table.__wrapped__(n)
+        assert err.value.indices == (p, q)
+        assert str(err.value) == f"[M_{p}, M_{q}] lies outside the span of the M_k"
 
     def test_coordinates_outside_the_span(self):
         # n = 4: an entry on r + c = n - 1 lies in no M_k
