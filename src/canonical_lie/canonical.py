@@ -9,8 +9,8 @@ the nilradical of q.  Two independent deciders live here:
   all ad-eigenvalue grades are integers and the grade-1 piece rebuilds each
   higher grade by repeated bracketing: g^1 = g_1, g^{k+1} = [g_1, g^k] must
   equal g_{k+1} for every positive grade.  A verdict's answer is read from
-  its reason, and it carries certificates (the grading, or the first
-  failing grade with the achieved and required dimensions).
+  its reason, and it carries certificates (the grading's dimensions, or
+  the first failing grade with the achieved and required dimensions).
 
 * :func:`prop3_check` — the closed-form spectral test.  The magnitude set
   must be an unbroken ladder 0, 1, ..., k, or an unbroken half-odd ladder
@@ -23,30 +23,31 @@ equivalence exhaustively at small n.  :func:`enumerate_canonical` lists the
 canonical classes from the root datum instead: each comes from a subset of
 simple roots (Burstall–Rawnsley), and each is an O(n) class.
 :func:`theorem1_report` checks the defining properties (Theorem 1), and
-:func:`parabolic_of` and :func:`oracle_record` run the same check on
-theorem2's grading, so each spectrum is graded once.
+:func:`parabolic_of` and :func:`oracle_record` run the same check.
 
 Every space the generation test and the canonical-element properties touch
 (grade spaces, their tails, [g_1, g^k], the descending series of the
-nilradical, the polar of q) is spanned by basis elements of the Witt wedge
-basis: a bracket of two basis elements has two nonzero coordinates only when
-their grades sum to 0, and the trace form is monomial.  So these run on sets
-of basis indices (:func:`liegraded.bracket_indices`,
-:func:`liegraded.polar_indices`), which raise rather than answer if a bracket
-or form row they meet is not monomial.  The certificates of
-:func:`parabolic_of` (q, its nilradical and descending series) are those
-index sets too.  Strict generation by g_1 + g_{-1}, whose brackets can have
-two nonzero coordinates, closes an index set too and eliminates only over
-the n // 2 diagonal wedges.
+nilradical, the polar of q) is a union of g_0-cells.  A cell is the span of
+the wedges with one Witt vector in block I and one in block J, blocks being
+the vectors of one label (:func:`_blocks`): the g_0-module V_I (x) V_J, or
+Lambda^2 V_I when I = J.  Brackets (:func:`_bracket`) and polars
+(:func:`_polar`) of cell sets are cell sets, found through partner blocks,
+so the deciders cost O(r^2) cells for r distinct labels, build no so(n, C)
+table and grade no wedge.  The tests check the cell rule against the
+index-set brackets of the table.  :func:`parabolic_of` expands its
+certificates (q, the nilradical and the descending series) to Witt wedge
+indices.  Strict generation by g_1 + g_{-1} reaches grade-0 cells, which
+are not irreducible (V (x) V* holds sl(V) and the scalars), so it closes an
+index set of the table and eliminates only over the n // 2 diagonal wedges.
 """
 
 import math
 from collections import Counter, namedtuple
 from enum import Enum
-from itertools import combinations_with_replacement, islice, product
+from itertools import accumulate, combinations_with_replacement, product
 
 from .exactlin import RatMatrix, format_ratio, ratio, rref
-from .liegraded import GradingMap, LieTable, NotMonomial, bracket_indices, polar_indices
+from .liegraded import NotMonomial
 from .sonreal import Spectrum, TooSmall, _pair_index, _so_table, grading
 
 
@@ -69,8 +70,9 @@ class Verdict(namedtuple("Verdict", "reason failing trace witness", defaults=(No
     `failing` is (grade, achieved dim, required dim) for a generation
     failure; `trace` records (grade, dim g^k, dim g_k) for each positive
     grade visited, which skips the (k, 0, 0) grades between the first empty
-    one and the failing one; `witness` is the spectrum's grading when its
-    grades are integral.
+    one and the failing one; `witness` is the dimensions of the spectrum's
+    grading when its grades are integral, as (grade, dim) pairs by ascending
+    grade.
     """
 
     __slots__ = ()
@@ -110,57 +112,132 @@ def theorem2_check(s: Spectrum) -> Verdict:
     """Generation-based canonicality decision with a step-by-step certificate.
 
     After the integrality gate, iterate g^1 = g_1, g^{k+1} = [g_1, g^k]
-    in the so(n, C) table and compare against the spectrum's grade spaces.
+    on the spectrum's g_0-cells and compare against its grade spaces.
     Since [g_1, g^k] always lands inside g_{k+1}, the first failure is a
     strict dimension deficit at some grade; success at every positive grade
     is equivalent to g_1 + g_0 + g_{-1} generating the whole algebra.
 
     Once an iterate is empty at an empty grade k, every later iterate is
-    empty, so the first failure is the next grade that holds a basis
-    element.  The loop jumps there, and the trace omits the grades between,
-    each (grade, 0, 0), so time and memory grow with the number of grades,
-    not with the magnitudes.
+    empty, so the first failure is the next grade that holds a cell.  The
+    loop jumps there, and the trace omits the grades between, each
+    (grade, 0, 0), so time and memory grow with the number of grades, not
+    with the magnitudes.
     """
     if not condition1(s):
         return _NON_INTEGRAL
-    table, gm = _so_table(s.n), grading(s)
-    spaces = {g: frozenset(idx) for g, idx in gm.blocks if g > 0}  # condition1: int grades
-    kmax = max(spaces, default=0)
-    g1 = spaces.get(1, frozenset())
+    den, blocks = s.den, _blocks(s)
+    cells = _cells(blocks, 1)
+    spaces, dims = {}, {}  # by grade: the cells, their dimension
+    for cell, (g, d) in cells.items():
+        k = g // den  # condition1: int grades
+        spaces.setdefault(k, set()).add(cell)
+        dims[k] = dims.get(k, 0) + d
+    grades = sorted(dims)
+    zero = s.n * (s.n - 1) // 2 - 2 * sum(dims.values())  # dim g_-k = dim g_k
+    witness = tuple([(-k, dims[k]) for k in reversed(grades)] + [(0, zero)])
+    witness += tuple([(k, dims[k]) for k in grades])
+    last, empty = len(blocks) - 1, frozenset()
+    g1 = current = spaces.get(1, empty)
     trace = []
-    for k, current in zip(range(1, kmax + 1), _iterates(table, g1, g1)):
-        required = spaces.get(k, frozenset())
-        trace.append((k, len(current), len(required)))
+    for k in range(1, grades[-1] + 1 if grades else 1):
+        if k > 1:
+            current = _bracket(cells, last, g1, current)
+        required = spaces.get(k, empty)
+        trace.append((k, sum([cells[c][1] for c in current]), dims.get(k, 0)))
         if not current and not required:  # every later iterate is empty too
-            k = min(g for g in spaces if g > k)  # kmax holds a basis element
+            k = min(g for g in grades if g > k)  # the largest grade holds a cell
             required = spaces[k]
-            trace.append((k, 0, len(required)))
+            trace.append((k, 0, dims[k]))
         if current != required:
-            return Verdict(
-                VerdictReason.GENERATION_FAILS, failing=trace[-1], trace=tuple(trace), witness=gm
-            )
-    return Verdict(VerdictReason.CANONICAL, trace=tuple(trace), witness=gm)
+            trace = tuple(trace)
+            return Verdict(VerdictReason.GENERATION_FAILS, trace[-1], trace, witness)
+    return Verdict(VerdictReason.CANONICAL, trace=tuple(trace), witness=witness)
 
 
-def _iterates(table: LieTable, a: frozenset[int], start: frozenset[int]):
-    """start, [a, start], [a, [a, start]], ... as basis-index sets, each
-    bracket taken only when the next term is asked for."""
-    term = start
-    while True:
-        yield term
-        term = bracket_indices(table, a, term)
+def _blocks(s: Spectrum) -> list[tuple[int, int]]:
+    """The g_0 blocks of s as (D * label, size), in Witt order: the labels
+    descend, and block i's partner, of the opposite label, is block len - 1 - i.
+
+    g_0 acts on a block by gl(V), or by so(V) on the zero block.  so(2) is a
+    torus, so a zero block of size 2 splits into its two isotropic lines,
+    each the other's partner, and g_0 acts irreducibly on every block.
+    """
+    positive = [(k, m) for k, m in reversed(s.scaled) if k]
+    m0 = s.scaled[0][1] if s.scaled[0][0] == 0 else 0
+    zero = [(0, 1), (0, 1)] if m0 == 2 else [(0, m0)] * (m0 > 0)
+    return positive + zero + [(-k, m) for k, m in reversed(positive)]
 
 
-def _descending_series(table: LieTable, n: frozenset[int]) -> list[frozenset[int]]:
-    """Central descending series [n, [n, n], [n, [n, n]], ...] of
-    span{e_i : i in n}, as index sets, ending just before the first
-    repetition, so a nilpotent n ends with the empty set."""
-    series = []
-    for term in islice(_iterates(table, n, n), table.dim + 2):
-        if series and term == series[-1]:
+def _cells(blocks, lowest) -> dict[tuple[int, int], tuple[int, int]]:
+    """{(i, j): (D * grade, dim)} for the nonempty cells i <= j of D * grade
+    at least `lowest`: the span of the wedges u_a ^ u_b, a < b, with a in
+    block i and b in block j, the g_0-module V_i (x) V_j, or Lambda^2 V_i
+    when i = j, of grade (label_i + label_j) / D."""
+    cells = {}
+    for i, (li, mi) in enumerate(blocks):
+        for j in range(i, len(blocks)):
+            lj, mj = blocks[j]
+            if li + lj < lowest:  # the labels descend
+                break
+            if i < j or mi > 1:
+                cells[i, j] = (li + lj, mi * mj if i < j else mi * (mi - 1) // 2)
+    return cells
+
+
+def _bracket(cells, last: int, a, b) -> frozenset:
+    """[A, B] for sets A, B of positive-grade cells, as the cells of `cells`
+    it fills; the partner of block x is block last - x.
+
+    [u_a ^ u_b, u_c ^ u_d] = (a, c) b^d - (a, d) b^c - (b, c) a^d + (b, d) a^c,
+    and (x, y) is nonzero exactly when y is x's partner vector.  So [{I, J},
+    C] meets {I, Y} for each cell C = {J*, Y} and {J, Y} for each C = {I*, Y}
+    (a cell holding J* and I* would have the opposite grade to {I, J}).  Two
+    positive-grade wedges bracket to a multiple of one wedge, and g_0 acts
+    irreducibly on a positive-grade cell, so the bracket fills a nonempty
+    result cell whole.
+    """
+    others: dict[int, list[int]] = {}  # block -> the other block of each cell of B it is in
+    for k, l in b:
+        others.setdefault(k, []).append(l)
+        if l != k:
+            others.setdefault(l, []).append(k)
+    out = set()
+    for i, j in a:
+        for x, partner in ((i, last - j), (j, last - i)):
+            for y in others.get(partner, ()):
+                out.add((x, y) if x <= y else (y, x))
+    return frozenset([c for c in out if c in cells])
+
+
+def _wedge_indices(n: int, blocks, cells) -> frozenset[int]:
+    """The Witt wedge basis indices that span a set of cells; block i holds
+    the Witt vectors from the sum of the sizes before it on."""
+    starts = list(accumulate([m for _, m in blocks], initial=0))
+    return frozenset(
+        _pair_index(n, a, b)
+        for i, j in cells
+        for a in range(starts[i], starts[i + 1])
+        for b in range(max(a + 1, starts[j]), starts[j + 1])
+    )
+
+
+def _descending_series(cells, last: int, n: frozenset) -> list[frozenset]:
+    """Central descending series [n, [n, n], [n, [n, n]], ...] of a set of
+    positive-grade cells, ending just before the first repetition, so a
+    nilpotent n ends with the empty set."""
+    series = [n]
+    for _ in range(len(cells) + 1):
+        term = _bracket(cells, last, n, series[-1])
+        if term == series[-1]:
             return series
         series.append(term)
     raise ValueError("descending series did not stabilize; is n a subalgebra?")
+
+
+def _polar(cells, last: int, a) -> frozenset:
+    """The polar of a union of cells: the trace form pairs u_a ^ u_b with
+    u_a* ^ u_b* alone, so cell {I, J} with its partner cell {J*, I*}."""
+    return frozenset(cells) - {(last - j, last - i) for i, j in a}
 
 
 def prop3_report(s: Spectrum) -> tuple[bool, str]:
@@ -236,17 +313,19 @@ def parabolic_of(s: Spectrum) -> ParabolicData:
 
     q is the sum of the non-negative grade spaces and the nilradical the sum
     of the positive ones, each given by the basis indices that span it; the
-    series is recomputed by bracketing, and all four properties of
+    series is recomputed by bracketing cells, and all four properties of
     :func:`theorem1_report` are checked rather than assumed.
     """
     verdict = theorem2_check(s)
     if not verdict.canonical:
         raise NotCanonical(f"spectrum {s} is not canonical: {verdict.reason.value}")
-    gm = verdict.witness
-    report, series = _theorem1(_so_table(s.n), gm)
+    blocks = _blocks(s)
+    report, series = _theorem1(s.den, blocks)
     failed = [name for name, ok in report.items() if not ok]
     if failed:
         raise RuntimeError(f"canonical spectrum {s} fails {', '.join(failed)}")
+    series = [_wedge_indices(s.n, blocks, term) for term in series]
+    gm = grading(s)
     return ParabolicData(gm.tail_indices(0), series[0], tuple(series), gm)
 
 
@@ -259,24 +338,28 @@ def theorem1_report(s: Spectrum) -> dict[str, bool]:
     at zero.  Running this on a non-canonical grading shows which property
     breaks.
     """
-    return _theorem1(_so_table(s.n), grading(s))[0]
+    return _theorem1(s.den, _blocks(s))[0]
 
 
-def _theorem1(table: LieTable, gm: GradingMap) -> tuple[dict[str, bool], list[frozenset[int]]]:
-    """theorem1_report's properties of the grading gm of table, with the
-    descending series of the nilradical, which starts with the nilradical."""
-    grades = gm.grades()
-    deepest = max([int(g) for g in grades if g > 0 and g.denominator == 1], default=0)
-    nilradical = gm.tail_indices(1)
-    series = _descending_series(table, nilradical)
+def _theorem1(den: int, blocks) -> tuple[dict[str, bool], list[frozenset]]:
+    """theorem1_report's properties of the grading with these g_0 blocks and
+    label denominator, with the descending series of the nilradical, as sets
+    of cells, which starts with the nilradical."""
+    cells = _cells(blocks, -math.inf)
+    last = len(blocks) - 1
+
+    def tail(r):
+        return frozenset([c for c, (g, _) in cells.items() if g >= r * den])
+
+    deepest = max([g // den for g, _ in cells.values() if g > 0 and g % den == 0], default=0)
+    nilradical = tail(1)
+    series = _descending_series(cells, last, nilradical)
     steps = max(len(series), deepest + 1)
-    matches = all(
-        series[min(r, len(series)) - 1] == gm.tail_indices(r) for r in range(1, steps + 1)
-    )
+    matches = all(series[min(r, len(series)) - 1] == tail(r) for r in range(1, steps + 1))
     return {
-        "integral_grades": all(g.denominator == 1 for g in grades),
+        "integral_grades": all(g % den == 0 for g, _ in cells.values()),
         "series_matches_tails": matches,
-        "polar_is_nilradical": polar_indices(table, gm.tail_indices(0)) == nilradical,
+        "polar_is_nilradical": _polar(cells, last, tail(0)) == nilradical,
         "series_reaches_zero": not series[-1],
     }, series
 
@@ -381,7 +464,7 @@ def sweep_tally(records) -> tuple[list[OracleRecord], int, int]:
 def oracle_record(s: Spectrum) -> OracleRecord:
     verdict = theorem2_check(s)
     p3 = prop3_check(s)
-    t1 = all(_theorem1(_so_table(s.n), verdict.witness)[0].values()) if verdict.canonical else None
+    t1 = all(_theorem1(s.den, _blocks(s))[0].values()) if verdict.canonical else None
     if verdict.trace is not None:
         verdict = Verdict(verdict.reason, verdict.failing)
     return OracleRecord(s, verdict, p3, t1)

@@ -55,11 +55,12 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
-# Largest n any command accepts.  Building the so(n, C) table grows about as
-# n^4: it stores all dim^2 basis pairs, 76,176 at n = 24, from one pass over
-# the matrix realization.  `check --spectrum` takes 0.05-0.07 s at n = 20 and
-# 0.06-0.09 s at n = 24 (15.7 MB peak) as a process on a 2-vCPU Intel Xeon
-# host with Python 3.11.7, about 23 ms of it building the table.
+# Largest n any command accepts.  theorem2 decides on O(r^2) g_0-cells, r the
+# number of distinct labels: `check --spectrum` on {0:n} takes 0.03-0.04 s at
+# n = 20 and at n = 24 (13.9 MB peak) as a process on a 2-vCPU Intel Xeon
+# host with Python 3.11.7.  `--method strict` builds the so(n, C) table, which
+# grows about as n^4: it stores all dim^2 basis pairs, 76,176 at n = 24, from
+# one pass over the matrix realization, and takes 0.06-0.08 s there (15.7 MB).
 MAX_N = 24
 
 # Caps on `verify`.  No spectrum with n <= MAX_N and a magnitude above
@@ -68,7 +69,7 @@ MAX_N = 24
 # the default 7/2.  A sweep keeps one compact record per spectrum, and
 # theorem2 walks each grade up to the largest magnitude, so the two caps bound
 # its time and memory: `--max-n 10 --max-lambda 25/2` (197,288 spectra) takes
-# 2.3-3.7 s and 78 MB as JSON, and 2.6-3.9 s and 124 MB as a table, as a
+# 1.8-1.9 s and 76 MB as JSON, and 2.3-2.6 s and 123 MB as a table, as a
 # whole process on the same host.
 MAX_LAMBDA = MAX_N
 MAX_SWEEP = 201_542
@@ -298,8 +299,8 @@ def _load_check_input(args) -> tuple[Spectrum | None, dict, str]:
 # shared rendering
 
 
-def _grading_cells(dims: dict) -> list[dict]:
-    return [{"grade": str(g), "dim": d} for g, d in dims.items()]
+def _grading_cells(pairs) -> list[dict]:
+    return [{"grade": str(g), "dim": d} for g, d in pairs]
 
 
 def _verdict_json(verdict: Verdict) -> dict:
@@ -310,7 +311,7 @@ def _verdict_json(verdict: Verdict) -> dict:
         "reason": verdict.reason.value,
         "failing": None if failing is None else dict(zip(keys, failing)),
         "generation_trace": None if trace is None else [dict(zip(keys, row)) for row in trace],
-        "grading": None if witness is None else _grading_cells(witness.dims()),
+        "grading": None if witness is None else _grading_cells(witness),
     }
 
 
@@ -338,7 +339,7 @@ def _verdict_lines(verdict: Verdict) -> list[str]:
         lines.append("reason: NonIntegralAdSpectrum (ad-eigenvalue grades are not all integers)")
     if verdict.witness is not None:
         lines += ["grading dimensions:", "  grade  dim"]
-        lines += [f"  {g!s:<5}  {d}" for g, d in verdict.witness.dims().items()]
+        lines += [f"  {g!s:<5}  {d}" for g, d in verdict.witness]
     if verdict.trace:
         lines += [
             "generation trace (dim of [g_1, .] iterate vs dim g_k):",

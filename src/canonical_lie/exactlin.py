@@ -16,13 +16,12 @@ denominator; it offers indexing and value equality, no arithmetic.
 :func:`rref` is the one dense elimination of the package, Gauss-Jordan
 that eliminates on those integer rows (fraction-free) and returns its
 reduced matrix in the same int form.  The structure-constant layer keeps
-brackets and the invariant form as sparse rows and the deciders, like the
-parabolic certificates, work on sets of basis indices, so dense elimination
-runs only where no basis index set will do: the rank of an extracted matrix,
+brackets and the invariant form as sparse rows, the deciders work on
+g_0-cells and strict generation on sets of basis indices, so dense
+elimination runs only where neither will do: the rank of an extracted matrix,
 for mult(0), and the rank of the diagonal parts in strict generation, at most
-n // 2 columns.  The monomial invariant form needs no rank:
-:func:`liegraded.polar_indices` reads its nondegeneracy off the columns its
-rows hit.  :func:`charpoly` is division-free, so extraction gets the integer
+n // 2 columns.  The monomial invariant form needs no rank: its
+nondegeneracy reads off the columns its rows hit.  :func:`charpoly` is division-free, so extraction gets the integer
 polynomial of the skew integer matrix 2 L m, whose root orders give the
 other multiplicities.
 """

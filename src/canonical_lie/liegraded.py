@@ -23,14 +23,12 @@ eigenvalue labels, imply that every bracket respects the grades and
 that the grade multiset is symmetric, so no grading is checked per bracket.
 
 Every subspace here is a coordinate subspace, given as the set of basis
-indices that spans it: the grade spaces and tails of a :class:`GradingMap`,
-and the arguments and results of :func:`bracket_indices` and
-:func:`polar_indices`, which run with no elimination.  Those two are exact
-when every bracket they meet is a multiple of one basis element and the form
-is monomial, and raise :class:`NotMonomial` naming the offending pair or row
-otherwise; a monomial form is nondegenerate exactly when its rows hit
-distinct columns, so the polar needs no rank either.  The canonical deciders
-and certificates run on them.
+indices that spans it: the grade spaces and tails of a :class:`GradingMap`.
+:class:`NotMonomial` and :class:`DegenerateForm` are the errors of brackets
+and polars of such index sets, exact only when every bracket they meet is a
+multiple of one basis element and the form is monomial and nondegenerate;
+strict generation (:func:`canonical.strict_generation_report`) raises the
+first.
 """
 
 from collections import namedtuple
@@ -104,52 +102,3 @@ class GradingMap(namedtuple("GradingMap", "ambient_dim blocks")):
 
     def dims(self) -> "dict[Fraction, int]":
         return {g: len(idx) for g, idx in self.blocks}
-
-
-def bracket_indices(t: LieTable, a, b) -> frozenset[int]:
-    """[span{e_i : i in a}, span{e_j : j in b}] as a set of basis indices.
-
-    Exact when every bracket [e_i, e_j], i in a, j in b, is a multiple of one
-    basis element: the result is then spanned by those elements.  Raises
-    NotMonomial naming (i, j) for a bracket with two or more nonzero
-    coordinates.
-    """
-    out = set()
-    for i in a:
-        sp_i = t._sparse[i]
-        for j in b:
-            hit = sp_i[j]
-            if len(hit) > 1:
-                raise NotMonomial(
-                    f"[e_{i}, e_{j}] has {len(hit)} nonzero coordinates; "
-                    "an index-set bracket needs at most one",
-                    (i, j),
-                )
-            if hit:
-                out.add(hit[0][0])
-    return frozenset(out)
-
-
-def polar_indices(t: LieTable, a) -> frozenset[int]:
-    """The polar of span{e_i : i in a} as a set of basis indices.
-
-    A form with at most one nonzero entry per row, row i at column p(i), is
-    nondegenerate exactly when every row has one and p is a permutation.
-    Then <x, e_i> is a nonzero multiple of x_{p(i)}, so the polar is spanned
-    by the e_k with k outside {p(i) : i in a}.  One scan of the form decides
-    both: it raises NotMonomial naming the first row with two or more
-    nonzero entries, then DegenerateForm if a row is empty or two rows share
-    a column.
-    """
-    cols = []
-    for i, row in enumerate(t.form):
-        if len(row) > 1:
-            raise NotMonomial(
-                f"form row {i} has {len(row)} nonzero entries; "
-                "an index-set polar needs exactly one",
-                (i,),
-            )
-        cols.append(row[0][0] if row else None)
-    if None in cols or len(set(cols)) < t.dim:
-        raise DegenerateForm("bilinear form is degenerate; polars are undefined")
-    return frozenset(range(t.dim)) - {cols[i] for i in a}

@@ -40,8 +40,8 @@ of p = u_a ^ u_b.  ad xi is a derivation of the matrix commutator, so a
 table equal to the commutators [M_p, M_q] respects every mirrored grading;
 and (a, b) -> (n - 1 - b, n - 1 - a) negates grades, so the grade multiset
 is symmetric.  So :func:`grading` only checks the n labels for the mirror
-and groups the wedges by their label sums in integer arithmetic; the
-deciders pair that grading with the one table of n, and no table is built
+and groups the wedges by their label sums in integer arithmetic; strict
+generation pairs that grading with the one table of n, and no table is built
 per spectrum.  No complex (or floating-point) arithmetic ever appears.
 
 The bilinear form installed on the algebra is the trace form tr(XY) of the
@@ -287,8 +287,8 @@ def _so_table(n: int) -> LieTable:
     with value 2.  The table is the commutator table, so antisymmetry and the
     Jacobi identity hold, and the form is the trace form, symmetric and
     invariant since tr([X, Y] Z) = tr(X [Y, Z]); it also respects every
-    mirrored grading (see the module docstring).  Nondegeneracy is left to
-    :func:`liegraded.polar_indices`.  The table carries the principal grading
+    mirrored grading (see the module docstring).  The tests check that the
+    form is nondegenerate.  The table carries the principal grading
     lambda_a = (n - 1)/2 - a, the grading of the spectrum with magnitudes
     0, 1, ... (n odd) or 1/2, 3/2, ... (n even), each of multiplicity one.
 

@@ -8,21 +8,29 @@ from collections import Counter, namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 
 from canonical_lie import (
     DegenerateForm,
     GradingMap,
     InvalidSpectrum,
     LieTable,
+    NotMonomial,
+    OracleRecord,
     RatMatrix,
     Spectrum,
-    bracket_indices,
+    Verdict,
+    VerdictReason,
+    condition1,
     enumerate_canonical,
     grading,
     half_integral_spectra,
     oracle_record,
+    parabolic_of,
+    prop3_check,
     rref,
+    theorem1_report,
+    theorem2_check,
 )
 from canonical_lie.cli import _grading_cells, _verdict_summary
 from canonical_lie.exactlin import as_rational, charpoly
@@ -520,6 +528,149 @@ def kernel(m: RatMatrix) -> Subspace:
 def full_space(dim) -> Subspace:
     """Q^dim as a Subspace: the identity rows are its reduced basis."""
     return Subspace(dim, identity(dim))
+
+
+# The index-set path: theorem2 and Theorem 1 on sets of Witt wedge indices
+# of the so(n, C) table, with no appeal to g_0-cells.  `cell_path_mismatches`
+# holds the package's cell deciders to it.
+
+
+def bracket_indices(t: LieTable, a, b) -> frozenset[int]:
+    """[span{e_i : i in a}, span{e_j : j in b}] as a set of basis indices.
+
+    Exact when every bracket [e_i, e_j], i in a, j in b, is a multiple of one
+    basis element: the result is then spanned by those elements.  Raises
+    NotMonomial naming (i, j) for a bracket with two or more nonzero
+    coordinates.
+    """
+    out = set()
+    for i in a:
+        sp_i = t._sparse[i]
+        for j in b:
+            hit = sp_i[j]
+            if len(hit) > 1:
+                raise NotMonomial(
+                    f"[e_{i}, e_{j}] has {len(hit)} nonzero coordinates; "
+                    "an index-set bracket needs at most one",
+                    (i, j),
+                )
+            if hit:
+                out.add(hit[0][0])
+    return frozenset(out)
+
+
+def polar_indices(t: LieTable, a) -> frozenset[int]:
+    """The polar of span{e_i : i in a} as a set of basis indices.
+
+    A form with at most one nonzero entry per row, row i at column p(i), is
+    nondegenerate exactly when every row has one and p is a permutation.
+    Then <x, e_i> is a nonzero multiple of x_{p(i)}, so the polar is spanned
+    by the e_k with k outside {p(i) : i in a}.  One scan of the form decides
+    both: it raises NotMonomial naming the first row with two or more
+    nonzero entries, then DegenerateForm if a row is empty or two rows share
+    a column.
+    """
+    cols = []
+    for i, row in enumerate(t.form):
+        if len(row) > 1:
+            raise NotMonomial(
+                f"form row {i} has {len(row)} nonzero entries; "
+                "an index-set polar needs exactly one",
+                (i,),
+            )
+        cols.append(row[0][0] if row else None)
+    if None in cols or len(set(cols)) < t.dim:
+        raise DegenerateForm("bilinear form is degenerate; polars are undefined")
+    return frozenset(range(t.dim)) - {cols[i] for i in a}
+
+
+def iterates_by_indices(table: LieTable, a, start):
+    """start, [a, start], [a, [a, start]], ... as basis-index sets, each
+    bracket taken only when the next term is asked for."""
+    term = frozenset(start)
+    while True:
+        yield term
+        term = bracket_indices(table, a, term)
+
+
+def descending_series_by_indices(table: LieTable, n) -> list[frozenset[int]]:
+    """Central descending series [n, [n, n], [n, [n, n]], ...] of
+    span{e_i : i in n}, as index sets, ending just before the first
+    repetition, so a nilpotent n ends with the empty set."""
+    series = []
+    for term in islice(iterates_by_indices(table, n, n), table.dim + 2):
+        if series and term == series[-1]:
+            return series
+        series.append(term)
+    raise ValueError("descending series did not stabilize; is n a subalgebra?")
+
+
+def theorem2_by_indices(s: Spectrum) -> Verdict:
+    """Oracle for theorem2_check: the [g_1, .] iterates as index sets of the
+    table of n against the grade spaces of grading(s), with the same jump
+    past empty grades; the witness is the grading's dimensions."""
+    if not condition1(s):
+        return Verdict(VerdictReason.NON_INTEGRAL)
+    table, gm = _so_table(s.n), grading(s)
+    witness = tuple(gm.dims().items())
+    spaces = {g: frozenset(idx) for g, idx in gm.blocks if g > 0}
+    kmax = max(spaces, default=0)
+    g1 = spaces.get(1, frozenset())
+    trace = []
+    for k, current in zip(range(1, kmax + 1), iterates_by_indices(table, g1, g1)):
+        required = spaces.get(k, frozenset())
+        trace.append((k, len(current), len(required)))
+        if not current and not required:
+            k = min(g for g in spaces if g > k)
+            required = spaces[k]
+            trace.append((k, 0, len(required)))
+        if current != required:
+            return Verdict(VerdictReason.GENERATION_FAILS, trace[-1], tuple(trace), witness)
+    return Verdict(VerdictReason.CANONICAL, trace=tuple(trace), witness=witness)
+
+
+def theorem1_by_indices(s: Spectrum) -> tuple[dict[str, bool], list[frozenset[int]]]:
+    """Oracle for theorem1_report: its properties on index sets of the table
+    of n and grading(s), with the descending series of the nilradical."""
+    table, gm = _so_table(s.n), grading(s)
+    grades = gm.grades()
+    deepest = max([int(g) for g in grades if g > 0 and g.denominator == 1], default=0)
+    nilradical = gm.tail_indices(1)
+    series = descending_series_by_indices(table, nilradical)
+    steps = max(len(series), deepest + 1)
+    matches = all(
+        series[min(r, len(series)) - 1] == gm.tail_indices(r) for r in range(1, steps + 1)
+    )
+    return {
+        "integral_grades": all(g.denominator == 1 for g in grades),
+        "series_matches_tails": matches,
+        "polar_is_nilradical": polar_indices(table, gm.tail_indices(0)) == nilradical,
+        "series_reaches_zero": not series[-1],
+    }, series
+
+
+def cell_path_mismatches(spectra) -> list[tuple[Spectrum, str]]:
+    """(spectrum, what differs) wherever the cell deciders and the index-set
+    oracles above disagree: theorem2's verdict (reason, failing grade, trace
+    and grading dimensions), Theorem 1's report, the sweep's record and, for
+    a canonical spectrum, the certificates of parabolic_of."""
+    bad = []
+    for s in spectra:
+        verdict, report = theorem2_check(s), theorem1_report(s)
+        expected, (expected_report, series) = theorem2_by_indices(s), theorem1_by_indices(s)
+        t1 = all(expected_report.values()) if expected.canonical else None
+        record = OracleRecord(s, Verdict(expected.reason, expected.failing), prop3_check(s), t1)
+        if verdict != expected:
+            bad.append((s, "theorem2"))
+        if report != expected_report:
+            bad.append((s, "theorem1"))
+        if oracle_record(s) != record:
+            bad.append((s, "record"))
+        if verdict.canonical and all(expected_report.values()):
+            pd, gm = parabolic_of(s), grading(s)
+            if (pd.q, pd.nilradical, pd.series) != (gm.tail_indices(0), series[0], tuple(series)):
+                bad.append((s, "parabolic"))
+    return bad
 
 
 def theorem2_by_every_grade(s):
@@ -1070,7 +1221,7 @@ def enumerate_doc(n):
     payload = []
     for s in classes:
         dims = dict(sorted(grade_dims_by_counting(s).items()))
-        payload.append({"spectrum": s.to_json(), "grading": _grading_cells(dims)})
+        payload.append({"spectrum": s.to_json(), "grading": _grading_cells(dims.items())})
     return {"command": "enumerate", "n": n, "count": len(classes), "classes": payload}
 
 

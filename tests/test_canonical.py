@@ -1,15 +1,18 @@
 """Decision procedures: generation test, spectral test, constructions, enumeration."""
 
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canonical_lie import (
     LieTable,
     NotCanonical,
     NotMonomial,
     RatMatrix,
+    Spectrum,
     Verdict,
     VerdictReason,
     condition1,
@@ -18,7 +21,6 @@ from canonical_lie import (
     half_integral_count,
     half_integral_spectra,
     parabolic_of,
-    polar_indices,
     prop3_check,
     prop3_report,
     spectrum_from_matrix,
@@ -27,23 +29,27 @@ from canonical_lie import (
     theorem2_check,
 )
 from canonical_lie import canonical
-from canonical_lie.canonical import _descending_series, _iterates
 from canonical_lie.sonreal import TooSmall, _so_table
 from helpers import (
     Subspace,
+    bracket_indices,
     bracket_spaces,
     brute_force_spectra,
     canonical_by_families,
     canonical_by_simple_roots,
+    cell_path_mismatches,
     condition1_by_fractions,
     condition1_pairwise,
     descending_series,
+    descending_series_by_indices,
     generated_subalgebra,
     integer_path_spectra,
+    iterates_by_indices,
     magnitudes_of,
     mult_of,
     normal_form,
     polar,
+    polar_indices,
     prop3_report_by_fractions,
     realize,
     space_at,
@@ -104,7 +110,7 @@ class TestTheorem2Check:
         v = theorem2_check(spec(4, ("0", 4)))
         assert v.canonical and v.reason is VerdictReason.CANONICAL
         assert v.trace == ()
-        assert v.witness.dims() == {Fraction(0): 6}
+        assert v.witness == ((0, 6),)
 
     def test_so4_multiplicity_one_rejected(self):
         v = theorem2_check(spec(4, ("1/2", 1), ("3/2", 1)))
@@ -204,14 +210,14 @@ class TestIndexPathMatchesSubspaceRoute:
 
             if condition1(s):
                 trace = theorem2_check(s).trace
-                dims = [len(x) for x in islice(_iterates(t, g1, g1), len(trace))]
+                dims = [len(x) for x in islice(iterates_by_indices(t, g1, g1), len(trace))]
                 assert [a for _, a, _ in trace] == dims, str(s)
 
             if ("generation", g1) not in seen:
                 seen.add(("generation", g1))
                 g1_space = unit_span(t.dim, g1)
                 previous = None
-                for term in _iterates(t, g1, g1):
+                for term in iterates_by_indices(t, g1, g1):
                     if previous is not None:
                         expected = bracket_spaces(t, g1_space, unit_span(t.dim, previous))
                         assert unit_span(t.dim, term) == expected, str(s)
@@ -221,7 +227,7 @@ class TestIndexPathMatchesSubspaceRoute:
 
             if ("series", nil) not in seen:
                 seen.add(("series", nil))
-                series = _descending_series(t, nil)
+                series = descending_series_by_indices(t, nil)
                 expected = descending_series(t, unit_span(t.dim, nil))
                 assert [unit_span(t.dim, x) for x in series] == expected, str(s)
 
@@ -245,6 +251,62 @@ class TestIndexPathMatchesSubspaceRoute:
             assert series == [tail(r) for r in range(1, len(series) + 1)], str(s)
             assert series == descending_series(t, tail(1)), str(s)
             assert polar(t, q) == nilradical, str(s)
+
+
+class TestCellsMatchIndexSets:
+    """The g_0-cell deciders against the index-set path of tests/helpers.py:
+    the cell bracket against bracket_indices on the table of n, then every
+    verdict, trace, failing certificate, witness, Theorem 1 report, sweep
+    record and parabolic certificate."""
+
+    def test_cell_bracket_is_the_index_bracket(self):
+        # every positive-grade cell pair of every spectrum with n <= 12 at
+        # 7/2, odd n and the split zero block of size 2 among them; a bracket
+        # of cells depends on the block sizes alone, so each pair is checked
+        # once per block structure
+        seen, tori = set(), set()
+        for n in range(3, 13):
+            table = _so_table(n)
+            for s in half_integral_spectra(n, Fraction(7, 2)):
+                blocks = canonical._blocks(s)
+                sizes, cells = tuple(m for _, m in blocks), canonical._cells(blocks, 1)
+                if mult_of(s, 0) == 2:
+                    tori.add(sizes)
+                for a, b in product(cells, repeat=2):
+                    if (sizes, a, b) in seen:
+                        continue
+                    seen.add((sizes, a, b))
+                    got = canonical._bracket(cells, len(blocks) - 1, {a}, {b})
+                    wedges = [canonical._wedge_indices(n, blocks, c) for c in (got, {a}, {b})]
+                    assert wedges[0] == bracket_indices(table, *wedges[1:]), (str(s), a, b)
+        assert len(seen) > 10_000 and len(tori) > 20
+
+    def test_sweep_and_enumerated_classes(self):
+        sweep = [s for n in range(3, 12) for s in half_integral_spectra(n, Fraction(7, 2))]
+        assert len(sweep) == 2564
+        assert cell_path_mismatches(sweep) == []
+        assert cell_path_mismatches(s for n in range(3, 17) for s in enumerate_canonical(n)) == []
+
+    @st.composite
+    def spectra(draw):
+        # magnitudes p/q with q in {1, 2, 3}: half-integral ones reach every
+        # verdict, and thirds only Theorem 1's report
+        n = draw(st.integers(3, 14))
+        q = draw(st.sampled_from([1, 2, 2, 3]))
+        magnitudes = draw(st.sets(st.integers(1, 3 * n), max_size=n // 2))
+        entries, left = [], n
+        for p in sorted(magnitudes):
+            if left < 2:
+                break
+            mult = draw(st.integers(1, left // 2))
+            entries.append((Fraction(p, q), mult))
+            left -= 2 * mult
+        return Spectrum(n, ((Fraction(0), left),) * (left > 0) + tuple(entries))
+
+    @settings(max_examples=60, deadline=None)
+    @given(spectra())
+    def test_drawn_spectra(self, s):
+        assert cell_path_mismatches([s]) == []
 
 
 class TestProp3Check:
@@ -362,10 +424,10 @@ class TestParabolicOf:
     @pytest.mark.parametrize(
         "name,broken,fails",
         [
-            ("polar_indices", lambda table, idx: frozenset(), "polar_is_nilradical"),
+            ("_polar", lambda cells, last, a: frozenset(), "polar_is_nilradical"),
             (
                 "_descending_series",
-                lambda table, n: [n],
+                lambda cells, last, n: [n],
                 "series_matches_tails, series_reaches_zero",
             ),
         ],

@@ -26,6 +26,7 @@ from canonical_lie import (
     half_integral_count,
     half_integral_spectra,
     oracle_record,
+    sonreal,
 )
 from canonical_lie.cli import MAX_LAMBDA, MAX_N, MAX_SWEEP, main
 from helpers import (
@@ -630,17 +631,20 @@ class TestVerify:
             bad = json.loads(out)["discrepancies"]
             assert bad and all(r["theorem2"]["canonical"] for r in bad)
 
-    def test_one_grading_per_swept_spectrum(self, capsys, monkeypatch):
-        # theorem2's grading witness serves Theorem 1 too, so each spectrum
-        # with integral grades is graded once and the others never
-        graded = []
-        grading = canonical.grading
-        monkeypatch.setattr(canonical, "grading", lambda s: graded.append(s) or grading(s))
+    def test_sweep_builds_no_table_and_no_grading(self, capsys, monkeypatch):
+        # theorem2 and Theorem 1 decide on g_0-cells, so a sweep neither builds
+        # the so(n, C) table nor grades its wedges
+        calls = []
+        for module in (canonical, sonreal):
+            for name in ("_so_table", "grading"):
+
+                def counted(*args, fn=getattr(module, name), name=name):
+                    calls.append(name)
+                    return fn(*args)
+
+                monkeypatch.setattr(module, name, counted)
         code, _, _ = run_cli(capsys, "verify", "--max-n", "7", "--max-lambda", "7/2")
-        assert code == 0
-        spectra = [s for n in range(3, 8) for s in half_integral_spectra(n, "7/2")]
-        assert graded == [s for s in spectra if canonical.condition1(s)]
-        assert len(graded) == 94
+        assert (code, calls) == (0, [])
 
     def test_max_n_too_small(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--max-n", "2")
@@ -729,6 +733,32 @@ class TestNoCyclicGarbage:
                 assert (argv, code, gc.collect()) == (argv, 0, 0)
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_package_import_collects_nothing(self, collecting):
+        # the package loads its modules on first use, so importing it makes no
+        # collection and leaves the collector as the caller set it; `python -m
+        # canonical_lie` then loads them with the collector off and makes none
+        src = str(Path(canonical_lie.__file__).resolve().parents[1])
+        code = (
+            "import gc, os, runpy, sys\n"
+            f"gc.enable() if {collecting} else gc.disable()\n"
+            "starts = []\n"
+            "gc.callbacks.append(lambda phase, info: starts.append(phase == 'start'))\n"
+            "import canonical_lie\n"
+            "print(sum(starts), gc.isenabled(), flush=True)\n"
+            "sys.argv = ['-m', 'enumerate', '--n', '3']\n"
+            "gc.callbacks.append(lambda phase, info: os.write(2, b'collected'))\n"
+            "runpy._run_module_as_main('canonical_lie')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[0] == f"0 {collecting}"
 
     def test_import_leaves_none(self):
         # `python -m canonical_lie` turns the collector off before `cli` loads

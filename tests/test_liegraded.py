@@ -15,9 +15,7 @@ from canonical_lie import (
     LieTableError,
     NotMonomial,
     RatMatrix,
-    bracket_indices,
     half_integral_spectra,
-    polar_indices,
     rref,
 )
 from canonical_lie.sonreal import _so_table
@@ -26,6 +24,7 @@ from helpers import (
     FormNotInvariant,
     JacobiViolation,
     Subspace,
+    bracket_indices,
     bracket_spaces,
     build_table,
     dense_antisymmetry_failure,
@@ -43,6 +42,7 @@ from helpers import (
     kernel,
     matmul,
     polar,
+    polar_indices,
     realize,
     regrade,
     scaled,
