@@ -18,7 +18,7 @@ them with the collector off, and a library caller with its collector as set.
 # the names of `__all__`, by the module that defines them
 _HOMES = {
     "exactlin": "RatMatrix parse_rational rref",
-    "liegraded": "DegenerateForm GradingMap GradingViolation LieTable LieTableError NotMonomial",
+    "liegraded": "GradingMap GradingViolation LieTable LieTableError NotMonomial",
     "sonreal": "InvalidSpectrum NotSkew RealizationViolation Spectrum TooSmall grading "
     "spectrum_from_matrix",
     "canonical": "NotCanonical OracleRecord ParabolicData Verdict VerdictReason condition1 "

@@ -44,7 +44,7 @@ index set of the table and eliminates only over the n // 2 diagonal wedges.
 import math
 from collections import Counter, namedtuple
 from enum import Enum
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate, product
 
 from .exactlin import RatMatrix, format_ratio, ratio, rref
 from .liegraded import NotMonomial
@@ -61,7 +61,8 @@ class VerdictReason(str, Enum):
     GENERATION_FAILS = "GenerationFails"
 
 
-_CANONICAL = VerdictReason.CANONICAL  # an enum member read off its class costs a lookup each time
+# an enum member read off its class costs a lookup each time
+_CANONICAL, _FAILS = VerdictReason.CANONICAL, VerdictReason.GENERATION_FAILS
 
 
 class Verdict(namedtuple("Verdict", "reason failing trace witness", defaults=(None,) * 3)):
@@ -82,7 +83,8 @@ class Verdict(namedtuple("Verdict", "reason failing trace witness", defaults=(No
         return self.reason is _CANONICAL
 
 
-_NON_INTEGRAL = Verdict(VerdictReason.NON_INTEGRAL)  # one shared verdict, as it has no certificate
+# one shared verdict each, as neither has a certificate (a record keeps no trace or witness)
+_NON_INTEGRAL, _CANONICAL_VERDICT = Verdict(VerdictReason.NON_INTEGRAL), Verdict(_CANONICAL)
 
 
 class ParabolicData(namedtuple("ParabolicData", "q nilradical series grading")):
@@ -125,33 +127,42 @@ def theorem2_check(s: Spectrum) -> Verdict:
     """
     if not condition1(s):
         return _NON_INTEGRAL
-    den, blocks = s.den, _blocks(s)
+    trace = []
+    reason, failing, dims = _generate(s.den, _blocks(s), trace)
+    grades = sorted(dims)
+    zero = s.n * (s.n - 1) // 2 - 2 * sum(dims.values())  # dim g_-k = dim g_k
+    witness = tuple([(-k, dims[k]) for k in reversed(grades)] + [(0, zero)])
+    witness += tuple([(k, dims[k]) for k in grades])
+    return Verdict(reason, failing, tuple(trace), witness)
+
+
+def _generate(den: int, blocks, trace) -> tuple[VerdictReason, tuple | None, dict[int, int]]:
+    """theorem2's generation loop on the g_0-cells of an integral grading:
+    (reason, failing, {grade: dim g_k} over the positive grades), failing as
+    in :class:`Verdict`.  Appends each (grade, dim g^k, dim g_k) row of the
+    trace when `trace` is a list, and keeps none when it is None."""
     cells = _cells(blocks, 1)
     spaces, dims = {}, {}  # by grade: the cells, their dimension
     for cell, (g, d) in cells.items():
         k = g // den  # condition1: int grades
         spaces.setdefault(k, set()).add(cell)
         dims[k] = dims.get(k, 0) + d
-    grades = sorted(dims)
-    zero = s.n * (s.n - 1) // 2 - 2 * sum(dims.values())  # dim g_-k = dim g_k
-    witness = tuple([(-k, dims[k]) for k in reversed(grades)] + [(0, zero)])
-    witness += tuple([(k, dims[k]) for k in grades])
     last, empty = len(blocks) - 1, frozenset()
     g1 = current = spaces.get(1, empty)
-    trace = []
-    for k in range(1, grades[-1] + 1 if grades else 1):
+    for k in range(1, max(dims, default=0) + 1):
         if k > 1:
             current = _bracket(cells, last, g1, current)
         required = spaces.get(k, empty)
-        trace.append((k, sum([cells[c][1] for c in current]), dims.get(k, 0)))
+        if trace is not None:
+            trace.append((k, sum([cells[c][1] for c in current]), dims.get(k, 0)))
         if not current and not required:  # every later iterate is empty too
-            k = min(g for g in grades if g > k)  # the largest grade holds a cell
+            k = min(g for g in dims if g > k)  # the largest grade holds a cell
             required = spaces[k]
-            trace.append((k, 0, dims[k]))
+            if trace is not None:
+                trace.append((k, 0, dims[k]))
         if current != required:
-            trace = tuple(trace)
-            return Verdict(VerdictReason.GENERATION_FAILS, trace[-1], trace, witness)
-    return Verdict(VerdictReason.CANONICAL, trace=tuple(trace), witness=witness)
+            return _FAILS, (k, sum([cells[c][1] for c in current]), dims.get(k, 0)), dims
+    return _CANONICAL, None, dims
 
 
 def _blocks(s: Spectrum) -> list[tuple[int, int]]:
@@ -386,13 +397,7 @@ def enumerate_canonical(n: int) -> list[Spectrum]:
         m0 = 2 * counts.pop(0, 0) + n % 2
         entries = ((0, m0),) * (m0 > 0) + tuple(sorted(counts.items()))
         keys.add((entries[-1][0], entries))
-    return _spectra_from_doubled(n, keys)
-
-
-def _spectra_from_doubled(n: int, keyed) -> list[Spectrum]:
-    """The spectra of the keys (2 max lambda, ((2 lambda, mult), ...)), sorted
-    on those ints, which is the order by largest magnitude, then entries."""
-    return [Spectrum._from_doubled(n, doubled) for _, doubled in sorted(keyed)]
+    return [Spectrum._from_doubled(n, doubled) for _, doubled in sorted(keys)]
 
 
 def _twice(max_lambda) -> int:
@@ -415,18 +420,28 @@ def half_integral_spectra(n: int, max_lambda) -> list[Spectrum]:
     Fraction or a 'p/q' string."""
     if n < 3:
         raise TooSmall(f"need n >= 3, got n = {n}")
-    top = _twice(max_lambda)
+    top, r = _twice(max_lambda), n // 2
     # one (2 lambda, mult) pair per value, shared by the spectra that hold it
-    pairs = [[(d, m) for m in range(n // 2 + 1)] for d in range(top + 1)]
-    keyed = []
-    for size in range(0, n // 2 + 1):
-        m0 = n - 2 * size
-        zero = ((0, m0),) * (m0 > 0)
-        for combo in combinations_with_replacement(range(1, top + 1), size):
-            # combo ascends, so dict.fromkeys lists its distinct values in order
-            doubled = zero + tuple([pairs[d][combo.count(d)] for d in dict.fromkeys(combo)])
-            keyed.append((doubled[-1][0], doubled))
-    return _spectra_from_doubled(n, keyed)
+    pairs = [[(d, m) for m in range(r + 1)] for d in range(top + 1)]
+    out = [Spectrum._from_doubled(n, ((0, n),))]
+    # (0, mult(0)) leads, so mult(0) ascends, and the spectra without 0 (even
+    # n, r nonzero magnitudes in all) follow all the others
+    sizes = [size for size in range(r, 0, -1) if n > 2 * size] + [r] * (n % 2 == 0)
+    for largest in range(1, top + 1):
+        for size in sizes:
+            _walk(n, pairs, ((0, n - 2 * size),) * (n > 2 * size), 1, largest, size, out)
+    return out
+
+
+def _walk(n: int, pairs, head: tuple, low: int, largest: int, left: int, out: list) -> None:
+    """Append to `out`, in tuple order, the spectra head + ((2 lambda, mult),
+    ...) whose 2 lambda ascend from at least `low` to `largest` and whose
+    multiplicities add up to `left`.  A module-level function, as a nested
+    one that called itself would be a reference cycle."""
+    for d in range(low, largest):
+        for m in range(1, left):  # leave at least 1 for `largest`
+            _walk(n, pairs, head + (pairs[d][m],), d + 1, largest, left - m, out)
+    out.append(Spectrum._from_doubled(n, head + (pairs[largest][left],)))
 
 
 class OracleRecord(namedtuple("OracleRecord", "spectrum verdict prop3 theorem1_ok")):
@@ -462,9 +477,13 @@ def sweep_tally(records) -> tuple[list[OracleRecord], int, int]:
 
 
 def oracle_record(s: Spectrum) -> OracleRecord:
-    verdict = theorem2_check(s)
+    """theorem2's reason and failing grade, prop3 and, for a canonical
+    spectrum, Theorem 1, from one set of g_0 blocks; no trace or witness."""
     p3 = prop3_check(s)
-    t1 = all(_theorem1(s.den, _blocks(s))[0].values()) if verdict.canonical else None
-    if verdict.trace is not None:
-        verdict = Verdict(verdict.reason, verdict.failing)
-    return OracleRecord(s, verdict, p3, t1)
+    if not condition1(s):
+        return OracleRecord(s, _NON_INTEGRAL, p3, None)
+    blocks = _blocks(s)
+    reason, failing, _ = _generate(s.den, blocks, None)
+    if reason is _CANONICAL:
+        return OracleRecord(s, _CANONICAL_VERDICT, p3, all(_theorem1(s.den, blocks)[0].values()))
+    return OracleRecord(s, Verdict(reason, failing), p3, None)

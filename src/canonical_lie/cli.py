@@ -69,7 +69,7 @@ MAX_N = 24
 # the default 7/2.  A sweep keeps one compact record per spectrum, and
 # theorem2 walks each grade up to the largest magnitude, so the two caps bound
 # its time and memory: `--max-n 10 --max-lambda 25/2` (197,288 spectra) takes
-# 1.8-1.9 s and 76 MB as JSON, and 2.3-2.6 s and 123 MB as a table, as a
+# 1.5-1.6 s and 67 MB as JSON, and 1.9-2.0 s and 114 MB as a table, as a
 # whole process on the same host.
 MAX_LAMBDA = MAX_N
 MAX_SWEEP = 201_542

@@ -24,11 +24,9 @@ that the grade multiset is symmetric, so no grading is checked per bracket.
 
 Every subspace here is a coordinate subspace, given as the set of basis
 indices that spans it: the grade spaces and tails of a :class:`GradingMap`.
-:class:`NotMonomial` and :class:`DegenerateForm` are the errors of brackets
-and polars of such index sets, exact only when every bracket they meet is a
-multiple of one basis element and the form is monomial and nondegenerate;
-strict generation (:func:`canonical.strict_generation_report`) raises the
-first.
+:class:`NotMonomial` is the error of brackets of such index sets, exact
+only when every bracket they meet is a multiple of one basis element; strict
+generation (:func:`canonical.strict_generation_report`) raises it.
 """
 
 from collections import namedtuple
@@ -44,10 +42,6 @@ class GradingViolation(LieTableError):
     def __init__(self, message: str, indices: tuple = ()):
         super().__init__(message)
         self.indices = indices
-
-
-class DegenerateForm(LieTableError):
-    """The bilinear form has a radical, so polars are undefined."""
 
 
 class NotMonomial(LieTableError):

@@ -11,7 +11,6 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, islice
 
 from canonical_lie import (
-    DegenerateForm,
     GradingMap,
     InvalidSpectrum,
     LieTable,
@@ -55,6 +54,10 @@ class JacobiViolation(LieTableError):
     def __init__(self, i: int, j: int, k: int):
         super().__init__(f"Jacobi identity fails on basis triple ({i}, {j}, {k})")
         self.indices = (i, j, k)
+
+
+class DegenerateForm(LieTableError):
+    """The bilinear form has a radical, so polars are undefined."""
 
 
 class FormNotInvariant(LieTableError):

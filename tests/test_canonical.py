@@ -287,6 +287,21 @@ class TestCellsMatchIndexSets:
         assert cell_path_mismatches(sweep) == []
         assert cell_path_mismatches(s for n in range(3, 17) for s in enumerate_canonical(n)) == []
 
+    def test_record_and_theorem2_share_the_generation_loop(self):
+        # oracle_record runs theorem2's loop without a trace and Theorem 1 on
+        # the same blocks; both must answer as theorem2_check and
+        # theorem1_report do
+        sweep = [s for n in range(3, 12) for s in half_integral_spectra(n, Fraction(7, 2))]
+        sweep += [s for n in range(3, 9) for s in half_integral_spectra(n, Fraction(25, 2))]
+        reasons = set()
+        for s in sweep:
+            record, verdict = canonical.oracle_record(s), theorem2_check(s)
+            assert record.verdict == Verdict(verdict.reason, verdict.failing), str(s)
+            t1 = all(theorem1_report(s).values()) if verdict.canonical else None
+            assert record.theorem1_ok is t1, str(s)
+            reasons.add(verdict.reason)
+        assert len(sweep) == 2564 + 31031 and reasons == set(VerdictReason)
+
     @st.composite
     def spectra(draw):
         # magnitudes p/q with q in {1, 2, 3}: half-integral ones reach every
@@ -524,7 +539,9 @@ class TestEnumeration:
 
     @pytest.mark.parametrize(
         "n,bound",
-        [(n, Fraction(7, 2)) for n in range(3, 13)] + [(n, Fraction(25, 2)) for n in range(3, 7)],
+        [(n, Fraction(7, 2)) for n in range(3, 13)]
+        + [(n, Fraction(25, 2)) for n in range(3, 7)]
+        + [(n, bound) for bound in (Fraction(1, 2), Fraction(1)) for n in range(3, 25)],
     )
     def test_order_matches_fraction_keys(self, n, bound):
         assert half_integral_spectra(n, bound) == spectra_in_fraction_order(n, int(2 * bound))

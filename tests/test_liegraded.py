@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonical_lie import (
-    DegenerateForm,
     GradingViolation,
     LieTable,
     LieTableError,
@@ -21,6 +20,7 @@ from canonical_lie import (
 from canonical_lie.sonreal import _so_table
 from helpers import (
     AntisymmetryViolation,
+    DegenerateForm,
     FormNotInvariant,
     JacobiViolation,
     Subspace,
