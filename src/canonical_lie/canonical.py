@@ -107,7 +107,12 @@ def condition1(s: Spectrum) -> bool:
     the spectrum's ints: D = 1, or D = 2 with every 2 lambda odd.  This reads
     the spectrum's entries only, never the n(n-1)/2 basis pairs.
     """
-    return s.den == 1 or (s.den == 2 and all(k & 1 for k, _ in s.scaled))
+    if s.den != 2:
+        return s.den == 1
+    for k, _ in s.scaled:
+        if not k & 1:
+            return False
+    return True
 
 
 def theorem2_check(s: Spectrum) -> Verdict:
@@ -251,27 +256,33 @@ def _polar(cells, last: int, a) -> frozenset:
     return frozenset(cells) - {(last - j, last - i) for i, j in a}
 
 
-def prop3_report(s: Spectrum) -> tuple[bool, str]:
-    """Closed-form canonicality test on the magnitude ladder, with the
-    sentence that says why."""
-    count = len(s.scaled)
-    scaled = [k for k, _ in s.scaled]  # D * lambda, ascending
-    if s.den == 1 and scaled == list(range(count)):
-        return True, f"magnitudes form the integer ladder 0..{count - 1}"
-    if s.den == 2 and scaled == list(range(1, 2 * count, 2)):
-        m_half = s.scaled[0][1]
-        if m_half >= 2:
-            return True, (
-                f"magnitudes form the half-odd ladder 1/2..{format_ratio(scaled[-1], 2)} "
-                f"with mult(1/2) = {m_half} >= 2"
-            )
-        return False, f"half-odd ladder, but mult(1/2) = {m_half} < 2"
-    return False, "magnitudes are not an unbroken ladder from 0 or 1/2"
-
-
 def prop3_check(s: Spectrum) -> bool:
-    """Closed-form canonicality test on the magnitude ladder."""
-    return prop3_report(s)[0]
+    """Closed-form canonicality test on the magnitude ladder.  The c values
+    D * lambda ascend strictly from 0 or more, so they are 0, ..., c - 1 iff
+    the last is c - 1, and 1, 3, ..., 2c - 1 iff all are odd and the last is."""
+    scaled = s.scaled
+    if s.den == 1:
+        return scaled[-1][0] == len(scaled) - 1
+    if s.den != 2 or scaled[-1][0] != 2 * len(scaled) - 1 or scaled[0][1] < 2:
+        return False
+    for k, _ in scaled:
+        if not k & 1:
+            return False
+    return True
+
+
+def prop3_report(s: Spectrum) -> tuple[bool, str]:
+    """:func:`prop3_check`'s answer, with the sentence that says why."""
+    if prop3_check(s):
+        if s.den == 1:
+            return True, f"magnitudes form the integer ladder 0..{s.scaled[-1][0]}"
+        return True, (
+            f"magnitudes form the half-odd ladder 1/2..{format_ratio(s.scaled[-1][0], 2)} "
+            f"with mult(1/2) = {s.scaled[0][1]} >= 2"
+        )
+    if s.den == 2 and [k for k, _ in s.scaled] == list(range(1, 2 * len(s.scaled), 2)):
+        return False, f"half-odd ladder, but mult(1/2) = {s.scaled[0][1]} < 2"
+    return False, "magnitudes are not an unbroken ladder from 0 or 1/2"
 
 
 def strict_generation_report(s: Spectrum) -> tuple[bool, int, int]:
@@ -478,12 +489,15 @@ def sweep_tally(records) -> tuple[list[OracleRecord], int, int]:
 
 def oracle_record(s: Spectrum) -> OracleRecord:
     """theorem2's reason and failing grade, prop3 and, for a canonical
-    spectrum, Theorem 1, from one set of g_0 blocks; no trace or witness."""
+    spectrum, Theorem 1, from one set of g_0 blocks; no trace or witness.
+    Built by tuple.__new__, as namedtuple's own __new__ is a Python call."""
     p3 = prop3_check(s)
     if not condition1(s):
-        return OracleRecord(s, _NON_INTEGRAL, p3, None)
+        return tuple.__new__(OracleRecord, (s, _NON_INTEGRAL, p3, None))
     blocks = _blocks(s)
     reason, failing, _ = _generate(s.den, blocks, None)
     if reason is _CANONICAL:
-        return OracleRecord(s, _CANONICAL_VERDICT, p3, all(_theorem1(s.den, blocks)[0].values()))
-    return OracleRecord(s, Verdict(reason, failing), p3, None)
+        t1 = all(_theorem1(s.den, blocks)[0].values())
+        return tuple.__new__(OracleRecord, (s, _CANONICAL_VERDICT, p3, t1))
+    verdict = tuple.__new__(Verdict, (reason, failing, None, None))
+    return tuple.__new__(OracleRecord, (s, verdict, p3, None))

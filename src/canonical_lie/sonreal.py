@@ -137,8 +137,9 @@ class Spectrum(namedtuple("Spectrum", "n den scaled")):
         """From ((2 lambda, mult), ...) with 2 lambda ascending, as the
         generators make them: D = 2 keeps the pairs as given."""
         unordered = "doubled magnitudes must be non-negative and ascend strictly"
-        if any(d & 1 for d, _ in doubled):
-            return cls._checked(n, 2, doubled, unordered)
+        for d, _ in doubled:
+            if d & 1:
+                return cls._checked(n, 2, doubled, unordered)
         return cls._checked(n, 1, [(d >> 1, m) for d, m in doubled], unordered)
 
     @classmethod
@@ -405,9 +406,10 @@ def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
     magnitudes), which is minus R's second coefficient, sum_{i<j} B_ij^2,
     over L^2.  The one rank taken is mult(0) = n - rank m.  Returns None when
     the multiplicities found do not account for all n dimensions, i.e. when
-    some magnitude is not a half-integer.  The cost grows with the bit length
-    of the entries, not with their size, and no float or Fraction is
-    involved.
+    some magnitude is not a half-integer, and before the characteristic
+    polynomial when that bound on J^2 is not an integer.  The cost grows
+    with the bit length of the entries, not with their size, and no float
+    or Fraction is involved.
 
     That outcome already settles the canonicality question.  A grading can
     only have integer grades if any two signed magnitudes have integral sum
@@ -424,10 +426,14 @@ def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
         for j in range(i, n):
             if row[j] != -nums[j][i]:
                 raise NotSkew(f"entry ({i}, {j}) is not the negative of ({j}, {i})")
+    # sum_{i<j} B_ij^2 / L^2 = sum mult (2 lambda)^2, an int if every lambda is a half-integer
+    top, rest = divmod(2 * sum([v * v for row in nums for v in row]), lcd * lcd)
+    if rest:
+        return None
 
     b = [[2 * v for v in row] for row in nums]
     r = [-c if k & 1 else c for k, c in enumerate(charpoly(b)[::2])]
-    roots = _grid_roots(r, lcd * lcd, math.isqrt(-r[1] // (lcd * lcd)))
+    roots = _grid_roots(r, lcd * lcd, math.isqrt(top))
     mult0 = n - rref(m)[0]
     if mult0 + 2 * sum(mult for _, mult in roots) != n:
         return None

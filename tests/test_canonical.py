@@ -346,6 +346,16 @@ class TestProp3Check:
         for s in integer_path_spectra():
             assert prop3_report(s) == prop3_report_by_fractions(s), str(s)
 
+    def test_check_is_the_answer_of_the_report(self):
+        # prop3_check is the ladder test and prop3_report words it; thirds and
+        # quarters included
+        spectra = [s for n in range(3, 12) for s in half_integral_spectra(n, "7/2")]
+        spectra += [s for n in range(3, 9) for s in half_integral_spectra(n, "25/2")]
+        spectra += [s for n in range(3, 17) for s in enumerate_canonical(n)]
+        spectra += [s for s in integer_path_spectra() if s.den > 2]
+        for s in spectra:
+            assert prop3_check(s) == prop3_report(s)[0], str(s)
+
 
 class TestStrictGeneration:
     def test_zero_spectrum_not_strict(self):

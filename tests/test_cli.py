@@ -616,7 +616,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "name,forced",
         [
-            ("prop3_report", lambda s: (False, "forced")),
+            ("prop3_check", lambda s: False),
             ("_theorem1", lambda table, gm: ({"forced": False}, [])),
         ],
     )
@@ -642,6 +642,21 @@ class TestVerify:
                     calls.append(name)
                     return fn(*args)
 
+                monkeypatch.setattr(module, name, counted)
+        code, _, _ = run_cli(capsys, "verify", "--max-n", "7", "--max-lambda", "7/2")
+        assert (code, calls) == (0, [])
+
+    def test_sweep_words_no_reason_and_keeps_no_trace(self, capsys, monkeypatch):
+        # a record takes prop3's answer from prop3_check and theorem2's from its
+        # generation loop, so neither prop3_report nor theorem2_check runs
+        calls = []
+        for name in ("prop3_report", "theorem2_check"):
+
+            def counted(*args, fn=getattr(canonical, name), name=name):
+                calls.append(name)
+                return fn(*args)
+
+            for module in (canonical, cli):
                 monkeypatch.setattr(module, name, counted)
         code, _, _ = run_cli(capsys, "verify", "--max-n", "7", "--max-lambda", "7/2")
         assert (code, calls) == (0, [])

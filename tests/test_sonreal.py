@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -800,6 +801,36 @@ class TestSpectrumFromMatrix:
 
         monkeypatch.setattr(sonreal, "rref", counting_rref)
         assert spectrum_from_matrix(m) == s
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bound", [10**10, 10**30])
+    def test_random_large_denominators_skip_charpoly(self, monkeypatch, bound):
+        # 276 independent denominators make L huge, and Berkowitz on 2 L m took
+        # seconds to minutes; L^2 does not divide 4 sum_{i<j} nums_ij^2, so the
+        # answer is None before any characteristic polynomial
+        rng = random.Random(bound)
+        upper = [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(276)]
+        calls = []
+        monkeypatch.setattr(sonreal, "charpoly", lambda b: calls.append(b))
+        assert spectrum_from_matrix(_skew_from_upper(24, upper)) is None
+        assert calls == []
+
+    def test_passing_the_sum_test_is_not_enough(self, monkeypatch):
+        # sum mult lambda^2 = 9/25 + 16/25 = 1 is an integer, so the necessary
+        # test passes and Berkowitz finds no half-integral magnitude
+        s = spec(5, ("0", 1), ("3/5", 1), ("4/5", 1))
+        a = _skew_from_upper(5, [Fraction(i + 1, i + 3) for i in range(10)])
+        m = conjugated_normal_form(s, a)
+        assert sum(v * v for i, row in enumerate(m.entries) for v in row[i + 1 :]) == 1
+        assert m.den > 5  # the conjugation mixed the entries
+        calls, berkowitz = [], sonreal.charpoly
+
+        def counting_charpoly(b):
+            calls.append(b)
+            return berkowitz(b)
+
+        monkeypatch.setattr(sonreal, "charpoly", counting_charpoly)
+        assert spectrum_from_matrix(m) is None
         assert len(calls) == 1
 
     @settings(max_examples=60, deadline=None)
