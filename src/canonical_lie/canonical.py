@@ -276,10 +276,8 @@ def prop3_report(s: Spectrum) -> tuple[bool, str]:
     if prop3_check(s):
         if s.den == 1:
             return True, f"magnitudes form the integer ladder 0..{s.scaled[-1][0]}"
-        return True, (
-            f"magnitudes form the half-odd ladder 1/2..{format_ratio(s.scaled[-1][0], 2)} "
-            f"with mult(1/2) = {s.scaled[0][1]} >= 2"
-        )
+        top, m = format_ratio(s.scaled[-1][0], 2), s.scaled[0][1]
+        return True, f"magnitudes form the half-odd ladder 1/2..{top} with mult(1/2) = {m} >= 2"
     if s.den == 2 and [k for k, _ in s.scaled] == list(range(1, 2 * len(s.scaled), 2)):
         return False, f"half-odd ladder, but mult(1/2) = {s.scaled[0][1]} < 2"
     return False, "magnitudes are not an unbroken ladder from 0 or 1/2"

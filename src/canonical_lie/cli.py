@@ -69,7 +69,7 @@ MAX_N = 24
 # the default 7/2.  A sweep keeps one compact record per spectrum, and
 # theorem2 walks each grade up to the largest magnitude, so the two caps bound
 # its time and memory: `--max-n 10 --max-lambda 25/2` (197,288 spectra) takes
-# 1.1-1.3 s and 66 MB as JSON, and 1.6-1.9 s and 114 MB as a table, as a
+# 1.0-1.6 s and 66 MB as JSON, and 1.6-2.4 s and 114 MB as a table, as a
 # whole process on the same host.
 MAX_LAMBDA = MAX_N
 MAX_SWEEP = 201_542
@@ -422,8 +422,8 @@ def cmd_check(args) -> int:
 # `json.dumps(..., indent=2)` runs the pure-Python encoder, so `enumerate` and
 # `verify` write their JSON from templates instead.  Each template is the text
 # `json.dumps(..., indent=2)` gives for its value where it sits in the
-# document: a class or a record at depth 2 (a record's text split after
-# `"canonical": `), a grading cell at depth 4 and a spectrum entry at depth 5.
+# document: a class or a record at depth 2 (a record's text split around its
+# entries), a grading cell at depth 4 and a spectrum entry at depth 5.
 # No string needs escaping: magnitudes and grades render as p/q and reasons
 # are VerdictReason values.
 _CLASS = (
@@ -431,12 +431,13 @@ _CLASS = (
     '      },\n      "grading": [%s\n      ]\n    }'
 )
 _CELL = '\n        {\n          "grade": "%s",\n          "dim": %d\n        }'
-_RECORD = (
-    '    {\n      "n": %d,\n      "spectrum": {\n        "n": %d,\n        "entries": [%s\n'
-    '        ]\n      },\n      "theorem2": {\n        "canonical": '
+_RECORD_HEADS = tuple(  # by n
+    f'    {{\n      "n": {n},\n      "spectrum": {{\n        "n": {n},\n        "entries": ['
+    for n in range(MAX_N + 1)
 )
 _RECORD_TAIL = (
-    '%s,\n        "reason": "%s",\n        "failing": %s\n      },\n      "prop3": %s,\n'
+    '\n        ]\n      },\n      "theorem2": {\n        "canonical": %s,\n'
+    '        "reason": "%s",\n        "failing": %s\n      },\n      "prop3": %s,\n'
     '      "theorem1": %s,\n      "agree": %s\n    }'
 )
 _ENTRY = '\n          {\n            "lambda": "%s",\n            "mult": %d\n          }'
@@ -518,7 +519,7 @@ def cmd_enumerate(args) -> int:
 def _record_text(rec: OracleRecord, shared: dict) -> str:
     """The record's text at depth 2.  A sweep's records share most of it:
     each entry's text depends only on its (D * lambda, mult) and the
-    spectrum's D, and what follows `"canonical": ` only on the record's
+    spectrum's D, and what follows the entries only on the record's
     (verdict, prop3, theorem1_ok), and a sweep has few of either.  So
     `shared` keeps those texts for the request: per D a dict of the entry
     texts, and per triple its tail."""
@@ -539,7 +540,7 @@ def _record_text(rec: OracleRecord, shared: dict) -> str:
         decision = (_LITERAL[verdict.canonical], verdict.reason.value, failing)
         checks = (_LITERAL[rec.prop3], _LITERAL[rec.theorem1_ok], _LITERAL[rec.agree])
         tail = shared[rec[1:]] = _RECORD_TAIL % (*decision, *checks)
-    return _RECORD % (s.n, s.n, ",".join(entries)) + tail
+    return _RECORD_HEADS[s.n] + ",".join(entries) + tail
 
 
 def _table_cells(rec: OracleRecord, shared: dict) -> tuple[str, ...]:
