@@ -258,8 +258,8 @@ def _polar(cells, last: int, a) -> frozenset:
 
 def prop3_check(s: Spectrum) -> bool:
     """Closed-form canonicality test on the magnitude ladder.  The c values
-    D * lambda ascend strictly from 0 or more, so they are 0, ..., c - 1 iff
-    the last is c - 1, and 1, 3, ..., 2c - 1 iff all are odd and the last is."""
+    D * lambda ascend strictly from 0 or more, so at D = 1 they are 0, ..., c - 1
+    iff the last is c - 1, and at D = 2 1, 3, ..., 2c - 1 iff all are odd and the last is."""
     scaled = s.scaled
     if s.den == 1:
         return scaled[-1][0] == len(scaled) - 1
