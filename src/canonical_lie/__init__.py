@@ -18,9 +18,8 @@ them with the collector off, and a library caller with its collector as set.
 # the names of `__all__`, by the module that defines them
 _HOMES = {
     "exactlin": "RatMatrix parse_rational rref",
-    "liegraded": "GradingMap GradingViolation LieTable LieTableError NotMonomial",
-    "sonreal": "InvalidSpectrum NotSkew RealizationViolation Spectrum TooSmall grading "
-    "spectrum_from_matrix",
+    "liegraded": "grade_dims",
+    "sonreal": "InvalidSpectrum NotSkew Spectrum TooSmall spectrum_from_matrix",
     "canonical": "NotCanonical OracleRecord ParabolicData Verdict VerdictReason condition1 "
     "enumerate_canonical half_integral_count half_integral_spectra oracle_record parabolic_of "
     "prop3_check prop3_report strict_generation_report theorem1_report theorem2_check",

@@ -27,28 +27,31 @@ simple roots (Burstall–Rawnsley), and each is an O(n) class.
 
 Every space the generation test and the canonical-element properties touch
 (grade spaces, their tails, [g_1, g^k], the descending series of the
-nilradical, the polar of q) is a union of g_0-cells.  A cell is the span of
-the wedges with one Witt vector in block I and one in block J, blocks being
-the vectors of one label (:func:`_blocks`): the g_0-module V_I (x) V_J, or
-Lambda^2 V_I when I = J.  Brackets (:func:`_bracket`) and polars
-(:func:`_polar`) of cell sets are cell sets, found through partner blocks,
-so the deciders cost O(r^2) cells for r distinct labels, build no so(n, C)
-table and grade no wedge.  The tests check the cell rule against the
-index-set brackets of the table.  :func:`parabolic_of` expands its
-certificates (q, the nilradical and the descending series) to Witt wedge
-indices.  Strict generation by g_1 + g_{-1} reaches grade-0 cells, which
-are not irreducible (V (x) V* holds sl(V) and the scalars), so it closes an
-index set of the table and eliminates only over the n // 2 diagonal wedges.
+nilradical, the polar of q) is a union of the g_0-cells of
+:mod:`liegraded`, so the deciders cost O(r^2) cells for r distinct labels
+and grade no wedge.  :func:`parabolic_of` expands its certificates (q, the
+nilradical and the descending series) to Witt wedge indices.  Strict
+generation by g_1 + g_{-1} reaches grade-0 cells, which are not
+irreducible, so it closes a set of Witt wedges under the closed-form
+bracket and eliminates only over the n // 2 diagonal wedges.
 """
 
 import math
 from collections import Counter, namedtuple
 from enum import Enum
-from itertools import accumulate, product
+from itertools import product
 
 from .exactlin import RatMatrix, format_ratio, ratio, rref
-from .liegraded import NotMonomial
-from .sonreal import Spectrum, TooSmall, _pair_index, _so_table, grading
+from .liegraded import (
+    _blocks,
+    _bracket,
+    _cells,
+    _descending_series,
+    _polar,
+    _wedge_indices,
+    _witt_bracket,
+)
+from .sonreal import Spectrum, TooSmall
 
 
 class NotCanonical(ValueError):
@@ -87,10 +90,10 @@ class Verdict(namedtuple("Verdict", "reason failing trace witness", defaults=(No
 _NON_INTEGRAL, _CANONICAL_VERDICT = Verdict(VerdictReason.NON_INTEGRAL), Verdict(_CANONICAL)
 
 
-class ParabolicData(namedtuple("ParabolicData", "q nilradical series grading")):
+class ParabolicData(namedtuple("ParabolicData", "q nilradical series")):
     """The parabolic built from a canonical spectrum, with its certificates:
     q, its nilradical and each term of its descending series as the frozenset
-    of the Witt wedge basis indices that spans it, and the grading."""
+    of the Witt wedge basis indices that spans it."""
 
     __slots__ = ()
 
@@ -170,92 +173,6 @@ def _generate(den: int, blocks, trace) -> tuple[VerdictReason, tuple | None, dic
     return _CANONICAL, None, dims
 
 
-def _blocks(s: Spectrum) -> list[tuple[int, int]]:
-    """The g_0 blocks of s as (D * label, size), in Witt order: the labels
-    descend, and block i's partner, of the opposite label, is block len - 1 - i.
-
-    g_0 acts on a block by gl(V), or by so(V) on the zero block.  so(2) is a
-    torus, so a zero block of size 2 splits into its two isotropic lines,
-    each the other's partner, and g_0 acts irreducibly on every block.
-    """
-    positive = [(k, m) for k, m in reversed(s.scaled) if k]
-    m0 = s.scaled[0][1] if s.scaled[0][0] == 0 else 0
-    zero = [(0, 1), (0, 1)] if m0 == 2 else [(0, m0)] * (m0 > 0)
-    return positive + zero + [(-k, m) for k, m in reversed(positive)]
-
-
-def _cells(blocks, lowest) -> dict[tuple[int, int], tuple[int, int]]:
-    """{(i, j): (D * grade, dim)} for the nonempty cells i <= j of D * grade
-    at least `lowest`: the span of the wedges u_a ^ u_b, a < b, with a in
-    block i and b in block j, the g_0-module V_i (x) V_j, or Lambda^2 V_i
-    when i = j, of grade (label_i + label_j) / D."""
-    cells = {}
-    for i, (li, mi) in enumerate(blocks):
-        for j in range(i, len(blocks)):
-            lj, mj = blocks[j]
-            if li + lj < lowest:  # the labels descend
-                break
-            if i < j or mi > 1:
-                cells[i, j] = (li + lj, mi * mj if i < j else mi * (mi - 1) // 2)
-    return cells
-
-
-def _bracket(cells, last: int, a, b) -> frozenset:
-    """[A, B] for sets A, B of positive-grade cells, as the cells of `cells`
-    it fills; the partner of block x is block last - x.
-
-    [u_a ^ u_b, u_c ^ u_d] = (a, c) b^d - (a, d) b^c - (b, c) a^d + (b, d) a^c,
-    and (x, y) is nonzero exactly when y is x's partner vector.  So [{I, J},
-    C] meets {I, Y} for each cell C = {J*, Y} and {J, Y} for each C = {I*, Y}
-    (a cell holding J* and I* would have the opposite grade to {I, J}).  Two
-    positive-grade wedges bracket to a multiple of one wedge, and g_0 acts
-    irreducibly on a positive-grade cell, so the bracket fills a nonempty
-    result cell whole.
-    """
-    others: dict[int, list[int]] = {}  # block -> the other block of each cell of B it is in
-    for k, l in b:
-        others.setdefault(k, []).append(l)
-        if l != k:
-            others.setdefault(l, []).append(k)
-    out = set()
-    for i, j in a:
-        for x, partner in ((i, last - j), (j, last - i)):
-            for y in others.get(partner, ()):
-                out.add((x, y) if x <= y else (y, x))
-    return frozenset([c for c in out if c in cells])
-
-
-def _wedge_indices(n: int, blocks, cells) -> frozenset[int]:
-    """The Witt wedge basis indices that span a set of cells; block i holds
-    the Witt vectors from the sum of the sizes before it on."""
-    starts = list(accumulate([m for _, m in blocks], initial=0))
-    return frozenset(
-        _pair_index(n, a, b)
-        for i, j in cells
-        for a in range(starts[i], starts[i + 1])
-        for b in range(max(a + 1, starts[j]), starts[j + 1])
-    )
-
-
-def _descending_series(cells, last: int, n: frozenset) -> list[frozenset]:
-    """Central descending series [n, [n, n], [n, [n, n]], ...] of a set of
-    positive-grade cells, ending just before the first repetition, so a
-    nilpotent n ends with the empty set."""
-    series = [n]
-    for _ in range(len(cells) + 1):
-        term = _bracket(cells, last, n, series[-1])
-        if term == series[-1]:
-            return series
-        series.append(term)
-    raise ValueError("descending series did not stabilize; is n a subalgebra?")
-
-
-def _polar(cells, last: int, a) -> frozenset:
-    """The polar of a union of cells: the trace form pairs u_a ^ u_b with
-    u_a* ^ u_b* alone, so cell {I, J} with its partner cell {J*, I*}."""
-    return frozenset(cells) - {(last - j, last - i) for i, j in a}
-
-
 def prop3_check(s: Spectrum) -> bool:
     """Closed-form canonicality test on the magnitude ladder.  The c values
     D * lambda ascend strictly from 0 or more, so at D = 1 they are 0, ..., c - 1
@@ -290,42 +207,46 @@ def strict_generation_report(s: Spectrum) -> tuple[bool, int, int]:
     empty grade +-1 pieces, and so(4) splits as two commuting su(2)s), which
     is why it is not the canonicality criterion.
 
-    It runs on basis-index sets.  Call u_a ^ u_{n-1-a} the n // 2 diagonal
-    wedges and every other wedge a root wedge.  A bracket of two root
-    wedges is a multiple of one root wedge or lies in the span of the
-    diagonal wedges (a root wedge with its partner, or through the middle
-    index at odd n); the diagonal wedges commute with each other and only
-    rescale root wedges.  So the subalgebra generated by root wedges is
-    spanned by the closure R of their indices under single-term brackets
-    onto root wedges, plus the diagonal parts of the brackets within R, and
-    its dimension is |R| plus the rank of those parts, an elimination over
-    at most n // 2 columns.  The diagonal wedges have grade 0, so the seed
-    is the index set g_1 + g_{-1}.  Raises NotMonomial naming a bracket of
-    root wedges with two nonzero coordinates on root wedges.
+    Generation by g_1 + g_{-1} reaches grade-0 cells, which are not
+    irreducible (V (x) V* holds sl(V) and the scalars), so it runs on Witt
+    wedges (a, b) and :func:`_witt_bracket` rather than on cells.  Call
+    u_a ^ u_{n-1-a} the n // 2 diagonal wedges and every other wedge a root
+    wedge.  A bracket of two root wedges is a multiple of one root wedge or
+    lies in the span of the diagonal wedges (a root wedge with its partner,
+    or through the middle index at odd n); the diagonal wedges commute with
+    each other and only rescale root wedges.  So the subalgebra generated by
+    root wedges is spanned by the closure R of them under single-term
+    brackets onto root wedges, plus the diagonal parts of the brackets within
+    R, and its dimension is |R| plus the rank of those parts, an elimination
+    over at most n // 2 columns.  The diagonal wedges have grade 0, so the
+    seed is the wedges whose labels sum to +-D.  The tests check that shape
+    of the bracket on every pair of wedges up to n = 24, so none is checked
+    here.
     """
-    table, gm = _so_table(s.n), grading(s)
-    diagonal = [_pair_index(s.n, a, s.n - 1 - a) for a in range(s.n // 2)]
-    todo = sorted(gm.indices_at(1) | gm.indices_at(-1))
+    n, den = s.n, s.den
+    labels = [k for k, m in _blocks(s) for _ in range(m)]
+    diagonal = [(a, n - 1 - a) for a in range(n // 2)]
+    todo = [
+        (a, b) for a in range(n) for b in range(a + 1, n) if abs(labels[a] + labels[b]) == den
+    ]
     roots, done, parts = set(todo), [], set()
     while todo:
         x = todo.pop()
         for y in done:
-            hits = table._sparse[x][y]
-            if all(k in diagonal for k, _ in hits):
-                if hits:
-                    parts.add(tuple(dict(hits).get(k, 0) for k in diagonal))
-            elif len(hits) > 1:
-                raise NotMonomial(
-                    f"[e_{x}, e_{y}] has {len(hits)} nonzero coordinates, not all on "
-                    "diagonal wedges",
-                    (x, y),
-                )
-            elif hits[0][0] not in roots:
-                roots.add(hits[0][0])
-                todo.append(hits[0][0])
+            terms = _witt_bracket(n, x, y)
+            for w in terms:
+                if w[0] + w[1] != n - 1:  # the bracket's one term, on a root wedge
+                    if w not in roots:
+                        roots.add(w)
+                        todo.append(w)
+                    break
+            else:
+                if terms:
+                    parts.add(tuple([terms.get(w, 0) for w in diagonal]))
         done.append(x)
+    full = n * (n - 1) // 2
     generated = len(roots) + rref(RatMatrix(parts, cols=len(diagonal)))[0]
-    return generated == table.dim, generated, table.dim
+    return generated == full, generated, full
 
 
 def parabolic_of(s: Spectrum) -> ParabolicData:
@@ -334,7 +255,8 @@ def parabolic_of(s: Spectrum) -> ParabolicData:
     q is the sum of the non-negative grade spaces and the nilradical the sum
     of the positive ones, each given by the basis indices that span it; the
     series is recomputed by bracketing cells, and all four properties of
-    :func:`theorem1_report` are checked rather than assumed.
+    :func:`theorem1_report` are checked rather than assumed.  Every
+    certificate is a set of cells expanded to Witt wedge indices.
     """
     verdict = theorem2_check(s)
     if not verdict.canonical:
@@ -344,9 +266,9 @@ def parabolic_of(s: Spectrum) -> ParabolicData:
     failed = [name for name, ok in report.items() if not ok]
     if failed:
         raise RuntimeError(f"canonical spectrum {s} fails {', '.join(failed)}")
+    q = _wedge_indices(s.n, blocks, _cells(blocks, 0))
     series = [_wedge_indices(s.n, blocks, term) for term in series]
-    gm = grading(s)
-    return ParabolicData(gm.tail_indices(0), series[0], tuple(series), gm)
+    return ParabolicData(q, series[0], tuple(series))
 
 
 def theorem1_report(s: Spectrum) -> dict[str, bool]:

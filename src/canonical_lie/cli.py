@@ -49,18 +49,19 @@ from .canonical import (
     theorem2_check,
 )
 from .exactlin import RatMatrix, format_ratio, parse_ratio, shown
-from .sonreal import InvalidSpectrum, NotSkew, Spectrum, TooSmall, grading, spectrum_from_matrix
+from .liegraded import grade_dims
+from .sonreal import InvalidSpectrum, NotSkew, Spectrum, TooSmall, spectrum_from_matrix
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 # Largest n any command accepts.  theorem2 decides on O(r^2) g_0-cells, r the
-# number of distinct labels: `check --spectrum` on {0:n} takes 0.03-0.04 s at
-# n = 20 and at n = 24 (13.9 MB peak) as a process on a 2-vCPU Intel Xeon
-# host with Python 3.11.7.  `--method strict` builds the so(n, C) table, which
-# grows about as n^4: it stores all dim^2 basis pairs, 76,176 at n = 24, from
-# one pass over the matrix realization, and takes 0.06-0.08 s there (15.7 MB).
+# number of distinct labels: `check --spectrum` on {0:n} takes 0.036-0.046 s
+# at n = 20 and at n = 24 (14.3 MB peak) as a process on a 2-vCPU x86-64 host
+# with Python 3.11.7.  `--method strict` brackets pairs of Witt wedges, fewer
+# than dim^2 / 2 of them (dim = 276 at n = 24), and takes 0.063-0.086 s on
+# the n = 24 ladder and 0.035-0.045 s on {0:24}, at the same peak.
 MAX_N = 24
 
 # Caps on `verify`.  No spectrum with n <= MAX_N and a magnitude above
@@ -486,7 +487,7 @@ def _write_list(write, texts) -> None:
 
 def _class_text(s: Spectrum) -> str:
     entries = ",".join([_ENTRY % entry for entry in s._texts()])
-    cells = ",".join([_CELL % cell for cell in grading(s).dims().items()])
+    cells = ",".join([_CELL % cell for cell in grade_dims(s).items()])
     return _CLASS % (s.n, entries, cells)
 
 
@@ -507,7 +508,7 @@ def cmd_enumerate(args) -> int:
     else:
         write(f"canonical spectra for so({args.n}): {len(classes)} classes\n")
         for idx, s in enumerate(classes, start=1):
-            dims = " ".join(f"{g}:{d}" for g, d in grading(s).dims().items())
+            dims = " ".join(f"{g}:{d}" for g, d in grade_dims(s).items())
             write(f"  [{idx}] {s}\n      grading dims: {dims}\n")
     return EXIT_OK
 

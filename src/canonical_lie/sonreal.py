@@ -19,39 +19,19 @@ permutation matrix for every spectrum, and every structure constant of
 
     [a^b, c^d] = (a,c) b^d - (a,d) b^c - (b,c) a^d + (b,d) a^c
 
-is a small integer that depends on n alone.  The table of brackets and the
-form is therefore computed once per n; a spectrum only places its
+is a small integer that depends on n alone.  A spectrum only places its
 eigenvalue labels on the basis, and the grading derivation acts on
-u_a ^ u_b with grade lambda_a + lambda_b.
+u_a ^ u_b with grade lambda_a + lambda_b.  :mod:`liegraded` computes with
+this model: the closed-form bracket of two wedges, and the g_0-cells,
+blocks of wedges by label, on which the deciders run.  No table of
+brackets, and no complex (or floating-point) arithmetic, ever appears.
 
-The table is computed from the skew map itself: u_a ^ u_b is an n x n
-matrix with two nonzero entries, and distinct wedges have disjoint
-supports, so the realization is faithful.  :func:`_so_table` stores as each
-bracket row the coordinates of the commutator of two such matrices and as
-each form row their traces.  Antisymmetry and the Jacobi identity then hold
-because the commutator has them, and invariance because tr([X, Y] Z) =
-tr(X [Y, Z]); no sum over basis triples is needed.
-
-Those grades need no per-bracket check either: the realization already
-implies them.  With mirrored labels, lambda_{n-1-a} = -lambda_a, the
-diagonal matrix xi = diag(lambda_0, ..., lambda_{n-1}) lies in so(n, C) for
-the Witt form, and [xi, M_p] = (lambda_a + lambda_b) M_p for the matrix M_p
-of p = u_a ^ u_b.  ad xi is a derivation of the matrix commutator, so a
-table equal to the commutators [M_p, M_q] respects every mirrored grading;
-and (a, b) -> (n - 1 - b, n - 1 - a) negates grades, so the grade multiset
-is symmetric.  So :func:`grading` only checks the n labels for the mirror
-and groups the wedges by their label sums in integer arithmetic; strict
-generation pairs that grading with the one table of n, and no table is built
-per spectrum.  No complex (or floating-point) arithmetic ever appears.
-
-The bilinear form installed on the algebra is the trace form tr(XY) of the
-matrix realization; for so(n) the Killing form is (n-2) times it, so polars
-agree.
+This module holds the conjugacy-class data itself, :class:`Spectrum`, and
+reads it off a rational skew-symmetric matrix (:func:`spectrum_from_matrix`).
 """
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 
 from .exactlin import (
     RatMatrix,
@@ -60,25 +40,13 @@ from .exactlin import (
     format_ratio,
     parse_ratio,
     ratio,
-    rational,
     rref,
     shown,
 )
-from .liegraded import GradingMap, GradingViolation, LieTable, LieTableError
 
 
 class InvalidSpectrum(ValueError):
     """Eigenvalue data that no element of so(n), n >= 3, can have."""
-
-
-class RealizationViolation(LieTableError):
-    """The commutator [M_p, M_q] of two matrices of the so(n, C) realization
-    lies outside the span of the M_k, so bracket row [e_p, e_q] has no
-    coordinates to hold."""
-
-    def __init__(self, message: str, indices: tuple):
-        super().__init__(message)
-        self.indices = indices
 
 
 class NotSkew(ValueError):
@@ -246,150 +214,6 @@ class Spectrum(namedtuple("Spectrum", "n den scaled")):
                 raise InvalidSpectrum('"mult" must be an integer')
             items.append((lam, mult))
         return cls._from_ratios(n, items)
-
-
-def _pair_index(n: int, a: int, b: int) -> int:
-    """Position of the wedge (a, b), a < b, in lexicographic order."""
-    return a * (2 * n - a - 1) // 2 + (b - a - 1)
-
-
-@lru_cache(maxsize=None)
-def _witt_frame(n: int) -> tuple[tuple[int, int], ...]:
-    """The wedge pairs (a, b), a < b, in lexicographic order."""
-    return tuple((a, b) for a in range(n) for b in range(a + 1, n))
-
-
-def _scaled_labels(s: Spectrum) -> tuple[list[int], int]:
-    """(D * lambda_a for a = 0, ..., n - 1, D), D the spectrum's `den`.
-
-    The labels follow the Witt basis: the positive magnitudes by descending
-    lambda, each repeated by its multiplicity, then the zeros, then the
-    negatives mirrored, so that lambda_{n-1-a} = -lambda_a; (u_a, u_b) = 1
-    exactly when b = n - 1 - a.
-    """
-    positive = [k for k, m in reversed(s.scaled) if k for _ in range(m)]
-    return positive + [0] * (s.n - 2 * len(positive)) + [-k for k in reversed(positive)], s.den
-
-
-@lru_cache(maxsize=None)
-def _so_table(n: int) -> LieTable:
-    """so(n, C) in the Witt wedge basis, computed once per n from its
-    faithful n x n matrix realization.
-
-    The wedge p = (a, b) acts on C^n as the matrix M_p with +1 at
-    (b, n - 1 - a) and -1 at (a, n - 1 - b), the map
-    c -> (u_a, c) u_b - (u_b, c) u_a.  An entry (r, c) with r + c > n - 1 is
-    the +1 of M_(n-1-c, r), one with r + c < n - 1 the -1 of M_(r, n-1-c), and
-    none lies on r + c = n - 1: the supports are disjoint, so p -> M_p is
-    injective and X = sum of x_k M_k has coordinates x_k read off its entries.
-    Bracket row [e_p, e_q] holds the coordinates of [M_p, M_q] as ascending
-    (index, coefficient) pairs with no zero, and form row p the nonzero
-    traces tr(M_p M_q): u_a ^ u_b pairs with u_(n-1-b) ^ u_(n-1-a) alone,
-    with value 2.  The table is the commutator table, so antisymmetry and the
-    Jacobi identity hold, and the form is the trace form, symmetric and
-    invariant since tr([X, Y] Z) = tr(X [Y, Z]); it also respects every
-    mirrored grading (see the module docstring).  The tests check that the
-    form is nondegenerate.  The table carries the principal grading
-    lambda_a = (n - 1)/2 - a, the grading of the spectrum with magnitudes
-    0, 1, ... (n odd) or 1/2, 3/2, ... (n even), each of multiplicity one.
-
-    Products are taken only where supports meet: M_p M_q through the M_q
-    entries in the rows that M_p's columns name, M_q M_p through those in
-    the columns that its rows name, about 4n products per p.  Raises
-    RealizationViolation naming (p, q) if a commutator has no coordinates.
-    """
-    pairs = _witt_frame(n)
-    mats = [((b, n - 1 - a, 1), (a, n - 1 - b, -1)) for a, b in pairs]
-    in_row = [[] for _ in range(n)]
-    in_col = [[] for _ in range(n)]
-    for q, entries in enumerate(mats):
-        for r, c, v in entries:
-            in_row[r].append((q, c, v))
-            in_col[c].append((q, r, v))
-    rows, form = [], []
-    for p, entries in enumerate(mats):
-        comm: dict[int, dict[tuple[int, int], int]] = {}
-        trace: dict[int, int] = {}
-        for r, x, v in entries:  # M_p M_q
-            for q, c, w in in_row[x]:
-                at = comm.setdefault(q, {})
-                at[r, c] = at.get((r, c), 0) + v * w
-                if c == r:
-                    trace[q] = trace.get(q, 0) + v * w
-        for x, c, v in entries:  # - M_q M_p
-            for q, r, w in in_col[x]:
-                at = comm.setdefault(q, {})
-                at[r, c] = at.get((r, c), 0) - w * v
-        row = [()] * len(mats)
-        for q, at in comm.items():
-            row[q] = _coordinates(n, at)
-            if row[q] is None:
-                raise RealizationViolation(
-                    f"[M_{p}, M_{q}] lies outside the span of the M_k", (p, q)
-                )
-        rows.append(tuple(row))
-        form.append(tuple((q, t) for q, t in sorted(trace.items()) if t))
-    grades = tuple(n - 1 - a - b for a, b in pairs)
-    return LieTable(len(pairs), grades, tuple(form), tuple(rows))
-
-
-def _coordinates(n: int, entries: dict) -> tuple | None:
-    """The X = sum of x_k M_k with these {(r, c): value} entries, as its
-    ascending nonzero (k, x_k) pairs; None when X is outside the span: an
-    entry on r + c = n - 1, or an M_k whose two entries disagree."""
-    coords: dict[int, int] = {}
-    nonzero = 0
-    for (r, c), v in entries.items():
-        if not v:
-            continue
-        if r + c == n - 1:
-            return None
-        if r + c > n - 1:
-            k, x = _pair_index(n, n - 1 - c, r), v
-        else:
-            k, x = _pair_index(n, r, n - 1 - c), -v
-        if coords.setdefault(k, x) != x:
-            return None
-        nonzero += 1
-    if nonzero != 2 * len(coords):
-        return None
-    return tuple(sorted(coords.items()))
-
-
-def grading(s: Spectrum) -> GradingMap:
-    """The grading of so(n, C) by the spectrum, on the basis of :func:`_so_table`.
-
-    Basis element p = (a, b) is the wedge u_a ^ u_b of the Witt basis, with
-    grade lambda_a + lambda_b; blocks come in ascending grade order, each
-    with its indices ascending.  Only the n labels are checked, for the
-    mirror lambda_{n-1-a} = -lambda_a: with the table computed from its
-    matrix realization by :func:`_so_table`, that makes every bracket of the
-    table respect the grades and the grade multiset symmetric (see the
-    module docstring).
-    Raises GradingViolation naming an unmirrored label.  Integral grades are
-    ints, equal, hash-equal and printed alike to Fractions.
-    """
-    sums, den = _scaled_pair_sums(s)
-    groups: dict[int, list[int]] = {}
-    for p, k in enumerate(sums):
-        groups.setdefault(k, []).append(p)
-    blocks = tuple((rational(k, den), tuple(groups[k])) for k in sorted(groups))
-    return GradingMap(len(sums), blocks)
-
-
-def _scaled_pair_sums(s: Spectrum) -> tuple[list[int], int]:
-    """(D * (lambda_a + lambda_b) for each wedge (a, b), D) from :func:`_scaled_labels`.
-    Raises GradingViolation naming (a, n - 1 - a) if the labels are not mirrored."""
-    scaled, den = _scaled_labels(s)
-    n = len(scaled)
-    for a in range((n + 1) // 2):
-        if scaled[n - 1 - a] != -scaled[a]:
-            raise GradingViolation(
-                f"eigenvalue labels are not mirrored: lambda_{a} = {format_ratio(scaled[a], den)} "
-                f"but lambda_{n - 1 - a} = {format_ratio(scaled[n - 1 - a], den)}",
-                (a, n - 1 - a),
-            )
-    return [scaled[a] + scaled[b] for a, b in _witt_frame(n)], den
 
 
 def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:

@@ -11,10 +11,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, islice
 
 from canonical_lie import (
-    GradingMap,
     InvalidSpectrum,
-    LieTable,
-    NotMonomial,
     OracleRecord,
     RatMatrix,
     Spectrum,
@@ -22,7 +19,6 @@ from canonical_lie import (
     VerdictReason,
     condition1,
     enumerate_canonical,
-    grading,
     half_integral_spectra,
     oracle_record,
     parabolic_of,
@@ -32,9 +28,267 @@ from canonical_lie import (
     theorem2_check,
 )
 from canonical_lie.cli import _grading_cells, _verdict_summary
-from canonical_lie.exactlin import as_rational, charpoly
-from canonical_lie.liegraded import GradingViolation, LieTableError
-from canonical_lie.sonreal import _grid_roots, _pair_index, _scaled_labels, _so_table, _witt_frame
+from canonical_lie.exactlin import as_rational, charpoly, format_ratio, rational
+from canonical_lie.liegraded import _pair_index
+from canonical_lie.sonreal import _grid_roots
+
+
+# so(n, C) as a structure-constant table, computed once per n from its
+# faithful matrix realization, and graded by a spectrum over the wedge basis.
+# The package computes with g_0-cells and the closed-form Witt bracket; this
+# table, its grading and the strict generation that runs on it are the
+# oracles those are held to.
+
+
+class LieTableError(ValueError):
+    """A structure-constant table failed validation."""
+
+
+class GradingViolation(LieTableError):
+    def __init__(self, message: str, indices: tuple = ()):
+        super().__init__(message)
+        self.indices = indices
+
+
+class NotMonomial(LieTableError):
+    """An index-set operation met a bracket or form row with more than one
+    nonzero coordinate, so its result is not spanned by basis elements."""
+
+    def __init__(self, message: str, indices: tuple):
+        super().__init__(message)
+        self.indices = indices
+
+
+class RealizationViolation(LieTableError):
+    """The commutator [M_p, M_q] of two matrices of the so(n, C) realization
+    lies outside the span of the M_k, so bracket row [e_p, e_q] has no
+    coordinates to hold."""
+
+    def __init__(self, message: str, indices: tuple):
+        super().__init__(message)
+        self.indices = indices
+
+
+class LieTable:
+    """Structure-constant table: an ordered basis, the rational coordinates
+    of every bracket [e_i, e_j], a rational grade label per basis element and
+    the rows of the Gram matrix of an invariant symmetric bilinear form.
+    Brackets and form rows are their nonzero (index, coefficient) pairs in
+    ascending index order.  The class checks nothing; :func:`_so_table` and
+    :func:`build_table` make it a Lie algebra."""
+
+    __slots__ = ("dim", "grade", "form", "_sparse")
+
+    def __init__(self, dim, grade, form, sparse):
+        self.dim = dim
+        self.grade = grade
+        self.form = form
+        self._sparse = sparse
+
+    def __repr__(self) -> str:
+        return f"LieTable(dim {self.dim}, grades {sorted(set(self.grade))})"
+
+
+class GradingMap(namedtuple("GradingMap", "ambient_dim blocks")):
+    """Basis elements grouped by grade label, sorted by grade ascending.
+
+    `blocks` holds, per grade, the ascending indices of the basis elements
+    with that label.  Dimensions come from their lengths, and a grade space
+    or a tail (the sum of the grade spaces from some grade up) is the set of
+    basis indices that spans it.
+    """
+
+    __slots__ = ()
+
+    def grades(self) -> "tuple[Fraction, ...]":
+        return tuple(g for g, _ in self.blocks)
+
+    def indices_at(self, r) -> frozenset[int]:
+        r = r if type(r) is int else as_rational(r)
+        for g, idx in self.blocks:
+            if g == r:
+                return frozenset(idx)
+        return frozenset()
+
+    def tail_indices(self, r) -> frozenset[int]:
+        """Indices of the basis elements with grade >= r."""
+        r = r if type(r) is int else as_rational(r)
+        return frozenset(i for g, idx in self.blocks if g >= r for i in idx)
+
+    def dims(self) -> "dict[Fraction, int]":
+        return {g: len(idx) for g, idx in self.blocks}
+
+
+@lru_cache(maxsize=None)
+def _witt_frame(n: int) -> tuple[tuple[int, int], ...]:
+    """The wedge pairs (a, b), a < b, in lexicographic order."""
+    return tuple((a, b) for a in range(n) for b in range(a + 1, n))
+
+
+def _scaled_labels(s: Spectrum) -> tuple[list[int], int]:
+    """(D * lambda_a for a = 0, ..., n - 1, D), D the spectrum's `den`.
+
+    The labels follow the Witt basis: the positive magnitudes by descending
+    lambda, each repeated by its multiplicity, then the zeros, then the
+    negatives mirrored, so that lambda_{n-1-a} = -lambda_a; (u_a, u_b) = 1
+    exactly when b = n - 1 - a.
+    """
+    positive = [k for k, m in reversed(s.scaled) if k for _ in range(m)]
+    return positive + [0] * (s.n - 2 * len(positive)) + [-k for k in reversed(positive)], s.den
+
+
+@lru_cache(maxsize=None)
+def _so_table(n: int) -> LieTable:
+    """so(n, C) in the Witt wedge basis, computed once per n from its
+    faithful n x n matrix realization.
+
+    The wedge p = (a, b) acts on C^n as the matrix M_p with +1 at
+    (b, n - 1 - a) and -1 at (a, n - 1 - b), the map
+    c -> (u_a, c) u_b - (u_b, c) u_a.  An entry (r, c) with r + c > n - 1 is
+    the +1 of M_(n-1-c, r), one with r + c < n - 1 the -1 of M_(r, n-1-c), and
+    none lies on r + c = n - 1: the supports are disjoint, so p -> M_p is
+    injective and X = sum of x_k M_k has coordinates x_k read off its entries.
+    Bracket row [e_p, e_q] holds the coordinates of [M_p, M_q] as ascending
+    (index, coefficient) pairs with no zero, and form row p the nonzero
+    traces tr(M_p M_q): u_a ^ u_b pairs with u_(n-1-b) ^ u_(n-1-a) alone,
+    with value 2.  The table is the commutator table, so antisymmetry and the
+    Jacobi identity hold, and the form is the trace form, symmetric and
+    invariant since tr([X, Y] Z) = tr(X [Y, Z]).  With mirrored labels, the
+    diagonal matrix xi = diag(lambda_0, ..., lambda_{n-1}) lies in so(n, C)
+    for the Witt form and [xi, M_p] = (lambda_a + lambda_b) M_p, so a table
+    of commutators respects every mirrored grading, and (a, b) ->
+    (n - 1 - b, n - 1 - a) negates grades.  The table carries the principal
+    grading lambda_a = (n - 1)/2 - a, the grading of the spectrum with
+    magnitudes 0, 1, ... (n odd) or 1/2, 3/2, ... (n even), each of
+    multiplicity one.
+
+    Products are taken only where supports meet: M_p M_q through the M_q
+    entries in the rows that M_p's columns name, M_q M_p through those in
+    the columns that its rows name, about 4n products per p.  Raises
+    RealizationViolation naming (p, q) if a commutator has no coordinates.
+    """
+    pairs = _witt_frame(n)
+    mats = [((b, n - 1 - a, 1), (a, n - 1 - b, -1)) for a, b in pairs]
+    in_row = [[] for _ in range(n)]
+    in_col = [[] for _ in range(n)]
+    for q, entries in enumerate(mats):
+        for r, c, v in entries:
+            in_row[r].append((q, c, v))
+            in_col[c].append((q, r, v))
+    rows, form = [], []
+    for p, entries in enumerate(mats):
+        comm: dict[int, dict[tuple[int, int], int]] = {}
+        trace: dict[int, int] = {}
+        for r, x, v in entries:  # M_p M_q
+            for q, c, w in in_row[x]:
+                at = comm.setdefault(q, {})
+                at[r, c] = at.get((r, c), 0) + v * w
+                if c == r:
+                    trace[q] = trace.get(q, 0) + v * w
+        for x, c, v in entries:  # - M_q M_p
+            for q, r, w in in_col[x]:
+                at = comm.setdefault(q, {})
+                at[r, c] = at.get((r, c), 0) - w * v
+        row = [()] * len(mats)
+        for q, at in comm.items():
+            row[q] = _coordinates(n, at)
+            if row[q] is None:
+                raise RealizationViolation(
+                    f"[M_{p}, M_{q}] lies outside the span of the M_k", (p, q)
+                )
+        rows.append(tuple(row))
+        form.append(tuple((q, t) for q, t in sorted(trace.items()) if t))
+    grades = tuple(n - 1 - a - b for a, b in pairs)
+    return LieTable(len(pairs), grades, tuple(form), tuple(rows))
+
+
+def _coordinates(n: int, entries: dict) -> tuple | None:
+    """The X = sum of x_k M_k with these {(r, c): value} entries, as its
+    ascending nonzero (k, x_k) pairs; None when X is outside the span: an
+    entry on r + c = n - 1, or an M_k whose two entries disagree."""
+    coords: dict[int, int] = {}
+    nonzero = 0
+    for (r, c), v in entries.items():
+        if not v:
+            continue
+        if r + c == n - 1:
+            return None
+        if r + c > n - 1:
+            k, x = _pair_index(n, n - 1 - c, r), v
+        else:
+            k, x = _pair_index(n, r, n - 1 - c), -v
+        if coords.setdefault(k, x) != x:
+            return None
+        nonzero += 1
+    if nonzero != 2 * len(coords):
+        return None
+    return tuple(sorted(coords.items()))
+
+
+def grading(s: Spectrum) -> GradingMap:
+    """The grading of so(n, C) by the spectrum, on the basis of :func:`_so_table`.
+
+    Basis element p = (a, b) is the wedge u_a ^ u_b of the Witt basis, with
+    grade lambda_a + lambda_b; blocks come in ascending grade order, each
+    with its indices ascending.  Only the n labels are checked, for the
+    mirror lambda_{n-1-a} = -lambda_a: with the table computed from its
+    matrix realization, that makes every bracket of the table respect the
+    grades and the grade multiset symmetric (see :func:`_so_table`).
+    Raises GradingViolation naming an unmirrored label.  Integral grades are
+    ints, equal, hash-equal and printed alike to Fractions.
+    """
+    sums, den = _scaled_pair_sums(s)
+    groups: dict[int, list[int]] = {}
+    for p, k in enumerate(sums):
+        groups.setdefault(k, []).append(p)
+    blocks = tuple((rational(k, den), tuple(groups[k])) for k in sorted(groups))
+    return GradingMap(len(sums), blocks)
+
+
+def _scaled_pair_sums(s: Spectrum) -> tuple[list[int], int]:
+    """(D * (lambda_a + lambda_b) for each wedge (a, b), D) from :func:`_scaled_labels`.
+    Raises GradingViolation naming (a, n - 1 - a) if the labels are not mirrored."""
+    scaled, den = _scaled_labels(s)
+    n = len(scaled)
+    for a in range((n + 1) // 2):
+        if scaled[n - 1 - a] != -scaled[a]:
+            raise GradingViolation(
+                f"eigenvalue labels are not mirrored: lambda_{a} = {format_ratio(scaled[a], den)} "
+                f"but lambda_{n - 1 - a} = {format_ratio(scaled[n - 1 - a], den)}",
+                (a, n - 1 - a),
+            )
+    return [scaled[a] + scaled[b] for a, b in _witt_frame(n)], den
+
+
+def strict_by_table(s: Spectrum) -> tuple[bool, int, int]:
+    """Oracle for strict_generation_report on basis-index sets of the table
+    of n: the closure R of the indices of g_1 + g_{-1} under single-term
+    brackets onto root wedges, plus the rank of the diagonal parts of the
+    brackets within R.  Raises NotMonomial naming a bracket of root wedges
+    with two nonzero coordinates on root wedges."""
+    table, gm = _so_table(s.n), grading(s)
+    diagonal = [_pair_index(s.n, a, s.n - 1 - a) for a in range(s.n // 2)]
+    todo = sorted(gm.indices_at(1) | gm.indices_at(-1))
+    roots, done, parts = set(todo), [], set()
+    while todo:
+        x = todo.pop()
+        for y in done:
+            hits = table._sparse[x][y]
+            if all(k in diagonal for k, _ in hits):
+                if hits:
+                    parts.add(tuple(dict(hits).get(k, 0) for k in diagonal))
+            elif len(hits) > 1:
+                raise NotMonomial(
+                    f"[e_{x}, e_{y}] has {len(hits)} nonzero coordinates, not all on "
+                    "diagonal wedges",
+                    (x, y),
+                )
+            elif hits[0][0] not in roots:
+                roots.add(hits[0][0])
+                todo.append(hits[0][0])
+        done.append(x)
+    generated = len(roots) + rref(RatMatrix(parts, cols=len(diagonal)))[0]
+    return generated == table.dim, generated, table.dim
 
 
 # The general structure-constant checker, for any Lie algebra: it accepts the

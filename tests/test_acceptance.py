@@ -34,7 +34,7 @@ from functools import lru_cache
 from canonical_lie import (
     RatMatrix,
     enumerate_canonical,
-    grading,
+    grade_dims,
     half_integral_spectra,
     prop3_check,
     spectrum_from_matrix,
@@ -204,7 +204,7 @@ def test_criterion_6_grading_bookkeeping():
             bad += 1
     # tie the combinatorial count to the pipeline's grading on the small cases
     for s in sweep():
-        if s.n <= 5 and grading(s).dims() != grade_dims_by_counting(s):
+        if s.n <= 5 and grade_dims(s) != grade_dims_by_counting(s):
             bad += 1
     report(
         6,

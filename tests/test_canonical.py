@@ -8,16 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonical_lie import (
-    LieTable,
     NotCanonical,
-    NotMonomial,
     RatMatrix,
     Spectrum,
     Verdict,
     VerdictReason,
     condition1,
     enumerate_canonical,
-    grading,
     half_integral_count,
     half_integral_spectra,
     parabolic_of,
@@ -28,10 +25,11 @@ from canonical_lie import (
     theorem1_report,
     theorem2_check,
 )
-from canonical_lie import canonical
-from canonical_lie.sonreal import TooSmall, _so_table
+from canonical_lie import canonical, liegraded
+from canonical_lie.sonreal import TooSmall
 from helpers import (
     Subspace,
+    _so_table,
     bracket_indices,
     bracket_spaces,
     brute_force_spectra,
@@ -43,6 +41,7 @@ from helpers import (
     descending_series,
     descending_series_by_indices,
     generated_subalgebra,
+    grading,
     integer_path_spectra,
     iterates_by_indices,
     magnitudes_of,
@@ -55,6 +54,8 @@ from helpers import (
     space_at,
     spec,
     spectra_in_fraction_order,
+    spectra_over,
+    strict_by_table,
     subspace_sum,
     tails_by_sums,
     theorem2_by_every_grade,
@@ -62,6 +63,9 @@ from helpers import (
     wedge_basis,
     zeros,
 )
+
+# third-integer magnitudes: grades in (1/3)Z, some of them +-1
+THIRDS = [Fraction(k, 3) for k in (1, 2, 4, 5)]
 
 
 class TestCondition1:
@@ -239,7 +243,7 @@ class TestIndexPathMatchesSubspaceRoute:
         for s in enumerate_canonical(n):
             pd = parabolic_of(s)
             t = realize(s)
-            tails = tails_by_sums(pd.grading)
+            tails = tails_by_sums(grading(s))
 
             def tail(r):
                 top = [g for g in tails if g >= r]
@@ -382,18 +386,31 @@ class TestStrictGeneration:
         t = realize(s)
         assert [k for k, _ in t._sparse[0][2]] == [1]
         assert wedge_basis(s).pairs[1] == (0, 2)
+        assert liegraded._witt_bracket(3, (0, 1), (1, 2)) == {(0, 2): -1}
         assert strict_generation_report(s) == (True, 3, 3)
 
-    def test_two_root_coordinates_raise(self, monkeypatch):
-        s = spec(3, ("0", 1), ("1", 1))
-        t = _so_table(3)
-        rows = [list(per_i) for per_i in t._sparse]
-        rows[0][2], rows[2][0] = ((0, 1), (2, 1)), ((0, -1), (2, -1))
-        bent = LieTable(t.dim, t.grade, t.form, rows)
-        monkeypatch.setattr(canonical, "_so_table", lambda _: bent)
-        with pytest.raises(NotMonomial) as info:
-            strict_generation_report(s)
-        assert info.value.indices == (0, 2)
+    @pytest.mark.parametrize(
+        "spectra",
+        [
+            lambda: [s for n in range(3, 11) for s in half_integral_spectra(n, "7/2")],
+            lambda: [s for n in range(3, 9) for s in spectra_over(n, THIRDS)],
+            lambda: [s for n in range(3, 13) for s in enumerate_canonical(n)],
+            lambda: [
+                spec(24, ("0", 2), *((str(k), 1) for k in range(1, 12))),
+                spec(24, ("0", 24)),
+            ],
+        ],
+        ids=["sweep", "thirds", "classes", "ci-n24"],
+    )
+    def test_matches_the_table_oracle(self, spectra):
+        # the report on Witt wedges and the closed-form bracket against the
+        # same closure on basis-index sets of the so(n, C) table
+        generated = []
+        for s in spectra():
+            got = strict_generation_report(s)
+            assert got == strict_by_table(s), str(s)
+            generated.append(got[1])
+        assert max(generated) > 0
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_index_sets_match_generated_subalgebra(self, n):
@@ -436,11 +453,19 @@ class TestParabolicOf:
     def test_so5_series_matches_tails(self):
         s = spec(5, ("0", 3), ("1", 1))
         pd = parabolic_of(s)
-        gm = pd.grading
+        gm = grading(s)
         for r, term in enumerate(pd.series, start=1):
             assert term == gm.tail_indices(r)
         dims = [len(x) for x in pd.series]
         assert all(a > b for a, b in zip(dims, dims[1:]))
+
+    def test_q_is_the_oracle_tail(self):
+        # q from the grade >= 0 cells against the table oracle's grading
+        classes = [s for n in range(3, 17) for s in enumerate_canonical(n)]
+        for s in classes:
+            assert parabolic_of(s).q == grading(s).tail_indices(0), str(s)
+        assert len(classes) == 635
+        assert parabolic_of(spec(4, ("0", 4)))._fields == ("q", "nilradical", "series")
 
     def test_rejects_non_canonical(self):
         with pytest.raises(NotCanonical):

@@ -25,8 +25,8 @@ from canonical_lie import (
     cli,
     half_integral_count,
     half_integral_spectra,
+    liegraded,
     oracle_record,
-    sonreal,
 )
 from canonical_lie.cli import MAX_LAMBDA, MAX_N, MAX_SWEEP, main
 from helpers import (
@@ -632,19 +632,23 @@ class TestVerify:
             assert bad and all(r["theorem2"]["canonical"] for r in bad)
 
     def test_sweep_builds_no_table_and_no_grading(self, capsys, monkeypatch):
-        # theorem2 and Theorem 1 decide on g_0-cells, so a sweep neither builds
-        # the so(n, C) table nor grades its wedges
+        # theorem2 and Theorem 1 decide on g_0-cells, so a sweep neither
+        # brackets wedges, counts grade dimensions nor expands cells to wedges;
+        # `enumerate` shows that the counted names are the ones called
         calls = []
-        for module in (canonical, sonreal):
-            for name in ("_so_table", "grading"):
+        for name in ("_witt_bracket", "grade_dims", "_wedge_indices"):
 
-                def counted(*args, fn=getattr(module, name), name=name):
-                    calls.append(name)
-                    return fn(*args)
+            def counted(*args, fn=getattr(liegraded, name), name=name):
+                calls.append(name)
+                return fn(*args)
 
-                monkeypatch.setattr(module, name, counted)
+            for module in (liegraded, canonical, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
         code, _, _ = run_cli(capsys, "verify", "--max-n", "7", "--max-lambda", "7/2")
         assert (code, calls) == (0, [])
+        code, _, _ = run_cli(capsys, "enumerate", "--n", "4")
+        assert (code, calls) == (0, ["grade_dims"] * 3)
 
     def test_sweep_words_no_reason_and_keeps_no_trace(self, capsys, monkeypatch):
         # a record takes prop3's answer from prop3_check and theorem2's from its
@@ -1033,6 +1037,23 @@ class TestImportBudget:
         )
         lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
         return proc, {line.rsplit("|", 1)[1].strip() for line in lines}
+
+    def test_cli_import_loads_every_module(self):
+        # perfbench/tracer.py looks up each of the five modules in
+        # sys.modules after importing the CLI, and raises KeyError for one
+        # that is missing
+        src = str(Path(canonical_lie.__file__).resolve().parents[1])
+        code = "import sys, canonical_lie.cli; print(*sorted(sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        layers = {m for m in proc.stdout.split() if m.startswith("canonical_lie.")}
+        names = ("exactlin", "liegraded", "sonreal", "canonical", "cli")
+        assert layers == {f"canonical_lie.{name}" for name in names}
 
     def test_help(self):
         proc, modules = self.request("--help")

@@ -1,4 +1,5 @@
-"""Structure-constant engine: validation, brackets, series, polars, sums."""
+"""The g_0-cell layer against the table oracle, and the oracle's own
+structure-constant engine: validation, brackets, series, polars, sums."""
 
 import random
 from fractions import Fraction
@@ -9,21 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonical_lie import (
-    GradingViolation,
-    LieTable,
-    LieTableError,
-    NotMonomial,
     RatMatrix,
+    condition1,
+    enumerate_canonical,
+    grade_dims,
     half_integral_spectra,
     rref,
+    theorem2_check,
 )
-from canonical_lie.sonreal import _so_table
+from canonical_lie.liegraded import _pair_index, _witt_bracket
 from helpers import (
     AntisymmetryViolation,
     DegenerateForm,
     FormNotInvariant,
+    GradingViolation,
     JacobiViolation,
+    LieTable,
+    LieTableError,
+    NotMonomial,
     Subspace,
+    _so_table,
+    _witt_frame,
     bracket_indices,
     bracket_spaces,
     build_table,
@@ -36,8 +43,10 @@ from helpers import (
     direct_sum,
     full_space,
     generated_subalgebra,
+    grading,
     grading_of,
     identity,
+    integer_path_spectra,
     jacobi_failure_by_triples,
     kernel,
     matmul,
@@ -59,6 +68,55 @@ from helpers import (
 )
 
 SPECTRA_N7 = tuple(s for n in range(3, 8) for s in half_integral_spectra(n, Fraction(5, 2)))
+
+
+class TestWittBracket:
+    """The closed-form bracket against the so(n, C) table of the matrix
+    realization."""
+
+    def test_closed_form_is_the_table(self):
+        # every ordered wedge pair for n = 3..24; coincident terms must be
+        # summed, or the self-brackets of the diagonal wedges u_a ^ u_(n-1-a)
+        # would keep two opposite terms
+        pairs = diagonal_selves = 0
+        for n in range(3, 25):
+            frame, rows = _witt_frame(n), _so_table(n)._sparse
+            for p, x in enumerate(frame):
+                x_root = x[0] + x[1] != n - 1
+                for q, y in enumerate(frame):
+                    terms = _witt_bracket(n, x, y)
+                    got = tuple(sorted([(_pair_index(n, *w), v) for w, v in terms.items()]))
+                    assert got == rows[p][q], (n, x, y)
+                    # two root wedges bracket to one root-wedge term or to diagonal terms alone
+                    if x_root and y[0] + y[1] != n - 1:
+                        on_roots = [w for w in terms if w[0] + w[1] != n - 1]
+                        assert not on_roots or len(terms) == 1, (n, x, y)
+                    pairs += 1
+                    diagonal_selves += p == q and not x_root
+        assert (pairs, diagonal_selves) == (396_979, 143)
+
+
+class TestGradeDims:
+    """grade_dims from the g_0-cells against the table oracle's grading and
+    theorem2's witness."""
+
+    def test_matches_the_table_grading(self):
+        # order and key types too: integral grades are ints, the rest Fractions
+        kinds = set()
+        for s in integer_path_spectra():
+            got, want = list(grade_dims(s).items()), list(grading(s).dims().items())
+            assert got == want, str(s)
+            assert [type(g) for g, _ in got] == [type(g) for g, _ in want], str(s)
+            kinds.update(type(g) for g, _ in got)
+        assert kinds == {int, Fraction}
+
+    def test_matches_the_witness(self):
+        sweep = [s for n in range(3, 10) for s in half_integral_spectra(n, "7/2")]
+        integral = [s for s in sweep if condition1(s)]
+        classes = [s for n in range(3, 25) for s in enumerate_canonical(n)]
+        for s in integral + classes:
+            assert tuple(grade_dims(s).items()) == theorem2_check(s).witness, str(s)
+        assert len(integral) < len(sweep) and len(classes) == 10235
 
 
 def cross_product_table():

@@ -15,12 +15,13 @@ def library_block() -> str:
 def test_library_block_runs_and_matches_its_comments():
     code = library_block()
     comments = ("# {-1: 3, 0: 4, 1: 3}:", "# ((-1, 3), (0, 4), (1, 3)):", "# [0, 1, 2]:")
-    for comment in (*comments, "# 12 O(n) classes"):
+    for comment in (*comments, "# 12 O(n) classes", "# .q, .nilradical, .series\n"):
         assert comment in code
     ns = {}
     exec(compile(code, str(README), "exec"), ns)
-    assert ns["grading"](ns["s"]).dims() == {-1: 3, 0: 4, 1: 3}
+    assert ns["grade_dims"](ns["s"]) == {-1: 3, 0: 4, 1: 3}
     assert ns["verdict"].canonical and ns["verdict"].failing is None
     assert ns["verdict"].witness == ((-1, 3), (0, 4), (1, 3))
+    assert ns["pd"]._fields == ("q", "nilradical", "series")
     assert sorted(ns["pd"].nilradical) == [0, 1, 2]
     assert len(ns["classes"]) == 12

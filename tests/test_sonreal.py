@@ -11,15 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canonical_lie import (
-    GradingViolation,
     InvalidSpectrum,
     NotSkew,
     RatMatrix,
-    RealizationViolation,
     Spectrum,
     TooSmall,
     enumerate_canonical,
-    grading,
+    grade_dims,
     half_integral_spectra,
     parabolic_of,
     rref,
@@ -30,18 +28,20 @@ from canonical_lie import (
     theorem2_check,
 )
 from canonical_lie.cli import MAX_N
-from canonical_lie.liegraded import LieTable
-from canonical_lie.sonreal import (
-    _coordinates,
-    _pair_index,
-    _so_table,
-)
+from canonical_lie.liegraded import _pair_index
+import helpers
 from helpers import (
     BracketShapeViolation,
+    GradingViolation,
+    LieTable,
+    RealizationViolation,
+    _coordinates,
+    _so_table,
     build_table,
     check_witt_shape,
     conjugated_normal_form,
     grade_dims_by_counting,
+    grading,
     grading_of,
     identity,
     integer_path_spectra,
@@ -60,6 +60,7 @@ from helpers import (
     spec,
     spectrum_entries_by_fractions,
     spectrum_from_matrix_by_kernels,
+    strict_by_table,
     table_key,
     trace,
     transpose,
@@ -444,7 +445,8 @@ class TestWedgeBasis:
 
 
 class TestRealize:
-    """so(n, C) graded by a spectrum: the one table of n and `grading(s)`."""
+    """so(n, C) graded by a spectrum: the table oracle of n and its `grading(s)`,
+    which `grade_dims` must match."""
 
     def test_trivial_so3(self):
         assert grading(spec(3, ("0", 3))).blocks == ((0, (0, 1, 2)),)
@@ -485,11 +487,12 @@ class TestRealize:
             built.append(dim)
             return LieTable(dim, *rest)
 
-        monkeypatch.setattr(sonreal, "LieTable", counting)
-        sonreal._so_table.cache_clear()
+        monkeypatch.setattr(helpers, "LieTable", counting)
+        helpers._so_table.cache_clear()
         return built
 
     def test_one_table_built_per_n(self, built):
+        # the package's deciders build none; the strict oracle, one per n
         for n in (5, 6):
             spectra = half_integral_spectra(n, Fraction(7, 2))
             assert len({grading(s) for s in spectra}) > 1
@@ -498,6 +501,9 @@ class TestRealize:
                 if theorem2_check(s).canonical:
                     parabolic_of(s)
                     theorem1_report(s)
+            assert built == [10, 15][: n - 5]
+            for s in spectra:
+                strict_by_table(s)
         assert built == [10, 15]
 
     def test_every_table_kept(self, built):
@@ -511,11 +517,11 @@ class TestRealize:
 
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
     def test_grading_dims_match_pair_counting(self, s):
-        assert grading(s).dims() == grade_dims_by_counting(s)
+        assert grading(s).dims() == grade_dims(s) == grade_dims_by_counting(s)
 
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
     def test_total_dimension(self, s):
-        dims = grading(s).dims()
+        dims = grade_dims(s)
         assert sum(dims.values()) == s.n * (s.n - 1) // 2 == grading(s).ambient_dim
 
     @pytest.mark.parametrize("s", SAMPLED, ids=str)
@@ -573,9 +579,9 @@ class TestRelabel:
 
     def test_unmirrored_labels_raise(self, monkeypatch):
         s = spec(6, ("1/2", 1), ("3/2", 1), ("5/2", 1))
-        labels, den = sonreal._scaled_labels(s)  # 5, 3, 1, -1, -3, -5 over 2
+        labels, den = helpers._scaled_labels(s)  # 5, 3, 1, -1, -3, -5 over 2
         labels[0], labels[1] = labels[1], labels[0]
-        monkeypatch.setattr(sonreal, "_scaled_labels", lambda _: (labels, den))
+        monkeypatch.setattr(helpers, "_scaled_labels", lambda _: (labels, den))
         with pytest.raises(GradingViolation) as err:
             grading(s)
         assert err.value.indices == (0, 5)
@@ -590,7 +596,7 @@ class TestGradeDims:
     def test_matches_regraded_table(self, n):
         # the order matters too: the CLI prints the grades in this order
         for s in enumerate_canonical(n):
-            dims = list(grading(s).dims().items())
+            dims = list(grade_dims(s).items())
             assert dims == sorted(grade_dims_by_counting(s).items()), str(s)
             if n <= 10:
                 expected = grading_of(regrade(_so_table(n), pair_sums(s))).dims()
@@ -662,9 +668,9 @@ class TestRealizationCheck:
             coords = _coordinates(n, entries)
             return None if coords == target else coords
 
-        monkeypatch.setattr(sonreal, "_coordinates", failing)
+        monkeypatch.setattr(helpers, "_coordinates", failing)
         with pytest.raises(RealizationViolation) as err:
-            sonreal._so_table.__wrapped__(n)
+            helpers._so_table.__wrapped__(n)
         assert err.value.indices == (p, q)
         assert str(err.value) == f"[M_{p}, M_{q}] lies outside the span of the M_k"
 
