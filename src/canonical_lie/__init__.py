@@ -17,7 +17,7 @@ them with the collector off, and a library caller with its collector as set.
 
 # the names of `__all__`, by the module that defines them
 _HOMES = {
-    "exactlin": "RatMatrix parse_rational rref",
+    "exactlin": "RatMatrix rref",
     "liegraded": "grade_dims",
     "sonreal": "InvalidSpectrum NotSkew Spectrum TooSmall spectrum_from_matrix",
     "canonical": "NotCanonical OracleRecord ParabolicData Verdict VerdictReason condition1 "

@@ -50,6 +50,7 @@ from .liegraded import (
     _polar,
     _wedge_indices,
     _witt_bracket,
+    grade_dims,
 )
 from .sonreal import Spectrum, TooSmall
 
@@ -136,19 +137,15 @@ def theorem2_check(s: Spectrum) -> Verdict:
     if not condition1(s):
         return _NON_INTEGRAL
     trace = []
-    reason, failing, dims = _generate(s.den, _blocks(s), trace)
-    grades = sorted(dims)
-    zero = s.n * (s.n - 1) // 2 - 2 * sum(dims.values())  # dim g_-k = dim g_k
-    witness = tuple([(-k, dims[k]) for k in reversed(grades)] + [(0, zero)])
-    witness += tuple([(k, dims[k]) for k in grades])
-    return Verdict(reason, failing, tuple(trace), witness)
+    reason, failing = _generate(s.den, _blocks(s), trace)
+    return Verdict(reason, failing, tuple(trace), tuple(grade_dims(s).items()))
 
 
-def _generate(den: int, blocks, trace) -> tuple[VerdictReason, tuple | None, dict[int, int]]:
+def _generate(den: int, blocks, trace) -> tuple[VerdictReason, tuple | None]:
     """theorem2's generation loop on the g_0-cells of an integral grading:
-    (reason, failing, {grade: dim g_k} over the positive grades), failing as
-    in :class:`Verdict`.  Appends each (grade, dim g^k, dim g_k) row of the
-    trace when `trace` is a list, and keeps none when it is None."""
+    (reason, failing), failing as in :class:`Verdict`.  Appends each (grade,
+    dim g^k, dim g_k) row of the trace when `trace` is a list, and keeps none
+    when it is None."""
     cells = _cells(blocks, 1)
     spaces, dims = {}, {}  # by grade: the cells, their dimension
     for cell, (g, d) in cells.items():
@@ -169,8 +166,8 @@ def _generate(den: int, blocks, trace) -> tuple[VerdictReason, tuple | None, dic
             if trace is not None:
                 trace.append((k, 0, dims[k]))
         if current != required:
-            return _FAILS, (k, sum([cells[c][1] for c in current]), dims.get(k, 0)), dims
-    return _CANONICAL, None, dims
+            return _FAILS, (k, sum([cells[c][1] for c in current]), dims.get(k, 0))
+    return _CANONICAL, None
 
 
 def prop3_check(s: Spectrum) -> bool:
@@ -415,7 +412,7 @@ def oracle_record(s: Spectrum) -> OracleRecord:
     if not condition1(s):
         return tuple.__new__(OracleRecord, (s, _NON_INTEGRAL, p3, None))
     blocks = _blocks(s)
-    reason, failing, _ = _generate(s.den, blocks, None)
+    reason, failing = _generate(s.den, blocks, None)
     if reason is _CANONICAL:
         t1 = all(_theorem1(s.den, blocks)[0].values())
         return tuple.__new__(OracleRecord, (s, _CANONICAL_VERDICT, p3, t1))

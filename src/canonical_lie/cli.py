@@ -14,15 +14,15 @@ as ints over one denominator and magnitudes are printed from D * lambda, so
 only non-integral grades import `fractions`, with the `decimal` and
 `numbers` it loads, about 2.8 ms of start-up.
 
-JSON input is read by `_read_json`, with `str` methods, where it stays in the
-subset the CLI's inputs use; `check` writes its answer with `_dumps`, and
-`enumerate` and `verify` write theirs from templates.  Only malformed,
-oversized or escaped input imports `json`, and with its decoder `re`, so
-`check --matrix FILE --format json` on a 6 x 6 matrix imports 48 modules
-under `python -S` where it imported 60: `json` had cost 6.0 ms of
-`-X importtime`, 3.1 ms of it `re` (medians of 41 alternating runs, 2-vCPU
-x86-64, Python 3.11.7).  Where the site set-up loads `re` anyway, `json`
-alone is about 1.9 ms of each request.
+JSON input is read by `_parse_json` with `_json.make_scanner`, the C scanner
+json.loads runs; `check` writes its answer with `_dumps`, whose strings go
+through `_json`'s own encoder, and `enumerate` and `verify` write theirs from
+templates.  Only malformed input imports `json`, and with its decoder `re`,
+for its error message: `json` had cost 6.0 ms of `-X importtime`, 3.1 ms of
+it `re`, on `check --matrix FILE --format json` under `python -S` (medians
+of 41 alternating runs, 2-vCPU x86-64, Python 3.11.7), and where the site
+set-up loads `re` anyway, about 1.9 ms of each request.  `_json`, a C
+extension, takes 0.28 ms of `-X importtime` on the same host.
 
 A process runs :func:`run` with the cyclic collector off, as no request
 leaves cyclic garbage, and ends through `os._exit` after flushing stdout and
@@ -89,27 +89,17 @@ def _fail(message: str) -> int:
 # input loading
 
 
-class _Unread(Exception):
-    """The text leaves the JSON subset that `_read_json` reads."""
-
-
 _BLANK = frozenset(" \t\n\r")  # JSON's whitespace
-_MAX_DEPTH = 3  # a spectrum's: its object, the entries array, an entry
-
-
-def _read_json(text: str):
-    """json.loads(text), read with `str` methods, or None where the text
-    leaves the subset the CLI's inputs use: objects with string keys; arrays
-    of at most MAX_N items; containers nested at most _MAX_DEPTH deep;
-    integers -?(0|[1-9][0-9]*) that int() reads; strings with no backslash
-    and no character below U+0020; JSON's whitespace.  json.loads reads
-    the rest, and gives every error message, for malformed and oversized
-    documents alike."""
-    try:
-        value, end = _read_value(text, _skip(text, 0), 1)
-    except (_Unread, ValueError):  # ValueError: an integer past int()'s digit limit
-        return None
-    return value if end == len(text) else None
+# what json.loads hands its scanner: JSONDecoder's defaults, with float for its
+# table of NaN, Infinity and -Infinity, which gives the same values
+_SCANNER_CONTEXT = SimpleNamespace(
+    strict=True,
+    object_hook=None,
+    object_pairs_hook=None,
+    parse_float=float,
+    parse_int=int,
+    parse_constant=float,
+)
 
 
 def _skip(text: str, i: int) -> int:
@@ -118,66 +108,24 @@ def _skip(text: str, i: int) -> int:
     return i
 
 
-def _read_value(text: str, i: int, depth: int):
-    """The value that starts at text[i], at nesting depth `depth`, and the
-    index of the first non-blank character after it."""
-    c = text[i : i + 1]
-    if c == "[" or c == "{":
-        if depth > _MAX_DEPTH:
-            raise _Unread
-        return (_read_array if c == "[" else _read_object)(text, _skip(text, i + 1), depth + 1)
-    if c == '"':
-        end = text.find('"', i + 1)
-        value = text[i + 1 : end]
-        if end < 0 or "\\" in value or value and min(value) < " ":
-            raise _Unread
-        return value, _skip(text, end + 1)
-    digits = end = i + (c == "-")
-    while "0" <= text[end : end + 1] <= "9":
-        end += 1
-    if end == digits or text[digits] == "0" and end > digits + 1:
-        raise _Unread
-    return int(text[i:end]), _skip(text, end)
-
-
-def _read_array(text: str, i: int, depth: int):
-    items = []
-    if text[i : i + 1] == "]":
-        return items, _skip(text, i + 1)
-    while len(items) < MAX_N:
-        item, i = _read_value(text, i, depth)
-        items.append(item)
-        sep, i = text[i : i + 1], _skip(text, i + 1)
-        if sep == "]":
-            return items, i
-        if sep != ",":
-            raise _Unread
-    raise _Unread  # a longer array is json.loads' to read, or to refuse as malformed
-
-
-def _read_object(text: str, i: int, depth: int):
-    members = {}
-    if text[i : i + 1] == "}":
-        return members, _skip(text, i + 1)
-    while True:
-        if text[i : i + 1] != '"':
-            raise _Unread
-        key, i = _read_value(text, i, depth)
-        if text[i : i + 1] != ":":
-            raise _Unread
-        members[key], i = _read_value(text, _skip(text, i + 1), depth)
-        sep, i = text[i : i + 1], _skip(text, i + 1)
-        if sep == "}":
-            return members, i
-        if sep != ",":
-            raise _Unread
-
-
 def _parse_json(text: str, origin: str):
-    value = _read_json(text)
-    if value is not None:
-        return value
-    import json  # only for text the reader leaves: malformed, oversized or outside its subset
+    """json.loads(text), read by `_json.make_scanner`, the C scanner json.loads
+    runs, so that a valid document loads neither the `json` package nor the
+    `re` its decoder imports.  Text the scanner refuses, or with more than
+    whitespace after its value, goes to json.loads, which reads it again and
+    gives every error message."""
+    import _json  # here, so that `verify` and `enumerate` never load it
+
+    try:
+        value, end = _json.make_scanner(_SCANNER_CONTEXT)(text, _skip(text, 0))
+        if _skip(text, end) == len(text):
+            return value
+    except Exception:
+        # broad, as on Python 3.10 and 3.11 the scanner raises JSONDecodeError
+        # only once `json.decoder` is loaded, and SystemError before
+        pass
+    import json
+
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -451,15 +399,11 @@ _LITERAL = {True: "true", False: "false", None: "null"}
 def _dumps(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2) for dicts, lists, strs, ints, bools and None;
     `indent` is the newline and indentation that start the value's own lines.
-    Only a string that is not printable ASCII, or holds a quote or a
-    backslash, needs json's escapes, and of `check`'s strings only an echoed
-    --matrix path can be one."""
+    A string is written by the C function json.dumps writes it with."""
     if isinstance(value, str):
-        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
-            return f'"{value}"'
-        import json
+        import _json  # here, as in `_parse_json`; a `from` import costs 7 times more per string
 
-        return json.dumps(value)
+        return _json.encode_basestring_ascii(value)
     if value is None or isinstance(value, bool):
         return _LITERAL[value]
     if isinstance(value, int):

@@ -15,15 +15,13 @@ denominator; it offers indexing and value equality, no arithmetic.
 
 :func:`rref` is the one dense elimination of the package, Gauss-Jordan
 that eliminates on those integer rows (fraction-free) and returns its
-reduced matrix in the same int form.  The structure-constant layer keeps
-brackets and the invariant form as sparse rows, the deciders work on
-g_0-cells and strict generation on sets of basis indices, so dense
-elimination runs only where neither will do: the rank of an extracted matrix,
-for mult(0), and the rank of the diagonal parts in strict generation, at most
-n // 2 columns.  The monomial invariant form needs no rank: its
-nondegeneracy reads off the columns its rows hit.  :func:`charpoly` is division-free, so extraction gets the integer
-polynomial of the skew integer matrix 2 L m, whose root orders give the
-other multiplicities.
+reduced matrix in the same int form.  The deciders work on g_0-cells and
+strict generation on sets of Witt wedges, so dense elimination runs only
+where neither will do: the rank of an extracted matrix, for mult(0), and
+the rank of the diagonal parts in strict generation, at most n // 2
+columns.  :func:`charpoly` is division-free, so extraction gets the
+integer polynomial of the skew integer matrix 2 L m, whose root orders
+give the other multiplicities.
 """
 
 import math
@@ -42,7 +40,7 @@ def _fraction() -> type:
 
 def as_rational(value) -> "Fraction":
     """Coerce an exact scalar to Fraction, rejecting floats and bools outright;
-    a string must be 'p' or 'p/q', as for :func:`parse_rational`."""
+    a string must be 'p' or 'p/q' (q positive), or it is an error."""
     Fraction = _fraction()
     if type(value) is Fraction:
         return value
@@ -110,11 +108,6 @@ def ratio(value) -> tuple[int, int]:
         return parse_ratio(value)
     r = as_rational(value)
     return r.numerator, r.denominator
-
-
-def parse_rational(text: str) -> "Fraction":
-    """Parse a 'p' or 'p/q' string (q positive); anything else is an error."""
-    return _fraction()(_rational_text(text))
 
 
 class RatMatrix:

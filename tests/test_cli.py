@@ -390,8 +390,8 @@ class TestEchoedValueIsCut:
 
 
 def loads_or_message(text, origin):
-    """What `_parse_json` gave when it read every document with json.loads:
-    ("value", v) or ("error", the InputError's message)."""
+    """What json.loads gives, as `_parse_json` words an error: ("value", v)
+    or ("error", the InputError's message)."""
     try:
         return "value", json.loads(text)
     except json.JSONDecodeError as exc:
@@ -400,20 +400,32 @@ def loads_or_message(text, origin):
         return "error", f"{origin}: {exc}"
 
 
+def parsed_or_message(text, origin):
+    """What `cli._parse_json` gives, in the form of :func:`loads_or_message`."""
+    try:
+        return "value", cli._parse_json(text, origin)
+    except cli.InputError as exc:
+        return "error", str(exc)
+
+
+def same_reading(got, want):
+    """Two readings compared as json.dumps text, which tells 1 from 1.0 and
+    True, keeps key order and reads NaN as NaN."""
+    return (got[0], json.dumps(got[1])) == (want[0], json.dumps(want[1]))
+
+
 class TestJsonSubset:
-    """`cli._read_json` reads the JSON subset of the CLI's inputs with `str`
-    methods and gives up (None) on anything else, which json.loads then
-    reads; `cli._dumps` writes what json.dumps(v, indent=2) writes.  Values
-    are compared as json.dumps text, which tells 1 from 1.0 and True and
-    keeps key order."""
+    """`cli._parse_json` gives json.loads's value or error message on the
+    documents the CLI's inputs take and on near misses of them, and
+    `cli._dumps` writes what json.dumps(v, indent=2) writes."""
 
     MARK = 987654321987654321  # a leaf that a near miss replaces
 
     @staticmethod
     def subset_values():
-        """Values inside the subset: string keys, at most MAX_N items per
-        array, containers at most three deep, ints, and strings with no
-        backslash, quote or character below U+0020."""
+        """Values of the shapes the CLI's inputs take: string keys, at most
+        MAX_N items per array, containers at most three deep, ints, and
+        strings with no backslash, quote or character below U+0020."""
         plain = st.text(st.characters(blacklist_characters='"\\', min_codepoint=0x20), max_size=8)
         ints = st.integers() | st.integers(-(10**300), 10**300)
         leaf = plain | ints | st.just(TestJsonSubset.MARK)
@@ -427,8 +439,8 @@ class TestJsonSubset:
     @staticmethod
     @st.composite
     def documents(draw):
-        """A value of the subset as json.dumps writes it, in one of its
-        layouts, with CR LF line ends at times."""
+        """One of those values as json.dumps writes it, in one of its layouts,
+        with CR LF line ends at times."""
         value = draw(TestJsonSubset.subset_values())
         layout = draw(st.sampled_from([{}, {"indent": 2}, {"indent": "\t"}, {"separators": (",", ":")}]))
         text = json.dumps(value, ensure_ascii=False, **layout)
@@ -448,8 +460,8 @@ class TestJsonSubset:
     @staticmethod
     @st.composite
     def near_misses(draw):
-        """A document of the subset cut short, with a BOM, with trailing data,
-        or with one leaf in place of the mark swapped for a near miss."""
+        """One of those documents cut short, with a BOM, with trailing data, or
+        with one leaf in place of the mark swapped for a near miss."""
         text = draw(TestJsonSubset.documents())
         how = draw(st.sampled_from(["cut", "bom", "trail", "swap"]))
         if how == "cut":
@@ -462,36 +474,42 @@ class TestJsonSubset:
         mark = str(TestJsonSubset.MARK)
         return text.replace(mark, miss, 1) if mark in text else miss
 
-    @settings(max_examples=400, deadline=None)
-    @given(documents())
-    def test_reads_the_subset(self, text):
-        value = cli._read_json(text)
-        assert value is not None and json.dumps(value) == json.dumps(json.loads(text))
-
     @settings(max_examples=600, deadline=None)
     @given(documents() | near_misses())
     def test_reads_as_json_loads_or_gives_up(self, text):
-        value = cli._read_json(text)
-        kind, want = loads_or_message(text, "doc")
-        if value is not None:
-            assert (kind, json.dumps(value)) == ("value", json.dumps(want))
-        try:
-            got = "value", cli._parse_json(text, "doc")
-        except cli.InputError as exc:
-            got = "error", str(exc)
-        assert (got[0], json.dumps(got[1])) == (kind, json.dumps(want))
+        assert same_reading(parsed_or_message(text, "doc"), loads_or_message(text, "doc"))
 
     @pytest.mark.parametrize("miss", NEAR_MISSES)
     def test_each_near_miss(self, miss):
         for text in (miss, f'{{"n": {miss}}}', f"[[{miss}]]"):
-            value = cli._read_json(text)
-            kind, want = loads_or_message(text, "doc")
-            assert value is None or (kind, json.dumps(value)) == ("value", json.dumps(want))
+            got, want = parsed_or_message(text, "doc"), loads_or_message(text, "doc")
+            assert same_reading(got, want), text
 
-    def test_gives_up_outside_the_subset(self):
-        for text in ("1.0", "-01", "true", '"\\u0041"', "\ufeff[]", "[" * 4 + "]" * 4, "1" * 5000,
-                     "[" + ",".join(["0"] * (MAX_N + 1)) + "]", '["a" "b"]', '"\t"'):
-            assert cli._read_json(text) is None, text
+    MALFORMED = {
+        "cut": GOOD_SO4[:-2],
+        "bom": "\ufeff" + GOOD_SO4,
+        "trail": GOOD_SO4 + " x",
+        "nested-997": "[" * 997 + "]" * 997,
+        "digits-5000": '{"n": ' + "1" * 5000 + ', "entries": []}',
+    }
+
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_fresh_process_gives_the_json_loads_message(self, tmp_path, name):
+        # In this process `json.decoder` is loaded, so the scanner raises
+        # JSONDecodeError; in a fresh Python 3.10 or 3.11 process it raises
+        # SystemError, a path only a new process reaches.
+        path = tmp_path / f"{name}.json"
+        path.write_text(self.MALFORMED[name], encoding="utf-8")
+        src = str(Path(canonical_lie.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-S", "-m", "canonical_lie", "check", "--spectrum", str(path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        kind, want = loads_or_message(self.MALFORMED[name], f"spectrum file {path}")
+        assert kind == "error"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {want}\n")
 
     payloads = st.recursive(
         st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | st.text(),
@@ -1009,15 +1027,16 @@ class TestImportBudget:
     alone.  `fractions`, with the `decimal` and `numbers` it loads, serves
     non-integral grades and callers that read Fractions back alone: spectra
     are ints from parse to render, and so are matrices, held as ints over
-    one denominator through extraction and elimination.  `json`, with its
-    `_json` scanner and the `re` its decoder loads, serves only malformed,
-    oversized or escaped JSON input: `check` reads the JSON its inputs use
-    with `str` methods and writes its answer itself, and rationals are read
-    with `str` methods too, so `re` comes with the `json` decoder alone.  No
-    module postpones its annotations, so no request loads `__future__`."""
+    one denominator through extraction and elimination.  `json`, with the
+    `re` its decoder loads, serves only malformed JSON input: `check` reads
+    JSON with `_json`'s C scanner and writes its answer itself with `_json`'s
+    string encoder, so `_json` is loaded where JSON is read or written and
+    never by `verify` or `enumerate`, and rationals are read with `str`
+    methods, so `re` comes with the `json` decoder alone.  No module
+    postpones its annotations, so no request loads `__future__`."""
 
     HEAVY = {"dataclasses", "inspect", "csv", "_csv", "__future__"}
-    JSON = {"json", "json.decoder", "json.scanner", "json.encoder", "_json"}
+    JSON = {"json", "json.decoder", "json.scanner", "json.encoder"}
     ARGPARSE = {"argparse", "gettext", "locale"}
     FRACTIONS = {"fractions", "decimal", "numbers"}
     RE = {"re"}
@@ -1070,13 +1089,13 @@ class TestImportBudget:
         # the sweep writes its records from templates, so `json` is not needed
         proc, modules = self.request("verify", "--max-n", "3", "--format", "json")
         assert proc.returncode == 0 and '"tested": 8' in proc.stdout
-        assert "json" not in modules and modules & (self.HEAVY | self.ARGPARSE) == set()
+        assert modules & (self.JSON | {"_json"} | self.HEAVY | self.ARGPARSE) == set()
 
     def test_json_enumerate_skips_json(self):
         # enumerate writes its document from templates too
         proc, modules = self.request("enumerate", "--n", "4", "--format", "json")
         assert proc.returncode == 0 and '"count": 3' in proc.stdout
-        assert "json" not in modules and modules & (self.HEAVY | self.ARGPARSE) == set()
+        assert modules & (self.JSON | {"_json"} | self.HEAVY | self.ARGPARSE) == set()
 
     def test_json_matrix_check(self, tmp_path):
         s = spec(3, ("0", 1), ("1", 1))
@@ -1085,7 +1104,7 @@ class TestImportBudget:
         proc, modules = self.request("check", "--matrix", path, "--format", "json")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["input"]["extracted_spectrum"] == s.to_json()
-        assert "canonical_lie.sonreal" in modules
+        assert "canonical_lie.sonreal" in modules and "_json" in modules
         assert modules & (self.HEAVY | self.ARGPARSE | self.FRACTIONS | self.JSON | self.RE) == set()
 
     @pytest.mark.parametrize("method", ["theorem2", "prop3", "both", "strict"])
@@ -1100,6 +1119,7 @@ class TestImportBudget:
         proc, modules = self.request("check", "--matrix", path, "--method", method, "--format", fmt)
         assert proc.returncode == 0, proc.stderr
         assert ("{1/2:2, 3/2:1}" if fmt == "table" else '"lambda": "3/2"') in proc.stdout
+        assert "_json" in modules
         assert modules & (self.HEAVY | self.ARGPARSE | self.FRACTIONS | self.JSON | self.RE) == set()
 
     @pytest.mark.parametrize(
@@ -1119,11 +1139,13 @@ class TestImportBudget:
         if argv[0] == "verify":
             assert "GenerationFails" in proc.stdout and "NonIntegralAdSpectrum" in proc.stdout
         assert "canonical_lie.cli" in modules
-        assert modules & (self.FRACTIONS | self.HEAVY | self.ARGPARSE | self.RE) == set()
+        assert modules & (self.FRACTIONS | self.HEAVY | self.ARGPARSE | self.JSON | self.RE) == set()
+        assert "_json" not in modules
 
     def test_spectrum_check_skips_argparse(self):
         proc, modules = self.request("check", "--spectrum", GOOD_SO4)
         assert proc.returncode == 0 and "verdict: canonical" in proc.stdout
+        assert "_json" in modules
         assert modules & (self.HEAVY | self.ARGPARSE | self.JSON | self.RE) == set()
 
     @pytest.mark.parametrize("method", ["theorem2", "prop3", "both", "strict"])
@@ -1138,10 +1160,11 @@ class TestImportBudget:
         proc, modules = self.request("check", "--spectrum", arg, "--method", method, "--format", fmt)
         assert proc.returncode == (1 if method == "strict" else 0), proc.stderr
         assert ("{1/2:2}" if fmt == "table" else '"lambda": "1/2"') in proc.stdout
+        assert "_json" in modules
         assert modules & (self.HEAVY | self.ARGPARSE | self.JSON | self.RE) == set()
 
     def test_malformed_spectrum_loads_json(self):
-        # text the reader leaves goes to json.loads, whose message is printed
+        # text the scanner refuses goes to json.loads, whose message is printed
         proc, modules = self.request("check", "--spectrum", '{"n":4,')
         assert (proc.returncode, proc.stdout) == (2, "")
         errors = [line for line in proc.stderr.splitlines() if not line.startswith("import time:")]
@@ -1158,7 +1181,7 @@ class TestImportBudget:
         assert proc.returncode == 0
         assert "extracted spectrum {0:1, 1:1}" in proc.stdout
         assert modules & self.HEAVY == {"_csv"}
-        assert modules & (self.FRACTIONS | self.JSON | self.RE) == set()
+        assert modules & (self.FRACTIONS | self.JSON | {"_json"} | self.RE) == set()
 
     @pytest.mark.parametrize("method", ["theorem2", "strict"])
     def test_csv_matrix_check_skips_fractions(self, tmp_path, method):
@@ -1168,4 +1191,4 @@ class TestImportBudget:
         proc, modules = self.request("check", "--matrix", str(path), "--method", method)
         assert proc.returncode == 0, proc.stderr
         assert "extracted spectrum {0:1, 1:1}" in proc.stdout
-        assert modules & (self.FRACTIONS | self.JSON | self.RE) == set()
+        assert modules & (self.FRACTIONS | self.JSON | {"_json"} | self.RE) == set()
