@@ -153,20 +153,23 @@ def _load_spectrum_arg(arg: str) -> Spectrum:
         raise InputError(f"{origin}: {exc}") from None
 
 
-def _parse_matrix_cell(value, where: str) -> tuple[int, int]:
-    """A matrix cell as the (p, q) pair of :func:`exactlin.ratio`."""
-    if isinstance(value, bool):
-        raise InputError(f"{where}: booleans are not matrix entries")
-    if isinstance(value, int):
-        return value, 1
-    if isinstance(value, float):
-        raise InputError(f"{where}: float {shown(value)} rejected; use exact 'p/q' strings")
+def _parse_matrix_cell(value, where: tuple[str, int, int]) -> tuple[int, int]:
+    """A matrix cell as the (p, q) pair of :func:`exactlin.ratio`; `where`,
+    its (path, row, column), is formatted only for a refused cell."""
     if isinstance(value, str):
         try:
             return parse_ratio(value)
         except ValueError as exc:
-            raise InputError(f"{where}: {exc}") from None
-    raise InputError(f"{where}: unsupported entry {shown(value)}")
+            problem = str(exc)
+    elif isinstance(value, bool):
+        problem = "booleans are not matrix entries"
+    elif isinstance(value, int):
+        return value, 1
+    elif isinstance(value, float):
+        problem = f"float {shown(value)} rejected; use exact 'p/q' strings"
+    else:
+        problem = f"unsupported entry {shown(value)}"
+    raise InputError("{} row {} column {}: {}".format(*where, problem))
 
 
 def _lines(text: str):
@@ -186,7 +189,7 @@ def _load_matrix_file(path: str) -> RatMatrix:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read matrix file {path}: {exc}") from None
-    if text.lstrip().startswith("["):
+    if text.lstrip("\ufeff").lstrip().startswith("["):  # a BOM goes to json for its message
         data = _parse_json(text, f"matrix file {path}")
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise InputError(f"matrix file {path}: expected an array of arrays")
@@ -213,7 +216,7 @@ def _load_matrix_file(path: str) -> RatMatrix:
                 f"matrix {path} row {i} has {width} entries; n must be at most {MAX_N}"
             )
     rows = [
-        [_parse_matrix_cell(v, f"{path} row {i} column {j}") for j, v in enumerate(raw)]
+        [_parse_matrix_cell(v, (path, i, j)) for j, v in enumerate(raw)]
         for i, _, raw in numbered
     ]
     if not rows:

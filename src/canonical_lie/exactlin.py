@@ -1,4 +1,4 @@
-"""Exact scalars, the matrix input container, one elimination and charpoly.
+"""Exact scalars, the matrix input container, one elimination, a skew charpoly.
 
 Scalars are Python ints wherever they can be, and :class:`fractions.Fraction`
 (arbitrary precision, always in lowest terms with positive denominator) only
@@ -19,14 +19,15 @@ reduced matrix in the same int form.  The deciders work on g_0-cells and
 strict generation on sets of Witt wedges, so dense elimination runs only
 where neither will do: the rank of an extracted matrix, for mult(0), and
 the rank of the diagonal parts in strict generation, at most n // 2
-columns.  :func:`charpoly` is division-free, so extraction gets the
-integer polynomial of the skew integer matrix 2 L m, whose root orders
-give the other multiplicities.
+columns.  :func:`charpoly` is the one characteristic polynomial, for the
+one matrix that needs it: extraction's skew integer 2 L m, whose R(y) has
+root orders that give the other multiplicities.
 """
 
 import math
 from collections.abc import Iterable, Sequence
 from functools import cache
+from operator import mul
 
 
 @cache
@@ -218,28 +219,27 @@ def rref(m: RatMatrix) -> tuple[int, RatMatrix]:
     return len(pivots), RatMatrix._from_ratios(reduced, cols=m.cols)
 
 
-def charpoly(a: Sequence[Sequence]) -> list:
-    """Coefficients of det(xI - a), highest degree first, by Berkowitz.
+def charpoly(a: Sequence[Sequence[int]]) -> list[int]:
+    """R(y), highest degree first, of a skew-symmetric integer matrix a of
+    size n: det(xI - a) = (-1)^(n // 2) x^(n mod 2) R(-x^2), R monic of degree
+    n // 2 with integer coefficients.  Nothing checks that a is skew.
 
-    Division-free: only ring operations on the entries, so an integer matrix
-    gives an exact integer polynomial.  Each step borders the leading k x k
-    block with row and column k and multiplies the block's polynomial by the
-    Toeplitz matrix with first column 1, -a_kk, -R C, -R A C, ...,
-    -R A^(k-1) C (R, C the new row and column, A the block).
+    Berkowitz's division-free method borders the leading k x k block A with
+    column C and row r and multiplies its polynomial by the Toeplitz matrix
+    with first column 1, -a_kk, -r C, -r A C, ..., -r A^(k-1) C.  For skew a,
+    a_kk = 0 and -r A^j C = C^T A^j C, a scalar equal to its transpose, which
+    is (-1)^j C^T A^j C: 0 for odd j, and (-1)^i |A^i C|^2 for j = 2 i.  In
+    y = -x^2 a step multiplies y^(k mod 2) R_A(y) by 1, -|C|^2, -|A C|^2, ...
+    in 1/y and keeps the polynomial part, the bordered block's R: ceil(k/2)
+    norms and ceil(k/2) - 1 products A^i C, where the general method takes k.
     """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("characteristic polynomial of a non-square matrix")
     poly = [1]
-    for k in range(n):
-        row = a[k]
-        toeplitz = [1, -row[k]]
-        v = [a[i][k] for i in range(k)]
-        for _ in range(k):
-            toeplitz.append(-sum(r * x for r, x in zip(row, v)))
-            v = [sum(r * x for r, x in zip(a[i], v)) for i in range(k)]
-        poly = [
-            sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1))
-            for i in range(k + 2)
-        ]
+    for k in range(len(a)):
+        col = [row[k] for row in a[:k]]
+        border = [1, -sum(map(mul, col, col))]
+        for _ in range((k - 1) // 2):
+            col = [sum(map(mul, row, col)) for row in a[:k]]
+            border.append(-sum(map(mul, col, col)))
+        poly += [0] * (k & 1)  # y R_A after an odd block
+        poly = [sum(map(mul, border[i::-1], poly)) for i in range(len(poly))]
     return poly

@@ -221,19 +221,17 @@ def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
 
     With L = `m.den`, the lcm of the denominators of m, B = 2 L m, twice
     `m.nums`, is a skew integer matrix with eigenvalues +/- 2 L lambda i.
-    Its characteristic polynomial (Berkowitz, division-free) is
-    x^(n mod 2) Q(x^2), so R(y) = (-1)^(n // 2) Q(-y) has degree n // 2
-    and, as B is normal, only the real roots y = (2 L lambda)^2, of order
-    mult(lambda) for lambda > 0.  A half-integral lambda = j/2 is the root
-    L^2 j^2, of order mult(j/2), and :func:`_grid_roots` finds every such j
-    up to J, J^2 <= -2 tr m^2 (four times the sum of the squared
-    magnitudes), which is minus R's second coefficient, sum_{i<j} B_ij^2,
-    over L^2.  The one rank taken is mult(0) = n - rank m.  Returns None when
-    the multiplicities found do not account for all n dimensions, i.e. when
-    some magnitude is not a half-integer, and before the characteristic
-    polynomial when that bound on J^2 is not an integer.  The cost grows
-    with the bit length of the entries, not with their size, and no float
-    or Fraction is involved.
+    As B is normal, the roots of its R(y) (:func:`exactlin.charpoly`) are
+    the y = (2 L lambda)^2 for lambda > 0, of order mult(lambda), and a
+    half-integral lambda = j/2 is the root L^2 j^2.  :func:`_grid_roots`
+    finds every such j up to J, J^2 <= -2 tr m^2 (four times the sum of the
+    squared magnitudes), which is minus R's second coefficient,
+    sum_{i<j} B_ij^2, over L^2.  The one rank is mult(0) = n - rank m.
+    Returns None when the multiplicities found do not account for all n
+    dimensions, i.e. when some magnitude is not a half-integer, and before
+    the characteristic polynomial when that bound on J^2 is not an integer.
+    The cost grows with the bit length of the entries, not with their size,
+    and no float or Fraction is involved.
 
     That outcome already settles the canonicality question.  A grading can
     only have integer grades if any two signed magnitudes have integral sum
@@ -256,8 +254,7 @@ def spectrum_from_matrix(m: RatMatrix) -> Spectrum | None:
         return None
 
     b = [[2 * v for v in row] for row in nums]
-    r = [-c if k & 1 else c for k, c in enumerate(charpoly(b)[::2])]
-    roots = _grid_roots(r, lcd * lcd, math.isqrt(top))
+    roots = _grid_roots(charpoly(b), lcd * lcd, math.isqrt(top))
     mult0 = n - rref(m)[0]
     if mult0 + 2 * sum(mult for _, mult in roots) != n:
         return None

@@ -28,7 +28,7 @@ from canonical_lie import (
     theorem2_check,
 )
 from canonical_lie.cli import _grading_cells, _verdict_summary
-from canonical_lie.exactlin import as_rational, charpoly, format_ratio, rational
+from canonical_lie.exactlin import as_rational, format_ratio, rational
 from canonical_lie.liegraded import _pair_index
 from canonical_lie.sonreal import _grid_roots
 
@@ -674,6 +674,34 @@ def trace(m: RatMatrix) -> Fraction:
     return sum((m.entries[i][i] for i in range(m.rows)), Fraction(0))
 
 
+def charpoly_by_berkowitz(a: Sequence[Sequence]) -> list:
+    """Reference for charpoly: the coefficients of det(xI - a), highest
+    degree first, for any square matrix, by Berkowitz's general method.
+
+    Division-free: only ring operations on the entries, so an integer matrix
+    gives an exact integer polynomial.  Each step borders the leading k x k
+    block with row and column k and multiplies the block's polynomial by the
+    Toeplitz matrix with first column 1, -a_kk, -R C, -R A C, ...,
+    -R A^(k-1) C (R, C the new row and column, A the block).
+    """
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    poly = [1]
+    for k in range(n):
+        row = a[k]
+        toeplitz = [1, -row[k]]
+        v = [a[i][k] for i in range(k)]
+        for _ in range(k):
+            toeplitz.append(-sum(r * x for r, x in zip(row, v)))
+            v = [sum(r * x for r, x in zip(a[i], v)) for i in range(k)]
+        poly = [
+            sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    return poly
+
+
 def rref_by_fractions(m: RatMatrix) -> tuple[int, RatMatrix]:
     """Oracle for rref: textbook Gauss-Jordan elimination on the Fraction
     entries, each pivot row divided by its pivot as soon as it is chosen."""
@@ -960,7 +988,7 @@ def spectrum_from_matrix_by_kernels(m: RatMatrix):
     gram = [[-4 * v.numerator * (scale // v.denominator) for v in row] for row in m2.entries]
     top = math.isqrt(math.floor(-2 * trace(m2)))
     entries = []
-    for j, _ in _grid_roots(charpoly(gram), scale, top):
+    for j, _ in _grid_roots(charpoly_by_berkowitz(gram), scale, top):
         lam = Fraction(j, 2)
         d = kernel(mat_add(m2, scaled(identity(n), lam * lam))).dim
         if d % 2:

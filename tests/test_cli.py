@@ -151,6 +151,18 @@ class TestCheckMatrix:
         doc = json.loads(out)
         assert doc["input"]["extracted_spectrum"]["n"] == 3
 
+    @pytest.mark.parametrize("lead", ["", " \n"])
+    def test_json_matrix_with_a_bom_gets_the_json_message(self, capsys, tmp_path, lead):
+        # str.lstrip keeps U+FEFF, which once sent this file to the CSV reader
+        # and its first cell's message
+        text = "\ufeff" + lead + '[["0","-1","0"],["1","0","0"],["0","0","0"]]'
+        path = tmp_path / "m.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "check", "--matrix", str(path))
+        kind, want = loads_or_message(text, f"matrix file {path}")
+        assert kind == "error" and "BOM" in want
+        assert (code, out, err) == (2, "", f"error: {want}\n")
+
     def test_non_skew_matrix_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,0,0\n0,1,0\n0,0,1\n")
@@ -509,6 +521,20 @@ class TestJsonSubset:
         )
         kind, want = loads_or_message(self.MALFORMED[name], f"spectrum file {path}")
         assert kind == "error"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {want}\n")
+
+    def test_fresh_process_reads_a_bom_matrix_as_json(self, tmp_path):
+        path = tmp_path / "bom.json"
+        text = "\ufeff" + '[["0","-1","0"],["1","0","0"],["0","0","0"]]'
+        path.write_text(text, encoding="utf-8")
+        src = str(Path(canonical_lie.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-S", "-m", "canonical_lie", "check", "--matrix", str(path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        _, want = loads_or_message(text, f"matrix file {path}")
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {want}\n")
 
     payloads = st.recursive(

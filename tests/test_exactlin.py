@@ -1,6 +1,6 @@
-"""Exact linear algebra: the matrix container, RREF and charpoly, then the
-test oracles built on them: matrix arithmetic, spans, the subspace lattice
-and kernels."""
+"""Exact linear algebra: the matrix container, RREF and the skew charpoly
+against the general Berkowitz reference, then the test oracles built on
+them: matrix arithmetic, spans, the subspace lattice and kernels."""
 
 import math
 from fractions import Fraction
@@ -13,11 +13,13 @@ from canonical_lie import InvalidSpectrum, RatMatrix, Spectrum, rref
 from canonical_lie.exactlin import as_rational, charpoly, ratio
 from helpers import (
     Subspace,
+    charpoly_by_berkowitz,
     full_space,
     identity,
     kernel,
     mat_add,
     matmul,
+    normal_form,
     rref_by_fractions,
     scaled,
     span,
@@ -216,21 +218,66 @@ class TestIntForm:
         assert reduced.entries == ((1, Fraction(1, 3)), (0, 0))
 
 
+def skew_matrices(max_n=12, bound=10**30):
+    """Skew-symmetric integer matrices, n = 0..max_n, entries up to +/- bound,
+    with zeros drawn often enough to give repeated and zero eigenvalues."""
+    cells = st.integers(-bound, bound) | st.just(0)
+
+    def skew(n, upper):
+        a = [[0] * n for _ in range(n)]
+        drawn = iter(upper)
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i][j] = next(drawn)
+                a[j][i] = -a[i][j]
+        return a
+
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.lists(cells, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(
+            lambda upper: skew(n, upper)
+        )
+    )
+
+
 class TestCharpoly:
+    """`charpoly` gives R(y) of a skew integer matrix, with det(xI - a) =
+    (-1)^(n // 2) x^(n mod 2) R(-x^2); `charpoly_by_berkowitz`, the general
+    method for any square matrix, is its reference."""
+
     def test_two_by_two(self):
         # x^2 - (a + d) x + (ad - bc)
-        assert charpoly([[1, 2], [3, 4]]) == [1, -5, -2]
+        assert charpoly_by_berkowitz([[1, 2], [3, 4]]) == [1, -5, -2]
 
     def test_empty_and_non_square(self):
-        assert charpoly([]) == [1]
+        assert charpoly([]) == charpoly_by_berkowitz([]) == [1]
         with pytest.raises(ValueError):
-            charpoly([[1, 2]])
+            charpoly_by_berkowitz([[1, 2]])
 
     def test_integer_matrix_gives_integer_coefficients(self):
-        poly = charpoly([[0, -7, 1], [7, 0, 3], [-1, -3, 0]])
+        a = [[0, -7, 1], [7, 0, 3], [-1, -3, 0]]
+        # det(xI - a) = x^3 + (7^2 + 1^2 + 3^2) x = -x R(-x^2), R(y) = y - 59
+        assert charpoly_by_berkowitz(a) == [1, 0, 59, 0]
+        poly = charpoly(a)
+        assert poly == [1, -59]
         assert all(type(c) is int for c in poly)
-        # skew: x^3 + (7^2 + 1^2 + 3^2) x
-        assert poly == [1, 0, 59, 0]
+
+    def test_normal_form(self):
+        # {0:2, 1/2:2, 3:1}: B = 2 N has eigenvalues +/- i twice, +/- 6i and 0
+        # twice, so R(y) = y (y - 1)^2 (y - 36) = y^4 - 38 y^3 + 73 y^2 - 36 y
+        s = Spectrum(8, ((0, 2), (Fraction(1, 2), 2), (3, 1)))
+        b = [[int(2 * v) for v in row] for row in normal_form(s).entries]
+        assert charpoly(b) == [1, -38, 73, -36, 0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(skew_matrices())
+    def test_matches_the_reference(self, a):
+        # the reference's odd coefficients vanish and its even ones are R's
+        # with the signs (-1)^m
+        n, r = len(a), charpoly(a)
+        full = charpoly_by_berkowitz(a)
+        assert len(r) == n // 2 + 1
+        assert full[1::2] == [0] * ((n + 1) // 2)
+        assert full[::2] == [-c if m & 1 else c for m, c in enumerate(r)]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -239,9 +286,10 @@ class TestCharpoly:
         )
     )
     def test_cayley_hamilton(self, rows):
-        # p(A) = 0, the leading coefficient is 1 and the next is -trace
+        # p(A) = 0 for the reference, the leading coefficient is 1 and the
+        # next is -trace
         m = RatMatrix(rows)
-        poly = charpoly(rows)
+        poly = charpoly_by_berkowitz(rows)
         assert poly[0] == 1 and poly[1] == -trace(m)
         acc = zeros(m.rows, m.rows)
         for c in poly:
